@@ -1,6 +1,5 @@
-// Shared timing helper for the self-timing before/after benches
-// (micro_thermal, micro_ldpc). One definition so both BENCH_*.json records
-// are measured with the same methodology.
+// Shared timing helper for the self-timing benches. One definition so
+// every BENCH_*.json record is measured with the same methodology.
 #pragma once
 
 #include <algorithm>

@@ -40,7 +40,6 @@
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/solver.hpp"
-#include "util/simd.hpp"
 #include "util/sparse.hpp"
 #include "util/table.hpp"
 
@@ -181,68 +180,6 @@ PolicyRow run_policy_row(int refine, double budget_ms) {
   return row;
 }
 
-struct SolveTierRow {
-  simd::Tier tier = simd::Tier::kScalar;
-  double multi_ms = 0.0;     ///< blocked 8-RHS solve through this tier
-  double permuted_ms = 0.0;  ///< streamed permuted solve through this tier
-  double multi_speedup = 0.0;     // vs the scalar tier
-  double permuted_speedup = 0.0;  // vs the scalar tier
-  bool bit_exact = true;
-};
-
-/// Times the two triangular-sweep kernels through every compiled SIMD tier
-/// on the co-sim engine's own factorization (minimum-degree ordering) and
-/// checks each tier's output is bit-identical to the scalar tier — the
-/// contract that keeps the engine's 1e-10 reference agreement intact no
-/// matter which tier dispatch picks.
-std::vector<SolveTierRow> run_solve_tiers(int refine, double budget_ms) {
-  const RcNetwork net = net_for(refine);
-  const std::vector<double> cd(static_cast<std::size_t>(net.node_count()),
-                               1.0);
-  const SparseMatrix step = net.conductance_sparse().plus_diagonal(cd);
-  const SparseLdlt chol(step, minimum_degree_ordering(step));
-  const int n = chol.n();
-  constexpr int kRhs = 8;
-
-  Rng rng(2024);
-  std::vector<double> block(static_cast<std::size_t>(n * kRhs));
-  std::vector<double> stream(static_cast<std::size_t>(n));
-  for (double& v : block) v = rng.next_double() * 4.0 - 2.0;
-  for (double& v : stream) v = rng.next_double() * 4.0 - 2.0;
-
-  std::vector<double> golden_block, golden_stream;
-  std::vector<SolveTierRow> rows;
-  for (int t = 0; t < simd::kTierCount; ++t) {
-    const simd::KernelTable* table =
-        simd::kernel_table(static_cast<simd::Tier>(t));
-    if (table == nullptr) continue;
-    SolveTierRow row;
-    row.tier = table->tier;
-
-    std::vector<double> x;
-    row.multi_ms = time_ms(budget_ms, [&] {
-      x = block;
-      chol.solve_multi_with(*table, x, kRhs);
-    });
-    std::vector<double> y;
-    row.permuted_ms = time_ms(budget_ms, [&] {
-      y = stream;
-      chol.solve_permuted_in_place_with(*table, y.data());
-    });
-
-    if (rows.empty()) {  // the scalar tier anchors both goldens
-      golden_block = x;
-      golden_stream = y;
-    }
-    row.multi_speedup = rows.empty() ? 1.0 : rows[0].multi_ms / row.multi_ms;
-    row.permuted_speedup =
-        rows.empty() ? 1.0 : rows[0].permuted_ms / row.permuted_ms;
-    row.bit_exact = x == golden_block && y == golden_stream;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
 struct SweepScalingRow {
   int threads = 0;
   double ms = 0.0;
@@ -314,7 +251,6 @@ SweepScaling run_sweep_scaling(bool smoke, double budget_ms) {
 
 void write_json(const std::string& path, bool smoke,
                 const std::vector<CosimRow>& cosim,
-                const std::vector<SolveTierRow>& solve,
                 const PolicyRow& policy, const SweepScaling& sweep,
                 const bench::ServiceGuardResult& service) {
   AtomicFile out(path);
@@ -338,21 +274,6 @@ void write_json(const std::string& path, bool smoke,
     json.end_object();
   }
   json.end_array();
-  json.key("ldlt_kernels").begin_object();
-  json.key("active_tier").string(simd::active_tier_name());
-  json.key("tiers").begin_array();
-  for (const SolveTierRow& r : solve) {
-    json.begin_object();
-    json.key("tier").string(simd::tier_name(r.tier));
-    json.key("solve_multi_ms").real(r.multi_ms);
-    json.key("solve_multi_speedup").real(r.multi_speedup, 3);
-    json.key("permuted_solve_ms").real(r.permuted_ms);
-    json.key("permuted_solve_speedup").real(r.permuted_speedup, 3);
-    json.key("bit_exact").boolean(r.bit_exact);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
   json.key("policy_lookahead").begin_object();
   json.key("nodes").integer(policy.nodes);
   json.key("candidates").integer(policy.candidates);
@@ -409,25 +330,6 @@ int run(bool smoke, const std::string& json_path) {
          (r.steady_allocs == 0 || !alloc_guard::instrumented());
   }
   cosim_table.print(std::cout);
-
-  // --- Triangular-sweep kernels, per SIMD tier --------------------------
-  const std::vector<SolveTierRow> solve_rows =
-      run_solve_tiers(refines.front(), budget_ms);
-  Table solve_table({"tier", "multi ms", "speedup", "permuted ms", "speedup",
-                     "bit-exact"});
-  solve_table.set_title(
-      std::string("LDL^T triangular sweeps (8-RHS block + streamed "
-                  "permuted), every compiled SIMD tier; active tier: ") +
-      simd::active_tier_name() + (smoke ? " [smoke]" : ""));
-  for (const SolveTierRow& r : solve_rows) {
-    solve_table.add_row({simd::tier_name(r.tier), Table::num(r.multi_ms, 4),
-                         Table::num(r.multi_speedup, 2),
-                         Table::num(r.permuted_ms, 4),
-                         Table::num(r.permuted_speedup, 2),
-                         r.bit_exact ? "yes" : "NO"});
-    ok = ok && r.bit_exact;
-  }
-  solve_table.print(std::cout);
 
   // --- Adaptive lookahead: per-candidate scalar vs multi-RHS batch ------
   const PolicyRow policy = run_policy_row(smoke ? 2 : 4, budget_ms);
@@ -487,13 +389,11 @@ int run(bool smoke, const std::string& json_path) {
   service_table.print(std::cout);
   ok = ok && service.ok();
 
-  write_json(json_path, smoke, cosim_rows, solve_rows, policy, sweep,
-             service);
+  write_json(json_path, smoke, cosim_rows, policy, sweep, service);
 
   if (!ok) {
     std::cerr << "FAIL: engine diverged from the reference runtime, "
-                 "allocated in steady state, a SIMD tier's triangular sweep "
-                 "was not bit-identical to scalar, batched lookahead scores "
+                 "allocated in steady state, batched lookahead scores "
                  "drifted, the experiment sweep depended on thread count, "
                  "or the sweep service broke shard/resume identity\n";
     return 1;

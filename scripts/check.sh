@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot tier-1 verify: configure, build, and run ctest in Debug and
 # Release with warnings-as-errors, benches, and examples all enabled, then
-# smoke-run the dense-vs-sparse thermal bench and the seed-vs-flat LDPC and
-# NoC benches so the bench targets cannot silently rot. Each BENCH_*.json
+# smoke-run the seed-vs-flat LDPC and NoC benches and the engine-vs-seed
+# co-sim bench so the bench targets cannot silently rot. Each BENCH_*.json
 # regression guard exits nonzero when its fast path diverges from the
 # golden reference (bit-exactness, steady-state allocations, thread
 # determinism), and `set -e` turns any such exit into a check failure.
@@ -72,7 +72,7 @@ if [[ -n "${sanitize}" ]]; then
   echo "== sanitize(${sanitize}): ctest =="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
   if [[ "${bench_smoke}" == 1 ]]; then
-    for bench in micro_thermal micro_ldpc micro_noc micro_runtime; do
+    for bench in micro_ldpc micro_noc micro_runtime; do
       echo "== sanitize(${sanitize}): bench smoke (${bench}) =="
       "${build_dir}/bench/bench_${bench}" --smoke \
         --json "${build_dir}/BENCH_${bench#micro_}.json"
@@ -101,9 +101,6 @@ for config in Debug Release; do
       --report "${build_dir}/lint-report.txt"
   fi
   if [[ "${bench_smoke}" == 1 ]]; then
-    echo "== ${config}: bench smoke (micro_thermal) =="
-    "${build_dir}/bench/bench_micro_thermal" --smoke \
-      --json "${build_dir}/BENCH_thermal.json"
     echo "== ${config}: bench smoke (micro_ldpc) =="
     "${build_dir}/bench/bench_micro_ldpc" --smoke \
       --json "${build_dir}/BENCH_ldpc.json"

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "util/check.hpp"
-#include "util/matrix.hpp"
 #include "util/sparse.hpp"
 
 namespace renoc {
@@ -17,39 +16,30 @@ void ThermalRunOptions::validate() const {
   RENOC_CHECK(tol_c > 0);
 }
 
-// Streamed orbit-integration state: factorizations plus every buffer the
-// hot loop touches, so a warmed engine runs without heap allocation. The
-// sparse and dense backends share one code path through `order` — the
-// factor's elimination order for the sparse backend (state, power maps,
-// and C/dt all live permuted, so SparseLdlt::solve_permuted_in_place
-// needs no per-step permutation passes), the identity for the dense LU
-// fallback.
+namespace {
+
+/// Minimum-degree LDL^T of the backward-Euler step matrix C/dt + G.
+SparseLdlt factor_step(const RcNetwork& net,
+                       const std::vector<double>& c_over_dt) {
+  const SparseMatrix step = net.conductance_sparse().plus_diagonal(c_over_dt);
+  return SparseLdlt(step, minimum_degree_ordering(step));
+}
+
+}  // namespace
+
+// Streamed orbit-integration state: the factorization plus every buffer the
+// hot loop touches, so a warmed engine runs without heap allocation. State,
+// power maps, and C/dt all live in the factor's elimination order (slot k
+// holds node ldlt.permutation()[k]), so SparseLdlt::solve_permuted_in_place
+// needs no per-step permutation passes.
 struct MigrationThermalRuntime::Engine {
-  Engine(const RcNetwork& net, double dt) : steady(net) {
+  // `c_over_dt` comes from the shared assembly helper (thermal/solver.cpp
+  // uses the same one), so the engine's step matrix is bit-identical to the
+  // reference path's.
+  Engine(const RcNetwork& net, const std::vector<double>& c_over_dt)
+      : steady(net), ldlt(factor_step(net, c_over_dt)) {
     const int n = net.node_count();
-    // Shared assembly helpers (thermal/solver.cpp uses the same ones), so
-    // the engine's step matrix is bit-identical to the reference path's.
-    const std::vector<double> c_over_dt = step_capacitance_diagonal(net, dt);
-
-    switch (resolve_solver_backend(SolverBackend::kAuto, n)) {
-      case SolverBackend::kSparse: {
-        const SparseMatrix step =
-            net.conductance_sparse().plus_diagonal(c_over_dt);
-        ldlt = std::make_unique<SparseLdlt>(step,
-                                            minimum_degree_ordering(step));
-        order = ldlt->permutation();
-        break;
-      }
-      case SolverBackend::kDense:
-      case SolverBackend::kAuto: {
-        lu = std::make_unique<LuFactorization>(
-            dense_step_matrix(net, c_over_dt));
-        order.resize(static_cast<std::size_t>(n));
-        for (int k = 0; k < n; ++k) order[static_cast<std::size_t>(k)] = k;
-        break;
-      }
-    }
-
+    const std::vector<int>& order = ldlt.permutation();
     cd_ord.resize(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k)
       cd_ord[static_cast<std::size_t>(k)] =
@@ -61,9 +51,7 @@ struct MigrationThermalRuntime::Engine {
   }
 
   SteadyStateSolver steady;
-  std::unique_ptr<SparseLdlt> ldlt;     // minimum-degree (C/dt + G), or
-  std::unique_ptr<LuFactorization> lu;  // ... the dense LU fallback
-  std::vector<int> order;     // order[k] = original node streamed at slot k
+  SparseLdlt ldlt;             // minimum-degree (C/dt + G)
   std::vector<double> cd_ord;  // C/dt in slot order
   std::vector<int> die_slot;  // slots holding die nodes, ascending
 
@@ -105,8 +93,12 @@ ThermalRunResult MigrationThermalRuntime::run(
 
   const int steps = steps_per_period();
   const double dt = options_.period_s / steps;
-  if (!engine_) engine_ = std::make_unique<Engine>(net, dt);
+  if (!engine_)
+    engine_ =
+        std::make_unique<Engine>(net, step_capacitance_diagonal(net, dt));
   Engine& e = *engine_;
+  // order[k] = original node streamed at slot k
+  const std::vector<int>& order = e.ldlt.permutation();
 
   const int n = net.node_count();
   const int die = net.die_count();
@@ -138,7 +130,7 @@ ThermalRunResult MigrationThermalRuntime::run(
     for (std::size_t i = 0; i < ud; ++i) e.avg[i] += e.moved[i];
     double* sp = &e.seg_power[seg * un];
     for (std::size_t k = 0; k < un; ++k) {
-      const int orig = e.order[k];
+      const int orig = order[k];
       sp[k] = orig < die ? e.moved[static_cast<std::size_t>(orig)] : 0.0;
     }
   }
@@ -181,7 +173,7 @@ ThermalRunResult MigrationThermalRuntime::run(
       const double* sp = &e.seg_power[seg * un];
       double* spk = &e.spike_power[seg * un];
       for (std::size_t k = 0; k < un; ++k) {
-        const int orig = e.order[k];
+        const int orig = order[k];
         spk[k] = orig < die
                      ? sp[k] + e_map[static_cast<std::size_t>(orig)] / dt
                      : sp[k];
@@ -194,8 +186,7 @@ ThermalRunResult MigrationThermalRuntime::run(
   // solve, and a single fused peak/mean gather over the die slots.
   e.state.resize(un);
   for (std::size_t k = 0; k < un; ++k)
-    e.state[k] =
-        e.steady_rise[static_cast<std::size_t>(e.order[k])];
+    e.state[k] = e.steady_rise[static_cast<std::size_t>(order[k])];
 
   const double ambient = net.ambient();
   const double* cd = e.cd_ord.data();
@@ -216,10 +207,7 @@ ThermalRunResult MigrationThermalRuntime::run(
         // Fused in-place RHS build: each slot is read once and overwritten,
         // so the step needs no second n-vector in cache.
         for (std::size_t k = 0; k < un; ++k) st[k] = cd[k] * st[k] + p[k];
-        if (e.ldlt)
-          e.ldlt->solve_permuted_in_place(st);
-        else
-          e.lu->solve_in_place(e.state);
+        e.ldlt.solve_permuted_in_place(st);
         double peak_rise = -1e300;
         double sum = 0.0;
         for (const int slot : e.die_slot) {

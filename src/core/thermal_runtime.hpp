@@ -28,9 +28,7 @@
 // minimum-degree-ordered factor (about half the fill of the default RCM
 // ordering), and folds the peak/mean die scans into one gather. After the
 // first run() with a given problem shape, run() performs zero heap
-// allocations. Sub-cutoff networks (and RENOC_DENSE_SOLVE=1) keep the
-// dense LU backend with the same persistent-workspace streaming in
-// natural order.
+// allocations.
 //
 // The pre-engine scalar path is preserved verbatim as the semantics
 // oracle in core/reference_runtime; the engine agrees with it to <= 1e-10

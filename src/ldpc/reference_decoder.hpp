@@ -4,9 +4,10 @@
 // as oracles: per-node in_buf/out_buf copies through the std::vector kernel
 // API and per-call message allocation. They are deliberately slow — their
 // job is to pin the message-passing semantics so the flat CSR engine can be
-// proven bit-identical, the same role the dense LU factorization plays for
-// the sparse thermal path. Tests and the bench_micro_ldpc regression guard
-// compare every DecodeResult field against these.
+// proven bit-identical, the same role the dense LU test oracle
+// (tests/support) plays for the sparse thermal path. Tests and the
+// bench_micro_ldpc regression guard compare every DecodeResult field
+// against these.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@
 // tests/noc_flat_test.cpp and bench/micro_noc.cpp drive both engines with
 // identical send schedules and fail on any divergence. Do not "improve"
 // this file: its value is that it does not change. (Same policy as
-// ldpc/reference_decoder and the dense LU oracle in thermal/solver.)
+// ldpc/reference_decoder and the dense LU test oracle in tests/support.)
 #pragma once
 
 #include <array>

@@ -41,11 +41,6 @@ RcNetwork::RcNetwork(SparseMatrix g, std::vector<double> cap,
   for (double c : cap_) RENOC_CHECK(c > 0.0);
 }
 
-const Matrix& RcNetwork::conductance() const {
-  if (!dense_g_) dense_g_ = std::make_unique<Matrix>(g_.to_dense());
-  return *dense_g_;
-}
-
 const std::string& RcNetwork::node_name(int i) const {
   RENOC_CHECK(i >= 0 && i < node_count());
   return names_[static_cast<std::size_t>(i)];

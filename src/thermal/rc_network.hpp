@@ -35,13 +35,11 @@
 // HotSpot applies; it keeps the solvers free of boundary special cases.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
 #include "thermal/hotspot_params.hpp"
-#include "util/matrix.hpp"
 #include "util/sparse.hpp"
 
 namespace renoc {
@@ -50,9 +48,8 @@ namespace renoc {
 /// bookkeeping. Produced by build_rc_network(); immutable afterwards.
 ///
 /// The conductance matrix is stored sparse (CSR); each node couples to at
-/// most seven neighbours plus the package hubs, so the dense form is
-/// quadratically larger. A dense view is materialized lazily for the dense
-/// solver fallback and cross-check tests.
+/// most seven neighbours plus the package hubs, so the dense form would be
+/// quadratically larger.
 class RcNetwork {
  public:
   RcNetwork(SparseMatrix g, std::vector<double> cap,
@@ -63,10 +60,6 @@ class RcNetwork {
   int die_count() const { return die_count_; }
 
   const SparseMatrix& conductance_sparse() const { return g_; }
-
-  /// Dense view of the conductance matrix, built on first use and cached
-  /// (not thread-safe, like the rest of the library).
-  const Matrix& conductance() const;
   const std::vector<double>& capacitance() const { return cap_; }
   const std::string& node_name(int i) const;
   double ambient() const { return ambient_; }
@@ -84,7 +77,6 @@ class RcNetwork {
 
  private:
   SparseMatrix g_;
-  mutable std::unique_ptr<Matrix> dense_g_;  // lazy cache for conductance()
   std::vector<double> cap_;
   std::vector<std::string> names_;
   int die_count_ = 0;

@@ -1,17 +1,11 @@
 #include "thermal/solver.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.hpp"
 
 namespace renoc {
 namespace {
-
-bool dense_forced_by_env() {
-  const char* v = std::getenv("RENOC_DENSE_SOLVE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 /// Copies die power into the leading entries of a full-node scratch vector
 /// whose package tail is already zero (allocation-free expand_die_power).
@@ -28,14 +22,6 @@ const std::vector<double>& expand_into(const RcNetwork& net,
 
 }  // namespace
 
-SolverBackend resolve_solver_backend(SolverBackend requested,
-                                     int node_count) {
-  if (requested != SolverBackend::kAuto) return requested;
-  if (dense_forced_by_env()) return SolverBackend::kDense;
-  return node_count < kDenseNodeCutoff ? SolverBackend::kDense
-                                       : SolverBackend::kSparse;
-}
-
 std::vector<double> step_capacitance_diagonal(const RcNetwork& net,
                                               double dt) {
   RENOC_CHECK_MSG(dt > 0.0, "transient dt must be positive");
@@ -47,34 +33,13 @@ std::vector<double> step_capacitance_diagonal(const RcNetwork& net,
   return d;
 }
 
-Matrix dense_step_matrix(const RcNetwork& net,
-                         const std::vector<double>& c_over_dt) {
-  Matrix m = net.conductance();
-  for (int i = 0; i < net.node_count(); ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    m(u, u) += c_over_dt[u];
-  }
-  return m;
-}
-
-SteadyStateSolver::SteadyStateSolver(const RcNetwork& net,
-                                     SolverBackend backend)
-    : net_(&net) {
-  switch (resolve_solver_backend(backend, net.node_count())) {
-    case SolverBackend::kSparse:
-      ldlt_ = std::make_unique<SparseLdlt>(net.conductance_sparse());
-      break;
-    case SolverBackend::kDense:
-    case SolverBackend::kAuto:
-      lu_ = std::make_unique<LuFactorization>(net.conductance());
-      break;
-  }
-}
+SteadyStateSolver::SteadyStateSolver(const RcNetwork& net)
+    : net_(&net), ldlt_(net.conductance_sparse()) {}
 
 std::vector<double> SteadyStateSolver::solve(
     const std::vector<double>& power) const {
   RENOC_CHECK(static_cast<int>(power.size()) == net_->node_count());
-  return ldlt_ ? ldlt_->solve(power) : lu_->solve(power);
+  return ldlt_.solve(power);
 }
 
 void SteadyStateSolver::solve_into(const std::vector<double>& power,
@@ -82,10 +47,7 @@ void SteadyStateSolver::solve_into(const std::vector<double>& power,
   RENOC_CHECK(static_cast<int>(power.size()) == net_->node_count());
   rise.resize(power.size());
   std::copy(power.begin(), power.end(), rise.begin());
-  if (ldlt_)
-    ldlt_->solve_in_place(rise);
-  else
-    lu_->solve_in_place(rise);
+  ldlt_.solve_in_place(rise);
 }
 
 std::vector<double> SteadyStateSolver::solve_die_power(
@@ -106,25 +68,13 @@ double SteadyStateSolver::peak_die_temperature(
   return net_->ambient() + net_->peak_die_rise(rise);
 }
 
-TransientSolver::TransientSolver(const RcNetwork& net, double dt,
-                                 SolverBackend backend)
+TransientSolver::TransientSolver(const RcNetwork& net, double dt)
     : net_(&net),
       dt_(dt),
       c_over_dt_(step_capacitance_diagonal(net, dt)),
+      step_ldlt_(net.conductance_sparse().plus_diagonal(c_over_dt_)),
       state_(static_cast<std::size_t>(net.node_count()), 0.0),
-      rhs_(static_cast<std::size_t>(net.node_count()), 0.0) {
-  switch (resolve_solver_backend(backend, net.node_count())) {
-    case SolverBackend::kSparse:
-      step_ldlt_ = std::make_unique<SparseLdlt>(
-          net.conductance_sparse().plus_diagonal(c_over_dt_));
-      break;
-    case SolverBackend::kDense:
-    case SolverBackend::kAuto:
-      step_lu_ = std::make_unique<LuFactorization>(
-          dense_step_matrix(net, c_over_dt_));
-      break;
-  }
-}
+      rhs_(static_cast<std::size_t>(net.node_count()), 0.0) {}
 
 void TransientSolver::set_state(std::vector<double> rise) {
   RENOC_CHECK(static_cast<int>(rise.size()) == net_->node_count());
@@ -141,10 +91,7 @@ void TransientSolver::step(const std::vector<double>& power) {
   RENOC_CHECK(static_cast<int>(power.size()) == net_->node_count());
   for (std::size_t i = 0; i < state_.size(); ++i)
     rhs_[i] = c_over_dt_[i] * state_[i] + power[i];
-  if (step_ldlt_)
-    step_ldlt_->solve_in_place(rhs_);
-  else
-    step_lu_->solve_in_place(rhs_);
+  step_ldlt_.solve_in_place(rhs_);
   std::swap(state_, rhs_);
 }
 
@@ -165,10 +112,7 @@ void TransientSolver::step_multi(const std::vector<double>& powers,
     double* r = &rhs_multi_[i * w];
     for (std::size_t j = 0; j < w; ++j) r[j] = cd * s[j] + p[j];
   }
-  if (step_ldlt_)
-    step_ldlt_->solve_multi(rhs_multi_, nrhs);
-  else
-    step_lu_->solve_multi(rhs_multi_, nrhs);
+  step_ldlt_.solve_multi(rhs_multi_, nrhs);
   std::swap(states, rhs_multi_);
 }
 

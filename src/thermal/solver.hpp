@@ -10,41 +10,18 @@
 // microsecond steps the migration study needs would be dominated by
 // stability, not accuracy. The step matrix is factored once per dt.
 //
-// Both G and (C/dt + G) are symmetric positive definite, so the default
-// backend is the sparse LDL^T of util/sparse.hpp — O(n * b^2) factor and
-// O(nnz(L)) solve against the dense LU's O(n^3) / O(n^2). Small networks
-// (and anything run with RENOC_DENSE_SOLVE=1 in the environment, or an
-// explicit SolverBackend::kDense) keep the original dense path, which also
-// serves as the cross-check oracle in tests.
+// Both G and (C/dt + G) are symmetric positive definite, so both solvers
+// factor them with the sparse LDL^T of util/sparse.hpp — O(n * b^2) factor
+// and O(nnz(L)) solve. The tests check it against a dense LU oracle
+// (tests/support) on every network size the paper configurations build.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "thermal/rc_network.hpp"
-#include "util/matrix.hpp"
 #include "util/sparse.hpp"
 
 namespace renoc {
-
-/// Which factorization a thermal solver uses.
-enum class SolverBackend {
-  kAuto,    ///< sparse LDL^T at >= kDenseNodeCutoff nodes, dense LU below;
-            ///< RENOC_DENSE_SOLVE=1 in the environment forces dense
-  kDense,   ///< dense LU with partial pivoting (the original path)
-  kSparse,  ///< sparse LDL^T with fill-reducing ordering
-};
-
-/// Node count below which kAuto prefers the dense LU: at a few dozen nodes
-/// the dense factor fits in cache and the sparse bookkeeping buys nothing.
-inline constexpr int kDenseNodeCutoff = 64;
-
-/// The backend `requested` resolves to for a network of `node_count`
-/// nodes (kAuto applies the cutoff above and the RENOC_DENSE_SOLVE
-/// environment override). Exposed so other layers that maintain their own
-/// factorizations — the co-sim engine in core/thermal_runtime — pick the
-/// same backend as the solvers here.
-SolverBackend resolve_solver_backend(SolverBackend requested, int node_count);
 
 /// The diagonal C/dt of the backward-Euler step matrix for time step `dt`.
 /// Shared with the co-sim engine so both paths assemble bit-identical
@@ -53,15 +30,10 @@ SolverBackend resolve_solver_backend(SolverBackend requested, int node_count);
 std::vector<double> step_capacitance_diagonal(const RcNetwork& net,
                                               double dt);
 
-/// The dense backward-Euler step matrix C/dt + G (dense-backend paths).
-Matrix dense_step_matrix(const RcNetwork& net,
-                         const std::vector<double>& c_over_dt);
-
 /// Direct solver for steady-state temperature rises.
 class SteadyStateSolver {
  public:
-  explicit SteadyStateSolver(const RcNetwork& net,
-                             SolverBackend backend = SolverBackend::kAuto);
+  explicit SteadyStateSolver(const RcNetwork& net);
 
   /// Full-node temperature rises for a full-node power vector.
   std::vector<double> solve(const std::vector<double>& power) const;
@@ -83,15 +55,11 @@ class SteadyStateSolver {
   /// Peak absolute die temperature (ambient + peak rise) for a die power map.
   double peak_die_temperature(const std::vector<double>& die_power) const;
 
-  /// True when the sparse backend was selected.
-  bool uses_sparse() const { return ldlt_ != nullptr; }
-
   const RcNetwork& network() const { return *net_; }
 
  private:
   const RcNetwork* net_;
-  std::unique_ptr<LuFactorization> lu_;  // exactly one of lu_/ldlt_ is set
-  std::unique_ptr<SparseLdlt> ldlt_;
+  SparseLdlt ldlt_;  // LDL^T of G
   mutable std::vector<double> full_power_;  // die-power expansion scratch
 };
 
@@ -99,8 +67,7 @@ class SteadyStateSolver {
 class TransientSolver {
  public:
   /// Prefactors (C/dt + G) for time step `dt` (seconds).
-  TransientSolver(const RcNetwork& net, double dt,
-                  SolverBackend backend = SolverBackend::kAuto);
+  TransientSolver(const RcNetwork& net, double dt);
 
   double dt() const { return dt_; }
 
@@ -133,17 +100,13 @@ class TransientSolver {
   /// peak die rise observed at step boundaries.
   double run_die_power(const std::vector<double>& die_power, int steps);
 
-  /// True when the sparse backend was selected.
-  bool uses_sparse() const { return step_ldlt_ != nullptr; }
-
   const RcNetwork& network() const { return *net_; }
 
  private:
   const RcNetwork* net_;
   double dt_;
-  std::unique_ptr<LuFactorization> step_lu_;  // LU of (C/dt + G), or
-  std::unique_ptr<SparseLdlt> step_ldlt_;     // ... its sparse LDL^T
   std::vector<double> c_over_dt_;  // diagonal C/dt
+  SparseLdlt step_ldlt_;           // LDL^T of (C/dt + G)
   std::vector<double> state_;      // temperature rises
   std::vector<double> rhs_;        // scratch
   std::vector<double> rhs_multi_;  // step_multi scratch

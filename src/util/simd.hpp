@@ -3,29 +3,27 @@
 //
 // Layout of the layer:
 //
-//   - Lane wrappers (`lanes::*`, below): value types holding one SIMD
-//     register (or a plain array for the portable fallback) with a uniform
-//     static-function API. Three backends:
-//       * ScalarI32<W> / ScalarF64<W> — unrolled scalar arrays, compile
-//         everywhere under -Werror, no intrinsics. Always available.
-//       * Sse2I32 / Sse2F64 — strict SSE2 (the x86-64 baseline, so the TU
-//         needs no extra flags).
-//       * Avx2I32 / Avx2F64 — AVX2, compiled only into simd_avx2.cpp which
-//         gets -mavx2 as a per-source-file option.
-//   - Engine kernels (ldpc/batch_kernels.hpp, util/sparse_kernels.hpp,
-//     noc/arb_kernels.hpp): templates over a lane backend, instantiated
-//     once per tier in the three tier TUs (simd_scalar/sse2/avx2.cpp).
+//   - Lane wrappers (`lanes::*`, below): value types holding one int32
+//     SIMD register (or a plain array for the portable fallback) with a
+//     uniform static-function API. Three backends:
+//       * ScalarI32<W> — unrolled scalar array, compiles everywhere under
+//         -Werror, no intrinsics. Always available.
+//       * Sse2I32 — strict SSE2 (the x86-64 baseline, so the TU needs no
+//         extra flags).
+//       * Avx2I32 — AVX2, compiled only into simd_avx2.cpp which gets
+//         -mavx2 as a per-source-file option.
+//   - Engine kernels (ldpc/batch_kernels.hpp, noc/arb_kernels.hpp):
+//     templates over a lane backend, instantiated once per tier in the
+//     three tier TUs (simd_scalar/sse2/avx2.cpp).
 //   - KernelTable: per-tier function-pointer table. `kernels()` resolves
 //     the active table once (CPUID + RENOC_SIMD_TIER env override, see
 //     simd.cpp); engines call through it so one binary picks the best
 //     tier at startup.
 //
-// Numerical contract: no tier TU enables FMA contraction (no -mfma, and
-// the x86-64 baseline scalar build cannot contract either), and every
-// vector kernel replicates the scalar engine's per-element op order
-// exactly. Integer kernels are therefore bit-exact across tiers; the f64
-// solve kernels are bit-exact too (IEEE ops per lane in the same order),
-// which the batched-policy-score guards in micro_runtime rely on.
+// Numerical contract: every vector kernel replicates the scalar engine's
+// per-element op order exactly, so all kernels are bit-exact across tiers.
+// The floating-point LDL^T sweeps of util/sparse are plain scalar loops:
+// vector lanes ran them no faster end to end.
 //
 // Raw intrinsics are confined to this header's lane wrappers and the
 // util/simd* TUs — `renoc_lint` enforces that (rule `simd-intrinsics`).
@@ -81,17 +79,6 @@ struct KernelTable {
                               const int* check_offsets, const int* check_vars,
                               int m, int stride, std::int32_t* violated);
 
-  /// Multi-RHS LDL^T solve on the permuted row-major block y (n x w):
-  /// forward L, diagonal D, backward L^T — per-column op order identical
-  /// to SparseLdlt::solve_in_place, so columns stay bit-identical to lone
-  /// solves.
-  void (*ldlt_solve_multi)(const int* lp, const int* li, const double* lx,
-                           const double* d, double* y, int n, int w);
-  /// Single-RHS permuted solve with the fused backward D^-1 + L^T sweep
-  /// (4 accumulators); replicates SparseLdlt::solve_permuted_in_place.
-  void (*ldlt_permuted_solve)(const int* lp, const int* li, const double* lx,
-                              const double* inv_d, double* y, int n);
-
   /// NoC arbitration want[]-prepass over the head-flit mirrors: for each
   /// port f, want[f] = route_table[route_base[f] + head_dst[f]] when the
   /// FIFO is non-empty, the front flit is a head, and the route is not
@@ -134,8 +121,6 @@ bool cpu_supports(Tier tier);
 //            widen_u8 (load W bytes, zero-extend), gather_u8 (byte table
 //            lookup at int32 indices; may read up to 4 bytes at each
 //            base+idx, so tables need 4 tail-padding bytes).
-//   F64 ops: loadu/storeu, set1, zero, add, sub, mul, div,
-//            gather (base[idx[0..W-1]] from a contiguous int index array).
 
 namespace lanes {
 
@@ -245,52 +230,6 @@ struct ScalarI32 {
   }
 };
 
-template <int W>
-struct ScalarF64 {
-  static constexpr int kLanes = W;
-  double v[W];
-
-  static ScalarF64 loadu(const double* p) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static void storeu(double* p, ScalarF64 a) {
-    for (int i = 0; i < W; ++i) p[i] = a.v[i];
-  }
-  static ScalarF64 set1(double x) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = x;
-    return r;
-  }
-  static ScalarF64 zero() { return set1(0.0); }
-  static ScalarF64 add(ScalarF64 a, ScalarF64 b) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  static ScalarF64 sub(ScalarF64 a, ScalarF64 b) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-  }
-  static ScalarF64 mul(ScalarF64 a, ScalarF64 b) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-  }
-  static ScalarF64 div(ScalarF64 a, ScalarF64 b) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] / b.v[i];
-    return r;
-  }
-  static ScalarF64 gather(const double* base, const int* idx) {
-    ScalarF64 r;
-    for (int i = 0; i < W; ++i) r.v[i] = base[idx[i]];
-    return r;
-  }
-};
-
 #if defined(__SSE2__)
 
 /// Strict SSE2 (no SSE4.1): epi32 min/max are emulated with a compare and
@@ -347,23 +286,6 @@ struct Sse2I32 {
     alignas(16) std::int32_t i[4];
     _mm_store_si128(reinterpret_cast<__m128i*>(i), idx.v);
     return {_mm_set_epi32(base[i[3]], base[i[2]], base[i[1]], base[i[0]])};
-  }
-};
-
-struct Sse2F64 {
-  static constexpr int kLanes = 2;
-  __m128d v;
-
-  static Sse2F64 loadu(const double* p) { return {_mm_loadu_pd(p)}; }
-  static void storeu(double* p, Sse2F64 a) { _mm_storeu_pd(p, a.v); }
-  static Sse2F64 set1(double x) { return {_mm_set1_pd(x)}; }
-  static Sse2F64 zero() { return {_mm_setzero_pd()}; }
-  static Sse2F64 add(Sse2F64 a, Sse2F64 b) { return {_mm_add_pd(a.v, b.v)}; }
-  static Sse2F64 sub(Sse2F64 a, Sse2F64 b) { return {_mm_sub_pd(a.v, b.v)}; }
-  static Sse2F64 mul(Sse2F64 a, Sse2F64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  static Sse2F64 div(Sse2F64 a, Sse2F64 b) { return {_mm_div_pd(a.v, b.v)}; }
-  static Sse2F64 gather(const double* base, const int* idx) {
-    return {_mm_set_pd(base[idx[1]], base[idx[0]])};
   }
 };
 
@@ -432,34 +354,6 @@ struct Avx2I32 {
         _mm256_setzero_si256(), reinterpret_cast<const int*>(base), idx.v,
         _mm256_set1_epi32(-1), 1);
     return {_mm256_and_si256(g, _mm256_set1_epi32(0xFF))};
-  }
-};
-
-struct Avx2F64 {
-  static constexpr int kLanes = 4;
-  __m256d v;
-
-  static Avx2F64 loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static void storeu(double* p, Avx2F64 a) { _mm256_storeu_pd(p, a.v); }
-  static Avx2F64 set1(double x) { return {_mm256_set1_pd(x)}; }
-  static Avx2F64 zero() { return {_mm256_setzero_pd()}; }
-  static Avx2F64 add(Avx2F64 a, Avx2F64 b) {
-    return {_mm256_add_pd(a.v, b.v)};
-  }
-  static Avx2F64 sub(Avx2F64 a, Avx2F64 b) {
-    return {_mm256_sub_pd(a.v, b.v)};
-  }
-  static Avx2F64 mul(Avx2F64 a, Avx2F64 b) {
-    return {_mm256_mul_pd(a.v, b.v)};
-  }
-  static Avx2F64 div(Avx2F64 a, Avx2F64 b) {
-    return {_mm256_div_pd(a.v, b.v)};
-  }
-  static Avx2F64 gather(const double* base, const int* idx) {
-    return {_mm256_mask_i32gather_pd(
-        _mm256_setzero_pd(), base,
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
   }
 };
 

@@ -13,7 +13,7 @@ namespace renoc::simd::detail {
 
 const KernelTable* avx2_table() {
   static const KernelTable table =
-      make_table<lanes::Avx2I32, lanes::Avx2F64>(Tier::kAvx2);
+      make_table<lanes::Avx2I32>(Tier::kAvx2);
   return &table;
 }
 

@@ -8,7 +8,7 @@ namespace renoc::simd::detail {
 
 const KernelTable* scalar_table() {
   static const KernelTable table =
-      make_table<lanes::ScalarI32<8>, lanes::ScalarF64<4>>(Tier::kScalar);
+      make_table<lanes::ScalarI32<8>>(Tier::kScalar);
   return &table;
 }
 

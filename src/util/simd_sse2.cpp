@@ -11,7 +11,7 @@ namespace renoc::simd::detail {
 
 const KernelTable* sse2_table() {
   static const KernelTable table =
-      make_table<lanes::Sse2I32, lanes::Sse2F64>(Tier::kSse2);
+      make_table<lanes::Sse2I32>(Tier::kSse2);
   return &table;
 }
 

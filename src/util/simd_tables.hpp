@@ -7,11 +7,10 @@
 #include "ldpc/batch_kernels.hpp"
 #include "noc/arb_kernels.hpp"
 #include "util/simd.hpp"
-#include "util/sparse_kernels.hpp"
 
 namespace renoc::simd::detail {
 
-template <typename I32, typename F64>
+template <typename I32>
 KernelTable make_table(Tier tier) {
   KernelTable t{};
   t.tier = tier;
@@ -19,8 +18,6 @@ KernelTable make_table(Tier tier) {
   t.ldpc_batch_cn = &renoc::ldpc_kernels::batch_cn<I32>;
   t.ldpc_batch_hard = &renoc::ldpc_kernels::batch_hard<I32>;
   t.ldpc_batch_syndrome = &renoc::ldpc_kernels::batch_syndrome<I32>;
-  t.ldlt_solve_multi = &renoc::sparse_kernels::ldlt_solve_multi<F64>;
-  t.ldlt_permuted_solve = &renoc::sparse_kernels::ldlt_permuted_solve<F64>;
   t.noc_want_scan = &renoc::noc_kernels::want_scan<I32>;
   return t;
 }

@@ -99,14 +99,6 @@ SparseMatrix SparseMatrix::plus_diagonal(const std::vector<double>& d) const {
   return out;
 }
 
-Matrix SparseMatrix::to_dense() const {
-  Matrix m(uz(rows_), uz(cols_));
-  for (int r = 0; r < rows_; ++r)
-    for (int p = row_ptr_[uz(r)]; p < row_ptr_[uz(r) + 1]; ++p)
-      m(uz(r), uz(col_idx_[uz(p)])) += vals_[uz(p)];
-  return m;
-}
-
 bool SparseMatrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
   for (int r = 0; r < rows_; ++r)
@@ -410,44 +402,75 @@ void SparseLdlt::solve_in_place(std::vector<double>& x) const {
 }
 
 void SparseLdlt::solve_multi(std::vector<double>& x, int nrhs) const {
-  solve_multi_with(simd::kernels(), x, nrhs);
-}
-
-void SparseLdlt::solve_multi_with(const simd::KernelTable& kernels,
-                                  std::vector<double>& x, int nrhs) const {
   RENOC_CHECK_MSG(nrhs >= 1, "need at least one right-hand side");
   RENOC_CHECK_MSG(
       x.size() == uz(n_) * static_cast<std::size_t>(nrhs),
       "multi-RHS block size " << x.size() << " != n*nrhs = " << n_ * nrhs);
   const std::size_t w = static_cast<std::size_t>(nrhs);
   scratch_multi_.resize(uz(n_) * w);
-  double* y = scratch_multi_.data();
+  std::vector<double>& y = scratch_multi_;
+  // renoc-hot-begin (blocked multi-RHS sweeps, every lookahead step)
   // Permute in: whole rows move, so each gather copies nrhs contiguous
-  // values. The triangular/diagonal sweeps run through the SIMD kernel
-  // table with RHS columns blocked into lanes; every tier replicates
-  // solve_in_place's per-column arithmetic in the same order (see
-  // util/sparse_kernels.hpp), keeping columns bit-identical to lone
-  // solves across tiers.
+  // values. Every per-column operation below replicates solve_in_place's
+  // arithmetic in the same order, keeping columns bit-identical to lone
+  // solves.
   for (int k = 0; k < n_; ++k)
-    std::copy_n(&x[uz(perm_[uz(k)]) * w], w, y + uz(k) * w);
-  kernels.ldlt_solve_multi(lp_.data(), li_.data(), lx_.data(), d_.data(), y,
-                           n_, nrhs);
+    std::copy_n(&x[uz(perm_[uz(k)]) * w], w, &y[uz(k) * w]);
+  // L Z = Y (unit-diagonal, by columns).
+  for (int k = 0; k < n_; ++k) {
+    const double* yk = &y[uz(k) * w];
+    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
+      const double l = lx_[uz(p)];
+      double* yi = &y[uz(li_[uz(p)]) * w];
+      for (std::size_t j = 0; j < w; ++j) yi[j] -= l * yk[j];
+    }
+  }
+  for (int k = 0; k < n_; ++k) {
+    const double dk = d_[uz(k)];
+    double* yk = &y[uz(k) * w];
+    for (std::size_t j = 0; j < w; ++j) yk[j] /= dk;
+  }
+  // L^T W = Z (by columns of L in reverse).
+  for (int k = n_ - 1; k >= 0; --k) {
+    double* yk = &y[uz(k) * w];
+    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
+      const double l = lx_[uz(p)];
+      const double* yi = &y[uz(li_[uz(p)]) * w];
+      for (std::size_t j = 0; j < w; ++j) yk[j] -= l * yi[j];
+    }
+  }
   for (int k = 0; k < n_; ++k)
-    std::copy_n(y + uz(k) * w, w, &x[uz(perm_[uz(k)]) * w]);
+    std::copy_n(&y[uz(k) * w], w, &x[uz(perm_[uz(k)]) * w]);
+  // renoc-hot-end
 }
 
 void SparseLdlt::solve_permuted_in_place(double* y) const {
-  solve_permuted_in_place_with(simd::kernels(), y);
-}
-
-void SparseLdlt::solve_permuted_in_place_with(const simd::KernelTable& kernels,
-                                              double* y) const {
-  // Forward sweep, then a backward sweep with D^{-1} fused and four
-  // accumulators: the plain per-column dot is a serial chain whose
-  // latency, not throughput, bounds the sweep; splitting it breaks the
-  // chain. Lives in util/sparse_kernels.hpp (per-tier bit-identical).
-  kernels.ldlt_permuted_solve(lp_.data(), li_.data(), lx_.data(),
-                              inv_d_.data(), y, n_);
+  // renoc-hot-begin (one triangular solve per transient step, every orbit)
+  const int* lp = lp_.data();
+  const int* li = li_.data();
+  const double* lx = lx_.data();
+  for (int k = 0; k < n_; ++k) {
+    const double yk = y[k];
+    for (int p = lp[k]; p < lp[k + 1]; ++p) y[li[p]] -= lx[p] * yk;
+  }
+  // Backward sweep with D^{-1} fused and four accumulators: the plain
+  // per-column dot is a serial chain whose latency, not throughput, bounds
+  // the sweep; splitting it breaks the chain.
+  const double* invd = inv_d_.data();
+  for (int k = n_ - 1; k >= 0; --k) {
+    const int p1 = lp[k + 1];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    int p = lp[k];
+    for (; p + 3 < p1; p += 4) {
+      a0 += lx[p] * y[li[p]];
+      a1 += lx[p + 1] * y[li[p + 1]];
+      a2 += lx[p + 2] * y[li[p + 2]];
+      a3 += lx[p + 3] * y[li[p + 3]];
+    }
+    for (; p < p1; ++p) a0 += lx[p] * y[li[p]];
+    y[k] = y[k] * invd[k] - ((a0 + a1) + (a2 + a3));
+  }
+  // renoc-hot-end
 }
 
 }  // namespace renoc

@@ -8,20 +8,17 @@
 // nodes on; the CSR + sparse-LDL^T pair below brings factor and solve down
 // to roughly O(n * b^2) and O(nnz(L)) where b is the reordered bandwidth of
 // the grid part (a few grid rows), independent of how the hubs fan out.
+// It is the only way the library solves a thermal network, at every size.
 //
 // Assembly is triplet-based (duplicate entries sum, matching the stamping
 // idiom of circuit assembly), the factorization is an up-looking LDL^T with
 // an exact elimination-tree symbolic pass, and the default ordering is a
 // reverse Cuthill-McKee pass over the low-degree grid nodes with the hub
-// nodes pushed last so their dense rows cannot poison the band.
+// nodes pushed last so their dense rows cannot poison the band. The
+// triangular sweeps are plain scalar loops.
 #pragma once
 
-#include <cstddef>
 #include <vector>
-
-#include "util/aligned.hpp"
-#include "util/matrix.hpp"
-#include "util/simd.hpp"
 
 namespace renoc {
 
@@ -62,9 +59,6 @@ class SparseMatrix {
   /// diagonal entry must already be stored (true for any conductance or
   /// step matrix assembled by stamping).
   SparseMatrix plus_diagonal(const std::vector<double>& d) const;
-
-  /// Densifies (tests and the dense cross-check path).
-  Matrix to_dense() const;
 
   /// True if the sparsity pattern and values are symmetric to within tol.
   bool is_symmetric(double tol) const;
@@ -132,12 +126,6 @@ class SparseLdlt {
   /// property AdaptivePolicy's batched lookahead relies on).
   void solve_multi(std::vector<double>& x, int nrhs) const;
 
-  /// solve_multi through an explicit SIMD kernel table instead of the
-  /// active one — the test/bench hook that lets one binary exercise every
-  /// compiled tier (see util/simd). Tiers are bit-identical by contract.
-  void solve_multi_with(const simd::KernelTable& kernels,
-                        std::vector<double>& x, int nrhs) const;
-
   /// Streamed solve in permuted coordinates for hot loops that keep their
   /// state in elimination order (see the co-sim engine in
   /// core/thermal_runtime): y[k] holds component permutation()[k] of the
@@ -147,11 +135,6 @@ class SparseLdlt {
   /// in the last bits (~1e-15 relative; the engine's reference-agreement
   /// test pins the accumulated effect).
   void solve_permuted_in_place(double* y) const;
-
-  /// solve_permuted_in_place through an explicit SIMD kernel table (same
-  /// test/bench hook as solve_multi_with).
-  void solve_permuted_in_place_with(const simd::KernelTable& kernels,
-                                    double* y) const;
 
   /// The fill-reducing permutation in use: permutation()[k] = original
   /// index eliminated at step k.
@@ -170,9 +153,8 @@ class SparseLdlt {
   std::vector<double> inv_d_;  // 1/d_, for the streamed permuted solve
   std::vector<int> perm_;    // perm_[k] = original index at position k
   std::vector<int> iperm_;   // inverse permutation
-  mutable std::vector<double> scratch_;      // permuted rhs workspace
-  mutable AlignedVec<double> scratch_multi_;  // multi-RHS workspace (SoA,
-                                              // lane-aligned for util/simd)
+  mutable std::vector<double> scratch_;        // permuted rhs workspace
+  mutable std::vector<double> scratch_multi_;  // multi-RHS workspace
 };
 
 }  // namespace renoc

@@ -186,8 +186,8 @@ TEST(AdaptivePolicyTest, CustomCandidates) {
 TEST(AdaptivePolicyTest, BatchedScoresBitMatchScalarLookahead) {
   // candidate_scores evaluates every candidate's lookahead trajectory as
   // one multi-RHS batch; each score must equal the scalar predicted_peak
-  // bit for bit. Side 4 exercises the dense LU backend (58 nodes), side 5
-  // the sparse LDL^T (85 nodes).
+  // bit for bit, at both paper chip sizes: side 4 (58 nodes) and side 5
+  // (85 nodes).
   for (const int side : {4, 5}) {
     Env env(side);
     AdaptivePolicy policy(env.net, env.dim,

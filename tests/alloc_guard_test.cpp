@@ -3,7 +3,7 @@
 // The engine contract (PRs 3–5) is that every *warmed* hot path performs
 // zero heap allocations: Fabric::step() under a periodic recycled load,
 // MinSumDecoder::decode_into() with a reused result, a warmed
-// MigrationThermalRuntime::run() on both solver backends, and the sparse
+// MigrationThermalRuntime::run() at 58 and 202 nodes, and the sparse
 // steady/transient solve paths. The four micro benches used to be the only
 // enforcement, at bench time, on one load shape each; these suites pin the
 // same invariant in every CI configuration (Debug, Release, every
@@ -149,9 +149,8 @@ TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {
 }
 
 /// 4x4-tile die subdivided refine x refine (as RefinedThermalModel builds
-/// it): refine=1 -> 58 nodes -> dense LU fallback; refine=2 -> 202 nodes
-/// -> sparse minimum-degree engine. Both backends share the streaming loop
-/// and both must hold the zero-allocation contract once warmed.
+/// it): refine=1 -> 58 nodes (configs A/B), refine=2 -> 202 nodes. Both
+/// sizes must hold the zero-allocation contract once warmed.
 RcNetwork runtime_net(int refine) {
   const int side = 4 * refine;
   return build_rc_network(
@@ -182,8 +181,8 @@ TEST(EngineAllocTest, WarmedMigrationRuntimeRunIsAllocationFree) {
     const AllocGuard guard;
     for (int i = 0; i < 3; ++i) (void)engine.run(power, orbit, energy);
     guard.check_zero(refine == 1
-                         ? "warmed MigrationThermalRuntime::run (dense)"
-                         : "warmed MigrationThermalRuntime::run (sparse)");
+                         ? "warmed MigrationThermalRuntime::run (58 nodes)"
+                         : "warmed MigrationThermalRuntime::run (202 nodes)");
     EXPECT_EQ(guard.count(), 0);
   }
 }
@@ -193,8 +192,8 @@ TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {
   const RcNetwork net = runtime_net(2);
   std::vector<double> power(static_cast<std::size_t>(net.die_count()), 2.0);
   power[0] = 9.0;
-  const SteadyStateSolver steady(net, SolverBackend::kSparse);
-  TransientSolver transient(net, 2e-6, SolverBackend::kSparse);
+  const SteadyStateSolver steady(net);
+  TransientSolver transient(net, 2e-6);
   const std::vector<double> full = net.expand_die_power(power);
 
   std::vector<double> rise;

@@ -2,13 +2,13 @@
 //
 // Every compiled tier (scalar always; SSE2/AVX2 when the build and CPU
 // provide them) is exercised in one binary through the explicit-table
-// hooks: MinSumBatchDecoder's kernels parameter, SparseLdlt's
-// solve_*_with, and direct KernelTable calls for the NoC want-scan. The
-// contract under test is bit-exactness — the vector kernels replicate the
-// scalar engines' op order, so there is no tolerance anywhere. Dispatch
-// plumbing (tier names, env-override clamping) is pinned too; the ctest
-// registrations add RENOC_SIMD_TIER-forced instances of this suite so the
-// env path runs in every config.
+// hooks: MinSumBatchDecoder's kernels parameter and direct KernelTable
+// calls for the NoC want-scan. The contract under test is bit-exactness —
+// the vector kernels replicate the scalar engines' op order, so there is
+// no tolerance anywhere. Dispatch plumbing (tier names, env-override
+// clamping) is pinned too; the ctest registrations add
+// RENOC_SIMD_TIER-forced instances of this suite so the env path runs in
+// every config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/sparse.hpp"
 
 namespace renoc {
 namespace {
@@ -60,7 +59,6 @@ TEST(SimdDispatch, ScalarTierAlwaysAvailable) {
   ASSERT_NE(scalar, nullptr);
   EXPECT_EQ(scalar->tier, simd::Tier::kScalar);
   EXPECT_NE(scalar->ldpc_batch_vn, nullptr);
-  EXPECT_NE(scalar->ldlt_solve_multi, nullptr);
   EXPECT_NE(scalar->noc_want_scan, nullptr);
 }
 
@@ -202,89 +200,6 @@ TEST(SimdBatchDecode, ActiveTierDefaultTable) {
   const MinSumBatchDecoder batched(code, 8, true, 4);
   EXPECT_EQ(batched.tier(), simd::active_tier());
   expect_batch_matches_scalar(code, &simd::kernels(), 4, 4, 8, true, 42);
-}
-
-// --- Multi-RHS and permuted LDL^T solves ------------------------------------
-
-/// A small SPD matrix shaped like the thermal grids: 2-D Laplacian plus a
-/// hub row coupling to every node (the sink pattern that stresses fill).
-SparseMatrix grid_spd_matrix(int side) {
-  const int n = side * side + 1;
-  const int hub = n - 1;
-  std::vector<Triplet> t;
-  const auto idx = [side](int r, int c) { return r * side + c; };
-  for (int r = 0; r < side; ++r)
-    for (int c = 0; c < side; ++c) {
-      const int v = idx(r, c);
-      double diag = 5.0;
-      if (r > 0) t.push_back({v, idx(r - 1, c), -1.0});
-      if (r + 1 < side) t.push_back({v, idx(r + 1, c), -1.0});
-      if (c > 0) t.push_back({v, idx(r, c - 1), -1.0});
-      if (c + 1 < side) t.push_back({v, idx(r, c + 1), -1.0});
-      t.push_back({v, hub, -0.5});
-      t.push_back({hub, v, -0.5});
-      t.push_back({v, v, diag});
-    }
-  t.push_back({hub, hub, 1.0 + 0.5 * side * side});
-  return SparseMatrix::from_triplets(n, n, t);
-}
-
-TEST(SimdLdlt, SolveMultiColumnsBitIdenticalToLoneSolves) {
-  const SparseMatrix a = grid_spd_matrix(7);
-  const SparseLdlt chol(a);
-  const int n = chol.n();
-  Rng rng(1234);
-  for (int nrhs = 1; nrhs <= 9; ++nrhs) {
-    // Column j of the block is a lone RHS; every tier must reproduce the
-    // scalar solve_in_place result bit for bit.
-    std::vector<std::vector<double>> lone(static_cast<std::size_t>(nrhs));
-    std::vector<double> block(static_cast<std::size_t>(n * nrhs));
-    for (int j = 0; j < nrhs; ++j) {
-      auto& col = lone[static_cast<std::size_t>(j)];
-      col.resize(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        col[static_cast<std::size_t>(i)] =
-            rng.next_double() * 2.0 - 0.5;
-        block[static_cast<std::size_t>(i * nrhs + j)] =
-            col[static_cast<std::size_t>(i)];
-      }
-      chol.solve_in_place(col);
-    }
-    for (const simd::KernelTable* table : compiled_tables()) {
-      std::vector<double> x = block;
-      chol.solve_multi_with(*table, x, nrhs);
-      for (int i = 0; i < n; ++i)
-        for (int j = 0; j < nrhs; ++j)
-          ASSERT_EQ(x[static_cast<std::size_t>(i * nrhs + j)],
-                    lone[static_cast<std::size_t>(j)]
-                        [static_cast<std::size_t>(i)])
-              << "tier " << simd::tier_name(table->tier) << " nrhs " << nrhs
-              << " entry (" << i << "," << j << ")";
-    }
-  }
-}
-
-TEST(SimdLdlt, PermutedSolveBitIdenticalAcrossTiers) {
-  const SparseMatrix a = grid_spd_matrix(9);
-  const SparseLdlt chol(a, minimum_degree_ordering(a));
-  const int n = chol.n();
-  Rng rng(77);
-  std::vector<double> rhs(static_cast<std::size_t>(n));
-  for (double& v : rhs) v = rng.next_double() * 10.0 - 5.0;
-
-  const simd::KernelTable* scalar = simd::kernel_table(simd::Tier::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  std::vector<double> want = rhs;
-  chol.solve_permuted_in_place_with(*scalar, want.data());
-
-  for (const simd::KernelTable* table : compiled_tables()) {
-    std::vector<double> got = rhs;
-    chol.solve_permuted_in_place_with(*table, got.data());
-    for (int i = 0; i < n; ++i)
-      ASSERT_EQ(got[static_cast<std::size_t>(i)],
-                want[static_cast<std::size_t>(i)])
-          << "tier " << simd::tier_name(table->tier) << " row " << i;
-  }
 }
 
 // --- NoC want-scan ----------------------------------------------------------

@@ -6,8 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "support/matrix.hpp"
 #include "util/check.hpp"
-#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
 
@@ -58,7 +58,7 @@ TEST(SparseMatrixTest, SpMVMatchesDenseOnRandomMatrix) {
                      rng.next_double() * 2 - 1});
   const SparseMatrix m =
       SparseMatrix::from_triplets(n, n, trips);
-  const Matrix dense = m.to_dense();
+  const Matrix dense = to_dense(m);
   std::vector<double> x(static_cast<std::size_t>(n));
   for (auto& v : x) v = rng.next_double() * 10 - 5;
   const std::vector<double> ys = m.mul(x);
@@ -228,7 +228,7 @@ TEST_P(SparseLdltPropertyTest, MatchesDenseLuOnRandomSpdSystems) {
   for (auto& v : x_true) v = rng.next_double() * 10 - 5;
   const std::vector<double> b = a.mul(x_true);
 
-  const LuFactorization lu(a.to_dense());
+  const LuFactorization lu(to_dense(a));
   const std::vector<double> x_lu = lu.solve(b);
   const SparseLdlt default_order(a);
   const std::vector<double> x_default = default_order.solve(b);

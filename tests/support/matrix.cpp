@@ -1,4 +1,4 @@
-#include "util/matrix.hpp"
+#include "support/matrix.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -54,17 +54,6 @@ Matrix Matrix::mul(const Matrix& b) const {
     }
   }
   return out;
-}
-
-void Matrix::add_scaled(const Matrix& b, double s) {
-  RENOC_CHECK(rows_ == b.rows_ && cols_ == b.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += s * b.data_[i];
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 bool Matrix::is_symmetric(double tol) const {
@@ -135,47 +124,19 @@ void LuFactorization::solve_in_place(std::vector<double>& x) const {
   std::copy(y.begin(), y.end(), x.begin());
 }
 
-void LuFactorization::solve_multi(std::vector<double>& x, int nrhs) const {
-  RENOC_CHECK_MSG(nrhs >= 1, "need at least one right-hand side");
-  RENOC_CHECK_MSG(x.size() == n_ * static_cast<std::size_t>(nrhs),
-                  "multi-RHS block size " << x.size() << " != n*nrhs = "
-                                          << n_ * static_cast<std::size_t>(
-                                                 nrhs));
-  const std::size_t w = static_cast<std::size_t>(nrhs);
-  scratch_multi_.resize(n_ * w);
-  std::vector<double>& y = scratch_multi_;
-  // Row permutation moves whole rows (nrhs contiguous values per gather).
-  // Each per-column operation below replicates solve_in_place's arithmetic
-  // in the same order, keeping columns bit-identical to lone solves.
-  for (std::size_t i = 0; i < n_; ++i)
-    std::copy_n(&x[perm_[i] * w], w, &y[i * w]);
-  // Forward substitution with unit-diagonal L.
-  for (std::size_t i = 0; i < n_; ++i) {
-    double* yi = &y[i * w];
-    for (std::size_t j = 0; j < i; ++j) {
-      const double l = lu_(i, j);
-      const double* yj = &y[j * w];
-      for (std::size_t c = 0; c < w; ++c) yi[c] -= l * yj[c];
-    }
-  }
-  // Back substitution with U.
-  for (std::size_t ii = n_; ii-- > 0;) {
-    double* yi = &y[ii * w];
-    for (std::size_t j = ii + 1; j < n_; ++j) {
-      const double u = lu_(ii, j);
-      const double* yj = &y[j * w];
-      for (std::size_t c = 0; c < w; ++c) yi[c] -= u * yj[c];
-    }
-    const double piv = lu_(ii, ii);
-    for (std::size_t c = 0; c < w; ++c) yi[c] /= piv;
-  }
-  std::copy(y.begin(), y.end(), x.begin());
-}
-
 double LuFactorization::determinant() const {
   double det = perm_sign_;
   for (std::size_t i = 0; i < n_; ++i) det *= lu_(i, i);
   return det;
+}
+
+Matrix to_dense(const SparseMatrix& a) {
+  const auto uz = [](int i) { return static_cast<std::size_t>(i); };
+  Matrix m(uz(a.rows()), uz(a.cols()));
+  for (int r = 0; r < a.rows(); ++r)
+    for (int p = a.row_ptr()[uz(r)]; p < a.row_ptr()[uz(r) + 1]; ++p)
+      m(uz(r), uz(a.col_idx()[uz(p)])) += a.values()[uz(p)];
+  return m;
 }
 
 }  // namespace renoc

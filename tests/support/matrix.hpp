@@ -1,14 +1,17 @@
-// Small dense linear-algebra kernel for the thermal RC solver.
+// Dense linear-algebra oracle for the tests.
 //
-// The thermal networks in this project are tiny (tens of nodes: one per
-// floorplan block per layer plus a handful of package nodes), so a simple
-// dense row-major matrix with LU factorization is both adequate and easy to
-// verify. No attempt is made at cache blocking or SIMD; correctness and
-// clarity win at this size.
+// The library solves every thermal network with the sparse LDL^T of
+// util/sparse. This dense row-major matrix with a partial-pivoting LU is
+// the independent reference the thermal, sparse, and util suites check it
+// against: simple enough to verify by hand, with no ordering, symbolic
+// pass, or fill. No cache blocking or SIMD; correctness and clarity win.
+// It lives in tests/support so no library file can depend on it.
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "util/sparse.hpp"
 
 namespace renoc {
 
@@ -43,16 +46,8 @@ class Matrix {
   /// C = this * B.
   Matrix mul(const Matrix& b) const;
 
-  /// this += s * B (same shape).
-  void add_scaled(const Matrix& b, double s);
-
-  /// Maximum absolute element.
-  double max_abs() const;
-
   /// True if the matrix equals its transpose to within tol.
   bool is_symmetric(double tol) const;
-
-  const std::vector<double>& data() const { return data_; }
 
  private:
   std::size_t rows_ = 0;
@@ -62,8 +57,7 @@ class Matrix {
 
 /// LU factorization with partial pivoting of a square matrix.
 ///
-/// Factor once, solve many times — the transient thermal solver reuses one
-/// factorization of (C/dt + G) for every backward-Euler step.
+/// Factor once, solve many times.
 class LuFactorization {
  public:
   /// Factors `a`. Throws renoc::CheckError if `a` is not square or is
@@ -79,16 +73,6 @@ class LuFactorization {
   /// library.
   void solve_in_place(std::vector<double>& x) const;
 
-  /// Blocked multi-RHS solve: `x` holds `nrhs` right-hand sides as a
-  /// row-major n x nrhs block (RHS j's component i at x[i * nrhs + j]) and
-  /// holds the solutions on exit. One traversal of the factor serves all
-  /// columns; each column performs exactly the arithmetic of
-  /// solve_in_place in the same order, so column j is bit-identical to a
-  /// lone solve of that column (the property AdaptivePolicy's batched
-  /// lookahead relies on for sub-64-node networks, where the thermal
-  /// solvers keep the dense backend).
-  void solve_multi(std::vector<double>& x, int nrhs) const;
-
   std::size_t n() const { return n_; }
 
   /// Sign-adjusted product of U's diagonal (the determinant).
@@ -99,8 +83,10 @@ class LuFactorization {
   Matrix lu_;                  // combined L (unit diagonal) and U
   std::vector<std::size_t> perm_;  // row permutation
   int perm_sign_ = 1;
-  mutable std::vector<double> scratch_;        // permuted rhs, reused per solve
-  mutable std::vector<double> scratch_multi_;  // multi-RHS workspace
+  mutable std::vector<double> scratch_;  // permuted rhs, reused per solve
 };
+
+/// Dense copy of a sparse matrix.
+Matrix to_dense(const SparseMatrix& a);
 
 }  // namespace renoc

@@ -197,9 +197,9 @@ void expect_agreement(const ThermalRunResult& engine,
 
 TEST(ThermalRuntimeTest, EngineMatchesReferenceAcrossScenarios) {
   // The streamed engine must agree with the preserved scalar path to
-  // <= 1e-10 per field across schemes, periods, and both solver backends
-  // (side 4 = dense LU at 58 nodes, side 6 = sparse LDL^T at 118 nodes),
-  // with and without migration energy.
+  // <= 1e-10 per field across schemes, periods, and network sizes
+  // (side 4 = 58 nodes as in configs A/B, side 6 = 118 nodes), with and
+  // without migration energy.
   for (const int side : {4, 6}) {
     const RcNetwork net = make_net(side);
     const int tiles = side * side;

@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
+#include "core/chip_config.hpp"
 #include "floorplan/floorplan.hpp"
+#include "support/matrix.hpp"
 #include "thermal/grid_refine.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
@@ -50,7 +51,7 @@ TEST(RcNetworkTest, NodeCountLayout) {
 
 TEST(RcNetworkTest, ConductanceSymmetric) {
   const RcNetwork net = make_net(5);
-  EXPECT_TRUE(net.conductance().is_symmetric(1e-12));
+  EXPECT_TRUE(net.conductance_sparse().is_symmetric(1e-12));
 }
 
 TEST(RcNetworkTest, AllCapacitancesPositive) {
@@ -63,7 +64,7 @@ TEST(RcNetworkTest, RowSumsZeroExceptAmbientCoupling) {
   // nodes except the convection node (which carries 1/r_convec).
   const RcNetwork net = make_net(4);
   const HotSpotParams p = date05_hotspot_params();
-  const Matrix& g = net.conductance();
+  const Matrix g = to_dense(net.conductance_sparse());
   const int n = net.node_count();
   for (int r = 0; r < n; ++r) {
     double sum = 0.0;
@@ -256,8 +257,7 @@ TEST(TransientTest, RunReturnsMaxPeak) {
 }
 
 TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
-  // Both backends: side 4 resolves to the dense LU (58 nodes), side 5 to
-  // the sparse LDL^T (85 nodes).
+  // Both paper chip sizes: side 4 (58 nodes) and side 5 (85 nodes).
   for (const int side : {4, 5}) {
     const RcNetwork net = make_net(side);
     const SteadyStateSolver solver(net);
@@ -282,7 +282,7 @@ TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
 }
 
 TEST(TransientTest, StepMultiBitMatchesScalarSteps) {
-  // Both backends again; three trajectories under three different power
+  // Both chip sizes again; three trajectories under three different power
   // maps, advanced several steps, must match three lone solvers exactly.
   for (const int side : {4, 5}) {
     const RcNetwork net = make_net(side);
@@ -468,75 +468,110 @@ TEST(GridRefineTest, PeakTileTemperatureReusesCachedSolver) {
 
 // --- Dense-vs-sparse agreement suite -----------------------------------
 //
-// The same network solved by both backends must agree to 1e-8 on steady
-// rises and across a transient run; the dense LU is the oracle for the
-// sparse LDL^T that kAuto selects at production sizes.
+// The library solves every network with the sparse LDL^T; the dense LU of
+// tests/support is the independent oracle. The two must agree to 1e-8 on
+// steady rises and across a transient run.
 
-TEST(DenseSparseAgreementTest, BackendSelection) {
-  const RcNetwork small = make_net(4);   // 58 nodes < cutoff
-  const RcNetwork large = make_net(6);   // 118 nodes > cutoff
-  EXPECT_FALSE(SteadyStateSolver(small).uses_sparse());
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  EXPECT_TRUE(SteadyStateSolver(small, SolverBackend::kSparse).uses_sparse());
-  EXPECT_FALSE(SteadyStateSolver(large, SolverBackend::kDense).uses_sparse());
-  EXPECT_FALSE(TransientSolver(small, 1e-4).uses_sparse());
-  EXPECT_TRUE(TransientSolver(large, 1e-4).uses_sparse());
+constexpr double kOracleTol = 1e-8;
+
+/// Steady rises for `die_power` through the dense LU oracle.
+std::vector<double> oracle_steady(const RcNetwork& net,
+                                  const std::vector<double>& die_power) {
+  const LuFactorization lu(to_dense(net.conductance_sparse()));
+  return lu.solve(net.expand_die_power(die_power));
 }
 
-TEST(DenseSparseAgreementTest, EnvVarForcesDensePath) {
-  const RcNetwork large = make_net(6);
-  ::setenv("RENOC_DENSE_SOLVE", "1", 1);
-  EXPECT_FALSE(SteadyStateSolver(large).uses_sparse());
-  EXPECT_FALSE(TransientSolver(large, 1e-4).uses_sparse());
-  ::setenv("RENOC_DENSE_SOLVE", "0", 1);  // "0" and empty mean unset
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  ::unsetenv("RENOC_DENSE_SOLVE");
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  // An explicit backend always wins over the environment.
-  ::setenv("RENOC_DENSE_SOLVE", "1", 1);
-  EXPECT_TRUE(SteadyStateSolver(large, SolverBackend::kSparse).uses_sparse());
-  ::unsetenv("RENOC_DENSE_SOLVE");
+/// The state after `steps` backward-Euler steps of size `dt` from ambient
+/// under constant `die_power`, through the dense LU oracle.
+std::vector<double> oracle_transient(const RcNetwork& net, double dt,
+                                     const std::vector<double>& die_power,
+                                     int steps) {
+  Matrix step_matrix = to_dense(net.conductance_sparse());
+  std::vector<double> c_over_dt(net.capacitance().size());
+  for (std::size_t i = 0; i < c_over_dt.size(); ++i) {
+    c_over_dt[i] = net.capacitance()[i] / dt;
+    step_matrix(i, i) += c_over_dt[i];
+  }
+  const LuFactorization lu(step_matrix);
+  const std::vector<double> power = net.expand_die_power(die_power);
+  std::vector<double> state(power.size(), 0.0);
+  for (int s = 0; s < steps; ++s) {
+    for (std::size_t i = 0; i < state.size(); ++i)
+      state[i] = c_over_dt[i] * state[i] + power[i];
+    lu.solve_in_place(state);
+  }
+  return state;
+}
+
+/// SteadyStateSolver and a 200-step TransientSolver on `net` must match
+/// the dense LU oracle to kOracleTol on every node.
+void expect_solvers_match_oracle(const RcNetwork& net,
+                                 const std::vector<double>& die_power,
+                                 const std::string& label) {
+  const std::vector<double> steady =
+      SteadyStateSolver(net).solve_die_power(die_power);
+  const std::vector<double> steady_oracle = oracle_steady(net, die_power);
+  ASSERT_EQ(steady.size(), steady_oracle.size());
+  for (std::size_t i = 0; i < steady.size(); ++i)
+    EXPECT_NEAR(steady[i], steady_oracle[i], kOracleTol)
+        << label << " steady node " << i;
+
+  constexpr double kDt = 5e-6;
+  constexpr int kSteps = 200;
+  TransientSolver transient(net, kDt);
+  for (int s = 0; s < kSteps; ++s) transient.step_die_power(die_power);
+  const std::vector<double> transient_oracle =
+      oracle_transient(net, kDt, die_power, kSteps);
+  for (int i = 0; i < net.node_count(); ++i)
+    EXPECT_NEAR(transient.state()[static_cast<std::size_t>(i)],
+                transient_oracle[static_cast<std::size_t>(i)], kOracleTol)
+        << label << " transient " << net.node_name(i);
 }
 
 TEST(DenseSparseAgreementTest, SteadyStateMatchesOnRandomPowers) {
   const RcNetwork net = make_net(6);
-  const SteadyStateSolver dense(net, SolverBackend::kDense);
-  const SteadyStateSolver sparse(net, SolverBackend::kSparse);
+  const SteadyStateSolver sparse(net);
   Rng rng(42);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> power(36);
     for (auto& p : power) p = rng.next_double() * 8.0;
-    const std::vector<double> rd = dense.solve_die_power(power);
+    const std::vector<double> rd = oracle_steady(net, power);
     const std::vector<double> rs = sparse.solve_die_power(power);
     ASSERT_EQ(rd.size(), rs.size());
     for (std::size_t i = 0; i < rd.size(); ++i)
-      EXPECT_NEAR(rd[i], rs[i], 1e-8) << "node " << i << " trial " << trial;
-    EXPECT_NEAR(dense.peak_die_temperature(power),
-                sparse.peak_die_temperature(power), 1e-8);
+      EXPECT_NEAR(rd[i], rs[i], kOracleTol)
+          << "node " << i << " trial " << trial;
+    EXPECT_NEAR(net.ambient() + net.peak_die_rise(rd),
+                sparse.peak_die_temperature(power), kOracleTol);
   }
 }
 
 TEST(DenseSparseAgreementTest, TransientMatchesOverManySteps) {
   const RcNetwork net = make_net(6);
-  TransientSolver dense(net, 5e-6, SolverBackend::kDense);
-  TransientSolver sparse(net, 5e-6, SolverBackend::kSparse);
   Rng rng(7);
   std::vector<double> power(36);
   for (auto& p : power) p = rng.next_double() * 6.0;
-  for (int step = 0; step < 200; ++step) {
-    dense.step_die_power(power);
-    sparse.step_die_power(power);
+  expect_solvers_match_oracle(net, power, "118-node grid");
+}
+
+TEST(DenseSparseAgreementTest, PaperConfigNetworksMatchOracle) {
+  // The full-scale networks of configurations A-E (58 nodes for the 4x4
+  // chips, 85 for the 5x5), as the experiments build them.
+  Rng rng(2005);
+  for (const ChipConfig& cfg : all_configs()) {
+    const BuiltChip chip = build_chip(cfg);
+    const RcNetwork net = build_rc_network(chip.floorplan, cfg.hotspot);
+    EXPECT_EQ(net.node_count(), 3 * cfg.dim.node_count() + 10) << cfg.name;
+    std::vector<double> power(static_cast<std::size_t>(net.die_count()));
+    for (auto& p : power) p = 1.0 + rng.next_double() * 7.0;
+    expect_solvers_match_oracle(net, power, "config " + cfg.name);
   }
-  for (int i = 0; i < net.node_count(); ++i)
-    EXPECT_NEAR(dense.state()[static_cast<std::size_t>(i)],
-                sparse.state()[static_cast<std::size_t>(i)], 1e-8)
-        << net.node_name(i);
 }
 
 TEST(DenseSparseAgreementTest, SparseConductanceMatchesDenseView) {
   const RcNetwork net = make_net(5);
   EXPECT_TRUE(net.conductance_sparse().is_symmetric(1e-12));
-  const Matrix& dense = net.conductance();
+  const Matrix dense = to_dense(net.conductance_sparse());
   for (int r = 0; r < net.node_count(); ++r)
     for (int c = 0; c < net.node_count(); ++c)
       EXPECT_DOUBLE_EQ(net.conductance_sparse().at(r, c),

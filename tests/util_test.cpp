@@ -1,12 +1,12 @@
-// Unit and property tests for the util module: matrix/LU, RNG, running
-// statistics, and table rendering.
+// Unit and property tests for the util module — RNG, running statistics,
+// and table rendering — and for the dense matrix/LU test oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
+#include "support/matrix.hpp"
 #include "util/check.hpp"
-#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -97,8 +97,8 @@ TEST(LuTest, RequiresPivoting) {
 }
 
 TEST(LuTest, SolveInPlaceMatchesSolveRepeatedly) {
-  // The permutation scratch is reused across calls (the transient solver
-  // calls this once per step); results must not depend on call history.
+  // The permutation scratch is reused across calls; results must not
+  // depend on call history.
   Matrix a(3, 3);
   a(0, 0) = 4; a(0, 1) = 1; a(0, 2) = 0;
   a(1, 0) = 1; a(1, 1) = 5; a(1, 2) = 2;
@@ -111,41 +111,6 @@ TEST(LuTest, SolveInPlaceMatchesSolveRepeatedly) {
     lu.solve_in_place(y);
     for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(x[i], y[i]);
   }
-}
-
-TEST(LuTest, SolveMultiBitMatchesIndependentSolves) {
-  // A pivoting 4x4 so the row permutation is exercised; every column of
-  // the blocked solve must be bit-identical to a lone solve (the contract
-  // behind the batched adaptive lookahead on dense-backend networks).
-  Matrix a(4, 4);
-  a(0, 0) = 0.1; a(0, 1) = 4; a(0, 2) = 1; a(0, 3) = 0;
-  a(1, 0) = 4;   a(1, 1) = 2; a(1, 2) = 0; a(1, 3) = 1;
-  a(2, 0) = 1;   a(2, 1) = 0; a(2, 2) = 5; a(2, 3) = 2;
-  a(3, 0) = 0;   a(3, 1) = 1; a(3, 2) = 2; a(3, 3) = 6;
-  const LuFactorization lu(a);
-  for (const int nrhs : {1, 3, 5}) {
-    std::vector<double> block(static_cast<std::size_t>(4 * nrhs));
-    for (int j = 0; j < nrhs; ++j)
-      for (int i = 0; i < 4; ++i)
-        block[static_cast<std::size_t>(i * nrhs + j)] = i + 10.0 * j - 2.5;
-    std::vector<std::vector<double>> columns;
-    for (int j = 0; j < nrhs; ++j) {
-      std::vector<double> col(4);
-      for (int i = 0; i < 4; ++i)
-        col[static_cast<std::size_t>(i)] =
-            block[static_cast<std::size_t>(i * nrhs + j)];
-      columns.push_back(lu.solve(col));
-    }
-    lu.solve_multi(block, nrhs);
-    for (int j = 0; j < nrhs; ++j)
-      for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(block[static_cast<std::size_t>(i * nrhs + j)],
-                  columns[static_cast<std::size_t>(j)]
-                         [static_cast<std::size_t>(i)])
-            << "nrhs=" << nrhs << " column " << j << " row " << i;
-  }
-  std::vector<double> wrong(7);
-  EXPECT_THROW(lu.solve_multi(wrong, 2), CheckError);
 }
 
 TEST(LuTest, SingularMatrixThrows) {
