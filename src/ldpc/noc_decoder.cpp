@@ -13,7 +13,7 @@ std::uint64_t make_tag(int phase, int src_cluster) {
   return (static_cast<std::uint64_t>(phase) << 16) |
          static_cast<std::uint64_t>(src_cluster);
 }
-int tag_phase(std::uint64_t tag) { return static_cast<int>(tag >> 16); }
+std::uint64_t tag_phase(std::uint64_t tag) { return tag >> 16; }
 int tag_src(std::uint64_t tag) {
   return static_cast<int>(tag & 0xffffULL);
 }
@@ -45,6 +45,9 @@ NocLdpcDecoder::NocLdpcDecoder(Fabric& fabric, const LdpcCode& code,
   build_static_tables();
   r_.resize(static_cast<std::size_t>(code.edge_count()), 0);
   q_.resize(static_cast<std::size_t>(code.edge_count()), 0);
+  runtime_.resize(static_cast<std::size_t>(cluster_count()));
+  for (auto& rt : runtime_)
+    rt.received.resize(static_cast<std::size_t>(phase_count() + 1));
 }
 
 void NocLdpcDecoder::set_placement(const std::vector<int>& placement) {
@@ -103,19 +106,23 @@ void NocLdpcDecoder::build_static_tables() {
   cn_pairs_.assign(static_cast<std::size_t>(k), {});
   expected_vn_inputs_.assign(static_cast<std::size_t>(k), 0);
   expected_cn_inputs_.assign(static_cast<std::size_t>(k), 0);
+  max_message_words_ = 0;
+  const std::size_t vpw = static_cast<std::size_t>(params_.values_per_word);
   for (int s = 0; s < k; ++s) {
     for (int d = 0; d < k; ++d) {
       auto& edges = vn_to_cn[static_cast<std::size_t>(s)][
           static_cast<std::size_t>(d)];
       if (edges.empty()) continue;
       std::sort(edges.begin(), edges.end());
+      const int words = static_cast<int>((edges.size() + vpw - 1) / vpw);
+      max_message_words_ = std::max(max_message_words_, words);
       // q values flow VN-cluster s -> CN-cluster d...
       vn_pairs_[static_cast<std::size_t>(s)].push_back(
-          PairTraffic{s, d, edges});
+          PairTraffic{s, d, edges, words});
       ++expected_cn_inputs_[static_cast<std::size_t>(d)];
       // ...and r values flow back CN-cluster d -> VN-cluster s.
       cn_pairs_[static_cast<std::size_t>(d)].push_back(
-          PairTraffic{d, s, edges});
+          PairTraffic{d, s, edges, words});
       ++expected_vn_inputs_[static_cast<std::size_t>(s)];
     }
   }
@@ -178,9 +185,13 @@ std::uint64_t NocLdpcDecoder::phase_ops(int cluster, int phase) const {
 void NocLdpcDecoder::unpack_message(const Message& msg) {
   const int dst_cluster = tile_cluster_[static_cast<std::size_t>(msg.dst)];
   RENOC_CHECK_MSG(dst_cluster >= 0, "message delivered to unmapped tile");
-  const int phase = tag_phase(msg.tag);
+  const std::uint64_t tagged_phase = tag_phase(msg.tag);
+  RENOC_CHECK_MSG(tagged_phase < static_cast<std::uint64_t>(phase_count()),
+                  "message tag names phase " << tagged_phase);
+  const int phase = static_cast<int>(tagged_phase);
   const int src_cluster = tag_src(msg.tag);
-  RENOC_CHECK(phase >= 0 && phase <= phase_count());
+  RENOC_CHECK_MSG(src_cluster < cluster_count(),
+                  "message tag names cluster " << src_cluster);
 
   // Locate the canonical edge list for this (src, dst) pair. A CN-phase
   // message (odd phase) carries r values written from cn_pairs_ of the
@@ -197,23 +208,32 @@ void NocLdpcDecoder::unpack_message(const Message& msg) {
     }
   }
   RENOC_CHECK_MSG(pair != nullptr, "no traffic entry for received message");
+  RENOC_CHECK_MSG(msg.payload.size() == static_cast<std::size_t>(pair->words),
+                  "message carries " << msg.payload.size() << " words, its "
+                                     << pair->edges.size() << " edges need "
+                                     << pair->words);
 
+  // Word by word, values_per_word 16-bit lanes each (no per-value divide).
   auto& target = carries_q ? q_ : r_;
-  const int vpw = params_.values_per_word;
-  for (std::size_t i = 0; i < pair->edges.size(); ++i) {
-    const std::uint64_t word = msg.payload[i / static_cast<std::size_t>(vpw)];
-    const unsigned shift = 16u * static_cast<unsigned>(i % vpw);
-    target[static_cast<std::size_t>(pair->edges[i])] =
-        static_cast<std::int16_t>((word >> shift) & 0xffffULL);
+  const unsigned word_bits =
+      16u * static_cast<unsigned>(params_.values_per_word);
+  const std::uint64_t* word = msg.payload.data();
+  unsigned shift = 0;
+  for (const int e : pair->edges) {
+    target[static_cast<std::size_t>(e)] =
+        static_cast<std::int16_t>((*word >> shift) & 0xffffULL);
+    shift += 16;
+    if (shift == word_bits) {
+      shift = 0;
+      ++word;
+    }
   }
 
   // A message sent during source phase p is consumed by the destination's
   // *next* phase: q of VN phase 2i feeds CN phase 2i+1; r of CN phase 2i+1
   // feeds VN (or final) phase 2i+2.
-  const int consumer_phase = phase + 1;
-  RENOC_CHECK(consumer_phase < phase_count() + 1);
   auto& rt = runtime_[static_cast<std::size_t>(dst_cluster)];
-  ++rt.received[static_cast<std::size_t>(consumer_phase)];
+  ++rt.received[static_cast<std::size_t>(phase + 1)];
 }
 
 void NocLdpcDecoder::send_phase_messages(int cluster, int phase) {
@@ -222,24 +242,32 @@ void NocLdpcDecoder::send_phase_messages(int cluster, int phase) {
                           ? cn_pairs_[static_cast<std::size_t>(cluster)]
                           : vn_pairs_[static_cast<std::size_t>(cluster)];
   const auto& source = is_cn_phase ? r_ : q_;
-  const int vpw = params_.values_per_word;
+  const unsigned word_bits =
+      16u * static_cast<unsigned>(params_.values_per_word);
   for (const PairTraffic& pt : pairs) {
     // Pool-backed message: the payload buffer circulates through the
-    // fabric's recycling pool, so per-phase messaging stops allocating
-    // once every buffer size has been seen.
+    // fabric's recycling pool. A pooled buffer too short for this message
+    // is grown to the largest message once, so it never reallocates again
+    // and a warmed block allocates nothing but its result.
     Message msg = fabric_->acquire_message();
+    if (msg.payload.capacity() < static_cast<std::size_t>(max_message_words_))
+      msg.payload.reserve(static_cast<std::size_t>(max_message_words_));
     msg.src = placement_[static_cast<std::size_t>(cluster)];
     msg.dst = placement_[static_cast<std::size_t>(pt.dst)];
     msg.tag = make_tag(phase, cluster);
-    const std::size_t words =
-        (pt.edges.size() + static_cast<std::size_t>(vpw) - 1) /
-        static_cast<std::size_t>(vpw);
-    msg.payload.assign(words, 0);
-    for (std::size_t i = 0; i < pt.edges.size(); ++i) {
-      const std::uint64_t value = static_cast<std::uint16_t>(
-          source[static_cast<std::size_t>(pt.edges[i])]);
-      msg.payload[i / static_cast<std::size_t>(vpw)] |=
-          value << (16u * static_cast<unsigned>(i % vpw));
+    msg.payload.assign(static_cast<std::size_t>(pt.words), 0);
+    // Word by word, values_per_word 16-bit lanes each (no per-value divide).
+    std::uint64_t* word = msg.payload.data();
+    unsigned shift = 0;
+    for (const int e : pt.edges) {
+      *word |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+                   source[static_cast<std::size_t>(e)]))
+               << shift;
+      shift += 16;
+      if (shift == word_bits) {
+        shift = 0;
+        ++word;
+      }
     }
     fabric_->send(std::move(msg));
   }
@@ -309,51 +337,82 @@ void NocLdpcDecoder::finish_compute(int cluster) {
 NocDecodeResult NocLdpcDecoder::decode_block(
     const std::vector<std::int16_t>& channel_llrs) {
   const LdpcCode& code = *code_;
+  Fabric& fabric = *fabric_;
   RENOC_CHECK(static_cast<int>(channel_llrs.size()) == code.n());
-  RENOC_CHECK_MSG(fabric_->idle(), "fabric must be idle at block start");
+  RENOC_CHECK_MSG(fabric.idle(), "fabric must be idle at block start");
 
   llr_ = channel_llrs;
   std::fill(r_.begin(), r_.end(), static_cast<std::int16_t>(0));
   std::fill(q_.begin(), q_.end(), static_cast<std::int16_t>(0));
   hard_bits_.assign(static_cast<std::size_t>(code.n()), 0);
+  for (auto& rt : runtime_) {
+    rt.state = PeState::kWaiting;
+    rt.phase = 0;
+    rt.busy_until = 0;
+    std::fill(rt.received.begin(), rt.received.end(), 0);
+  }
 
-  runtime_.assign(static_cast<std::size_t>(cluster_count()), ClusterRuntime{});
-  for (auto& rt : runtime_)
-    rt.received.assign(static_cast<std::size_t>(phase_count() + 1), 0);
-
-  const Cycle start = fabric_->now();
+  const Cycle start = fabric.now();
   Cycle done_at = start;
-  const std::uint64_t deadline = start + params_.max_cycles_per_block;
+  const Cycle deadline = start + params_.max_cycles_per_block;
+  constexpr Cycle kNever = ~Cycle{0};
+  const int tiles = fabric.node_count();
 
+  // Event-driven, cycle-exact schedule (see the header comment). `sweep`
+  // marks a cycle on which a waiting PE may start: the first one, one with
+  // a fresh unpack, and the one after a PE finished a phase. `next_due` is
+  // the earliest busy_until of a computing PE, refreshed by every sweep
+  // (PE state changes only inside sweeps).
+  bool sweep = true;
+  Cycle next_due = kNever;
+  // renoc-hot-begin (the block's cycle loop: ~55k cycles per block)
   for (;;) {
-    // Deliver any completed packets to their clusters.
-    for (int tile = 0; tile < fabric_->node_count(); ++tile) {
-      while (auto msg = fabric_->try_receive(tile)) {
+    for (int tile = 0; tile < tiles && fabric.unread_deliveries() > 0;
+         ++tile) {
+      while (auto msg = fabric.try_receive(tile)) {
         unpack_message(*msg);
-        fabric_->recycle(std::move(*msg));
+        fabric.recycle(std::move(*msg));
+        sweep = true;
       }
     }
 
-    // Advance every PE's state machine.
-    bool all_done = true;
-    for (int cl = 0; cl < cluster_count(); ++cl) {
-      auto& rt = runtime_[static_cast<std::size_t>(cl)];
-      if (rt.state == PeState::kWaiting) start_phase_if_ready(cl);
-      if (rt.state == PeState::kComputing &&
-          fabric_->now() >= rt.busy_until) {
-        finish_compute(cl);
-        // A cluster whose next phase needs no further input (e.g. all its
-        // edges are internal) can begin immediately next cycle.
-        if (rt.state == PeState::kDone) done_at = fabric_->now();
+    const Cycle now = fabric.now();
+    if (sweep || now >= next_due) {
+      sweep = false;
+      next_due = kNever;
+      bool all_done = true;
+      for (int cl = 0; cl < cluster_count(); ++cl) {
+        auto& rt = runtime_[static_cast<std::size_t>(cl)];
+        if (rt.state == PeState::kWaiting) start_phase_if_ready(cl);
+        if (rt.state == PeState::kComputing && now >= rt.busy_until) {
+          finish_compute(cl);
+          // A cluster whose next phase needs no further input (e.g. all
+          // its edges are internal) can begin immediately next cycle.
+          if (rt.state == PeState::kDone)
+            done_at = now;
+          else
+            sweep = true;
+        }
+        if (rt.state == PeState::kComputing)
+          next_due = std::min(next_due, rt.busy_until);
+        if (rt.state != PeState::kDone) all_done = false;
       }
-      if (rt.state != PeState::kDone) all_done = false;
+      if (all_done) break;
     }
-    if (all_done) break;
 
-    fabric_->step();
-    RENOC_CHECK_MSG(fabric_->now() < deadline,
+    // Idle-skip: with nothing in the fabric and no PE able to start, the
+    // next event is the earliest busy_until. Land one cycle short of it
+    // (or of the deadline, so the guard below fires on its own cycle) and
+    // let the step reach it.
+    if (!sweep && fabric.idle()) {
+      const Cycle target = std::min(next_due, deadline);
+      if (target > now + 1) fabric.advance_idle(target - 1 - now);
+    }
+    fabric.step();
+    RENOC_CHECK_MSG(fabric.now() < deadline,
                     "block exceeded max_cycles_per_block — decoder deadlock?");
   }
+  // renoc-hot-end
 
   NocDecodeResult result;
   result.hard_bits = hard_bits_;

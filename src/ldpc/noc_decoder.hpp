@@ -22,6 +22,15 @@
 // Timing is value-independent (fixed iterations, static message sets), so
 // every block takes the same number of cycles: the deterministic block time
 // the paper aligns migration periods with.
+//
+// decode_block is event-driven but cycle-exact: each cycle it reads
+// deliveries only when the fabric holds unread ones, and sweeps the PE
+// state machines only when a message was unpacked, a PE finished on the
+// previous cycle, or the earliest busy_until is due — on any other cycle
+// the sweep provably changes nothing. When the fabric is idle and no PE can
+// start, nothing can happen before the earliest busy_until, so the fabric
+// jumps there with Fabric::advance_idle (clamped to the deadlock guard's
+// cycle).
 #pragma once
 
 #include <cstdint>
@@ -97,6 +106,7 @@ class NocLdpcDecoder {
     int src = 0;
     int dst = 0;
     std::vector<int> edges;
+    int words = 0;  ///< payload words: ceil(edges / values_per_word)
   };
 
   void build_static_tables();
@@ -126,6 +136,7 @@ class NocLdpcDecoder {
   // Expected distinct incoming messages per cluster for each phase kind.
   std::vector<int> expected_vn_inputs_;  // r-messages needed before VN/final
   std::vector<int> expected_cn_inputs_;  // q-messages needed before CN
+  int max_message_words_ = 0;  // largest PairTraffic::words
 
   // Per-block dynamic state.
   std::vector<std::int16_t> r_;  // edge-indexed check->var messages

@@ -1,6 +1,7 @@
 #include "noc/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.hpp"
@@ -67,6 +68,7 @@ Fabric::Fabric(const NocConfig& config)
   rr_pointer_.assign(ports, 0);
   node_buffered_.assign(nodes, 0);
   nis_.resize(nodes);
+  ni_work_.assign((nodes + 63) / 64, 0);
   slots_.resize(nodes * nodes);
   payload_pool_.reserve(256);
   planned_.reserve(ports);  // hard cap: one move per output port per cycle
@@ -159,13 +161,16 @@ void Fabric::send(Message&& msg) {
     recycle(std::move(msg));
     return;
   }
-  nis_[static_cast<std::size_t>(msg.src)].send_queue.push(std::move(msg));
+  const std::size_t src = static_cast<std::size_t>(msg.src);
+  nis_[src].send_queue.push(std::move(msg));
+  if (!degraded_) ni_work_[src / 64] |= std::uint64_t{1} << (src % 64);
 }
 
 std::optional<Message> Fabric::try_receive(int node) {
   RENOC_CHECK(node >= 0 && node < node_count());
   auto& ni = nis_[static_cast<std::size_t>(node)];
   if (ni.delivered.empty()) return std::nullopt;
+  --unread_;
   return ni.delivered.pop();
 }
 
@@ -289,6 +294,7 @@ void Fabric::eject_flit(int node, const Flit& flit) {
       // two; see Message::flit_count).
       stats_.note_packet_delivered(slot.flits, now_ - slot.head_injected_at);
       nis_[static_cast<std::size_t>(node)].delivered.push(std::move(slot.msg));
+      ++unread_;
       slot.flits = 0;
       slot.pid = 0;
       --partial_count_;
@@ -385,6 +391,14 @@ void Fabric::step() {
       }
       want = want_local;
     }
+    // Round-robin allocation as request masks: bit `in` of req[o] is set
+    // when input `in`'s head flit wants output o. Doubling the mask and
+    // shifting it past the cursor puts inputs rr+1, rr+2, ... (mod P) in
+    // bit order, so the lowest set bit is the input the round-robin scan
+    // would reach first.
+    unsigned req[kDirectionCount] = {};
+    for (int in = 0; in < kDirectionCount; ++in)
+      if (want[in] >= 0) req[want[in]] |= 1u << in;
     int new_allocations = 0;
     for (int o = 0; o < kDirectionCount; ++o) {
       const bool credit_ok =
@@ -403,21 +417,17 @@ void Fabric::step() {
               PlannedMove{n, owner, static_cast<Direction>(o)});
         continue;
       }
-      if (!credit_ok) continue;
-      // Round-robin over inputs looking for a head flit routed here.
-      const int rr = rr_pointer_[out];
-      for (int k = 1; k <= kDirectionCount; ++k) {
-        int in = rr + k;
-        if (in >= kDirectionCount) in -= kDirectionCount;
-        if (want[in] != o) continue;
-        // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
-        planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
-        owner_input_[out] = static_cast<std::int8_t>(in);
-        owner_packet_[out] = head_packet_[base + static_cast<std::size_t>(in)];
-        rr_pointer_[out] = static_cast<std::int8_t>(in);
-        ++new_allocations;
-        break;
-      }
+      if (!credit_ok || req[o] == 0) continue;
+      const int from = rr_pointer_[out] + 1;  // 1..P
+      const unsigned doubled = req[o] | (req[o] << kDirectionCount);
+      int in = from + std::countr_zero(doubled >> from);
+      if (in >= kDirectionCount) in -= kDirectionCount;
+      // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
+      planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
+      owner_input_[out] = static_cast<std::int8_t>(in);
+      owner_packet_[out] = head_packet_[base + static_cast<std::size_t>(in)];
+      rr_pointer_[out] = static_cast<std::int8_t>(in);
+      ++new_allocations;
     }
     tiles[n].arbitrations += static_cast<std::uint64_t>(new_allocations);
   }
@@ -468,10 +478,10 @@ void Fabric::step() {
 }
 
 void Fabric::inject_phase() {
-  // renoc-hot-begin (phase 3 runs every cycle over every NI)
-  for (int n = 0; n < node_count(); ++n) {
-    auto& ni = nis_[static_cast<std::size_t>(n)];
-    if (degraded_) {
+  // renoc-hot-begin (phase 3 runs every cycle)
+  if (degraded_) {
+    for (int n = 0; n < node_count(); ++n) {
+      auto& ni = nis_[static_cast<std::size_t>(n)];
       // The delivery guard is NI hardware: timeouts, retransmissions and
       // notice handling keep running while the PE is halted —
       // set_injection_enabled gates only the admission of NEW messages
@@ -479,25 +489,61 @@ void Fabric::inject_phase() {
       // mid-injection without wedging its grants downstream.
       if (router_up_[static_cast<std::size_t>(n)] == 0) continue;
       guard_tick(n, ni);
-    } else if (!ni.enabled) {
-      continue;
-    } else if (ni.staged_pos >= ni.staged_flits.size()) {
-      stage_next_message(n);
+      if (inject_staged_flit(n, ni)) ++ni.tracked_flits_in_net;
     }
-    if (ni.staged_pos >= ni.staged_flits.size()) continue;
-    if (fifo_size_[port_index(n, kLocal)] >= depth_) continue;
-    push_flit(n, kLocal, ni.staged_flits[ni.staged_pos++]);
-    if (degraded_) ++ni.tracked_flits_in_net;
-    TileActivity& act = stats_.tile(n);
-    ++act.injected_flits;
-    ++act.buffer_writes;
+    return;
   }
+  // Pristine: an NI without work can do nothing, so only the work set is
+  // visited — in ascending node order, so PacketIds are assigned exactly
+  // as a scan over every NI would assign them.
+  for (std::size_t w = 0; w < ni_work_.size(); ++w) {
+    for (std::uint64_t bits = ni_work_[w]; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const int n = static_cast<int>(w) * 64 + b;
+      auto& ni = nis_[static_cast<std::size_t>(n)];
+      if (!ni.enabled) continue;
+      if (ni.staged_pos >= ni.staged_flits.size()) stage_next_message(n);
+      inject_staged_flit(n, ni);
+      if (ni.staged_pos >= ni.staged_flits.size() && ni.send_queue.empty())
+        ni_work_[w] &= ~(std::uint64_t{1} << b);
+    }
+  }
+  // renoc-hot-end
+}
+
+/// Streams the NI's next staged flit into its router's local FIFO if one
+/// is staged and the FIFO has room; returns whether a flit moved.
+bool Fabric::inject_staged_flit(int node, NetworkInterface& ni) {
+  // renoc-hot-begin (once per NI with work, every cycle)
+  if (ni.staged_pos >= ni.staged_flits.size()) return false;
+  if (fifo_size_[port_index(node, kLocal)] >= depth_) return false;
+  push_flit(node, kLocal, ni.staged_flits[ni.staged_pos++]);
+  TileActivity& act = stats_.tile(node);
+  ++act.injected_flits;
+  ++act.buffer_writes;
+  return true;
   // renoc-hot-end
 }
 
 void Fabric::run(int n) {
   RENOC_CHECK(n >= 0);
-  for (int i = 0; i < n; ++i) step();
+  for (int i = 0; i < n; ++i) {
+    // Once idle, the rest of the window is advance_idle's to cover.
+    if (idle()) {
+      advance_idle(static_cast<Cycle>(n - i));
+      return;
+    }
+    step();
+  }
+}
+
+void Fabric::advance_idle(Cycle n) {
+  RENOC_CHECK_MSG(idle(), "advance_idle needs an idle fabric");
+  if (!degraded_) {
+    now_ += n;
+    return;
+  }
+  for (Cycle i = 0; i < n; ++i) step();
 }
 
 int Fabric::drain(int max_cycles) {
@@ -514,14 +560,18 @@ bool Fabric::idle() const {
   // No buffered flit also implies no wormhole grant can be pending (a held
   // grant means a tail flit is still staged or buffered somewhere), and no
   // active reassembly (its tail would be in flight) — so these two counters
-  // plus the NI queues cover the reference engine's full quiescence check.
+  // plus the NI queues (the work set, on a pristine fabric) cover the
+  // reference engine's full quiescence check.
   if (buffered_flits_ != 0 || partial_count_ != 0) return false;
+  if (!degraded_)
+    return std::all_of(ni_work_.begin(), ni_work_.end(),
+                       [](std::uint64_t w) { return w == 0; });
   for (const auto& ni : nis_) {
     if (!ni.send_queue.empty()) return false;
     if (ni.staged_pos < ni.staged_flits.size()) return false;
     // A tracked message awaiting its delivery notice, a timeout, or a
     // retransmission still owns future work.
-    if (degraded_ && ni.tracked_active) return false;
+    if (ni.tracked_active) return false;
   }
   return true;
 }

@@ -17,6 +17,11 @@
 //   3. Injection: each enabled NI streams up to one flit of its current
 //      packet into the router's local input FIFO.
 //
+// advance_idle(n) is n step() calls on an idle() fabric. Nothing moves in
+// that window, so a pristine fabric only adds n to now(); a degraded one
+// steps every cycle, so fault events and guard timers fire on their own
+// cycles. run(n) takes the same shortcut once the fabric is idle.
+//
 // Every event increments the activity counters that feed the power model.
 // Ejection is ideal (unbounded reassembly buffers); injection queues are
 // unbounded but serialize at one flit per cycle. Both are standard
@@ -49,6 +54,9 @@
 //                                pair — wormhole + XY + FIFO links ensure at
 //                                most one packet per pair is ever in flight,
 //                                replacing the seed's unordered_map
+//   ni_work_       bits[N]       pristine only: NIs holding a queued or
+//                                staged message (uint64 words); phase 3
+//                                visits just these
 //
 // Two-phase plan/commit is unchanged: arbitration appends PlannedMoves to a
 // reused scratch vector from the pre-cycle snapshot, then the commit loop
@@ -156,11 +164,16 @@ class Fabric {
 
   /// Number of delivered-but-unread messages at `node`.
   int delivered_count(int node) const;
+  /// Delivered-but-unread messages summed over every node.
+  int unread_deliveries() const { return unread_; }
 
   /// Advances the clock by one cycle.
   void step();
   /// Advances `n` cycles.
   void run(int n);
+  /// Advances `n` cycles of an idle() fabric (throws CheckError otherwise);
+  /// every observable result equals n step() calls.
+  void advance_idle(Cycle n);
 
   /// Runs until the network is completely idle (no buffered flits, no
   /// pending injections). Returns the number of cycles stepped. Throws if
@@ -290,6 +303,7 @@ class Fabric {
 
   void stage_next_message(int node);
   void inject_phase();
+  bool inject_staged_flit(int node, NetworkInterface& ni);
   void eject_flit(int node, const Flit& flit);
 
   // Degraded-mode machinery (all cold paths; nothing here is reached when
@@ -315,7 +329,7 @@ class Fabric {
   std::vector<int> fifo_head_;
   // FIFO sizes and the head-flit metadata mirrors (refreshed whenever a
   // FIFO's front changes): the arbitration scan reads only these dense
-  // arrays instead of striding 48-byte Flits out of the arena. They are
+  // arrays instead of striding 64-byte Flits out of the arena. They are
   // lane-aligned with zero-filled tails (AlignedVec) because the SIMD
   // want[]-prepass (noc/arb_kernels.hpp) reads them whole lane groups at
   // a time — a zeroed pad port has fifo_size 0 and scans as want -1.
@@ -346,8 +360,14 @@ class Fabric {
   AlignedVec<int> want_base_adaptive_;
   int buffered_flits_ = 0;          ///< total flits in all FIFOs
   int partial_count_ = 0;           ///< active reassembly slots, all nodes
+  int unread_ = 0;                  ///< delivered messages not yet received
 
   std::vector<NetworkInterface> nis_;
+  /// Pristine mode only: bit n set iff NI n holds a queued or partially
+  /// injected message. inject_phase visits just these NIs and idle() reads
+  /// the words instead of every NI. Degraded mode walks every NI (its
+  /// guard timers tick each cycle) and never reads or clears the set.
+  std::vector<std::uint64_t> ni_work_;
   std::vector<ReassemblySlot> slots_;  ///< [dst * N + src]
   std::vector<std::vector<std::uint64_t>> payload_pool_;
   NetworkStats stats_;

@@ -4,10 +4,12 @@
 // zero heap allocations: Fabric::step() under a periodic recycled load,
 // MinSumDecoder::decode_into() with a reused result, a warmed
 // MigrationThermalRuntime::run() at 58 and 202 nodes, and the sparse
-// steady/transient solve paths. The four micro benches used to be the only
-// enforcement, at bench time, on one load shape each; these suites pin the
-// same invariant in every CI configuration (Debug, Release, every
-// sanitizer build) through util/alloc_guard.
+// steady/transient solve paths. A warmed NocLdpcDecoder::decode_block()
+// allocates exactly once, for the result it returns. The four micro
+// benches used to be the only enforcement, at bench time, on one load
+// shape each; these suites pin the same invariant in every CI
+// configuration (Debug, Release, every sanitizer build) through
+// util/alloc_guard.
 //
 // Linking this binary against the guard API pulls the interposed
 // operator new/delete out of the renoc archive (see util/alloc_guard.hpp),
@@ -20,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/chip_config.hpp"
 #include "core/thermal_runtime.hpp"
 #include "core/transform.hpp"
 #include "floorplan/floorplan.hpp"
@@ -27,6 +30,7 @@
 #include "ldpc/code.hpp"
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
+#include "ldpc/noc_decoder.hpp"
 #include "noc/fabric.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
@@ -123,6 +127,28 @@ TEST(EngineAllocTest, WarmedFabricStepLoopIsAllocationFree) {
   pump(240);
   guard.check_zero("warmed Fabric::step traffic loop");
   EXPECT_EQ(guard.count(), 0);
+}
+
+// A warmed cycle-accurate block decode allocates once: the hard_bits of
+// the result it returns. Message payloads circulate through the fabric's
+// recycling pool, and the decoder grows a short pooled buffer to its
+// largest message, so two warm-up blocks reach every high-water mark.
+TEST(EngineAllocTest, WarmedNocDecodeBlockAllocatesOnlyItsResult) {
+  RENOC_REQUIRE_INSTRUMENTED();
+  const ChipConfig cfg = config_A();
+  const BuiltChip chip = build_chip(cfg);
+  Fabric fabric(cfg.noc);
+  std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+  placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
+  NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
+                         cfg.ldpc_params);
+  for (int i = 0; i < 2; ++i) (void)decoder.decode_block(chip.channel_llrs);
+  for (int block = 0; block < 3; ++block) {
+    const AllocGuard guard;
+    const NocDecodeResult result = decoder.decode_block(chip.channel_llrs);
+    EXPECT_EQ(guard.count(), 1) << "measured block " << block;
+    EXPECT_EQ(result.hard_bits.size(), chip.channel_llrs.size());
+  }
 }
 
 TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {

@@ -1,8 +1,11 @@
 // Tests for the NoC-distributed LDPC decoder: bit-identity with the golden
 // decoder (the central functional invariant), timing determinism,
-// placement independence of results, and activity accounting.
+// placement independence of results, exact cycle and activity accounting,
+// and rejection of malformed messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "core/transform.hpp"
@@ -54,14 +57,33 @@ TEST(NocDecoderTest, MatchesGoldenBitExactly) {
   EXPECT_GT(res.cycles, 0u);
 }
 
+/// Every TileActivity field, in declaration order.
+using TileCounts = std::array<std::uint64_t, 9>;
+
+TileCounts tile_counts(const TileActivity& a) {
+  return {a.buffer_writes,  a.buffer_reads,   a.crossbar_traversals,
+          a.arbitrations,   a.link_flits,     a.injected_flits,
+          a.ejected_flits,  a.pe_compute_ops, a.pe_state_words};
+}
+
 // The invariant must hold across partitions, mesh sizes, noise levels, and
-// iteration counts.
+// iteration counts. Each case also pins the exact simulated accounting of
+// two back-to-back blocks (identity placement, then reversed tile order):
+// a change to the decode schedule or the fabric may make the simulation
+// faster, never different.
 struct EquivCase {
   int side;
   int clusters;
   int iterations;
   double ebn0;
   int partition_kind;  // 0 striped, 1 interleaved, 2 weighted
+  Cycle block_cycles[2];  ///< NocDecodeResult::cycles per block
+  Cycle now_after[2];     ///< fabric.now() after each block
+  std::uint64_t packets_delivered;
+  std::uint64_t flits_delivered;
+  std::size_t latency_count;
+  double latency_mean;
+  std::vector<TileCounts> tiles;  ///< after both blocks
 };
 
 class NocDecoderEquivalence : public ::testing::TestWithParam<EquivCase> {};
@@ -92,19 +114,203 @@ TEST_P(NocDecoderEquivalence, DistributedEqualsGolden) {
   Fabric fabric(mesh(pc.side));
   NocLdpcDecoder decoder(fabric, tb.code, partition,
                          identity_permutation(pc.clusters), params);
-  const NocDecodeResult res = decoder.decode_block(tb.llrs);
-  EXPECT_EQ(res.hard_bits, gold.hard_bits);
+  std::vector<int> reversed(static_cast<std::size_t>(pc.clusters));
+  for (int c = 0; c < pc.clusters; ++c)
+    reversed[static_cast<std::size_t>(c)] = fabric.node_count() - 1 - c;
+  for (int block = 0; block < 2; ++block) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    if (block == 1) decoder.set_placement(reversed);
+    const NocDecodeResult res = decoder.decode_block(tb.llrs);
+    EXPECT_EQ(res.hard_bits, gold.hard_bits);
+    EXPECT_EQ(res.cycles, pc.block_cycles[block]);
+    EXPECT_EQ(fabric.now(), pc.now_after[block]);
+  }
+
+  const NetworkStats& st = fabric.stats();
+  EXPECT_EQ(st.packets_delivered(), pc.packets_delivered);
+  EXPECT_EQ(st.flits_delivered(), pc.flits_delivered);
+  EXPECT_EQ(st.packet_latency().count(), pc.latency_count);
+  EXPECT_DOUBLE_EQ(st.packet_latency().mean(), pc.latency_mean);
+  ASSERT_EQ(pc.tiles.size(), static_cast<std::size_t>(fabric.node_count()));
+  for (int t = 0; t < fabric.node_count(); ++t)
+    EXPECT_EQ(tile_counts(st.tile(t)), pc.tiles[static_cast<std::size_t>(t)])
+        << "tile " << t;
 }
 
+// Tile rows: buffer_writes, buffer_reads, crossbar_traversals,
+// arbitrations, link_flits, injected_flits, ejected_flits, pe_compute_ops,
+// pe_state_words.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, NocDecoderEquivalence,
-    ::testing::Values(EquivCase{4, 16, 5, 2.0, 0},
-                      EquivCase{4, 16, 10, 0.0, 1},
-                      EquivCase{4, 16, 6, 4.0, 2},
-                      EquivCase{5, 25, 5, 2.0, 0},
-                      EquivCase{5, 25, 8, 1.0, 1},
-                      EquivCase{5, 20, 6, 2.0, 0},   // fewer clusters than
-                      EquivCase{4, 10, 6, 2.0, 2})); // tiles
+    ::testing::Values(
+        EquivCase{4, 16, 5, 2.0, 0, {858, 859}, {858, 1717},
+                  3520, 4800, 3520, 8.7846590909090807,
+                  {
+                      {675, 675, 675, 500, 430, 245, 245, 990, 0},
+                      {1070, 1070, 1070, 745, 760, 310, 310, 990, 0},
+                      {1085, 1085, 1085, 745, 785, 300, 300, 990, 0},
+                      {780, 780, 780, 540, 490, 290, 290, 990, 0},
+                      {1075, 1075, 1075, 760, 770, 305, 305, 990, 0},
+                      {1415, 1415, 1415, 1080, 1100, 315, 315, 990, 0},
+                      {1425, 1425, 1425, 1085, 1100, 325, 325, 990, 0},
+                      {1115, 1115, 1115, 845, 805, 310, 310, 990, 0},
+                      {1115, 1115, 1115, 845, 805, 310, 310, 990, 0},
+                      {1425, 1425, 1425, 1085, 1100, 325, 325, 990, 0},
+                      {1415, 1415, 1415, 1080, 1100, 315, 315, 990, 0},
+                      {1075, 1075, 1075, 760, 770, 305, 305, 990, 0},
+                      {780, 780, 780, 540, 490, 290, 290, 990, 0},
+                      {1085, 1085, 1085, 745, 785, 300, 300, 990, 0},
+                      {1070, 1070, 1070, 745, 760, 310, 310, 990, 0},
+                      {675, 675, 675, 500, 430, 245, 245, 990, 0},
+                  }},
+        EquivCase{4, 16, 10, 0.0, 1, {1734, 1729}, {1734, 3463},
+                  8960, 10600, 8960, 9.4581473214285179,
+                  {
+                      {1720, 1720, 1720, 1470, 1060, 660, 660, 1890, 0},
+                      {2420, 2420, 2420, 2070, 1770, 650, 650, 1890, 0},
+                      {2390, 2390, 2390, 2080, 1730, 660, 660, 1890, 0},
+                      {1710, 1710, 1710, 1450, 1040, 670, 670, 1890, 0},
+                      {2450, 2450, 2450, 2000, 1760, 690, 690, 1890, 0},
+                      {3100, 3100, 3100, 2630, 2430, 670, 670, 1890, 0},
+                      {3060, 3060, 3060, 2640, 2400, 660, 660, 1890, 0},
+                      {2390, 2390, 2390, 2000, 1750, 640, 640, 1890, 0},
+                      {2390, 2390, 2390, 2000, 1750, 640, 640, 1890, 0},
+                      {3060, 3060, 3060, 2640, 2400, 660, 660, 1890, 0},
+                      {3100, 3100, 3100, 2630, 2430, 670, 670, 1890, 0},
+                      {2450, 2450, 2450, 2000, 1760, 690, 690, 1890, 0},
+                      {1710, 1710, 1710, 1450, 1040, 670, 670, 1890, 0},
+                      {2390, 2390, 2390, 2080, 1730, 660, 660, 1890, 0},
+                      {2420, 2420, 2420, 2070, 1770, 650, 650, 1890, 0},
+                      {1720, 1720, 1720, 1470, 1060, 660, 660, 1890, 0},
+                  }},
+        EquivCase{4, 16, 6, 4.0, 2, {1733, 1733}, {1733, 3466},
+                  4392, 5952, 4392, 7.126138433515476,
+                  {
+                      {1002, 1002, 1002, 552, 630, 372, 372, 1716, 0},
+                      {1374, 1374, 1374, 882, 1020, 354, 354, 1092, 0},
+                      {1320, 1320, 1320, 888, 948, 372, 372, 1092, 0},
+                      {936, 936, 936, 672, 558, 378, 378, 1092, 0},
+                      {1344, 1344, 1344, 1002, 972, 372, 372, 1092, 0},
+                      {1800, 1800, 1800, 1398, 1416, 384, 384, 1092, 0},
+                      {1782, 1782, 1782, 1392, 1392, 390, 390, 1092, 0},
+                      {1302, 1302, 1302, 1014, 948, 354, 354, 1092, 0},
+                      {1302, 1302, 1302, 1014, 948, 354, 354, 1092, 0},
+                      {1782, 1782, 1782, 1392, 1392, 390, 390, 1092, 0},
+                      {1800, 1800, 1800, 1398, 1416, 384, 384, 1092, 0},
+                      {1344, 1344, 1344, 1002, 972, 372, 372, 1092, 0},
+                      {936, 936, 936, 672, 558, 378, 378, 1092, 0},
+                      {1320, 1320, 1320, 888, 948, 372, 372, 1092, 0},
+                      {1374, 1374, 1374, 882, 1020, 354, 354, 1092, 0},
+                      {1002, 1002, 1002, 552, 630, 372, 372, 1716, 0},
+                  }},
+        EquivCase{5, 25, 5, 2.0, 0, {745, 745}, {745, 1490},
+                  6520, 7440, 6520, 11.811042944785282,
+                  {
+                      {705, 705, 705, 625, 435, 270, 270, 612, 0},
+                      {1045, 1045, 1045, 885, 770, 275, 275, 612, 0},
+                      {1210, 1210, 1210, 1020, 910, 300, 300, 612, 0},
+                      {1025, 1025, 1025, 875, 760, 265, 265, 612, 0},
+                      {685, 685, 685, 575, 425, 260, 260, 612, 0},
+                      {1090, 1090, 1090, 960, 800, 290, 290, 642, 0},
+                      {1445, 1445, 1445, 1295, 1145, 300, 300, 642, 0},
+                      {1635, 1635, 1635, 1425, 1360, 275, 275, 642, 0},
+                      {1590, 1590, 1590, 1430, 1275, 315, 315, 642, 0},
+                      {1230, 1230, 1230, 1100, 900, 330, 330, 642, 0},
+                      {1385, 1385, 1385, 1255, 1055, 330, 330, 660, 0},
+                      {1835, 1835, 1835, 1695, 1490, 345, 345, 660, 0},
+                      {2000, 2000, 2000, 1820, 1670, 330, 330, 660, 0},
+                      {1835, 1835, 1835, 1695, 1490, 345, 345, 660, 0},
+                      {1385, 1385, 1385, 1255, 1055, 330, 330, 660, 0},
+                      {1230, 1230, 1230, 1100, 900, 330, 330, 642, 0},
+                      {1590, 1590, 1590, 1430, 1275, 315, 315, 642, 0},
+                      {1635, 1635, 1635, 1425, 1360, 275, 275, 642, 0},
+                      {1445, 1445, 1445, 1295, 1145, 300, 300, 642, 0},
+                      {1090, 1090, 1090, 960, 800, 290, 290, 642, 0},
+                      {685, 685, 685, 575, 425, 260, 260, 612, 0},
+                      {1025, 1025, 1025, 875, 760, 265, 265, 612, 0},
+                      {1210, 1210, 1210, 1020, 910, 300, 300, 612, 0},
+                      {1045, 1045, 1045, 885, 770, 275, 275, 612, 0},
+                      {705, 705, 705, 625, 435, 270, 270, 612, 0},
+                  }},
+        EquivCase{5, 25, 8, 1.0, 1, {1141, 1138}, {1141, 2279},
+                  12160, 12320, 12160, 9.9652960526316061,
+                  {
+                      {1264, 1264, 1264, 1264, 760, 504, 504, 945, 0},
+                      {1952, 1952, 1952, 1920, 1424, 528, 528, 945, 0},
+                      {2056, 2056, 2056, 2048, 1592, 464, 464, 945, 0},
+                      {1904, 1904, 1904, 1896, 1432, 472, 472, 945, 0},
+                      {1344, 1344, 1344, 1344, 824, 520, 520, 945, 0},
+                      {1800, 1800, 1800, 1784, 1296, 504, 504, 993, 0},
+                      {2488, 2488, 2488, 2456, 1992, 496, 496, 993, 0},
+                      {2672, 2672, 2672, 2664, 2168, 504, 504, 993, 0},
+                      {2504, 2504, 2504, 2464, 1984, 520, 520, 993, 0},
+                      {1896, 1896, 1896, 1880, 1392, 504, 504, 993, 0},
+                      {1960, 1960, 1960, 1928, 1512, 448, 448, 1020, 0},
+                      {2512, 2512, 2512, 2448, 2072, 440, 440, 1020, 0},
+                      {2752, 2752, 2752, 2720, 2240, 512, 512, 1020, 0},
+                      {2512, 2512, 2512, 2448, 2072, 440, 440, 1020, 0},
+                      {1960, 1960, 1960, 1928, 1512, 448, 448, 1020, 0},
+                      {1896, 1896, 1896, 1880, 1392, 504, 504, 993, 0},
+                      {2504, 2504, 2504, 2464, 1984, 520, 520, 993, 0},
+                      {2672, 2672, 2672, 2664, 2168, 504, 504, 993, 0},
+                      {2488, 2488, 2488, 2456, 1992, 496, 496, 993, 0},
+                      {1800, 1800, 1800, 1784, 1296, 504, 504, 993, 0},
+                      {1344, 1344, 1344, 1344, 824, 520, 520, 945, 0},
+                      {1904, 1904, 1904, 1896, 1432, 472, 472, 945, 0},
+                      {2056, 2056, 2056, 2048, 1592, 464, 464, 945, 0},
+                      {1952, 1952, 1952, 1920, 1424, 528, 528, 945, 0},
+                      {1264, 1264, 1264, 1264, 760, 504, 504, 945, 0},
+                  }},
+        // Fewer clusters than tiles (this case and the last).
+        EquivCase{5, 20, 6, 2.0, 0, {943, 940}, {943, 1883},
+                  5928, 6984, 5928, 9.2145748987854663,
+                  {
+                      {324, 324, 324, 252, 204, 120, 120, 468, 0},
+                      {546, 546, 546, 390, 390, 156, 156, 468, 0},
+                      {582, 582, 582, 402, 444, 138, 138, 468, 0},
+                      {546, 546, 546, 384, 402, 144, 144, 468, 0},
+                      {390, 390, 390, 270, 240, 150, 150, 468, 0},
+                      {1038, 1038, 1038, 864, 702, 336, 336, 936, 0},
+                      {1500, 1500, 1500, 1284, 1128, 372, 372, 936, 0},
+                      {1644, 1644, 1644, 1440, 1290, 354, 354, 936, 0},
+                      {1620, 1620, 1620, 1428, 1254, 366, 366, 936, 0},
+                      {1218, 1218, 1218, 1050, 822, 396, 396, 936, 0},
+                      {1416, 1416, 1416, 1242, 1020, 396, 396, 936, 0},
+                      {1836, 1836, 1836, 1656, 1458, 378, 378, 936, 0},
+                      {1920, 1920, 1920, 1740, 1548, 372, 372, 936, 0},
+                      {1836, 1836, 1836, 1656, 1458, 378, 378, 936, 0},
+                      {1416, 1416, 1416, 1242, 1020, 396, 396, 936, 0},
+                      {1218, 1218, 1218, 1050, 822, 396, 396, 936, 0},
+                      {1620, 1620, 1620, 1428, 1254, 366, 366, 936, 0},
+                      {1644, 1644, 1644, 1440, 1290, 354, 354, 936, 0},
+                      {1500, 1500, 1500, 1284, 1128, 372, 372, 936, 0},
+                      {1038, 1038, 1038, 864, 702, 336, 336, 936, 0},
+                      {390, 390, 390, 270, 240, 150, 150, 468, 0},
+                      {546, 546, 546, 384, 402, 144, 144, 468, 0},
+                      {582, 582, 582, 402, 444, 138, 138, 468, 0},
+                      {546, 546, 546, 390, 390, 156, 156, 468, 0},
+                      {324, 324, 324, 252, 204, 120, 120, 468, 0},
+                  }},
+        EquivCase{4, 10, 6, 2.0, 2, {2612, 2612}, {2612, 5224},
+                  2064, 4560, 2064, 7.9418604651162923,
+                  {
+                      {1002, 1002, 1002, 252, 576, 426, 426, 2496, 0},
+                      {1050, 1050, 1050, 396, 804, 246, 246, 858, 0},
+                      {840, 840, 840, 366, 624, 216, 216, 858, 0},
+                      {534, 534, 534, 246, 312, 222, 222, 837, 0},
+                      {864, 864, 864, 372, 642, 222, 222, 837, 0},
+                      {1050, 1050, 1050, 558, 834, 216, 216, 837, 0},
+                      {1116, 1116, 1116, 654, 792, 324, 324, 1035, 0},
+                      {924, 924, 924, 480, 516, 408, 408, 1602, 0},
+                      {924, 924, 924, 480, 516, 408, 408, 1602, 0},
+                      {1116, 1116, 1116, 654, 792, 324, 324, 1035, 0},
+                      {1050, 1050, 1050, 558, 834, 216, 216, 837, 0},
+                      {864, 864, 864, 372, 642, 222, 222, 837, 0},
+                      {534, 534, 534, 246, 312, 222, 222, 837, 0},
+                      {840, 840, 840, 366, 624, 216, 216, 858, 0},
+                      {1050, 1050, 1050, 396, 804, 246, 246, 858, 0},
+                      {1002, 1002, 1002, 252, 576, 426, 426, 2496, 0},
+                  }}));
 
 TEST(NocDecoderTest, PlacementDoesNotChangeFunction) {
   const TestBench tb = make_bench();
@@ -190,6 +396,79 @@ TEST(NocDecoderTest, FabricIsIdleBetweenBlocks) {
   EXPECT_TRUE(fabric.idle());
   // And a second block works from that state.
   EXPECT_NO_THROW(decoder.decode_block(tb.llrs));
+}
+
+TEST(NocDecoderTest, DeadlockGuardFiresOnItsOwnCycle) {
+  // Long phases leave the fabric idle while every PE computes, which the
+  // decoder skips in one jump; the jump must stop at the guard's cycle.
+  const TestBench tb = make_bench();
+  LdpcNocParams params;
+  params.iterations = 2;
+  params.phase_overhead_cycles = 1000;
+  params.max_cycles_per_block = 500;
+  Fabric fabric(mesh(4));
+  NocLdpcDecoder decoder(fabric, tb.code,
+                         make_striped_partition(tb.code, 16),
+                         identity_permutation(16), params);
+  EXPECT_THROW(decoder.decode_block(tb.llrs), CheckError);
+  EXPECT_EQ(fabric.now(), 500u);
+}
+
+TEST(NocDecoderTest, RejectsMalformedMessages) {
+  const TestBench tb = make_bench();
+  const int clusters = 4;  // coarse clusters: pairs carry many edges
+  const Partition partition = make_striped_partition(tb.code, clusters);
+  // Cross-cluster edges per (VN cluster, CN cluster) pair; the widest pair
+  // needs several payload words.
+  std::vector<int> pair_edges(clusters * clusters, 0);
+  for (int c = 0; c < tb.code.m(); ++c) {
+    const int co = partition.cn_owner[static_cast<std::size_t>(c)];
+    for (const TannerEdge& e : tb.code.check_edges(c)) {
+      const int vo = partition.vn_owner[static_cast<std::size_t>(e.other)];
+      if (vo != co) ++pair_edges[static_cast<std::size_t>(vo * clusters + co)];
+    }
+  }
+  const auto widest = std::max_element(pair_edges.begin(), pair_edges.end());
+  const int src = static_cast<int>(widest - pair_edges.begin()) / clusters;
+  const int dst = static_cast<int>(widest - pair_edges.begin()) % clusters;
+  const LdpcNocParams params;
+  const int words = (*widest + params.values_per_word - 1) /
+                    params.values_per_word;
+  ASSERT_GE(words, 2);
+
+  // A message parked at a decoder tile before the block starts is the
+  // first thing decode_block unpacks (identity placement: tile = cluster).
+  auto decode_after = [&](std::uint64_t tag, std::size_t payload_words) {
+    Fabric fabric(mesh(4));
+    NocLdpcDecoder decoder(fabric, tb.code, partition,
+                           identity_permutation(clusters), params);
+    Message m;
+    m.src = src;
+    m.dst = dst;
+    m.tag = tag;
+    m.payload.assign(payload_words, 0);
+    fabric.send(m);
+    fabric.drain();
+    decoder.decode_block(tb.llrs);
+  };
+  // Phase 0 (VN) from cluster `src`: its q values need `words` words.
+  const std::uint64_t vn_tag = static_cast<std::uint64_t>(src);
+  EXPECT_THROW(decode_after(vn_tag, static_cast<std::size_t>(words - 1)),
+               CheckError)
+      << "truncated payload";
+  EXPECT_THROW(decode_after(vn_tag, static_cast<std::size_t>(words + 1)),
+               CheckError)
+      << "oversized payload";
+  // Phase 2 * iterations + 1 == phase_count(): one past the final phase.
+  const std::uint64_t past_last =
+      static_cast<std::uint64_t>(2 * params.iterations + 1) << 16 | vn_tag;
+  EXPECT_THROW(decode_after(past_last, static_cast<std::size_t>(words)),
+               CheckError)
+      << "phase out of range";
+  const std::uint64_t bad_cluster = static_cast<std::uint64_t>(clusters);
+  EXPECT_THROW(decode_after(bad_cluster, static_cast<std::size_t>(words)),
+               CheckError)
+      << "source cluster out of range";
 }
 
 TEST(NocDecoderTest, MigrationStateWordsScaleWithClusterSize) {

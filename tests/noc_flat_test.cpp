@@ -6,7 +6,8 @@
 //   * the scenario-sweep harness: thread-count invariance and single-
 //     scenario replay (mirroring ber_harness_test);
 //   * the new traffic patterns (bit-reverse, shuffle), fixed-point skip
-//     accounting, and bursty Markov on/off modulation.
+//     accounting, and bursty Markov on/off modulation;
+//   * idle time advance: advance_idle(n) and run(n) against n step() calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,6 +59,31 @@ struct Outcome {
   double lat_max = 0.0;
 };
 
+/// Pops every delivered message into `out`, stamped with the current cycle.
+template <class FabricT>
+void receive_all(FabricT& fabric, Outcome& out) {
+  for (int node = 0; node < fabric.node_count(); ++node)
+    while (auto got = fabric.try_receive(node))
+      out.deliveries.emplace_back(fabric.now(), node, got->src, got->tag,
+                                  got->payload);
+}
+
+/// Records the fabric's clock, idleness, and every NocStats counter.
+template <class FabricT>
+void record_counters(const FabricT& fabric, Outcome& out) {
+  out.drained = fabric.idle();
+  out.final_cycle = fabric.now();
+  const NetworkStats& st = fabric.stats();
+  for (int t = 0; t < fabric.node_count(); ++t)
+    out.tiles.push_back(st.tile(t));
+  out.packets = st.packets_delivered();
+  out.flits = st.flits_delivered();
+  out.lat_count = st.packet_latency().count();
+  out.lat_mean = st.packet_latency().mean();
+  out.lat_min = st.packet_latency().min();
+  out.lat_max = st.packet_latency().max();
+}
+
 /// Feeds the schedule (which must be sorted by cycle — sends are consumed
 /// in index order) into a fresh fabric of type FabricT, stepping until
 /// everything drains; records the complete observable behavior.
@@ -75,22 +101,9 @@ Outcome drive(const NocConfig& cfg,
       fabric.send(schedule[next++].msg);
     fabric.step();
     ++cycle;
-    for (int node = 0; node < fabric.node_count(); ++node)
-      while (auto got = fabric.try_receive(node))
-        out.deliveries.emplace_back(fabric.now(), node, got->src, got->tag,
-                                    got->payload);
+    receive_all(fabric, out);
   }
-  out.drained = fabric.idle();
-  out.final_cycle = fabric.now();
-  const NetworkStats& st = fabric.stats();
-  for (int t = 0; t < fabric.node_count(); ++t)
-    out.tiles.push_back(st.tile(t));
-  out.packets = st.packets_delivered();
-  out.flits = st.flits_delivered();
-  out.lat_count = st.packet_latency().count();
-  out.lat_mean = st.packet_latency().mean();
-  out.lat_min = st.packet_latency().min();
-  out.lat_max = st.packet_latency().max();
+  record_counters(fabric, out);
   return out;
 }
 
@@ -257,6 +270,106 @@ TEST(FlatVsReference, EmptyAndLongPayloads) {
       EXPECT_EQ(std::get<4>(d)[9], 81u);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Idle time advance
+// ---------------------------------------------------------------------------
+
+/// Sends a corner-to-corner and a crossing message at `fabric`'s sources.
+void send_pair(Fabric& fabric, std::uint64_t tag) {
+  Message a;
+  a.src = 0;
+  a.dst = 15;
+  a.tag = tag;
+  a.payload.assign(6, tag);
+  fabric.send(a);
+  Message b;
+  b.src = 12;
+  b.dst = 3;
+  b.tag = tag + 1;
+  b.payload.assign(3, tag);
+  fabric.send(b);
+}
+
+/// Traffic, drained, then `advance` on an idle fabric, then more traffic:
+/// the second batch sees the advanced clock in its latencies.
+template <class Advance>
+Outcome idle_gap(Advance advance) {
+  Fabric fabric(make_config({4, 4}));
+  Outcome out;
+  send_pair(fabric, 10);
+  fabric.drain();
+  receive_all(fabric, out);
+  EXPECT_TRUE(fabric.idle());
+  advance(fabric);
+  send_pair(fabric, 20);
+  fabric.drain();
+  receive_all(fabric, out);
+  record_counters(fabric, out);
+  return out;
+}
+
+TEST(IdleAdvance, PristineAdvanceAndRunEqualStepping) {
+  constexpr int kGap = 1000;
+  const Outcome stepped = idle_gap([](Fabric& f) {
+    for (int i = 0; i < kGap; ++i) f.step();
+  });
+  const Outcome advanced =
+      idle_gap([](Fabric& f) { f.advance_idle(static_cast<Cycle>(kGap)); });
+  const Outcome ran = idle_gap([](Fabric& f) { f.run(kGap); });
+  ASSERT_EQ(stepped.deliveries.size(), 4u);
+  EXPECT_GT(stepped.final_cycle, static_cast<std::uint64_t>(kGap));
+  expect_bit_identical(stepped, advanced);
+  expect_bit_identical(stepped, ran);
+}
+
+TEST(IdleAdvance, RunAcrossTheDrainEqualsStepping) {
+  // run() starts on a busy fabric and goes idle mid-window.
+  const NocConfig cfg = make_config({4, 4});
+  Fabric stepped(cfg);
+  Fabric ran(cfg);
+  send_pair(stepped, 1);
+  send_pair(ran, 1);
+  for (int i = 0; i < 300; ++i) stepped.step();
+  ran.run(300);
+  Outcome a;
+  Outcome b;
+  receive_all(stepped, a);
+  receive_all(ran, b);
+  record_counters(stepped, a);
+  record_counters(ran, b);
+  EXPECT_TRUE(a.drained);
+  EXPECT_EQ(a.deliveries.size(), 2u);
+  expect_bit_identical(a, b);
+}
+
+TEST(IdleAdvance, AdvanceIdleRejectsABusyFabric) {
+  Fabric fabric(make_config({4, 4}));
+  send_pair(fabric, 1);
+  EXPECT_THROW(fabric.advance_idle(5), CheckError);  // queued at the NI
+  fabric.step();
+  EXPECT_THROW(fabric.advance_idle(5), CheckError);  // flits in flight
+  fabric.drain();
+  EXPECT_EQ(fabric.unread_deliveries(), 2);
+  EXPECT_NO_THROW(fabric.advance_idle(5));  // unread deliveries are fine
+  // A halted NI still holds its queued message: run() keeps stepping.
+  fabric.set_injection_enabled(2, false);
+  Message m;
+  m.src = 2;
+  m.dst = 7;
+  fabric.send(m);
+  EXPECT_THROW(fabric.advance_idle(5), CheckError);
+  const Cycle before = fabric.now();
+  fabric.run(5);
+  EXPECT_EQ(fabric.now(), before + 5);
+  EXPECT_EQ(fabric.pending_send_count(2), 1);
+  fabric.set_injection_enabled(2, true);
+  fabric.drain();
+  EXPECT_EQ(fabric.delivered_count(7), 1);
+  EXPECT_EQ(fabric.unread_deliveries(), 3);
+  EXPECT_TRUE(fabric.try_receive(7).has_value());
+  EXPECT_EQ(fabric.unread_deliveries(), 2);
 }
 
 // ---------------------------------------------------------------------------
