@@ -1,5 +1,5 @@
-// Shared timing helper for the self-timing benches. One definition so
-// every BENCH_*.json record is measured with the same methodology.
+// Best-of-N timing helper for the migration-unit timings of
+// bench_table1_transforms (its *_ms fields, which the golden diff skips).
 #pragma once
 
 #include <algorithm>

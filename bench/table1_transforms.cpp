@@ -9,8 +9,8 @@
 // row formulas exhaustively for N in {4, 5, 8}, and then microbenchmarks
 // the migration unit the paper argues is "small, fast, and low power":
 // per-address transformation cost, accumulated-map composition, and the
-// I/O ingress/egress rewrites. Self-timing via bench_timing.hpp (the same
-// methodology as the micro benches) — no external benchmark framework.
+// I/O ingress/egress rewrites. Self-timing via bench_timing.hpp — no
+// external benchmark framework.
 //
 // --smoke / --json: see bench/paper_bench.hpp; emits PAPER_table1.json.
 // Timing fields carry the _ms suffix, so the golden diff checks only the

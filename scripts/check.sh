@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # One-shot tier-1 verify: configure, build, and run ctest in Debug and
-# Release with warnings-as-errors, benches, and examples all enabled, then
-# smoke-run the seed-vs-flat LDPC and NoC benches and the engine-vs-seed
-# co-sim bench so the bench targets cannot silently rot. Each BENCH_*.json
-# regression guard exits nonzero when its fast path diverges from the
-# golden reference (bit-exactness, steady-state allocations, thread
-# determinism), and `set -e` turns any such exit into a check failure.
-# micro_noc's smoke additionally covers the degraded-fabric guards: packet
-# conservation under every fault kind, allocation-free stepping with an
-# active fault plan, and thread-count invariance of the fault-axis sweep.
+# Release with warnings-as-errors, benches, and examples all enabled. The
+# engine guards are ctest cases: bit-exactness against the seed oracles in
+# tests/support, steady-state allocations (alloc_guard_test), thread,
+# shard and resume invariance of every sweep, and the degraded-fabric
+# conservation law.
 # The Release pass additionally regenerates every PAPER_*.json figure/table
 # record in --smoke mode and diffs it against the pinned golden under
 # goldens/ with renoc_golden_diff (integer fields exact, temperatures
@@ -22,13 +18,15 @@
 # retries the dead shard and resumes from its checkpoint segments), and
 # renoc_golden_diff must find the two artifacts identical outside the
 # run-specific "driver" block.
+# --skip-bench-smoke skips the paper figures and the sweep-resume smoke.
+# Timing of record is the repo benchmark: python3 perfbench/run.py.
 # Usage: scripts/check.sh [--skip-bench-smoke] [--sanitize=<kind>]
 #                         [extra cmake args...]
 # (flags may appear in any argument position)
 # --sanitize=<kind> replaces the Debug+Release matrix with one
 # RelWithDebInfo pass instrumented via RENOC_SANITIZE=<kind> (address,
-# undefined, thread, or a '+'-joined combo) — the same configuration the
-# CI sanitizer jobs run.
+# undefined, thread, or a '+'-joined combo) running the full ctest — the
+# same configuration the CI sanitizer jobs run.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -71,13 +69,6 @@ if [[ -n "${sanitize}" ]]; then
   cmake --build "${build_dir}" -j "${jobs}"
   echo "== sanitize(${sanitize}): ctest =="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
-  if [[ "${bench_smoke}" == 1 ]]; then
-    for bench in micro_ldpc micro_noc micro_runtime; do
-      echo "== sanitize(${sanitize}): bench smoke (${bench}) =="
-      "${build_dir}/bench/bench_${bench}" --smoke \
-        --json "${build_dir}/BENCH_${bench#micro_}.json"
-    done
-  fi
   echo "All sanitized checks passed (${sanitize})."
   exit 0
 fi
@@ -99,17 +90,6 @@ for config in Debug Release; do
     echo "== ${config}: renoc_lint =="
     "${build_dir}/tools/renoc_lint" --root "${repo_root}" \
       --report "${build_dir}/lint-report.txt"
-  fi
-  if [[ "${bench_smoke}" == 1 ]]; then
-    echo "== ${config}: bench smoke (micro_ldpc) =="
-    "${build_dir}/bench/bench_micro_ldpc" --smoke \
-      --json "${build_dir}/BENCH_ldpc.json"
-    echo "== ${config}: bench smoke (micro_noc) =="
-    "${build_dir}/bench/bench_micro_noc" --smoke \
-      --json "${build_dir}/BENCH_noc.json"
-    echo "== ${config}: bench smoke (micro_runtime) =="
-    "${build_dir}/bench/bench_micro_runtime" --smoke \
-      --json "${build_dir}/BENCH_runtime.json"
   fi
   if [[ "${bench_smoke}" == 1 && "${config}" == "Release" ]]; then
     echo "== ${config}: sweep-resume smoke (crash, retry, resume, diff) =="

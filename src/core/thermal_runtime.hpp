@@ -31,9 +31,9 @@
 // allocations.
 //
 // The pre-engine scalar path is preserved verbatim as the semantics
-// oracle in core/reference_runtime; the engine agrees with it to <= 1e-10
-// on every ThermalRunResult field (tests/thermal_runtime_test pins this,
-// bench/micro_runtime re-checks it and measures the speedup).
+// oracle ReferenceThermalRuntime in tests/support; the engine agrees with
+// it to <= 1e-10 on every ThermalRunResult field
+// (tests/thermal_runtime_test pins this).
 #pragma once
 
 #include <memory>

@@ -14,7 +14,7 @@
 // normalize-by-3/4 shift), so each lane's decode — including hard bits,
 // syndrome_ok, and iterations_run — is bit-identical to
 // MinSumDecoder::decode_into on that codeword. The agreement suite in
-// tests/simd_test.cpp and the micro_ldpc CI guard both pin this.
+// tests/simd_test.cpp pins this.
 #pragma once
 
 #include <cstddef>

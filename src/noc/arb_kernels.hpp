@@ -17,7 +17,7 @@
 // come out -1 because their fifo_size is 0), and the table carries 4 bytes
 // of tail padding for the dword-gather overread (see Avx2I32::gather_u8).
 // The mask arithmetic is bit-exact: every tier produces the identical
-// want[] array, pinned by tests/simd_test.cpp and the micro_noc CI guard.
+// want[] array, pinned by SimdWantScan in tests/simd_test.cpp.
 #pragma once
 
 #include <cstdint>

@@ -31,7 +31,7 @@
 //
 // One LDPC block costs ~55k fabric cycles and the DTM studies step the mesh
 // millions of times, so step() is a first-class hot loop. The seed
-// implementation (preserved in noc/reference_fabric.{hpp,cpp} as the
+// implementation (preserved in tests/support as the ReferenceFabric
 // bit-exactness oracle) kept a Router object per tile with five std::deque
 // FIFOs and reassembled packets through an unordered_map; this engine keeps
 // the identical cycle semantics but lays every piece of per-cycle state out
@@ -65,8 +65,8 @@
 // is reused across cycles, and message payload buffers circulate through an
 // internal recycling pool (see recycle()/acquire_message()), so step()
 // performs zero heap allocations once the workload reaches steady state —
-// bench/micro_noc.cpp asserts this and the bit-exactness against the
-// reference on every run.
+// tests/alloc_guard_test.cpp pins this, and tests/noc_flat_test.cpp pins
+// the bit-exactness against the reference.
 // --- Degraded-fabric mode ---------------------------------------------------
 //
 // install_fault_plan() / configure_delivery_guard() switch the fabric into
@@ -104,13 +104,19 @@
 #include "floorplan/grid.hpp"
 #include "noc/fault_model.hpp"
 #include "noc/flit.hpp"
-#include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
 #include "util/aligned.hpp"
 #include "util/simd.hpp"
 
 namespace renoc {
+
+/// A flit transfer decided during arbitration, committed after it.
+struct PlannedMove {
+  int node = 0;        ///< router making the move
+  int in_port = 0;     ///< source input FIFO (Direction as int)
+  Direction out = Direction::kLocal;
+};
 
 /// Static fabric parameters.
 struct NocConfig {

@@ -2,8 +2,8 @@
 //
 // The paper's workload is the LDPC decoder, but validating the fabric
 // (latency/throughput curves, saturation, fairness) needs standard
-// synthetic patterns. These also drive the router microbenchmarks and the
-// threaded scenario sweep in noc/sweep_harness.
+// synthetic patterns. These also drive the threaded scenario sweep in
+// noc/sweep_harness.
 #pragma once
 
 #include <cstdint>

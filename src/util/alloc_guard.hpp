@@ -2,11 +2,9 @@
 //
 // The engine contract established by PRs 3–5 is that every warmed hot path
 // (Fabric::step, MinSumDecoder::decode_into, MigrationThermalRuntime::run,
-// the SparseLdlt solves) performs ZERO heap allocations. The four micro
-// benches used to prove this with four private copies of a counting
-// operator new; this header is that counter promoted to a subsystem, so
-// unit tests can pin the invariant in every CI configuration (Debug,
-// Release, and all sanitizer builds) instead of only at bench time.
+// the SparseLdlt solves) performs ZERO heap allocations. This header
+// counts heap allocations in a scope so unit tests can pin that invariant
+// in every CI configuration (Debug, Release, and all sanitizer builds).
 //
 // How interposition works: alloc_guard.cpp defines replacement
 // operator new/delete — guarded by the RENOC_ALLOC_GUARD build option —
@@ -26,7 +24,7 @@
 //
 // When the build option is off, instrumented() returns false, counters
 // stay zero, and check_zero() is a no-op — callers that require a real
-// measurement should skip (tests) or report "uninstrumented" (benches).
+// measurement should skip.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 // Machine-readable JSON artifacts: one writer, one parser, one comparator.
 //
-// Every bench in this repo publishes a JSON record (BENCH_*.json for the
-// micro benches, PAPER_*.json for the paper figure/table benches), and CI
-// diffs the paper records against pinned goldens. Before this module each
-// bench hand-formatted its JSON with fprintf; now they all share:
+// Every paper figure/table bench publishes a PAPER_*.json record,
+// renoc_sweep a SWEEP_*.json artifact, and CI diffs the paper records
+// against pinned goldens. They all share:
 //
 //   * JsonWriter   — a streaming pretty-printer with deterministic number
 //                    formatting (fixed precision, no locale), so identical
@@ -114,7 +113,7 @@ void write_file_atomic(const std::string& path, std::string_view content);
 /// commit() the destructor discards the buffer and the target is
 /// untouched — a bench that dies mid-record leaves no torn artifact.
 ///
-///   AtomicFile out("BENCH_x.json");
+///   AtomicFile out("PAPER_x.json");
 ///   JsonWriter json(out.stream());
 ///   ... stream the document ...
 ///   out.commit();

@@ -3,7 +3,7 @@
 // The flat kernels (var-major message storage, edge-indexed gathers,
 // fixed-degree unrolled sweeps) must reproduce the seed message-passing
 // semantics exactly — every DecodeResult field, on every code shape. The
-// seed loops are preserved verbatim in reference_decoder.{hpp,cpp}; this
+// seed loops are preserved verbatim in support/reference_decoder; this
 // suite sweeps regular and irregular codes, min-sum and sum-product,
 // early-exit on and off, and the degenerate degree-1-check path, comparing
 // the production decoders against those oracles block by block. The CSR
@@ -19,8 +19,8 @@
 #include "ldpc/code.hpp"
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/reference_decoder.hpp"
 #include "ldpc/sum_product.hpp"
+#include "support/reference_decoder.hpp"
 #include "util/rng.hpp"
 
 namespace renoc {

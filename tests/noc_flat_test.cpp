@@ -1,6 +1,6 @@
 // Tests for the flat SoA NoC fabric engine and its harnesses:
 //   * bit-exactness of the flat Fabric against the preserved seed engine
-//     (noc/reference_fabric) — delivery order and contents, cycle counts,
+//     (support/reference_fabric) — delivery order and contents, cycle counts,
 //     and every NocStats counter — across traffic patterns, mesh shapes,
 //     buffer depths, and wormhole-contention scenarios;
 //   * the scenario-sweep harness: thread-count invariance and single-
@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "noc/fabric.hpp"
-#include "noc/reference_fabric.hpp"
 #include "noc/sweep_harness.hpp"
 #include "noc/traffic.hpp"
+#include "support/reference_fabric.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

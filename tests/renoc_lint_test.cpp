@@ -3,9 +3,9 @@
 // Every rule is exercised both ways: a bad fixture that must fire (with
 // the expected rule id and line) and a good fixture that must stay quiet.
 // Fixtures are in-memory strings passed to lint_source() with synthetic
-// repo-relative paths, so path-scoped rules (src-only, engine-dir-only,
-// reference_* exemption) are covered without touching the filesystem;
-// one lint_tree() test runs the real directory walk in a temp tree.
+// repo-relative paths, so path-scoped rules (src-only, engine-dir-only)
+// are covered without touching the filesystem; one lint_tree() test runs
+// the real directory walk in a temp tree.
 //
 // All fixture text lives in raw string literals: when renoc_lint scans
 // this file itself, string literals are blanked, so the deliberately bad
@@ -180,7 +180,7 @@ TEST(RawRandomTest, FiresOnlyInSrcOutsideUtilRng) {
   EXPECT_EQ(findings[1].line, 3);
   EXPECT_EQ(findings[2].line, 4);
 
-  EXPECT_TRUE(lint_source("bench/micro_x.cpp", src).empty());
+  EXPECT_TRUE(lint_source("bench/period_sweep.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/util/rng.cpp", src).empty());
 }
 
@@ -206,7 +206,11 @@ TEST(RingModuloTest, FiresOnCursorWrapByModulo) {
   EXPECT_EQ(findings[0].rule, "ring-modulo");
   EXPECT_EQ(findings[0].line, 2);
 
-  EXPECT_TRUE(lint_source("src/noc/reference_ring.cpp", src).empty());
+  // No file name is exempt inside src/: the seed oracles live in
+  // tests/support.
+  const auto oracle = lint_source("src/noc/reference_ring.cpp", src);
+  ASSERT_EQ(oracle.size(), 1u);
+  EXPECT_EQ(oracle[0].rule, "ring-modulo");
   EXPECT_TRUE(lint_source("tests/ring_test.cpp", src).empty());
 }
 
@@ -227,7 +231,8 @@ TEST(EngineUnorderedMapTest, BansHashMapsInFlatEngines) {
   EXPECT_EQ(lint_source("src/ldpc/x.cpp", src).size(), 1u);
 
   EXPECT_TRUE(lint_source("src/thermal/x.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/noc/reference_fabric2.hpp", src).empty());
+  EXPECT_EQ(rules_of(lint_source("src/noc/reference_fabric2.hpp", src)),
+            (std::vector<std::string>{"engine-unordered-map"}));
 }
 
 // --- atomic-artifact-write --------------------------------------------------
@@ -235,7 +240,8 @@ TEST(EngineUnorderedMapTest, BansHashMapsInFlatEngines) {
 TEST(AtomicArtifactWriteTest, BansDirectOfstreamInArtifactProducers) {
   const std::string src = "std::ofstream out(args.json_path);\n";
   for (const char* path : {"src/core/experiment_sweep.cpp",
-                           "bench/micro_ldpc.cpp", "examples/ber_sweep.cpp"}) {
+                           "bench/fig1_peak_reduction.cpp",
+                           "examples/ber_sweep.cpp"}) {
     const auto findings = lint_source(path, src);
     ASSERT_EQ(findings.size(), 1u) << path;
     EXPECT_EQ(findings[0].rule, "atomic-artifact-write") << path;
@@ -263,7 +269,7 @@ TEST(AtomicArtifactWriteTest, SuppressibleWithJustification) {
       "std::ofstream raw(dump_path);  "
       "// renoc-lint-allow(atomic-artifact-write): debug dump, not an "
       "artifact\n";
-  EXPECT_TRUE(lint_source("bench/micro_noc.cpp", src).empty());
+  EXPECT_TRUE(lint_source("bench/noc_characterization.cpp", src).empty());
 }
 
 // --- route-rebuild ---------------------------------------------------------
@@ -328,7 +334,7 @@ auto x = _mm_add_pd(w, w);
   EXPECT_EQ(findings[1].line, 2);
 
   // The rule applies everywhere renoc_lint walks, not only src/.
-  EXPECT_EQ(lint_source("bench/micro_ldpc.cpp", src).size(), 4u);
+  EXPECT_EQ(lint_source("bench/period_sweep.cpp", src).size(), 4u);
   EXPECT_EQ(lint_source("tests/simd_test.cpp", src).size(), 4u);
 
   // util/simd* is the sanctioned home: header, dispatch, and tier TUs.

@@ -1,4 +1,4 @@
-#include "ldpc/reference_decoder.hpp"
+#include "support/reference_decoder.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,12 +1,111 @@
-// Verbatim seed Fabric loops (see the header for the oracle policy). Only
-// the class name differs from the pre-flat implementation.
-#include "noc/reference_fabric.hpp"
+// Verbatim seed Router and Fabric loops (see the header for the oracle
+// policy). Only the class name ReferenceFabric differs from the pre-flat
+// implementation.
+#include "support/reference_fabric.hpp"
 
 #include <array>
 
 #include "util/check.hpp"
 
 namespace renoc {
+
+Router::Router(int node, const GridDim& dim, int buffer_depth)
+    : node_(node),
+      dim_(dim),
+      coord_(index_to_coord(node, dim)),
+      buffer_depth_(buffer_depth) {
+  RENOC_CHECK(buffer_depth_ >= 1);
+  for (int d = 0; d < kDirectionCount; ++d) {
+    owner_input_[d] = -1;
+    owner_packet_[d] = 0;
+    rr_pointer_[d] = 0;
+  }
+}
+
+int Router::fifo_space(int port) const {
+  RENOC_CHECK(port >= 0 && port < kDirectionCount);
+  return buffer_depth_ - static_cast<int>(fifo_[port].size());
+}
+
+bool Router::fifo_empty(int port) const {
+  RENOC_CHECK(port >= 0 && port < kDirectionCount);
+  return fifo_[port].empty();
+}
+
+int Router::fifo_occupancy(int port) const {
+  RENOC_CHECK(port >= 0 && port < kDirectionCount);
+  return static_cast<int>(fifo_[port].size());
+}
+
+void Router::push(int port, const Flit& flit) {
+  RENOC_CHECK_MSG(fifo_space(port) > 0, "FIFO overflow at node "
+                                            << node_ << " port " << port
+                                            << " — credit protocol violated");
+  fifo_[port].push_back(flit);
+}
+
+Flit Router::pop(int port) {
+  RENOC_CHECK(port >= 0 && port < kDirectionCount);
+  RENOC_CHECK(!fifo_[port].empty());
+  Flit f = fifo_[port].front();
+  fifo_[port].pop_front();
+  return f;
+}
+
+int Router::arbitrate(const bool credit_ok[kDirectionCount],
+                      std::vector<PlannedMove>& out) {
+  int new_allocations = 0;
+  for (int o = 0; o < kDirectionCount; ++o) {
+    const Direction out_dir = static_cast<Direction>(o);
+    if (owner_input_[o] >= 0) {
+      // Wormhole continuation: move the next flit of the owning packet if
+      // it has arrived and the downstream FIFO can take it.
+      const int in = owner_input_[o];
+      if (!fifo_[in].empty() &&
+          fifo_[in].front().packet == owner_packet_[o] && credit_ok[o]) {
+        out.push_back(PlannedMove{node_, in, out_dir});
+      }
+      continue;
+    }
+    if (!credit_ok[o]) continue;
+    // Round-robin over inputs looking for a head flit routed to this output.
+    for (int k = 1; k <= kDirectionCount; ++k) {
+      const int in = (rr_pointer_[o] + k) % kDirectionCount;
+      if (fifo_[in].empty()) continue;
+      const Flit& head = fifo_[in].front();
+      if (!head.is_head()) continue;  // body/tail of a stalled packet
+      const GridCoord dst = index_to_coord(head.dst, dim_);
+      if (xy_route(coord_, dst) != out_dir) continue;
+      out.push_back(PlannedMove{node_, in, out_dir});
+      owner_input_[o] = in;
+      owner_packet_[o] = head.packet;
+      rr_pointer_[o] = in;
+      ++new_allocations;
+      break;
+    }
+  }
+  return new_allocations;
+}
+
+void Router::release_output(Direction out_port) {
+  owner_input_[static_cast<int>(out_port)] = -1;
+  owner_packet_[static_cast<int>(out_port)] = 0;
+}
+
+bool Router::quiescent() const {
+  for (int p = 0; p < kDirectionCount; ++p)
+    if (!fifo_[p].empty()) return false;
+  for (int o = 0; o < kDirectionCount; ++o)
+    if (owner_input_[o] >= 0) return false;
+  return true;
+}
+
+int Router::buffered_flits() const {
+  int n = 0;
+  for (int p = 0; p < kDirectionCount; ++p)
+    n += static_cast<int>(fifo_[p].size());
+  return n;
+}
 
 ReferenceFabric::ReferenceFabric(const NocConfig& config)
     : config_(config),

@@ -12,13 +12,14 @@
 //   - same NocStats down to every TileActivity counter and the
 //     packet-latency accumulator.
 //
-// tests/noc_flat_test.cpp and bench/micro_noc.cpp drive both engines with
-// identical send schedules and fail on any divergence. Do not "improve"
-// this file: its value is that it does not change. (Same policy as
-// ldpc/reference_decoder and the dense LU test oracle in tests/support.)
+// tests/noc_flat_test.cpp drives both engines with identical send
+// schedules and fails on any divergence. Do not "improve" this file: its
+// value is that it does not change. (Same policy as the other oracles in
+// tests/support: reference_decoder, reference_runtime and the dense LU.)
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -27,10 +28,72 @@
 #include "floorplan/grid.hpp"
 #include "noc/fabric.hpp"
 #include "noc/flit.hpp"
-#include "noc/router.hpp"
+#include "noc/routing.hpp"
 #include "noc/stats.hpp"
 
 namespace renoc {
+
+// Input-buffered wormhole router, one per mesh tile of the oracle:
+//   * five input FIFOs (north/south/east/west/local), `buffer_depth` flits
+//   * XY routing computed on the head flit at the FIFO head
+//   * per-output wormhole ownership: a head flit that wins an output port
+//     holds it until its tail flit passes (packets never interleave)
+//   * round-robin arbitration among competing head flits per output
+//   * credit-based flow control toward downstream FIFOs (managed by the
+//     ReferenceFabric, which owns the credit counters for all directed
+//     links)
+//
+// The router itself is deliberately passive: it *plans* at most one flit
+// move per output port from a consistent pre-cycle snapshot, and the
+// fabric commits all planned moves afterwards. This two-phase split is
+// what makes the simulation order-independent and cycle-accurate. The
+// production Fabric inlines the identical arbitration loop over flat
+// per-fabric arrays and shares only PlannedMove (noc/fabric.hpp) with it.
+class Router {
+ public:
+  Router(int node, const GridDim& dim, int buffer_depth);
+
+  int node() const { return node_; }
+  const GridCoord& coord() const { return coord_; }
+
+  /// Free slots in the input FIFO for `port`.
+  int fifo_space(int port) const;
+  bool fifo_empty(int port) const;
+  int fifo_occupancy(int port) const;
+
+  /// Appends a flit to an input FIFO. Checked against capacity — credit
+  /// flow control upstream must make overflow impossible.
+  void push(int port, const Flit& flit);
+
+  /// Pops the head flit of an input FIFO (must be non-empty).
+  Flit pop(int port);
+
+  /// Plans this cycle's moves given per-output credit availability
+  /// (credit_ok[d] true if the downstream FIFO in direction d can accept a
+  /// flit; the local/ejection port is always available). Appends to `out`.
+  /// Returns the number of new output-port allocations (arbitration events).
+  int arbitrate(const bool credit_ok[kDirectionCount],
+                std::vector<PlannedMove>& out);
+
+  /// Marks the wormhole ownership of `out_port` released (tail committed).
+  void release_output(Direction out_port);
+
+  /// True if every FIFO is empty and no output is owned.
+  bool quiescent() const;
+
+  /// Total flits buffered in all input FIFOs.
+  int buffered_flits() const;
+
+ private:
+  int node_;
+  GridDim dim_;
+  GridCoord coord_;
+  int buffer_depth_;
+  std::deque<Flit> fifo_[kDirectionCount];
+  int owner_input_[kDirectionCount];       // -1 = free
+  PacketId owner_packet_[kDirectionCount];
+  int rr_pointer_[kDirectionCount];
+};
 
 /// Drop-in oracle with the same public surface as the fast Fabric.
 class ReferenceFabric {

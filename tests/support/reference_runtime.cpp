@@ -1,4 +1,4 @@
-#include "core/reference_runtime.hpp"
+#include "support/reference_runtime.hpp"
 
 #include <algorithm>
 #include <cmath>

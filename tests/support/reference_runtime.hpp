@@ -4,10 +4,9 @@
 // the streamed co-sim engine landed in core/thermal_runtime: per-run
 // vector construction, TransientSolver::step per time step, and separate
 // peak/mean scans through the RcNetwork helpers. It is kept verbatim —
-// like ldpc/reference_decoder and noc/reference_fabric — as the semantics
-// oracle the engine must agree with (<= 1e-10 on every ThermalRunResult
-// field, exact on the integer/bool fields), and as the baseline
-// bench/micro_runtime times the engine against.
+// like the other oracles in tests/support — as the semantics oracle the
+// engine must agree with (<= 1e-10 on every ThermalRunResult field, exact
+// on the integer/bool fields; tests/thermal_runtime_test pins this).
 //
 // Do not optimize this file; that is the engine's job.
 #pragma once

@@ -10,7 +10,8 @@
 //     three harness adapters;
 //   * checkpointing — segment round trips, kill-at-every-boundary resume
 //     (every stop point merges bit-identical to a straight-through run),
-//     and the validation ladder: each defect class (truncated file,
+//     a half-way kill and resume on all three harness adapters, and the
+//     validation ladder: each defect class (truncated file,
 //     flipped payload bit, wrong schema version, overlapping ranges,
 //     stale config, wrong geometry, malformed record) is rejected with a
 //     CheckError naming that defect;
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -358,6 +360,49 @@ TEST(ShardRunTest, ThreadCountDoesNotChangeRecords) {
 
 // --- harness adapters ------------------------------------------------------
 
+/// The service contract on a real harness spec: the 2- and 4-way stride
+/// splits, and a run killed half way and then resumed, all merge to the
+/// single-shard records. Returns those records for the caller to compare
+/// against the harness's direct sweep.
+std::vector<ScenarioRecord> expect_service_identity(const SweepSpec& spec,
+                                                    const std::string& name) {
+  const std::vector<ScenarioRecord> baseline =
+      run_sweep_shard(spec, ShardRunOptions{}).records;
+  EXPECT_EQ(static_cast<std::int64_t>(baseline.size()), spec.enumerated);
+  for (const int shards : {2, 4}) {
+    std::vector<std::vector<ScenarioRecord>> parts;
+    for (int s = 0; s < shards; ++s) {
+      ShardRunOptions opt;
+      opt.shard = Shard{s, shards};
+      parts.push_back(run_sweep_shard(spec, opt).records);
+    }
+    const MergeResult merged = merge_shard_records(spec.enumerated, parts);
+    EXPECT_TRUE(merged.counts.conserved()) << shards;
+    EXPECT_EQ(merged.counts.skipped, 0) << shards;
+    EXPECT_TRUE(records_equal(baseline, merged.records)) << shards;
+  }
+
+  // Kill half way (no tail flush, as a SIGKILL would) with a checkpoint
+  // period of a quarter, so the resume must recover flushed records rather
+  // than recompute everything.
+  const ScratchDir dir(name);
+  ShardRunOptions killed;
+  killed.checkpoint = dir.ckpt(
+      static_cast<int>(std::max<std::int64_t>(1, spec.enumerated / 4)));
+  killed.stop_after = spec.enumerated / 2;
+  run_sweep_shard(spec, killed);
+  ShardRunOptions resume;
+  resume.checkpoint = killed.checkpoint;
+  const ShardRunResult done = run_sweep_shard(spec, resume);
+  EXPECT_GT(done.resumed, 0);
+  EXPECT_TRUE(records_equal(baseline, done.records));
+  const MergeResult merged = merge_checkpoints(spec, resume.checkpoint, 1);
+  EXPECT_TRUE(merged.counts.conserved());
+  EXPECT_EQ(merged.counts.skipped, 0);
+  EXPECT_TRUE(records_equal(baseline, merged.records));
+  return baseline;
+}
+
 TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
   Rng code_rng(3);
   const LdpcCode code = LdpcCode::make_regular(120, 3, 6, code_rng);
@@ -371,15 +416,8 @@ TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
 
   const SweepSpec spec = make_ber_sweep_spec(code, encoder, cfg);
   EXPECT_EQ(spec.enumerated, 10);
-  std::vector<std::vector<ScenarioRecord>> parts;
-  for (int s = 0; s < 2; ++s) {
-    ShardRunOptions opt;
-    opt.shard = Shard{s, 2};
-    parts.push_back(run_sweep_shard(spec, opt).records);
-  }
-  const MergeResult merged = merge_shard_records(spec.enumerated, parts);
   const std::vector<BerPoint> service =
-      ber_points_from_records(cfg, merged.records);
+      ber_points_from_records(cfg, expect_service_identity(spec, "ber"));
   ASSERT_EQ(service.size(), direct.size());
   for (std::size_t p = 0; p < direct.size(); ++p) {
     EXPECT_EQ(service[p].ebn0_db, direct[p].ebn0_db);
@@ -405,15 +443,11 @@ TEST(HarnessAdapterTest, NocServiceRunEqualsDirectSweep) {
 
   const SweepSpec spec = make_noc_sweep_spec(cfg);
   ASSERT_EQ(spec.enumerated, static_cast<std::int64_t>(direct.size()));
-  std::vector<std::vector<ScenarioRecord>> parts;
-  for (int s = 0; s < 4; ++s) {
-    ShardRunOptions opt;
-    opt.shard = Shard{s, 4};
-    parts.push_back(run_sweep_shard(spec, opt).records);
-  }
-  const MergeResult merged = merge_shard_records(spec.enumerated, parts);
+  const std::vector<ScenarioRecord> records =
+      expect_service_identity(spec, "noc");
+  ASSERT_EQ(records.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
-    const SweepPoint got = noc_point_from_record(grid[i], merged.records[i]);
+    const SweepPoint got = noc_point_from_record(grid[i], records[i]);
     const SweepPoint& want = direct[i];
     EXPECT_EQ(got.scenario_index, want.scenario_index);
     EXPECT_EQ(got.messages_sent, want.messages_sent);
@@ -450,16 +484,12 @@ TEST(HarnessAdapterTest, ExperimentServiceRunEqualsDirectSweep) {
 
   const SweepSpec spec = make_experiment_sweep_spec(cfg);
   ASSERT_EQ(spec.enumerated, static_cast<std::int64_t>(direct.size()));
-  std::vector<std::vector<ScenarioRecord>> parts;
-  for (int s = 0; s < 2; ++s) {
-    ShardRunOptions opt;
-    opt.shard = Shard{s, 2};
-    parts.push_back(run_sweep_shard(spec, opt).records);
-  }
-  const MergeResult merged = merge_shard_records(spec.enumerated, parts);
+  const std::vector<ScenarioRecord> records =
+      expect_service_identity(spec, "experiment");
+  ASSERT_EQ(records.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     const ExperimentSweepPoint got =
-        experiment_point_from_record(grid[i], merged.records[i]);
+        experiment_point_from_record(grid[i], records[i]);
     const ExperimentSweepPoint& want = direct[i];
     EXPECT_EQ(got.scenario_index, want.scenario_index);
     EXPECT_EQ(got.orbit_length, want.orbit_length);

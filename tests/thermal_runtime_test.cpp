@@ -6,11 +6,11 @@
 #include <cmath>
 #include <string>
 
-#include "core/reference_runtime.hpp"
 #include "core/thermal_runtime.hpp"
 #include "core/transform.hpp"
 #include "floorplan/floorplan.hpp"
 #include "power/power_map.hpp"
+#include "support/reference_runtime.hpp"
 #include "thermal/grid_refine.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/solver.hpp"

@@ -94,11 +94,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string_view basename_of(std::string_view path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string_view::npos ? path : path.substr(slash + 1);
-}
-
 bool path_in(std::string_view path, std::string_view dir) {
   if (path.substr(0, dir.size()) == dir) return true;
   std::string needle = "/";
@@ -108,7 +103,6 @@ bool path_in(std::string_view path, std::string_view dir) {
 
 /// Which rule families apply to this path.
 struct FileScope {
-  bool reference = false;    ///< seed oracle kept verbatim: engine rules off
   bool in_src = false;       ///< shipped library code
   bool rng_impl = false;     ///< util/rng itself: the one home for raw bits
   bool engine_dir = false;   ///< src/noc or src/ldpc flat engines
@@ -118,7 +112,6 @@ struct FileScope {
 
 FileScope classify(std::string_view path) {
   FileScope s;
-  s.reference = basename_of(path).substr(0, 10) == "reference_";
   s.in_src = path_in(path, "src/");
   s.rng_impl = path.find("util/rng.") != std::string_view::npos;
   s.engine_dir = path_in(path, "src/noc/") || path_in(path, "src/ldpc/");
@@ -436,8 +429,7 @@ std::vector<Finding> lint_source(std::string_view path,
                  "util/simd tables instead");
     }
 
-    if (scope.in_src && !scope.reference &&
-        !is_allowed(lineno, "ring-modulo") &&
+    if (scope.in_src && !is_allowed(lineno, "ring-modulo") &&
         code_line.find('%') != std::string::npos) {
       for (const std::string_view w : kRingWords) {
         if (contains_word(code_line, w)) {
@@ -458,12 +450,10 @@ std::vector<Finding> lint_source(std::string_view path,
            "write_json_atomic (temp + fsync + rename) instead");
     }
 
-    if (scope.engine_dir && !scope.reference &&
-        !is_allowed(lineno, "engine-unordered-map") &&
+    if (scope.engine_dir && !is_allowed(lineno, "engine-unordered-map") &&
         contains_word(code_line, "unordered_map")) {
       emit(lineno, "engine-unordered-map",
-           "flat noc/ldpc engines index dense arrays, never hash maps "
-           "(reference_* seed oracles are exempt)");
+           "flat noc/ldpc engines index dense arrays, never hash maps");
     }
 
     if (!is_allowed(lineno, "todo-tag")) {

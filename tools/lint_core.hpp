@@ -6,11 +6,11 @@
 // through util/rng so sweeps stay replayable, that ring-buffer cursors
 // advance by conditional wrap instead of a modulo (a runtime integer
 // division per ring operation — the single biggest cost the flat NoC
-// engine removed), that the flat noc/ldpc engines never hash-map (the
-// seed oracles preserved as reference_* files are exempt), that shipped
-// code and benches publish JSON artifacts through util/json's atomic
-// writer instead of a raw ofstream (a crash mid-write must never leave a
-// torn artifact), and that every deferred-work marker names an issue.
+// engine removed), that the flat noc/ldpc engines never hash-map, that
+// shipped code and benches publish JSON artifacts through util/json's
+// atomic writer instead of a raw ofstream (a crash mid-write must never
+// leave a torn artifact), and that every deferred-work marker carries a
+// tracker reference.
 // renoc_lint checks exactly those.
 //
 // The checker is deliberately lexical: comments and string/char literals
