@@ -1,6 +1,5 @@
 #include "ldpc/ber_harness.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -17,8 +16,6 @@ void BerConfig::validate() const {
   RENOC_CHECK(blocks_per_point >= 1);
   RENOC_CHECK(iterations >= 1);
   sweep::require_threads(threads);
-  RENOC_CHECK_MSG(batch_size >= 1 && batch_size <= 64,
-                  "batch_size " << batch_size << " outside 1..64");
 }
 
 Rng ber_block_rng(std::uint64_t seed, int point, int block) {
@@ -47,45 +44,10 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
       static_cast<std::int64_t>(points) * static_cast<std::int64_t>(blocks);
   std::atomic<std::int64_t> cursor{0};
 
-  const auto accumulate = [&code](BerPoint& pt,
-                                  const std::vector<std::uint8_t>& cw,
-                                  const DecodeResult& result) {
-    std::int64_t errs = 0;
-    for (std::size_t i = 0; i < cw.size(); ++i)
-      errs += result.hard_bits[i] != cw[i];
-    ++pt.blocks;
-    pt.bits += code.n();
-    pt.bit_errors += errs;
-    pt.block_errors += errs > 0;
-    pt.iterations_total += result.iterations_run;
-  };
-
   // The job space is the row-major {points, blocks} grid; the shared
   // decoder maps a flat job index back to its (point, block) tuple. Each
   // worker owns a digits buffer, so decoding allocates nothing per job.
   const std::vector<std::int64_t> shape = {points, blocks};
-
-  // Regenerates job `job`'s block: data bits, codeword, and quantized
-  // channel LLRs, all from the job's own stateless stream.
-  const auto prepare_block = [&](std::int64_t job,
-                                 std::vector<std::int64_t>& digits,
-                                 std::vector<std::uint8_t>& data,
-                                 std::vector<std::uint8_t>& cw,
-                                 std::vector<std::int16_t>& llrs) {
-    // The stream a block sees depends only on its (point, block)
-    // coordinates — never on which worker (or batch lane) runs it.
-    sweep::decode_scenario_index(job, shape, digits);
-    const int p = static_cast<int>(digits[0]);
-    const int b = static_cast<int>(digits[1]);
-    Rng rng = ber_block_rng(cfg.seed, p, b);
-    for (auto& bit : data)
-      bit = static_cast<std::uint8_t>(rng.next_below(2));
-    cw = encoder.encode(data);
-    AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], rate,
-                        rng.split());
-    llrs = quantize_llrs(channel.transmit(cw));
-    return p;
-  };
 
   // Each worker decodes with a private decoder/result (decoder workspaces
   // are single-threaded) and counts into a private accumulator; the merge
@@ -101,64 +63,37 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
     for (;;) {
       const std::int64_t job = cursor.fetch_add(1, std::memory_order_relaxed);
       if (job >= total_jobs) break;
-      const int p = prepare_block(job, digits, data, cw, llrs);
+      // The stream a block sees depends only on its (point, block)
+      // coordinates — never on which worker runs it.
+      sweep::decode_scenario_index(job, shape, digits);
+      const int p = static_cast<int>(digits[0]);
+      const int b = static_cast<int>(digits[1]);
+      Rng rng = ber_block_rng(cfg.seed, p, b);
+      for (auto& bit : data)
+        bit = static_cast<std::uint8_t>(rng.next_below(2));
+      cw = encoder.encode(data);
+      AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], rate,
+                          rng.split());
+      llrs = quantize_llrs(channel.transmit(cw));
       decoder.decode_into(llrs, result);
-      accumulate(acc[static_cast<std::size_t>(p)], cw, result);
-    }
-  };
 
-  // Batched worker: grabs batch_size consecutive jobs per cursor bump and
-  // streams them lane-per-codeword through the batch decoder. Lanes are
-  // fully independent (a batch may even straddle an Eb/N0-point boundary)
-  // and each is bit-identical to a scalar decode, so the merged counts
-  // match the batch_size=1 path exactly at any thread count.
-  auto batch_worker = [&](std::vector<BerPoint>& acc) {
-    acc.assign(static_cast<std::size_t>(points), BerPoint{});
-    const int cap = cfg.batch_size;
-    const MinSumBatchDecoder decoder(code, cfg.iterations, cfg.early_exit,
-                                     cap);
-    const std::size_t capz = static_cast<std::size_t>(cap);
-    std::vector<DecodeResult> results(capz);
-    std::vector<std::int64_t> digits;
-    std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
-    std::vector<std::vector<std::uint8_t>> cws(capz);
-    std::vector<std::vector<std::int16_t>> llrs(capz);
-    std::vector<const std::int16_t*> llr_ptrs(capz);
-    std::vector<int> lane_point(capz);
-    for (;;) {
-      const std::int64_t first =
-          cursor.fetch_add(cap, std::memory_order_relaxed);
-      if (first >= total_jobs) break;
-      const int run = static_cast<int>(
-          std::min<std::int64_t>(cap, total_jobs - first));
-      for (int b = 0; b < run; ++b) {
-        const std::size_t bz = static_cast<std::size_t>(b);
-        lane_point[bz] =
-            prepare_block(first + b, digits, data, cws[bz], llrs[bz]);
-        llr_ptrs[bz] = llrs[bz].data();
-      }
-      decoder.decode_batch_into(llr_ptrs.data(), run, results.data());
-      for (int b = 0; b < run; ++b) {
-        const std::size_t bz = static_cast<std::size_t>(b);
-        accumulate(acc[static_cast<std::size_t>(lane_point[bz])], cws[bz],
-                   results[bz]);
-      }
-    }
-  };
-
-  const auto run_one = [&](std::vector<BerPoint>& acc) {
-    if (cfg.batch_size > 1) {
-      batch_worker(acc);
-    } else {
-      worker(acc);
+      std::int64_t errs = 0;
+      for (std::size_t i = 0; i < cw.size(); ++i)
+        errs += result.hard_bits[i] != cw[i];
+      BerPoint& pt = acc[static_cast<std::size_t>(p)];
+      ++pt.blocks;
+      pt.bits += code.n();
+      pt.bit_errors += errs;
+      pt.block_errors += errs > 0;
+      pt.iterations_total += result.iterations_run;
     }
   };
 
   const int workers = sweep::clamp_workers(cfg.threads, total_jobs);
   std::vector<std::vector<BerPoint>> partial(
       static_cast<std::size_t>(workers));
-  sweep::run_workers(workers, [&run_one, &partial](int w) {
-    run_one(partial[static_cast<std::size_t>(w)]);
+  sweep::run_workers(workers, [&worker, &partial](int w) {
+    worker(partial[static_cast<std::size_t>(w)]);
   });
 
   std::vector<BerPoint> out(static_cast<std::size_t>(points));
@@ -197,8 +132,8 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
                     static_cast<std::int64_t>(cfg.blocks_per_point);
   spec.record_words = kBerRecordWords;
   // Everything that determines a block's decode result goes into the
-  // fingerprint; thread and batch counts are excluded because the counts
-  // are invariant in both (pinned by ber_harness_test and the bench).
+  // fingerprint; the thread count is excluded because the counts are
+  // invariant in it (pinned by ber_harness_test).
   sweep::DigestBuilder digest;
   digest.fold_string("ber")
       .fold(cfg.seed)

@@ -38,13 +38,6 @@ struct BerConfig {
   bool early_exit = true;    ///< stop a block on zero syndrome
   int threads = 1;           ///< worker thread count (>= 1)
   std::uint64_t seed = 1;    ///< master seed for all per-block streams
-  /// Codewords decoded per kernel pass (1..64). 1 keeps the scalar
-  /// MinSumDecoder path; >1 routes workers through MinSumBatchDecoder,
-  /// grabbing `batch_size` consecutive jobs per cursor bump. Because each
-  /// block's stream still derives statelessly from (seed, point, block)
-  /// and every lane is bit-identical to a scalar decode, the returned
-  /// counts are invariant in batch_size as well as in threads.
-  int batch_size = 1;
 
   void validate() const;
 };

@@ -161,111 +161,4 @@ void MinSumDecoder::decode_into(const std::vector<std::int16_t>& channel_llrs,
   // renoc-hot-end
 }
 
-MinSumBatchDecoder::MinSumBatchDecoder(const LdpcCode& code, int iterations,
-                                       bool early_exit, int max_batch,
-                                       const simd::KernelTable* kernels)
-    : code_(&code),
-      iterations_(iterations),
-      early_exit_(early_exit),
-      max_batch_(max_batch),
-      stride_(0),
-      kernels_(kernels != nullptr ? kernels : &simd::kernels()) {
-  RENOC_CHECK(iterations_ >= 1);
-  RENOC_CHECK_MSG(max_batch_ >= 1, "batch capacity must be positive");
-  // One lane group is 8 int32 lanes at the widest tier; a full-group
-  // stride keeps every kernel's lane loop remainder-free (tail lanes are
-  // zero-filled and decode a phantom all-zero-LLR codeword harmlessly).
-  stride_ = (max_batch_ + 7) / 8 * 8;
-  const std::size_t edges =
-      static_cast<std::size_t>(code.edge_count()) *
-      static_cast<std::size_t>(stride_);
-  llr_.resize(static_cast<std::size_t>(code.n()) *
-              static_cast<std::size_t>(stride_));
-  r_.resize(edges);
-  q_.resize(edges);
-  bits_.resize(static_cast<std::size_t>(code.n()) *
-               static_cast<std::size_t>(stride_));
-  violated_.resize(static_cast<std::size_t>(stride_));
-  active_.assign(static_cast<std::size_t>(stride_), 0);
-}
-
-void MinSumBatchDecoder::decode_batch_into(const std::int16_t* const* llrs,
-                                           int batch,
-                                           DecodeResult* results) const {
-  const LdpcCode& code = *code_;
-  RENOC_CHECK_MSG(batch >= 1 && batch <= max_batch_,
-                  "batch " << batch << " outside 1.." << max_batch_);
-  const int n = code.n();
-  const int m = code.m();
-  const int stride = stride_;
-  const int* voff = code.var_offsets().data();
-  const int* coff = code.check_offsets().data();
-  const int* slots = code.check_var_slots().data();
-  const int* cvars = code.check_neighbors().data();
-  const simd::KernelTable& k = *kernels_;
-
-  // Widen + transpose the channel LLRs into the lane SoA; unused lanes
-  // stay zero so they cannot produce spurious saturation or sign traffic.
-  std::int32_t* llr32 = llr_.data();
-  for (int v = 0; v < n; ++v) {
-    std::int32_t* row = llr32 + static_cast<std::ptrdiff_t>(v) * stride;
-    int b = 0;
-    for (; b < batch; ++b) row[b] = llrs[b][v];
-    for (; b < stride; ++b) row[b] = 0;
-  }
-  std::fill(r_.data(),
-            r_.data() + static_cast<std::ptrdiff_t>(code.edge_count()) * stride,
-            0);
-  for (int b = 0; b < batch; ++b) {
-    // renoc-lint-allow(hot-alloc): sizes once; reused results keep capacity
-    results[b].hard_bits.resize(static_cast<std::size_t>(n));
-    results[b].syndrome_ok = false;
-    results[b].iterations_run = 0;
-    active_[static_cast<std::size_t>(b)] = 1;
-  }
-  for (int b = batch; b < stride; ++b) active_[static_cast<std::size_t>(b)] = 0;
-  int live = batch;
-
-  const auto record_lane = [&](int b, bool ok, int iterations_run) {
-    DecodeResult& out = results[b];
-    const std::int32_t* bits = bits_.data();
-    std::uint8_t* hard = out.hard_bits.data();
-    for (int v = 0; v < n; ++v) {
-      hard[v] = static_cast<std::uint8_t>(
-          bits[static_cast<std::ptrdiff_t>(v) * stride + b]);
-    }
-    out.syndrome_ok = ok;
-    out.iterations_run = iterations_run;
-  };
-
-  // renoc-hot-begin (batched flooding loop: the batch-BER inner kernel)
-  for (int iter = 0; iter < iterations_; ++iter) {
-    k.ldpc_batch_vn(llr32, r_.data(), q_.data(), voff, n, stride);
-    k.ldpc_batch_cn(q_.data(), r_.data(), coff, slots, m, stride);
-    if (early_exit_) {
-      k.ldpc_batch_hard(llr32, r_.data(), voff, n, stride, bits_.data());
-      k.ldpc_batch_syndrome(bits_.data(), coff, cvars, m, stride,
-                            violated_.data());
-      for (int b = 0; b < batch; ++b) {
-        if (active_[static_cast<std::size_t>(b)] == 0 || violated_[b] != 0)
-          continue;
-        record_lane(b, true, iter + 1);
-        active_[static_cast<std::size_t>(b)] = 0;
-        --live;
-      }
-      if (live == 0) return;
-    }
-  }
-  // Lanes that never converged (or all lanes, without early_exit): final
-  // posterior hard decision + syndrome, exactly like the scalar epilogue.
-  k.ldpc_batch_hard(llr32, r_.data(), voff, n, stride, bits_.data());
-  k.ldpc_batch_syndrome(bits_.data(), coff, cvars, m, stride,
-                        violated_.data());
-  for (int b = 0; b < batch; ++b) {
-    if (active_[static_cast<std::size_t>(b)] == 0) continue;
-    record_lane(b, violated_[b] == 0, iterations_);
-  }
-  // renoc-hot-end
-}
-
 }  // namespace renoc

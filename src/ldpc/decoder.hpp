@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "ldpc/code.hpp"
-#include "util/aligned.hpp"
-#include "util/simd.hpp"
 
 namespace renoc {
 
@@ -61,59 +59,6 @@ class MinSumDecoder {
   // (mutable so decode() stays const like every other solver in the repo).
   mutable std::vector<std::int16_t> r_;
   mutable std::vector<std::int16_t> q_;
-};
-
-/// Batched multi-codeword min-sum decoder: streams up to `max_batch`
-/// codewords through one kernel pass in a lane-per-codeword LLR-SoA
-/// layout (logical element i of codeword b at soa[i * stride + b]), the
-/// throughput shape real basestations use. The sweeps run through the
-/// util/simd kernel table, so on an AVX2 tier eight codewords advance per
-/// vector op; every lane executes exactly the scalar decoder's op
-/// sequence, making each lane's DecodeResult — hard bits, syndrome_ok,
-/// iterations_run — bit-identical to MinSumDecoder::decode_into on that
-/// codeword, on every tier.
-///
-/// With early_exit, converged lanes have their results recorded at the
-/// iteration of first zero syndrome and are frozen (the lane keeps
-/// computing harmlessly until all lanes finish, matching the scalar
-/// decoder's per-codeword iteration counts).
-///
-/// Workspaces are sized at construction (lane-aligned, zero-padded tails),
-/// so repeated decode_batch_into() calls allocate nothing after the first
-/// besides result buffers, which reused results keep. Not shareable across
-/// threads; give each worker its own.
-class MinSumBatchDecoder {
- public:
-  /// `kernels` overrides the active SIMD kernel table (test/bench hook for
-  /// exercising every compiled tier); nullptr selects simd::kernels().
-  MinSumBatchDecoder(const LdpcCode& code, int iterations,
-                     bool early_exit = false, int max_batch = 8,
-                     const simd::KernelTable* kernels = nullptr);
-
-  /// Decodes `batch` (1..max_batch()) codewords: llrs[b] points at the n
-  /// quantized channel LLRs of codeword b, results[b] receives its result.
-  void decode_batch_into(const std::int16_t* const* llrs, int batch,
-                         DecodeResult* results) const;
-
-  int iterations() const { return iterations_; }
-  int max_batch() const { return max_batch_; }
-  simd::Tier tier() const { return kernels_->tier; }
-
- private:
-  const LdpcCode* code_;
-  int iterations_;
-  bool early_exit_;
-  int max_batch_;
-  int stride_;  // max_batch_ rounded up to a full lane group
-  const simd::KernelTable* kernels_;
-  // Lane-SoA workspaces (see util/aligned.hpp): channel LLRs, the two
-  // message halves, posterior hard bits, and the per-lane syndrome flags.
-  mutable AlignedVec<std::int32_t> llr_;
-  mutable AlignedVec<std::int32_t> r_;
-  mutable AlignedVec<std::int32_t> q_;
-  mutable AlignedVec<std::int32_t> bits_;
-  mutable AlignedVec<std::int32_t> violated_;
-  mutable std::vector<std::uint8_t> active_;
 };
 
 }  // namespace renoc

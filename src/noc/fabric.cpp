@@ -75,12 +75,9 @@ Fabric::Fabric(const NocConfig& config)
 
   // Topology tables: downstream node per mesh output, and the XY-routing
   // decision for every (here, dst) pair. Both replace per-flit coordinate
-  // arithmetic in the hot loops with a single indexed load. The XY table
-  // carries kRouteTablePad tail bytes for the SIMD gather overread; only
-  // the first nodes*nodes entries are ever addressed.
+  // arithmetic in the hot loops with a single indexed load.
   neighbor_node_.assign(nodes * 4, -1);
-  route_table_.assign(nodes * nodes + kRouteTablePad,
-                      static_cast<std::uint8_t>(kLocal));
+  route_table_.assign(nodes * nodes, static_cast<std::uint8_t>(kLocal));
   for (int node = 0; node < n; ++node) {
     const GridCoord here = index_to_coord(node, config_.dim);
     for (int d = 0; d < 4; ++d) {
@@ -95,24 +92,6 @@ Fabric::Fabric(const NocConfig& config)
                    static_cast<std::size_t>(dst)] =
           static_cast<std::uint8_t>(
               xy_route(here, index_to_coord(dst, config_.dim)));
-  }
-
-  // SIMD arbitration prepass: active only on a vector tier (the scalar
-  // table's per-node inline computation below is already optimal, and
-  // keeping it null there leaves scalar builds byte-identical in behavior
-  // and perf). Pad ports are zeroed mirrors — they scan as want -1 and
-  // index row 0 of whichever table is live.
-  const simd::KernelTable& active = simd::kernels();
-  if (active.tier != simd::Tier::kScalar) want_kernels_ = &active;
-  ports_padded_ = static_cast<int>((ports + 7) / 8 * 8);
-  const std::size_t padded = static_cast<std::size_t>(ports_padded_);
-  want_scan_.assign(padded, 0);
-  want_base_xy_.assign(padded, 0);
-  want_base_adaptive_.assign(padded, 0);
-  for (std::size_t f = 0; f < ports; ++f) {
-    want_base_xy_[f] =
-        static_cast<int>(f / kDirectionCount) * n;  // node * nodes
-    want_base_adaptive_[f] = static_cast<int>(f) * n;
   }
 }
 
@@ -339,18 +318,6 @@ void Fabric::step() {
   // round-robin output allocation among buffered head flits.
   // renoc-hot-begin (phases 1+2 run every cycle over every router)
   planned_.clear();
-  // SIMD want[]-prepass: on a vector tier with any flit buffered, one
-  // kernel call scans every port's head-flit mirrors at once; each node's
-  // loop below then reads its slice instead of computing inline. Semantics
-  // are identical to the inline fallback (bit-exact masks, same tables).
-  const bool scanned = want_kernels_ != nullptr && buffered_flits_ > 0;
-  if (scanned) {
-    want_kernels_->noc_want_scan(
-        fifo_size_.data(), head_is_head_.data(), head_dst_.data(),
-        adaptive ? want_base_adaptive_.data() : want_base_xy_.data(),
-        adaptive ? adaptive_routes : route_table_.data(), ports_padded_,
-        want_scan_.data());
-  }
   for (int n = 0; n < n_nodes; ++n) {
     // A router with no buffered flit can plan nothing: continuations stall
     // on empty FIFOs and allocations need a head flit. (The reference
@@ -361,44 +328,28 @@ void Fabric::step() {
     const std::size_t base = static_cast<std::size_t>(n) * kDirectionCount;
     const std::size_t credit_base = static_cast<std::size_t>(n) * 4;
     const std::size_t route_base = static_cast<std::size_t>(n) * nodes;
-    // Input-major pre-pass: each input's desired output (head flit at the
-    // front, routed via the table) is computed once, instead of once per
-    // candidate output in the round-robin scans below. The zero-fault fast
-    // path reads the XY table; after the first topology-change epoch the
-    // per-input west-first table takes over (input port encodes the travel
-    // direction the turn restriction needs). An unreachable head parks
-    // (want -1) — purge removes such heads at the epoch that strands them,
-    // so nothing spins here.
-    int want_local[kDirectionCount];
-    const int* want;
-    if (scanned) {
-      want = want_scan_.data() + base;
-    } else {
-      for (int in = 0; in < kDirectionCount; ++in) {
-        const std::size_t f = base + static_cast<std::size_t>(in);
-        if (fifo_size_[f] > 0 && head_is_head_[f] != 0) {
-          const std::uint8_t out =
-              adaptive
-                  ? adaptive_routes[(base + static_cast<std::size_t>(in)) *
-                                        nodes +
-                                    static_cast<std::size_t>(head_dst_[f])]
-                  : route_table_[route_base +
-                                 static_cast<std::size_t>(head_dst_[f])];
-          want_local[in] = out == kUnreachableRoute ? -1 : static_cast<int>(out);
-        } else {
-          want_local[in] = -1;
-        }
-      }
-      want = want_local;
-    }
     // Round-robin allocation as request masks: bit `in` of req[o] is set
-    // when input `in`'s head flit wants output o. Doubling the mask and
-    // shifting it past the cursor puts inputs rr+1, rr+2, ... (mod P) in
-    // bit order, so the lowest set bit is the input the round-robin scan
-    // would reach first.
+    // when the head flit at input `in`'s front routes to output o. The
+    // zero-fault fast path reads the XY table; after the first
+    // topology-change epoch the per-input west-first table takes over
+    // (input port encodes the travel direction the turn restriction
+    // needs). Only head flits request: a body flit follows its packet's
+    // wormhole grant, and routing it again after an epoch changed its
+    // route could grant it a second output. An unreachable head parks
+    // (requests nothing); purge removes such heads at the epoch that
+    // strands them, so nothing spins here.
     unsigned req[kDirectionCount] = {};
-    for (int in = 0; in < kDirectionCount; ++in)
-      if (want[in] >= 0) req[want[in]] |= 1u << in;
+    for (int in = 0; in < kDirectionCount; ++in) {
+      const std::size_t f = base + static_cast<std::size_t>(in);
+      if (fifo_size_[f] == 0 || head_is_head_[f] == 0) continue;
+      const std::size_t dst = static_cast<std::size_t>(head_dst_[f]);
+      const std::uint8_t out = adaptive ? adaptive_routes[f * nodes + dst]
+                                        : route_table_[route_base + dst];
+      if (out != kUnreachableRoute) req[out] |= 1u << in;
+    }
+    // Doubling a mask and shifting it past the cursor puts inputs rr+1,
+    // rr+2, ... (mod P) in bit order, so the lowest set bit is the input
+    // the round-robin scan would reach first.
     int new_allocations = 0;
     for (int o = 0; o < kDirectionCount; ++o) {
       const bool credit_ok =
@@ -707,10 +658,6 @@ void Fabric::apply_due_faults() {
   ++route_epoch_;
   adaptive_active_ = true;
   build_adaptive_routes(config_.dim, link_up_, router_up_, adaptive_table_);
-  // Re-pad after every rebuild (build_adaptive_routes assigns the exact
-  // size): the SIMD want-scan's gather may overread up to kRouteTablePad
-  // bytes past the last entry.
-  adaptive_table_.resize(adaptive_table_.size() + kRouteTablePad, 0);
   purge_stranded_packets();
 }
 

@@ -106,8 +106,6 @@
 #include "noc/flit.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
-#include "util/aligned.hpp"
-#include "util/simd.hpp"
 
 namespace renoc {
 
@@ -335,14 +333,11 @@ class Fabric {
   std::vector<int> fifo_head_;
   // FIFO sizes and the head-flit metadata mirrors (refreshed whenever a
   // FIFO's front changes): the arbitration scan reads only these dense
-  // arrays instead of striding 64-byte Flits out of the arena. They are
-  // lane-aligned with zero-filled tails (AlignedVec) because the SIMD
-  // want[]-prepass (noc/arb_kernels.hpp) reads them whole lane groups at
-  // a time — a zeroed pad port has fifo_size 0 and scans as want -1.
-  AlignedVec<int> fifo_size_;
+  // arrays instead of striding 64-byte Flits out of the arena.
+  std::vector<int> fifo_size_;
   std::vector<PacketId> head_packet_;
-  AlignedVec<int> head_dst_;
-  AlignedVec<std::uint8_t> head_is_head_;
+  std::vector<int> head_dst_;
+  std::vector<std::uint8_t> head_is_head_;
   std::vector<int> credits_;
   std::vector<std::int8_t> owner_input_;
   std::vector<PacketId> owner_packet_;
@@ -350,20 +345,6 @@ class Fabric {
   std::vector<int> neighbor_node_;
   std::vector<std::uint8_t> route_table_;
   std::vector<int> node_buffered_;  ///< flits buffered per node (early-out)
-
-  // SIMD arbitration prepass state. On a vector tier, step() computes the
-  // whole fabric's want[] array in one kernel call over the mirrors; the
-  // per-node loop then reads its five-entry slice. Null on the scalar
-  // tier, where the inline per-node computation (identical semantics) is
-  // already optimal. want_base_* hold the per-port route-table row offsets
-  // for the two routing modes; both route tables carry kRouteTablePad
-  // bytes of tail slack for the gather overread (see arb_kernels.hpp).
-  static constexpr std::size_t kRouteTablePad = 4;
-  const simd::KernelTable* want_kernels_ = nullptr;
-  int ports_padded_ = 0;  ///< port count rounded up to a full lane group
-  AlignedVec<int> want_scan_;
-  AlignedVec<int> want_base_xy_;
-  AlignedVec<int> want_base_adaptive_;
   int buffered_flits_ = 0;          ///< total flits in all FIFOs
   int partial_count_ = 0;           ///< active reassembly slots, all nodes
   int unread_ = 0;                  ///< delivered messages not yet received

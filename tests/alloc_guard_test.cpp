@@ -2,9 +2,8 @@
 //
 // The engine contract (PRs 3–5) is that every *warmed* hot path performs
 // zero heap allocations: Fabric::step() under a periodic recycled load,
-// MinSumDecoder::decode_into() with a reused result, the batched
-// MinSumBatchDecoder::decode_batch_into() on every compiled SIMD tier, a
-// warmed MigrationThermalRuntime::run() at 58 and 202 nodes, and the
+// MinSumDecoder::decode_into() with a reused result, a warmed
+// MigrationThermalRuntime::run() at 58 and 202 nodes, and the
 // sparse steady/transient solve paths. A warmed
 // NocLdpcDecoder::decode_block() allocates exactly once, for the result it
 // returns. These suites pin the invariant in every CI configuration
@@ -18,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,7 +35,6 @@
 #include "thermal/solver.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace renoc {
 namespace {
@@ -173,44 +170,6 @@ TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {
     guard.check_zero(early_exit ? "warmed decode_into (early exit)"
                                 : "warmed decode_into");
     EXPECT_EQ(guard.count(), 0);
-  }
-}
-
-// The lane-per-codeword batch decode on every compiled tier (scalar always;
-// SSE2/AVX2 when built and supported): once one call has sized the
-// results' hard_bits, a full batch of 8 reuses the lane-SoA workspaces.
-TEST(EngineAllocTest, WarmedBatchDecodeIsAllocationFree) {
-  RENOC_REQUIRE_INSTRUMENTED();
-  constexpr int kBatch = 8;
-  Rng code_rng(3);
-  const LdpcCode code = LdpcCode::make_regular(510, 3, 6, code_rng);
-  const LdpcEncoder encoder(code);
-  std::vector<std::vector<std::int16_t>> blocks;
-  std::vector<const std::int16_t*> ptrs;
-  for (int b = 0; b < kBatch; ++b) {
-    Rng rng(40 + static_cast<std::uint64_t>(b));
-    std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
-    for (auto& bit : data) bit = static_cast<std::uint8_t>(rng.next_below(2));
-    AwgnChannel channel(1.5 + 0.25 * b, 0.5, rng.split());
-    blocks.push_back(quantize_llrs(channel.transmit(encoder.encode(data))));
-  }
-  for (const auto& block : blocks) ptrs.push_back(block.data());
-
-  for (int t = 0; t < simd::kTierCount; ++t) {
-    const simd::KernelTable* table =
-        simd::kernel_table(static_cast<simd::Tier>(t));
-    if (table == nullptr) continue;
-    for (const bool early_exit : {false, true}) {
-      SCOPED_TRACE(std::string("tier ") + simd::tier_name(table->tier) +
-                   (early_exit ? " early exit" : " fixed iterations"));
-      const MinSumBatchDecoder decoder(code, 10, early_exit, kBatch, table);
-      std::vector<DecodeResult> results(kBatch);
-      decoder.decode_batch_into(ptrs.data(), kBatch, results.data());
-      const AllocGuard guard;
-      for (int i = 0; i < 8; ++i)
-        decoder.decode_batch_into(ptrs.data(), kBatch, results.data());
-      EXPECT_EQ(guard.count(), 0);
-    }
   }
 }
 

@@ -4,11 +4,10 @@
 // fixed-degree unrolled sweeps) must reproduce the seed message-passing
 // semantics exactly — every DecodeResult field, on every code shape. The
 // seed loops are preserved verbatim in support/reference_decoder; this
-// suite sweeps regular and irregular codes, min-sum and sum-product,
-// early-exit on and off, and the degenerate degree-1-check path, comparing
-// the production decoders against those oracles block by block. The CSR
-// layout itself (offsets/edge ids/neighbors/check_var_slots) is pinned by
-// structural invariants.
+// suite sweeps regular and irregular codes, early-exit on and off, and the
+// degenerate degree-1-check path, comparing the production min-sum decoder
+// against its oracle block by block. The CSR layout itself (offsets/edge
+// ids/neighbors/check_var_slots) is pinned by structural invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "ldpc/code.hpp"
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
-#include "ldpc/sum_product.hpp"
 #include "support/reference_decoder.hpp"
 #include "util/rng.hpp"
 
@@ -194,29 +192,6 @@ TEST(FlatMinSumTest, WorkspaceReuseIsStateless) {
   decoder.decode_into(b, reused);
   const MinSumDecoder fresh(code, 10, true);
   expect_results_equal(reused, fresh.decode(b), "workspace reuse");
-}
-
-// --- Sum-product bit-exactness ---------------------------------------------
-
-TEST(FlatSumProductTest, MatchesSeedOnRegularAndIrregular) {
-  for (const LdpcCode& code : {regular_code(120), irregular_code()}) {
-    const LdpcEncoder encoder(code);
-    for (std::uint64_t seed = 51; seed < 54; ++seed) {
-      Rng rng(seed);
-      std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
-      for (auto& bit : data)
-        bit = static_cast<std::uint8_t>(rng.next_below(2));
-      AwgnChannel channel(1.5, 0.5, rng.split());
-      const std::vector<double> llrs = channel.transmit(encoder.encode(data));
-      for (bool early_exit : {false, true}) {
-        const SumProductDecoder flat(code, 8, early_exit);
-        expect_results_equal(
-            flat.decode(llrs),
-            reference_sum_product_decode(code, 8, early_exit, llrs),
-            "sum-product");
-      }
-    }
-  }
 }
 
 }  // namespace

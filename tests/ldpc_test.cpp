@@ -1,5 +1,6 @@
 // Tests for LDPC code construction, encoding, the channel, the fixed-point
-// min-sum kernels, the golden decoder, and partitioning.
+// min-sum kernels, the golden decoder, and partitioning. The sum-product
+// cases check min-sum against the seed sum-product loop in tests/support.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +12,7 @@
 #include "ldpc/encoder.hpp"
 #include "ldpc/minsum.hpp"
 #include "ldpc/partition.hpp"
-#include "ldpc/sum_product.hpp"
+#include "support/reference_decoder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -311,8 +312,8 @@ TEST(SumProductTest, NoiselessDecodesExactly) {
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
   const auto cw = encoder.encode(data);
   AwgnChannel channel(12.0, 0.5, rng.split());
-  const SumProductDecoder decoder(code, 30);
-  const DecodeResult res = decoder.decode(channel.transmit(cw));
+  const DecodeResult res =
+      reference_sum_product_decode(code, 30, true, channel.transmit(cw));
   EXPECT_TRUE(res.syndrome_ok);
   EXPECT_EQ(res.hard_bits, cw);
   EXPECT_LT(res.iterations_run, 30);  // early exit fired
@@ -331,9 +332,9 @@ TEST(SumProductTest, AtLeastAsStrongAsMinSum) {
     const auto cw = encoder.encode(data);
     AwgnChannel channel(2.5, 0.5, rng.split());
     const auto soft = channel.transmit(cw);
-    const SumProductDecoder sp(code, 25);
     const MinSumDecoder ms(code, 25);
-    if (sp.decode(soft).hard_bits == cw) ++sp_block_ok;
+    if (reference_sum_product_decode(code, 25, true, soft).hard_bits == cw)
+      ++sp_block_ok;
     if (ms.decode(quantize_llrs(soft)).hard_bits == cw) ++ms_block_ok;
   }
   EXPECT_GE(sp_block_ok, ms_block_ok);
@@ -342,10 +343,9 @@ TEST(SumProductTest, AtLeastAsStrongAsMinSum) {
 
 TEST(SumProductTest, ExtremeLlrsStayFinite) {
   const LdpcCode code = small_code();
-  const SumProductDecoder decoder(code, 10);
   std::vector<double> llrs(240, 1000.0);  // absurdly confident inputs
   llrs[0] = -1000.0;
-  const DecodeResult res = decoder.decode(llrs);
+  const DecodeResult res = reference_sum_product_decode(code, 10, true, llrs);
   EXPECT_EQ(res.hard_bits.size(), 240u);
   // No NaN poisoning: every decision is a valid bit.
   for (auto b : res.hard_bits) EXPECT_LE(b, 1);

@@ -2,11 +2,13 @@
 // west-first adaptive route tables, the NI delivery guarantees (timeout +
 // bounded retry, duplicate suppression, unreachable refusal), graceful
 // migration abort, and the fault axes of the sweep harness (thread-count
-// invariance, O(1) replay).
+// invariance, O(1) replay, and the drain of the benchmark's degraded
+// scenarios).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -748,6 +750,41 @@ TEST(FaultSweepTest, AnyFaultScenarioReplaysInIsolation) {
                          static_cast<int>(i)),
         sweep[i]))
         << "scenario " << i << " failed to replay";
+}
+
+TEST(FaultSweepTest, SaturatedFlakyMeshDrainsAndConserves) {
+  // The degraded 8x8 scenarios of the noc_load benchmark, replayed at their
+  // own grid indices: 0.3 flits/node/cycle, four flaky links, retry budget
+  // 4, no warm-up. Flaky links change the west-first routes while packets
+  // are in flight, so a body flit can reach a FIFO front after its route
+  // changed. Only head flits may request an output; a body flit that did
+  // could take a second grant and wedge the mesh (the transpose scenario
+  // then fails to drain in 2,000,000 cycles).
+  SweepConfig cfg;
+  cfg.patterns = {TrafficPattern::kHotspot, TrafficPattern::kTranspose,
+                  TrafficPattern::kUniformRandom};
+  cfg.mesh_sides = {8, 4};
+  cfg.injection_rates = {0.3, 0.1};
+  cfg.fault_counts = {0, 4};
+  cfg.fault_kinds = {FaultKind::kLinkFlaky};
+  cfg.retry_budgets = {4};
+  cfg.warmup_cycles = 0;
+  cfg.seed = 1;
+  const std::vector<SweepScenario> grid = cfg.scenarios();
+  int replayed = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SweepScenario& sc = grid[i];
+    if (sc.dim.width != 8 || sc.injection_rate != 0.3 || sc.fault_count == 0)
+      continue;
+    SCOPED_TRACE("scenario " + std::to_string(i));
+    SweepPoint p;
+    ASSERT_NO_THROW(p = run_noc_scenario(sc, cfg, static_cast<int>(i)));
+    EXPECT_GT(p.route_epochs, 0);
+    EXPECT_EQ(p.packets_delivered + p.packets_dropped + p.packets_unreachable,
+              p.messages_sent);
+    ++replayed;
+  }
+  EXPECT_EQ(replayed, 3);
 }
 
 TEST(FaultSweepTest, DefaultAxesKeepTheLegacyGrid) {

@@ -9,7 +9,8 @@
 namespace renoc {
 namespace {
 
-// Numerical guards matching sum_product.cpp.
+// Numerical guards for the tanh rule: tanh saturates at |x| ~ 19 in
+// double precision; clamping keeps atanh finite.
 constexpr double kLlrClamp = 30.0;
 constexpr double kTanhClamp = 0.999999999999;
 

@@ -6,7 +6,9 @@
 // job is to pin the message-passing semantics so the flat CSR engine can be
 // proven bit-identical, the same role the dense LU oracle beside it in
 // tests/support plays for the sparse thermal path. tests/ldpc_flat_test
-// compares every DecodeResult field against these.
+// compares every min-sum DecodeResult field against the min-sum loop;
+// tests/ldpc_test uses the sum-product loop as the yardstick min-sum must
+// track.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,9 @@ DecodeResult reference_minsum_decode(
     const LdpcCode& code, int iterations, bool early_exit,
     const std::vector<std::int16_t>& channel_llrs);
 
-/// The seed SumProductDecoder::decode loop: tanh-rule belief propagation
-/// with per-check prefix/suffix scratch allocated per call.
+/// The seed sum-product decode loop: tanh-rule belief propagation over
+/// unquantized LLRs, with per-check prefix/suffix scratch allocated per
+/// call.
 DecodeResult reference_sum_product_decode(
     const LdpcCode& code, int iterations, bool early_exit,
     const std::vector<double>& channel_llrs);

@@ -106,7 +106,6 @@ struct FileScope {
   bool in_src = false;       ///< shipped library code
   bool rng_impl = false;     ///< util/rng itself: the one home for raw bits
   bool engine_dir = false;   ///< src/noc or src/ldpc flat engines
-  bool simd_home = false;    ///< util/simd*: the one home for raw intrinsics
   bool artifact_scope = false;  ///< ofstream ban: shipped code and benches
 };
 
@@ -115,7 +114,6 @@ FileScope classify(std::string_view path) {
   s.in_src = path_in(path, "src/");
   s.rng_impl = path.find("util/rng.") != std::string_view::npos;
   s.engine_dir = path_in(path, "src/noc/") || path_in(path, "src/ldpc/");
-  s.simd_home = path.find("util/simd") != std::string_view::npos;
   // Artifact writes must go through util/json's atomic publisher so a
   // crash never leaves a torn JSON file. util/json itself is the one home
   // for the raw write path; tools and tests (goldens, fixtures,
@@ -162,11 +160,11 @@ constexpr std::string_view kRingWords[] = {"head", "tail", "cursor", "ring",
 
 constexpr std::string_view kRawRandomCalls[] = {"rand", "srand", "time"};
 
-/// Vector-intrinsic vocabulary. Raw intrinsics (and their headers) are
-/// confined to util/simd*, which wraps them behind the fixed-width lane
-/// types and the per-tier kernel tables; anywhere else they silently tie a
-/// TU to one instruction set and bypass the runtime dispatch. Families are
-/// matched as word-boundary prefixes (_mm256_add_epi32, __m128i, ...).
+/// Vector-intrinsic vocabulary, banned in every file. Raw intrinsics (and
+/// their headers) tie a TU to one instruction set and add a second code
+/// path beside the portable one; the library keeps only the portable path
+/// unless a vector path wins end to end on perfbench. Families are matched
+/// as word-boundary prefixes (_mm256_add_epi32, __m128i, ...).
 constexpr std::string_view kIntrinsicPrefixes[] = {
     "_mm_", "_mm256_", "_mm512_", "__m128", "__m256", "__m512"};
 
@@ -414,7 +412,7 @@ std::vector<Finding> lint_source(std::string_view path,
                  "seeded SplitMix64 streams so sweeps replay bit-exactly");
     }
 
-    if (!scope.simd_home && !is_allowed(lineno, "simd-intrinsics")) {
+    if (!is_allowed(lineno, "simd-intrinsics")) {
       std::string token;
       if (code_line.find("intrin.h>") != std::string::npos)
         token = "an <*intrin.h> include";
@@ -424,9 +422,8 @@ std::vector<Finding> lint_source(std::string_view path,
       if (!token.empty())
         emit(lineno, "simd-intrinsics",
              token +
-                 " outside util/simd: raw vector intrinsics bypass the lane "
-                 "abstraction and runtime tier dispatch; add a kernel to the "
-                 "util/simd tables instead");
+                 ": the library keeps one portable code path; a vector path "
+                 "belongs only where it wins end to end on perfbench");
     }
 
     if (scope.in_src && !is_allowed(lineno, "ring-modulo") &&
