@@ -25,8 +25,9 @@
 # (flags may appear in any argument position)
 # --sanitize=<kind> replaces the Debug+Release matrix with one
 # RelWithDebInfo pass instrumented via RENOC_SANITIZE=<kind> (address,
-# undefined, thread, or a '+'-joined combo) running the full ctest — the
-# same configuration the CI sanitizer jobs run.
+# undefined, thread, or a '+'-joined combo; undefined also turns on
+# float-cast-overflow, which GCC's undefined set leaves out) running the
+# full ctest — the same configuration the CI sanitizer jobs run.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -100,22 +100,13 @@ std::vector<ExperimentScenario> ExperimentSweepConfig::scenarios() const {
   return out;
 }
 
-Rng experiment_scenario_rng(std::uint64_t seed, int scenario_index) {
-  RENOC_CHECK(scenario_index >= 0);
-  // Stateless derivation (same idiom as ber_block_rng and
-  // sweep_scenario_rng): any scenario's stream is reachable in O(1), so
-  // replaying one cell never re-simulates the grid before it.
-  return Rng(derive_stream_seed(seed,
-                                static_cast<std::uint64_t>(scenario_index)));
-}
-
 std::vector<double> experiment_scenario_power(
     const ExperimentSweepConfig& cfg, const ExperimentScenario& scenario,
     int scenario_index) {
   const auto tiles = static_cast<std::size_t>(cfg.dim.node_count());
   std::vector<double> power(tiles, cfg.synthetic_tile_power_w);
   if (!cfg.base_tile_power.empty()) power = cfg.base_tile_power;
-  Rng rng = experiment_scenario_rng(cfg.seed, scenario_index);
+  Rng rng = sweep::scenario_rng(cfg.seed, scenario_index);
   for (std::size_t i = 0; i < tiles; ++i) {
     double factor = 1.0;
     if (cfg.power_jitter > 0)
@@ -185,26 +176,6 @@ ExperimentSweepPoint run_experiment_scenario(
   point.static_peak_c = stat.peak_temp_c;
   point.reduction_c = point.static_peak_c - point.peak_temp_c;
   return point;
-}
-
-std::vector<ExperimentSweepPoint> run_experiment_sweep(
-    const ExperimentSweepConfig& cfg) {
-  cfg.validate();
-  const std::vector<ExperimentScenario> grid = cfg.scenarios();
-  std::vector<ExperimentSweepPoint> results(grid.size());
-
-  // Scenario-level parallelism via the shared sweep pool: each scenario is
-  // co-simulated end to end by one worker into its preassigned slot, so
-  // the merge is the identity and any schedule yields identical results.
-  // The pool captures a scenario failure (e.g. a singular factorization
-  // from a pathological config) and rethrows it after the join.
-  sweep::parallel_for_scenarios(
-      static_cast<std::int64_t>(grid.size()), cfg.threads,
-      [&](std::int64_t i) {
-        results[static_cast<std::size_t>(i)] = run_experiment_scenario(
-            grid[static_cast<std::size_t>(i)], cfg, static_cast<int>(i));
-      });
-  return results;
 }
 
 namespace {
@@ -317,6 +288,21 @@ ExperimentSweepPoint experiment_point_from_record(
   p.orbits_run = static_cast<int>(rec.words[kOrbitsRun]);
   p.converged = rec.words[kConverged] != 0;
   return p;
+}
+
+std::vector<ExperimentSweepPoint> run_experiment_sweep(
+    const ExperimentSweepConfig& cfg) {
+  sweep::ShardRunOptions run;
+  run.threads = cfg.threads;
+  const std::vector<sweep::ScenarioRecord> records =
+      sweep::run_sweep_shard(make_experiment_sweep_spec(cfg), run).records;
+  const std::vector<ExperimentScenario> grid = cfg.scenarios();
+  std::vector<ExperimentSweepPoint> out;
+  out.reserve(records.size());
+  for (const sweep::ScenarioRecord& rec : records)
+    out.push_back(experiment_point_from_record(
+        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  return out;
 }
 
 }  // namespace renoc

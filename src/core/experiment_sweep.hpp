@@ -1,22 +1,22 @@
 // Multithreaded thermal co-simulation scenario sweep.
 //
 // Scheme-study characterization over a grid of {migration scheme, period,
-// power scale, grid refinement} scenarios, spread over std::thread
-// workers. Mirrors the determinism design of ldpc/ber_harness and
-// noc/sweep_harness:
+// power scale, grid refinement} scenarios. The grid is one util/sweep
+// spec: run_experiment_sweep() runs it through sweep::run_sweep_shard as
+// a single shard on cfg.threads workers and decodes each record with
+// experiment_point_from_record(), the same spec and decoder
+// tools/renoc_sweep uses across processes. Determinism:
 //
 //   - every scenario gets its own RNG stream (used for the per-tile power
-//     jitter that diversifies the workload maps), derived statelessly
-//     from (config seed, scenario index) by a SplitMix64 chain — never
-//     from the worker that happens to run it;
-//   - workers pull scenario indices from a shared atomic cursor and each
-//     scenario is co-simulated end to end by exactly one worker, writing
-//     its ExperimentSweepPoint into a preassigned slot;
-//   - no cross-scenario state exists (each scenario owns its refined RC
-//     network, factorizations, and runtime), so the result vector is
-//     bit-identical for any thread count, and any single cell can be
-//     replayed in isolation with run_experiment_scenario() in O(1) —
-//     without re-simulating the grid before it.
+//     jitter that diversifies the workload maps), sweep::scenario_rng(seed,
+//     scenario index) — never derived from the worker that runs it;
+//   - each scenario is co-simulated end to end by exactly one worker into
+//     its own record, and no cross-scenario state exists (each scenario
+//     owns its refined RC network, factorizations, and runtime), so the
+//     result vector is bit-identical for any thread count or shard split,
+//     and any single cell can be replayed in isolation with
+//     run_experiment_scenario() in O(1) — without re-simulating the grid
+//     before it.
 //
 // Methodology per scenario: build the jittered, scaled per-tile power
 // map, refine the thermal grid, lift the scheme's orbit to the fine grid,
@@ -32,7 +32,6 @@
 #include "floorplan/floorplan.hpp"
 #include "floorplan/grid.hpp"
 #include "thermal/hotspot_params.hpp"
-#include "util/rng.hpp"
 #include "util/sweep.hpp"
 
 namespace renoc {
@@ -76,7 +75,7 @@ struct ExperimentSweepConfig {
 
   /// The scenario grid in its fixed enumeration order (scheme-major, then
   /// period, power scale, refinement). Index i here is the scenario index
-  /// fed to experiment_scenario_rng.
+  /// fed to sweep::scenario_rng.
   std::vector<ExperimentScenario> scenarios() const;
 };
 
@@ -103,11 +102,6 @@ struct ExperimentSweepPoint {
 std::vector<ExperimentSweepPoint> run_experiment_sweep(
     const ExperimentSweepConfig& cfg);
 
-/// The RNG stream scenario `scenario_index` uses — exposed so tests and
-/// examples can replay the exact maps a sweep measured. O(1): the stream
-/// seed is a stateless mix of the two coordinates.
-Rng experiment_scenario_rng(std::uint64_t seed, int scenario_index);
-
 /// The jittered, scaled per-tile power map scenario `scenario_index`
 /// draws (replay helper; consumes the same stream the sweep does).
 std::vector<double> experiment_scenario_power(
@@ -121,11 +115,11 @@ ExperimentSweepPoint run_experiment_scenario(
     const ExperimentScenario& scenario, const ExperimentSweepConfig& cfg,
     int scenario_index);
 
-/// Sweep-service spec for the same sweep: one scenario per grid cell in
+/// The sweep as a util/sweep spec: one scenario per grid cell in
 /// scenarios() order, 10-word records (counts raw, temperatures as
-/// pack_double bit patterns). Results are bit-identical to
-/// run_experiment_sweep's for any shard split or resume schedule. `cfg`
-/// must outlive the spec.
+/// pack_double bit patterns). Decoded records equal
+/// run_experiment_sweep()'s points for any shard split or resume schedule.
+/// `cfg` must outlive the spec.
 sweep::SweepSpec make_experiment_sweep_spec(const ExperimentSweepConfig& cfg);
 
 /// Decodes a kCompleted service record back into the ExperimentSweepPoint

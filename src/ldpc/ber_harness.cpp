@@ -1,6 +1,5 @@
 #include "ldpc/ber_harness.hpp"
 
-#include <atomic>
 #include <memory>
 
 #include "ldpc/channel.hpp"
@@ -27,90 +26,6 @@ Rng ber_block_rng(std::uint64_t seed, int point, int block) {
   return Rng(derive_stream_seed(
       derive_stream_seed(seed, static_cast<std::uint64_t>(point)),
       static_cast<std::uint64_t>(block)));
-}
-
-std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
-                                    const LdpcEncoder& encoder,
-                                    const BerConfig& cfg) {
-  cfg.validate();
-  RENOC_CHECK_MSG(encoder.n() == code.n(), "encoder does not match code");
-
-  const int points = static_cast<int>(cfg.ebn0_db.size());
-  const int blocks = cfg.blocks_per_point;
-  const double rate =
-      static_cast<double>(encoder.k()) / static_cast<double>(encoder.n());
-
-  const std::int64_t total_jobs =
-      static_cast<std::int64_t>(points) * static_cast<std::int64_t>(blocks);
-  std::atomic<std::int64_t> cursor{0};
-
-  // The job space is the row-major {points, blocks} grid; the shared
-  // decoder maps a flat job index back to its (point, block) tuple. Each
-  // worker owns a digits buffer, so decoding allocates nothing per job.
-  const std::vector<std::int64_t> shape = {points, blocks};
-
-  // Each worker decodes with a private decoder/result (decoder workspaces
-  // are single-threaded) and counts into a private accumulator; the merge
-  // below is a plain sum, so any schedule yields identical totals.
-  auto worker = [&](std::vector<BerPoint>& acc) {
-    acc.assign(static_cast<std::size_t>(points), BerPoint{});
-    const MinSumDecoder decoder(code, cfg.iterations, cfg.early_exit);
-    DecodeResult result;
-    std::vector<std::int64_t> digits;
-    std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
-    std::vector<std::uint8_t> cw;
-    std::vector<std::int16_t> llrs;
-    for (;;) {
-      const std::int64_t job = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (job >= total_jobs) break;
-      // The stream a block sees depends only on its (point, block)
-      // coordinates — never on which worker runs it.
-      sweep::decode_scenario_index(job, shape, digits);
-      const int p = static_cast<int>(digits[0]);
-      const int b = static_cast<int>(digits[1]);
-      Rng rng = ber_block_rng(cfg.seed, p, b);
-      for (auto& bit : data)
-        bit = static_cast<std::uint8_t>(rng.next_below(2));
-      cw = encoder.encode(data);
-      AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], rate,
-                          rng.split());
-      llrs = quantize_llrs(channel.transmit(cw));
-      decoder.decode_into(llrs, result);
-
-      std::int64_t errs = 0;
-      for (std::size_t i = 0; i < cw.size(); ++i)
-        errs += result.hard_bits[i] != cw[i];
-      BerPoint& pt = acc[static_cast<std::size_t>(p)];
-      ++pt.blocks;
-      pt.bits += code.n();
-      pt.bit_errors += errs;
-      pt.block_errors += errs > 0;
-      pt.iterations_total += result.iterations_run;
-    }
-  };
-
-  const int workers = sweep::clamp_workers(cfg.threads, total_jobs);
-  std::vector<std::vector<BerPoint>> partial(
-      static_cast<std::size_t>(workers));
-  sweep::run_workers(workers, [&worker, &partial](int w) {
-    worker(partial[static_cast<std::size_t>(w)]);
-  });
-
-  std::vector<BerPoint> out(static_cast<std::size_t>(points));
-  for (int p = 0; p < points; ++p)
-    out[static_cast<std::size_t>(p)].ebn0_db =
-        cfg.ebn0_db[static_cast<std::size_t>(p)];
-  for (const std::vector<BerPoint>& acc : partial)
-    for (int p = 0; p < points; ++p) {
-      BerPoint& dst = out[static_cast<std::size_t>(p)];
-      const BerPoint& src = acc[static_cast<std::size_t>(p)];
-      dst.blocks += src.blocks;
-      dst.bits += src.bits;
-      dst.bit_errors += src.bit_errors;
-      dst.block_errors += src.block_errors;
-      dst.iterations_total += src.iterations_total;
-    }
-  return out;
 }
 
 namespace {
@@ -146,8 +61,8 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
   spec.config_digest = digest.digest();
 
   spec.make_runner = [&code, &encoder, &cfg]() {
-    // Per-worker setup hoisting: decoder workspace and block buffers are
-    // built once per worker, exactly like run_ber_sweep's workers.
+    // Per-worker setup hoisting: each worker owns its decoder (decoder
+    // workspaces are single-threaded), decode result and block buffers.
     struct WorkerState {
       MinSumDecoder decoder;
       DecodeResult result;
@@ -218,6 +133,17 @@ std::vector<BerPoint> ber_points_from_records(
         static_cast<std::int64_t>(rec.words[kIterationsRun]);
   }
   return out;
+}
+
+std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
+                                    const LdpcEncoder& encoder,
+                                    const BerConfig& cfg) {
+  sweep::ShardRunOptions run;
+  run.threads = cfg.threads;
+  return ber_points_from_records(
+      cfg,
+      sweep::run_sweep_shard(make_ber_sweep_spec(code, encoder, cfg), run)
+          .records);
 }
 
 }  // namespace renoc

@@ -1,24 +1,27 @@
 // Multithreaded Monte-Carlo BER harness.
 //
 // Sweeps Eb/N0 points, transmitting encoded random blocks through the AWGN
-// channel and decoding them with the flat min-sum engine, spread over
-// std::thread workers. Determinism is the design center:
+// channel and decoding them with the flat min-sum engine. The sweep is one
+// util/sweep spec with a scenario per (point, block): run_ber_sweep() runs
+// it through sweep::run_sweep_shard as a single shard on cfg.threads
+// workers and folds the records with ber_points_from_records(), the same
+// spec and fold tools/renoc_sweep uses across processes. Determinism is the
+// design center:
 //
 //   - every block of every sweep point gets its own RNG stream, derived
 //     statelessly from (config seed, point index, block index) by a
 //     SplitMix64 chain — never from the worker that happens to run it;
-//   - workers pull (point, block) jobs from a shared atomic cursor and
-//     accumulate counts into private accumulators;
-//   - the merge is a plain sum of per-worker counts, which is order- and
-//     schedule-independent.
+//   - each block's counts land in its own 4-word record, and the fold is a
+//     plain per-point sum over records, so no schedule can change it.
 //
-// Result: run_ber_sweep() returns bit-identical counts for any thread
-// count, so a 4-thread sweep is a drop-in replacement for the serial one —
-// the property the determinism test and the bench guard pin.
+// Result: the counts are bit-identical for any thread count, shard split
+// or resume schedule. The price is memory: a run holds one 4-word record
+// per block until the fold, not one accumulator per point. The largest
+// in-tree BER sweep, renoc_sweep's full preset, holds 800 records.
 //
 // Each worker owns a private MinSumDecoder (decoder workspaces are not
-// shareable across threads) and a reused DecodeResult, so the steady-state
-// decode path performs no heap allocation.
+// shareable across threads) and a reused DecodeResult, so the decode
+// itself performs no heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +82,11 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
 /// O(1): the stream seed is a stateless mix of the three coordinates.
 Rng ber_block_rng(std::uint64_t seed, int point, int block);
 
-/// Sweep-service spec for the same sweep: one scenario per (point, block)
-/// job (scenario = point * blocks_per_point + block — the exact job index
-/// run_ber_sweep enumerates), 4-word records {bits, bit_errors,
-/// block_error, iterations_run}. Scenario streams and decode results are
-/// bit-identical to run_ber_sweep's, so ber_points_from_records() of a
-/// service run equals run_ber_sweep() exactly, for any shard split or
-/// resume schedule. `code`, `encoder`, and `cfg` must outlive the spec.
+/// The sweep as a util/sweep spec: one scenario per (point, block) job
+/// (scenario = point * blocks_per_point + block), 4-word records {bits,
+/// bit_errors, block_error, iterations_run}. ber_points_from_records() of
+/// any shard split or resume schedule equals run_ber_sweep() exactly.
+/// `code`, `encoder`, and `cfg` must outlive the spec.
 sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
                                      const LdpcEncoder& encoder,
                                      const BerConfig& cfg);

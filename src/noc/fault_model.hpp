@@ -74,7 +74,7 @@ FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng);
 
 /// The RNG stream a sweep scenario's fault plan draws from. Salted so the
 /// fault stream never collides with the scenario's traffic stream
-/// (sweep_scenario_rng) for any (seed, index) pair; stateless, so any
+/// (sweep::scenario_rng) for any (seed, index) pair; stateless, so any
 /// scenario's plan is reachable in O(1).
 Rng fault_scenario_rng(std::uint64_t seed, int scenario_index);
 

@@ -89,15 +89,6 @@ std::vector<SweepScenario> SweepConfig::scenarios() const {
   return out;
 }
 
-Rng sweep_scenario_rng(std::uint64_t seed, int scenario_index) {
-  RENOC_CHECK(scenario_index >= 0);
-  // Stateless derivation (same idiom as ber_block_rng): any scenario's
-  // stream is reachable in O(1), so replaying one scenario never
-  // re-simulates the grid before it.
-  return Rng(derive_stream_seed(seed,
-                                static_cast<std::uint64_t>(scenario_index)));
-}
-
 SweepPoint run_noc_scenario(const SweepScenario& scenario,
                             const SweepConfig& cfg, int scenario_index) {
   NocConfig ncfg;
@@ -128,7 +119,7 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
   }
   TrafficGenerator gen(fabric, scenario.pattern, scenario.injection_rate,
                        scenario.message_words,
-                       sweep_scenario_rng(cfg.seed, scenario_index),
+                       sweep::scenario_rng(cfg.seed, scenario_index),
                        scenario.hotspot, scenario.burst);
 
   gen.run(cfg.warmup_cycles);
@@ -197,26 +188,6 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
   point.accepted_flit_rate =
       static_cast<double>(flits_in_window) / node_cycles;
   return point;
-}
-
-std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg) {
-  cfg.validate();
-  const std::vector<SweepScenario> grid = cfg.scenarios();
-  std::vector<SweepPoint> results(grid.size());
-
-  // Scenario-level parallelism (util/sweep): each scenario is simulated
-  // end to end by one worker into its preassigned slot, so the merge is
-  // the identity and any schedule yields identical results; the first
-  // scenario failure (e.g. drain timeout) aborts the rest and is rethrown
-  // after the join.
-  sweep::parallel_for_scenarios(
-      static_cast<std::int64_t>(grid.size()), cfg.threads,
-      [&](std::int64_t i) {
-        results[static_cast<std::size_t>(i)] =
-            run_noc_scenario(grid[static_cast<std::size_t>(i)], cfg,
-                             static_cast<int>(i));
-      });
-  return results;
 }
 
 namespace {
@@ -327,6 +298,20 @@ SweepPoint noc_point_from_record(const SweepScenario& scenario,
   point.duplicates_suppressed = rec.words[kDuplicatesSuppressed];
   point.route_epochs = static_cast<int>(rec.words[kRouteEpochs]);
   return point;
+}
+
+std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg) {
+  sweep::ShardRunOptions run;
+  run.threads = cfg.threads;
+  const std::vector<sweep::ScenarioRecord> records =
+      sweep::run_sweep_shard(make_noc_sweep_spec(cfg), run).records;
+  const std::vector<SweepScenario> grid = cfg.scenarios();
+  std::vector<SweepPoint> out;
+  out.reserve(records.size());
+  for (const sweep::ScenarioRecord& rec : records)
+    out.push_back(noc_point_from_record(
+        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  return out;
 }
 
 }  // namespace renoc

@@ -1,18 +1,18 @@
 // Multithreaded NoC scenario-sweep harness.
 //
 // Latency/throughput characterization over a grid of {traffic pattern,
-// mesh size, injection rate, message length} scenarios, spread over
-// std::thread workers. Mirrors ldpc/ber_harness's determinism design:
+// mesh size, injection rate, message length, fault} scenarios. The grid
+// is one util/sweep spec: run_noc_sweep() runs it through
+// sweep::run_sweep_shard as a single shard on cfg.threads workers and
+// decodes each record with noc_point_from_record(), the same spec and
+// decoder tools/renoc_sweep uses across processes. Determinism:
 //
-//   - every scenario gets its own RNG stream, derived statelessly from
-//     (config seed, scenario index) by a SplitMix64 chain — never from the
-//     worker that happens to run it;
-//   - workers pull scenario indices from a shared atomic cursor and each
-//     scenario is simulated end to end by exactly one worker, writing its
-//     SweepPoint into a preassigned slot;
-//   - no cross-scenario state exists, so the result vector is bit-identical
-//     for any thread count, and any single scenario can be replayed in
-//     isolation with run_noc_scenario().
+//   - every scenario gets its own RNG stream, sweep::scenario_rng(seed,
+//     scenario index) — never derived from the worker that runs it;
+//   - each scenario is simulated end to end by exactly one worker into
+//     its own record, and no cross-scenario state exists, so the result
+//     vector is bit-identical for any thread count or shard split, and any
+//     single scenario can be replayed in isolation with run_noc_scenario().
 //
 // Methodology per scenario: warm up, clear the stats, measure for a fixed
 // window, then drain so every measured packet's latency is recorded.
@@ -27,7 +27,6 @@
 #include "noc/fabric.hpp"
 #include "noc/fault_model.hpp"
 #include "noc/traffic.hpp"
-#include "util/rng.hpp"
 #include "util/sweep.hpp"
 
 namespace renoc {
@@ -78,7 +77,7 @@ struct SweepConfig {
   /// The scenario grid in its fixed enumeration order (pattern-major, then
   /// mesh side, injection rate, message length, fault count, fault kind,
   /// retry budget). Index i here is the scenario index fed to
-  /// sweep_scenario_rng and fault_scenario_rng.
+  /// sweep::scenario_rng and fault_scenario_rng.
   std::vector<SweepScenario> scenarios() const;
 };
 
@@ -118,22 +117,17 @@ struct SweepPoint {
 /// order, independent of cfg.threads.
 std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg);
 
-/// The RNG stream scenario `scenario_index` uses — exposed so tests and
-/// examples can replay the exact simulation a sweep measured. O(1): the
-/// stream seed is a stateless mix of the two coordinates.
-Rng sweep_scenario_rng(std::uint64_t seed, int scenario_index);
-
 /// Simulates one scenario exactly as the sweep would (same RNG stream,
 /// same warm-up/measure/drain schedule). run_noc_sweep(cfg)[i] ==
 /// run_noc_scenario(cfg.scenarios()[i], cfg, i) for every i.
 SweepPoint run_noc_scenario(const SweepScenario& scenario,
                             const SweepConfig& cfg, int scenario_index);
 
-/// Sweep-service spec for the same sweep: one scenario per grid cell in
+/// The sweep as a util/sweep spec: one scenario per grid cell in
 /// scenarios() order, 16-word records (counts raw, rates/latencies as
-/// pack_double bit patterns). Results are bit-identical to
-/// run_noc_sweep's for any shard split or resume schedule. `cfg` must
-/// outlive the spec.
+/// pack_double bit patterns). Decoded records equal run_noc_sweep()'s
+/// points for any shard split or resume schedule. `cfg` must outlive the
+/// spec.
 sweep::SweepSpec make_noc_sweep_spec(const SweepConfig& cfg);
 
 /// Decodes a kCompleted service record back into the SweepPoint

@@ -1,7 +1,5 @@
 #include "power/energy_model.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace renoc {
@@ -10,7 +8,6 @@ void EnergyParams::validate() const {
   RENOC_CHECK(e_buffer_write >= 0 && e_buffer_read >= 0 && e_crossbar >= 0);
   RENOC_CHECK(e_arbitration >= 0 && e_link >= 0 && e_pe_op >= 0);
   RENOC_CHECK(e_state_word >= 0 && p_leak_tile >= 0);
-  RENOC_CHECK(leak_beta >= 0);
 }
 
 EnergyModel::EnergyModel(const EnergyParams& params) : params_(params) {
@@ -30,22 +27,15 @@ double EnergyModel::tile_dynamic_energy(const TileActivity& a) const {
   return e;
 }
 
-double EnergyModel::tile_leakage_power(double temp_c) const {
-  if (params_.leak_beta == 0.0) return params_.p_leak_tile;
-  return params_.p_leak_tile *
-         std::exp(params_.leak_beta * (temp_c - params_.t_ref));
-}
-
 std::vector<double> EnergyModel::power_map(const NetworkStats& stats,
                                            double window_seconds,
                                            double scale) const {
   RENOC_CHECK(window_seconds > 0 && scale > 0);
   std::vector<double> map(static_cast<std::size_t>(stats.node_count()));
-  const double leak = tile_leakage_power(params_.t_ref);
   for (int i = 0; i < stats.node_count(); ++i) {
     map[static_cast<std::size_t>(i)] =
-        scale *
-        (tile_dynamic_energy(stats.tile(i)) / window_seconds + leak);
+        scale * (tile_dynamic_energy(stats.tile(i)) / window_seconds +
+                 params_.p_leak_tile);
   }
   return map;
 }

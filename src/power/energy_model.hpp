@@ -18,7 +18,7 @@
 
 namespace renoc {
 
-/// Per-event energies (joules) and leakage parameters.
+/// Per-event energies (joules) and per-tile leakage (watts).
 struct EnergyParams {
   // Router events, per flit.
   double e_buffer_write = 30e-12;
@@ -32,10 +32,8 @@ struct EnergyParams {
   // Conversion-unit energy per migrated state word (Section 2.1's
   // transformation of configuration/state during migration).
   double e_state_word = 45e-12;
-  // Leakage per tile at t_ref, watts; optional exponential T dependence.
+  // Leakage per tile, watts (temperature-independent).
   double p_leak_tile = 15e-3;
-  double leak_beta = 0.0;  ///< 1/K; 0 disables temperature dependence
-  double t_ref = 40.0;     ///< C
 
   void validate() const;
 };
@@ -50,12 +48,9 @@ class EnergyModel {
   /// Dynamic energy (J) implied by one tile's counters.
   double tile_dynamic_energy(const TileActivity& activity) const;
 
-  /// Leakage power (W) of one tile at temperature `temp_c`.
-  double tile_leakage_power(double temp_c) const;
-
   /// Per-tile power map (W) over an observation window: dynamic energy
-  /// divided by window length, plus leakage at t_ref, all multiplied by
-  /// `scale` (the per-configuration calibration factor).
+  /// divided by window length, plus p_leak_tile, all multiplied by `scale`
+  /// (the per-configuration calibration factor).
   std::vector<double> power_map(const NetworkStats& stats,
                                 double window_seconds,
                                 double scale = 1.0) const;

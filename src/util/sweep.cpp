@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -86,6 +87,10 @@ int clamp_workers(int threads, std::int64_t jobs) {
       std::max<std::int64_t>(1, std::min<std::int64_t>(threads, jobs)));
 }
 
+namespace {
+
+/// Runs body(0..workers-1) on `workers` threads (inline when workers == 1,
+/// so single-threaded sweeps stay debuggable).
 void run_workers(int workers, const std::function<void(int)>& body) {
   RENOC_CHECK(workers >= 1);
   if (workers == 1) {
@@ -98,30 +103,7 @@ void run_workers(int workers, const std::function<void(int)>& body) {
   for (std::thread& t : pool) t.join();
 }
 
-void parallel_for_scenarios(std::int64_t count, int threads,
-                            const std::function<void(std::int64_t)>& body) {
-  RENOC_CHECK(count >= 0);
-  std::atomic<std::int64_t> cursor{0};
-  std::atomic<bool> abort{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker = [&](int) {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      const std::int64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  run_workers(clamp_workers(threads, count), worker);
-  if (first_error) std::rethrow_exception(first_error);
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Shards, records, digests
@@ -287,6 +269,14 @@ long long integer_member(const JsonValue& doc, const char* key,
                   "checkpoint " << path << ": unsupported checkpoint schema "
                                 << "or version (missing integer '" << key
                                 << "')");
+  // The parser holds every number as a double. Past 2^53 the value is
+  // neither exact nor, past 2^63, representable as long long, where the
+  // cast below would be undefined behaviour.
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  RENOC_CHECK_MSG(std::fabs(v->num_v) <= kExactLimit,
+                  "checkpoint " << path << ": unsupported checkpoint schema "
+                                << "or version (integer '" << key
+                                << "' out of range)");
   return static_cast<long long>(v->num_v);
 }
 

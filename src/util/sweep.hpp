@@ -1,13 +1,9 @@
-// Crash-safe sweep service: the one orchestration layer behind the repo's
-// three Monte-Carlo/scenario harnesses (ldpc/ber_harness, noc/sweep_harness,
-// core/experiment_sweep).
-//
-// Before this module each harness hand-rolled the same contract — nested
-// axis loops, a stateless per-scenario RNG from (seed, scenario index), an
-// atomic job cursor, per-worker state, an identity (or commutative-sum)
-// merge — and none of them could survive a crash, split across processes,
-// or resume a partial run. util/sweep factors that contract out once and
-// layers the robustness on top:
+// Crash-safe sweep service: the one scenario loop behind the repo's three
+// Monte-Carlo/scenario harnesses (ldpc/ber_harness, noc/sweep_harness,
+// core/experiment_sweep). Each harness describes its grid as a SweepSpec;
+// its run_*_sweep entry point runs that spec in process as one shard with
+// no checkpoint, and tools/renoc_sweep runs the same spec sharded across
+// supervised processes. The contract:
 //
 //   * scenario indexing — decode_scenario_index maps a flat index to
 //     row-major axis digits (outermost axis first, last axis fastest), the
@@ -84,7 +80,7 @@ std::int64_t encode_scenario_index(const std::vector<std::int64_t>& digits,
 Rng scenario_rng(std::uint64_t seed, std::int64_t scenario_index);
 
 // ---------------------------------------------------------------------------
-// Config-validation and worker boilerplate (hoisted from the harnesses)
+// Config validation (shared by the harnesses) and worker count
 // ---------------------------------------------------------------------------
 
 /// Axis non-emptiness check with the pinned shared message
@@ -97,18 +93,6 @@ void require_threads(int threads);
 
 /// Workers actually spawned for `jobs` jobs: min(threads, jobs), at least 1.
 int clamp_workers(int threads, std::int64_t jobs);
-
-/// Runs body(0..workers-1) on `workers` threads (inline when workers == 1,
-/// so single-threaded sweeps stay debuggable and allocation-free).
-void run_workers(int workers, const std::function<void(int)>& body);
-
-/// The scenario-per-worker loop shared by noc/sweep_harness and
-/// core/experiment_sweep: workers pull indices from an atomic cursor and
-/// run body(i) for each; the first exception aborts the remaining work and
-/// is rethrown after the join (an exception escaping a worker thread would
-/// std::terminate the process).
-void parallel_for_scenarios(std::int64_t count, int threads,
-                            const std::function<void(std::int64_t)>& body);
 
 // ---------------------------------------------------------------------------
 // Sharding
@@ -227,8 +211,9 @@ struct ShardRunOptions {
   int threads = 1;
   CheckpointConfig checkpoint{};
   /// true: a throwing scenario becomes a kFailed record and the sweep
-  /// continues (service mode). false: first exception aborts and rethrows
-  /// (the legacy harness contract).
+  /// continues (service mode). false: the first exception aborts the
+  /// remaining scenarios and is rethrown after the join (what the
+  /// run_*_sweep entry points use).
   bool capture_failures = false;
   /// >= 0: abandon the run (no tail flush — as a SIGKILL would) after this
   /// many not-yet-checkpointed scenarios have been claimed. Test hook for

@@ -1,11 +1,12 @@
 // Tests for the multithreaded Monte-Carlo BER harness.
 //
 // The harness's design center is schedule-independence: per-block RNG
-// streams are derived up front from (seed, point, block), workers only pull
-// jobs and sum private counters, so the reported counts must be identical
-// for any thread count. This suite pins that property, the ber_block_rng
-// replay contract, the serial-decode ground truth, and the config
-// validation.
+// streams are derived statelessly from (seed, point, block), each block's
+// counts land in its own sweep record, and the fold is a plain sum, so the
+// reported counts must be identical for any thread count. This suite pins
+// that property, the ber_block_rng replay contract, a serial decode of
+// every block as the independent oracle for every BerPoint count, and the
+// config validation. (sweep_test covers shard and resume invariance.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,9 +90,11 @@ TEST(BerHarnessTest, PointBookkeepingIsExact) {
 }
 
 TEST(BerHarnessTest, BlockRngReplaysSweepBlocks) {
-  // Decoding the replayed blocks serially must reproduce the sweep's
-  // counts bit for bit — this is the contract the BER-under-migration
-  // example leans on to re-decode the measured blocks on the NoC.
+  // Decoding the replayed blocks serially must reproduce every count of
+  // the sweep bit for bit. This serial loop is the independent oracle for
+  // the sweep's per-block record and its fold, and the contract the
+  // BER-under-migration example leans on to re-decode the measured blocks
+  // on the NoC.
   const BerFixture f;
   BerConfig cfg = small_config();
   cfg.threads = 3;
@@ -99,9 +102,10 @@ TEST(BerHarnessTest, BlockRngReplaysSweepBlocks) {
 
   const double rate = static_cast<double>(f.encoder.k()) /
                       static_cast<double>(f.encoder.n());
+  std::vector<BerPoint> replay(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     const MinSumDecoder decoder(f.code, cfg.iterations, cfg.early_exit);
-    std::int64_t bit_errors = 0, iterations_total = 0;
+    BerPoint& want = replay[p];
     for (int b = 0; b < cfg.blocks_per_point; ++b) {
       Rng rng = ber_block_rng(cfg.seed, static_cast<int>(p), b);
       std::vector<std::uint8_t> data(static_cast<std::size_t>(f.encoder.k()));
@@ -111,13 +115,20 @@ TEST(BerHarnessTest, BlockRngReplaysSweepBlocks) {
       AwgnChannel channel(cfg.ebn0_db[p], rate, rng.split());
       const DecodeResult result =
           decoder.decode(quantize_llrs(channel.transmit(cw)));
+      std::int64_t errs = 0;
       for (std::size_t i = 0; i < cw.size(); ++i)
-        bit_errors += result.hard_bits[i] != cw[i];
-      iterations_total += result.iterations_run;
+        errs += result.hard_bits[i] != cw[i];
+      ++want.blocks;
+      want.bits += static_cast<std::int64_t>(cw.size());
+      want.bit_errors += errs;
+      want.block_errors += errs > 0;
+      want.iterations_total += result.iterations_run;
     }
-    EXPECT_EQ(bit_errors, points[p].bit_errors);
-    EXPECT_EQ(iterations_total, points[p].iterations_total);
   }
+  // The 1 dB point must see block errors, or a zeroed block-error count
+  // would go unnoticed.
+  ASSERT_GT(replay[0].block_errors, 0);
+  expect_points_equal(replay, points);
 }
 
 TEST(BerHarnessTest, MoreThreadsThanJobsIsFine) {

@@ -134,20 +134,6 @@ TEST(ExperimentSweepTest, BookkeepingInvariants) {
   }
 }
 
-TEST(ExperimentSweepTest, StatelessRngDerivation) {
-  // Same (seed, index) -> same stream; different coordinates -> different
-  // streams (the O(1) replay property's foundation).
-  Rng a = experiment_scenario_rng(9, 4);
-  Rng b = experiment_scenario_rng(9, 4);
-  Rng c = experiment_scenario_rng(9, 5);
-  Rng d = experiment_scenario_rng(10, 4);
-  const std::uint64_t va = a.next_u64();
-  EXPECT_EQ(va, b.next_u64());
-  EXPECT_NE(va, c.next_u64());
-  EXPECT_NE(va, d.next_u64());
-  EXPECT_THROW(experiment_scenario_rng(9, -1), CheckError);
-}
-
 TEST(ExperimentSweepTest, BaseMapOverridesSynthetic) {
   ExperimentSweepConfig cfg = small_config();
   cfg.schemes = {MigrationScheme::kNone};

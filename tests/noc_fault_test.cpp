@@ -150,7 +150,7 @@ TEST(FaultPlanTest, FaultStreamIsSaltedAwayFromTrafficStream) {
   // same (seed, index) pair; the salt keeps the streams distinct.
   for (int index : {0, 1, 7}) {
     Rng fault = fault_scenario_rng(42, index);
-    Rng traffic = sweep_scenario_rng(42, index);
+    Rng traffic = sweep::scenario_rng(42, index);
     EXPECT_NE(fault.next_u64(), traffic.next_u64());
   }
 }

@@ -633,14 +633,5 @@ TEST(SweepHarness, ValidatesConfig) {
   EXPECT_THROW(run_noc_sweep(cfg), CheckError);
 }
 
-TEST(SweepHarness, ScenarioRngIsStateless) {
-  // Same (seed, index) -> identical stream; different index -> different.
-  Rng a = sweep_scenario_rng(42, 7);
-  Rng b = sweep_scenario_rng(42, 7);
-  Rng c = sweep_scenario_rng(42, 8);
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-  EXPECT_NE(a.next_u64(), c.next_u64());
-}
-
 }  // namespace
 }  // namespace renoc

@@ -1,18 +1,12 @@
-// Tests for the power module: event-energy accounting, power maps,
-// permutation algebra on maps, and the temperature-dependent leakage
-// fixed point.
+// Tests for the power module: event-energy accounting, power maps and
+// permutation algebra on maps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
-#include "floorplan/floorplan.hpp"
-#include "noc/fabric.hpp"
+#include "noc/stats.hpp"
 #include "power/energy_model.hpp"
-#include "power/leakage_loop.hpp"
 #include "power/power_map.hpp"
-#include "thermal/hotspot_params.hpp"
-#include "thermal/rc_network.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
@@ -73,27 +67,6 @@ TEST(EnergyModelTest, PowerMapDividesByWindowAndAddsLeakage) {
   EXPECT_NEAR(dyn[0], 0.0, 1e-15);
 }
 
-TEST(EnergyModelTest, LeakageTemperatureDependence) {
-  EnergyParams p;
-  p.p_leak_tile = 0.1;
-  p.leak_beta = 0.02;
-  p.t_ref = 40.0;
-  const EnergyModel model(p);
-  EXPECT_NEAR(model.tile_leakage_power(40.0), 0.1, 1e-12);
-  EXPECT_GT(model.tile_leakage_power(80.0), 0.2);  // e^{0.8} = 2.2x
-  // Monotone in temperature.
-  double prev = 0.0;
-  for (double t = 20; t <= 120; t += 10) {
-    const double leak = model.tile_leakage_power(t);
-    EXPECT_GT(leak, prev);
-    prev = leak;
-  }
-  // Disabled dependence returns the constant.
-  p.leak_beta = 0.0;
-  const EnergyModel flat(p);
-  EXPECT_EQ(flat.tile_leakage_power(40.0), flat.tile_leakage_power(100.0));
-}
-
 TEST(EnergyModelTest, InvalidParamsRejected) {
   EnergyParams p;
   p.e_link = -1.0;
@@ -126,163 +99,6 @@ TEST(PowerMapTest, AverageAndArithmetic) {
             (std::vector<double>{4.0, 6.0}));
   EXPECT_THROW(average_maps({}), CheckError);
   EXPECT_THROW(add_maps({1.0}, {1.0, 2.0}), CheckError);
-}
-
-// --- Temperature-dependent leakage fixed point -------------------------
-
-struct LeakEnv {
-  Floorplan fp;
-  RcNetwork net;
-  SteadyStateSolver solver;
-
-  LeakEnv()
-      : fp(make_grid_floorplan(GridDim{4, 4}, date05_tile_area())),
-        net(build_rc_network(fp, date05_hotspot_params())),
-        solver(net) {}
-};
-
-TEST(LeakageLoopTest, ZeroBetaMatchesLinearSolve) {
-  LeakEnv env;
-  EnergyParams p;
-  p.p_leak_tile = 0.2;
-  p.leak_beta = 0.0;
-  const EnergyModel energy(p);
-  std::vector<double> dyn(16, 2.0);
-  dyn[5] = 6.0;
-
-  const LeakageLoopResult r =
-      solve_leakage_fixed_point(env.solver, energy, dyn);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, 2);  // one solve to land, one to confirm
-
-  std::vector<double> with_leak = dyn;
-  for (auto& v : with_leak) v += 0.2;
-  EXPECT_NEAR(r.peak_temp_c, env.solver.peak_die_temperature(with_leak),
-              1e-3);
-}
-
-TEST(LeakageLoopTest, PositiveBetaRaisesTemperature) {
-  LeakEnv env;
-  EnergyParams flat;
-  flat.p_leak_tile = 0.4;
-  EnergyParams feedback = flat;
-  feedback.leak_beta = 0.015;
-  std::vector<double> dyn(16, 2.5);
-
-  const LeakageLoopResult base =
-      solve_leakage_fixed_point(env.solver, EnergyModel(flat), dyn);
-  const LeakageLoopResult fb =
-      solve_leakage_fixed_point(env.solver, EnergyModel(feedback), dyn);
-  EXPECT_TRUE(base.converged);
-  EXPECT_TRUE(fb.converged);
-  EXPECT_GT(fb.peak_temp_c, base.peak_temp_c);
-  EXPECT_GT(fb.iterations, base.iterations);
-  // Total power includes the amplified leakage.
-  EXPECT_GT(total_power(fb.total_power), total_power(base.total_power));
-}
-
-TEST(LeakageLoopTest, ConvergedStateIsAFixedPoint) {
-  LeakEnv env;
-  EnergyParams p;
-  p.p_leak_tile = 0.3;
-  p.leak_beta = 0.01;
-  const EnergyModel energy(p);
-  std::vector<double> dyn(16, 3.0);
-  dyn[0] = 7.0;
-  const LeakageLoopResult r =
-      solve_leakage_fixed_point(env.solver, energy, dyn, 1e-6);
-  ASSERT_TRUE(r.converged);
-  // Re-evaluate once by hand: temperatures implied by total_power must
-  // reproduce die_temps.
-  const auto rise = env.solver.solve_die_power(r.total_power);
-  for (int i = 0; i < 16; ++i)
-    EXPECT_NEAR(env.net.ambient() + rise[static_cast<std::size_t>(i)],
-                r.die_temps[static_cast<std::size_t>(i)], 1e-4);
-}
-
-TEST(LeakageLoopTest, ThermalRunawayDetected) {
-  LeakEnv env;
-  EnergyParams p;
-  p.p_leak_tile = 5.0;    // enormous leakage
-  p.leak_beta = 0.15;     // explosive feedback
-  const EnergyModel energy(p);
-  const std::vector<double> dyn(16, 10.0);
-  const LeakageLoopResult r =
-      solve_leakage_fixed_point(env.solver, energy, dyn, 1e-4, 60);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(LeakageLoopTest, WorkspaceReuseMatchesSeedLoopExactly) {
-  // The loop now rebuilds total_power in place and solves through the
-  // allocation-free _into API; results must be bit-identical to the seed
-  // formulation (fresh vectors every iteration), re-implemented inline
-  // here as the regression reference.
-  LeakEnv env;
-  EnergyParams p;
-  p.p_leak_tile = 0.3;
-  p.leak_beta = 0.012;
-  const EnergyModel energy(p);
-  std::vector<double> dyn(16, 2.0);
-  dyn[6] = 6.5;
-  const double tol_c = 1e-5;
-  const int max_iterations = 100;
-
-  LeakageLoopResult expected;
-  expected.die_temps.assign(dyn.size(), env.net.ambient());
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    expected.iterations = iter + 1;
-    expected.total_power = dyn;
-    for (std::size_t i = 0; i < expected.total_power.size(); ++i)
-      expected.total_power[i] +=
-          energy.tile_leakage_power(expected.die_temps[i]);
-    const std::vector<double> rise =
-        env.solver.solve_die_power(expected.total_power);
-    double max_delta = 0.0;
-    bool finite = true;
-    for (int i = 0; i < env.net.die_count(); ++i) {
-      const double t =
-          env.net.ambient() + rise[static_cast<std::size_t>(i)];
-      if (!std::isfinite(t) || t > 1000.0) finite = false;
-      max_delta = std::max(
-          max_delta,
-          std::fabs(t - expected.die_temps[static_cast<std::size_t>(i)]));
-      expected.die_temps[static_cast<std::size_t>(i)] = t;
-    }
-    if (!finite) {
-      expected.converged = false;
-      break;
-    }
-    if (max_delta < tol_c) {
-      expected.converged = true;
-      break;
-    }
-  }
-  expected.peak_temp_c = *std::max_element(expected.die_temps.begin(),
-                                           expected.die_temps.end());
-
-  const LeakageLoopResult r =
-      solve_leakage_fixed_point(env.solver, energy, dyn, tol_c,
-                                max_iterations);
-  EXPECT_EQ(r.iterations, expected.iterations);
-  EXPECT_EQ(r.converged, expected.converged);
-  EXPECT_EQ(r.peak_temp_c, expected.peak_temp_c);
-  ASSERT_EQ(r.die_temps.size(), expected.die_temps.size());
-  ASSERT_EQ(r.total_power.size(), expected.total_power.size());
-  for (std::size_t i = 0; i < r.die_temps.size(); ++i) {
-    EXPECT_EQ(r.die_temps[i], expected.die_temps[i]) << "tile " << i;
-    EXPECT_EQ(r.total_power[i], expected.total_power[i]) << "tile " << i;
-  }
-}
-
-TEST(LeakageLoopTest, InputValidation) {
-  LeakEnv env;
-  const EnergyModel energy{EnergyParams{}};
-  EXPECT_THROW(solve_leakage_fixed_point(env.solver, energy,
-                                         std::vector<double>(3, 1.0)),
-               CheckError);
-  EXPECT_THROW(solve_leakage_fixed_point(env.solver, energy,
-                                         std::vector<double>(16, 1.0), -1.0),
-               CheckError);
 }
 
 TEST(NetworkStatsTest, TotalsAndClear) {

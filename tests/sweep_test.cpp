@@ -3,18 +3,19 @@
 // Four clusters:
 //   * indexing/RNG/boilerplate — decode/encode round trips on every
 //     harness's axis shape, enumeration-order equality with nested loops,
-//     stream equality with the harness RNG helpers, and the pinned shared
-//     validation messages all three harnesses now emit;
+//     the stateless per-scenario stream every harness draws from, and the
+//     pinned shared validation messages all three harnesses emit;
 //   * sharding — stride partition properties and bit-identity of any
 //     N-way merge with the single-shard run, for the toy spec and for all
-//     three harness adapters;
+//     three harness specs. Each harness's run_*_sweep entry point is that
+//     single-shard run, so these cases cover what the paper benches run;
 //   * checkpointing — segment round trips, kill-at-every-boundary resume
 //     (every stop point merges bit-identical to a straight-through run),
-//     a half-way kill and resume on all three harness adapters, and the
+//     a half-way kill and resume on all three harness specs, and the
 //     validation ladder: each defect class (truncated file,
 //     flipped payload bit, wrong schema version, overlapping ranges,
-//     stale config, wrong geometry, malformed record) is rejected with a
-//     CheckError naming that defect;
+//     stale config, wrong geometry, malformed record, out-of-range
+//     integer) is rejected with a CheckError naming that defect;
 //   * conservation — completed + failed + skipped == enumerated in every
 //     merge, with failures captured and missing shards materialized as
 //     skipped.
@@ -230,19 +231,25 @@ TEST(ScenarioIndexTest, HarnessGridsEnumerateInIndexOrder) {
 
 // --- RNG streams -----------------------------------------------------------
 
-TEST(ScenarioRngTest, MatchesHarnessRngHelpers) {
-  for (const std::uint64_t seed : {1ULL, 99ULL, 0xDEADBEEFULL}) {
-    for (const int i : {0, 1, 7, 1000}) {
-      Rng shared = scenario_rng(seed, i);
-      Rng noc = sweep_scenario_rng(seed, i);
-      Rng exp = experiment_scenario_rng(seed, i);
-      const std::uint64_t draw = shared.next_u64();
-      EXPECT_EQ(draw, noc.next_u64());
-      EXPECT_EQ(draw, exp.next_u64());
+TEST(ScenarioRngTest, StatelessDerivationPerSeedAndIndex) {
+  // The one per-scenario stream all three harnesses draw from: the same
+  // (seed, index) replays the same stream, and a different index or seed
+  // gives a different one (the O(1) replay property's foundation).
+  for (const std::uint64_t seed : {1ULL, 9ULL, 42ULL, 0xDEADBEEFULL}) {
+    for (const std::int64_t i : {0, 1, 4, 7, 1000}) {
+      const std::uint64_t draw = scenario_rng(seed, i).next_u64();
+      EXPECT_EQ(draw, scenario_rng(seed, i).next_u64());
+      EXPECT_NE(draw, scenario_rng(seed, i + 1).next_u64());
+      EXPECT_NE(draw, scenario_rng(seed + 1, i).next_u64());
+      // Pinned to one SplitMix64 step, so no refactor moves a harness's
+      // draws (and with them every golden).
+      EXPECT_EQ(draw, Rng(derive_stream_seed(
+                              seed, static_cast<std::uint64_t>(i)))
+                          .next_u64());
     }
   }
-  // ber chains a second derivation for (point, block); the service's
-  // scenario index folds the same two coordinates the same way.
+  EXPECT_THROW(scenario_rng(9, -1), CheckError);
+  // ber chains a second derivation for (point, block).
   Rng direct = ber_block_rng(7, 3, 11);
   Rng chained(derive_stream_seed(derive_stream_seed(7, 3), 11));
   EXPECT_EQ(direct.next_u64(), chained.next_u64());
@@ -363,7 +370,8 @@ TEST(ShardRunTest, ThreadCountDoesNotChangeRecords) {
 /// The service contract on a real harness spec: the 2- and 4-way stride
 /// splits, and a run killed half way and then resumed, all merge to the
 /// single-shard records. Returns those records for the caller to compare
-/// against the harness's direct sweep.
+/// against the harness's run_*_sweep entry point, which runs that same
+/// single shard in process.
 std::vector<ScenarioRecord> expect_service_identity(const SweepSpec& spec,
                                                     const std::string& name) {
   const std::vector<ScenarioRecord> baseline =
@@ -677,6 +685,19 @@ TEST(CheckpointDefectTest, MalformedRecordIsNamed) {
              "\"outcome\": \"exploded\"");
   EXPECT_NE(fx.load_error().find("malformed checkpoint record"),
             std::string::npos);
+}
+
+TEST(CheckpointDefectTest, OutOfRangeIntegerIsNamed) {
+  CorruptFixture fx("bigint");
+  // The parser holds numbers as doubles; 1e20 fits no long long, so the
+  // loader must reject it by name before converting it.
+  patch_file(fx.seg0, "\"scenario_min\": 0",
+             "\"scenario_min\": 99999999999999999999");
+  const std::string message = fx.load_error();
+  EXPECT_NE(message.find("integer 'scenario_min' out of range"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find(fx.seg0), std::string::npos) << message;
 }
 
 // --- conservation and failure capture --------------------------------------

@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +38,8 @@
 #include <chrono>
 #include <exception>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -52,6 +55,19 @@ namespace {
 using renoc::JsonWriter;
 namespace sweep = renoc::sweep;
 
+// Bounds that keep the supervisor's arithmetic in range: attempts count in
+// int, and each deadline adds a delay, converted to int64 nanoseconds, to
+// steady_clock::now(); the backoff is first shifted left by up to
+// kMaxBackoffShift.
+constexpr int kMaxRetries = 1000;
+constexpr int kMaxBackoffShift = 20;
+constexpr long long kMaxTimeoutMs = 7LL * 24 * 60 * 60 * 1000;  // a week
+constexpr long long kMaxBackoffMs = 60LL * 60 * 1000;           // an hour
+constexpr long long kMaxDelayMs =
+    std::chrono::nanoseconds::max().count() / 1'000'000 / 2;
+static_assert(kMaxTimeoutMs <= kMaxDelayMs &&
+              (kMaxBackoffMs << kMaxBackoffShift) <= kMaxDelayMs);
+
 struct Options {
   std::string harness;          // ber | noc | experiment (required)
   std::string preset = "smoke"; // smoke | full
@@ -64,7 +80,7 @@ struct Options {
   std::string out = "SWEEP_result.json";
   long long timeout_ms = 60'000;  // per attempt; 0 disables the watchdog
   int retries = 2;                // restarts after the first attempt
-  long long backoff_ms = 100;     // delay before retry k is backoff << k
+  long long backoff_ms = 100;     // retry k waits backoff << min(k, 20)
   int crash_shard = -1;           // --inject-crash SHARD:SEGMENTS
   int crash_segments = -1;
 };
@@ -84,14 +100,26 @@ int usage(const char* argv0) {
       "  --out PATH                 merged JSON artifact (default "
       "SWEEP_result.json)\n"
       "  --timeout-ms N             per-attempt watchdog, 0 = off (default "
-      "60000)\n"
-      "  --retries N                restarts per shard (default 2)\n"
-      "  --backoff-ms N             retry k waits backoff << k ms (default "
-      "100)\n"
+      "60000,\n"
+      "                             at most %lld)\n"
+      "  --retries N                restarts per shard (default 2, at most "
+      "%d)\n"
+      "  --backoff-ms N             retry k waits backoff << min(k, %d) ms\n"
+      "                             (default 100, at most %lld)\n"
       "  --inject-crash S:K         shard S's first attempt dies after K "
       "segments\n",
-      argv0);
+      argv0, kMaxTimeoutMs, kMaxRetries, kMaxBackoffShift, kMaxBackoffMs);
   return 1;
+}
+
+/// Parses all of `text` as a base-10 integer of type Int. Rejects an empty
+/// string, trailing characters, a sign on an unsigned target, and any
+/// value that does not fit Int.
+template <typename Int>
+bool parse_number(std::string_view text, Int& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && stop == end;
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -102,26 +130,31 @@ bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const char* v = nullptr;
+    bool ok = true;
     if (a == "--harness" && (v = need(i))) opt.harness = v;
     else if (a == "--preset" && (v = need(i))) opt.preset = v;
-    else if (a == "--seed" && (v = need(i))) opt.seed = std::strtoull(v, nullptr, 10);
-    else if (a == "--shards" && (v = need(i))) opt.shards = std::atoi(v);
-    else if (a == "--threads-per-shard" && (v = need(i))) opt.threads_per_shard = std::atoi(v);
+    else if (a == "--seed" && (v = need(i))) ok = parse_number(v, opt.seed);
+    else if (a == "--shards" && (v = need(i))) ok = parse_number(v, opt.shards);
+    else if (a == "--threads-per-shard" && (v = need(i))) ok = parse_number(v, opt.threads_per_shard);
     else if (a == "--ckpt-dir" && (v = need(i))) opt.ckpt_dir = v;
     else if (a == "--tag" && (v = need(i))) opt.tag = v;
-    else if (a == "--checkpoint-every" && (v = need(i))) opt.checkpoint_every = std::atoi(v);
+    else if (a == "--checkpoint-every" && (v = need(i))) ok = parse_number(v, opt.checkpoint_every);
     else if (a == "--out" && (v = need(i))) opt.out = v;
-    else if (a == "--timeout-ms" && (v = need(i))) opt.timeout_ms = std::atoll(v);
-    else if (a == "--retries" && (v = need(i))) opt.retries = std::atoi(v);
-    else if (a == "--backoff-ms" && (v = need(i))) opt.backoff_ms = std::atoll(v);
+    else if (a == "--timeout-ms" && (v = need(i))) ok = parse_number(v, opt.timeout_ms);
+    else if (a == "--retries" && (v = need(i))) ok = parse_number(v, opt.retries);
+    else if (a == "--backoff-ms" && (v = need(i))) ok = parse_number(v, opt.backoff_ms);
     else if (a == "--inject-crash" && (v = need(i))) {
-      const char* colon = std::strchr(v, ':');
-      if (!colon) return false;
-      opt.crash_shard = std::atoi(std::string(v, colon).c_str());
-      opt.crash_segments = std::atoi(colon + 1);
+      // Both numbers are required: "1:" must not silently inject nothing.
+      const std::string_view spec(v);
+      const std::size_t colon = spec.find(':');
+      ok = colon != std::string_view::npos &&
+           parse_number(spec.substr(0, colon), opt.crash_shard) &&
+           parse_number(spec.substr(colon + 1), opt.crash_segments) &&
+           opt.crash_shard >= 0 && opt.crash_segments >= 1;
     } else {
       return false;
     }
+    if (!ok) return false;
   }
   if (opt.harness != "ber" && opt.harness != "noc" &&
       opt.harness != "experiment")
@@ -129,7 +162,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
   if (opt.preset != "smoke" && opt.preset != "full") return false;
   return opt.shards >= 1 && opt.threads_per_shard >= 1 &&
          opt.checkpoint_every >= 1 && opt.retries >= 0 &&
-         opt.backoff_ms >= 0 && opt.timeout_ms >= 0 && !opt.ckpt_dir.empty();
+         opt.retries <= kMaxRetries && opt.backoff_ms >= 0 &&
+         opt.backoff_ms <= kMaxBackoffMs && opt.timeout_ms >= 0 &&
+         opt.timeout_ms <= kMaxTimeoutMs && !opt.ckpt_dir.empty() &&
+         opt.crash_shard < opt.shards;
 }
 
 // ---------------------------------------------------------------------------
@@ -421,10 +457,9 @@ void supervise(const sweep::SweepSpec& spec, const Options& opt,
             --open;
           } else {
             // Deterministic exponential backoff: retry k waits
-            // backoff_ms << k (k = completed attempts - 1 is 0 for the
-            // first retry).
-            const long long shift =
-                std::min<long long>(st.attempts - 1, 20);
+            // backoff_ms << min(k, kMaxBackoffShift) (k = completed
+            // attempts - 1 is 0 for the first retry).
+            const int shift = std::min(st.attempts - 1, kMaxBackoffShift);
             st.next_launch = clock::now() + std::chrono::milliseconds(
                                                 opt.backoff_ms << shift);
           }
