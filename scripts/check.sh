@@ -26,7 +26,8 @@
 # --sanitize=<kind> replaces the Debug+Release matrix with one
 # RelWithDebInfo pass instrumented via RENOC_SANITIZE=<kind> (address,
 # undefined, thread, or a '+'-joined combo; undefined also turns on
-# float-cast-overflow, which GCC's undefined set leaves out) running the
+# float-cast-overflow, which GCC's undefined set leaves out, and every
+# kind adds libstdc++'s _GLIBCXX_ASSERTIONS bounds checks) running the
 # full ctest — the same configuration the CI sanitizer jobs run.
 set -euo pipefail
 

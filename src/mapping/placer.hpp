@@ -19,6 +19,23 @@
 // cycle-accurate simulation. This one-way split matches the paper's flow
 // (placement happens at design time with model power, evaluation happens
 // with the simulator).
+//
+// place() prices each swap incrementally (the net-cost update of VPR,
+// Betz & Rose, FPL 1997), and every move's cost equals cost_of bit for bit:
+//
+//   * communication is an integer total, updated in O(clusters) from the
+//     two swapped clusters' rows weighted by traffic[i][k] + traffic[k][i].
+//     place() requires sum(traffic) * max hops < 2^53 (a 1-tile mesh counts
+//     one hop), so every partial sum of comm_cost_of's double loop is exact
+//     and the one conversion to double equals it;
+//   * tile power is one vector whose occupied entries are 0.0 + p, as
+//     tile_power_of builds them; a swap exchanges its two tiles' entries;
+//   * when those entries are equal (two clusters of equal design-time
+//     power, or a zero-power cluster moving into an empty tile) the power
+//     map is unchanged, so the current peak is reused without a solve.
+//
+// The RNG draws, accept decisions and results therefore match the
+// per-move full recompute that tests/support keeps as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -64,14 +81,16 @@ class ThermalAwarePlacer {
 
   /// Anneals cluster->tile. `cluster_power` (watts per cluster) must have
   /// at most dim.node_count() entries; `traffic[i][j]` is values exchanged
-  /// between clusters i and j per unit work (any consistent unit). Pinned
+  /// between clusters i and j per unit work (any consistent unit), one
+  /// row and one column per cluster, within the 2^53 bound above. Pinned
   /// clusters keep their tiles.
   PlacementResult place(const std::vector<double>& cluster_power,
                         const std::vector<std::vector<std::uint64_t>>& traffic,
                         const std::vector<Pin>& pins = {}) const;
 
   /// Objective value of a given placement (exposed for tests and for
-  /// evaluating the identity placement).
+  /// evaluating the identity placement), computed from scratch. `placement`
+  /// has one tile per `cluster_power` entry; `traffic` is square over it.
   double cost_of(const std::vector<int>& placement,
                  const std::vector<double>& cluster_power,
                  const std::vector<std::vector<std::uint64_t>>& traffic)

@@ -64,8 +64,8 @@ void SteadyStateSolver::solve_die_power_into(
 
 double SteadyStateSolver::peak_die_temperature(
     const std::vector<double>& die_power) const {
-  const std::vector<double> rise = solve_die_power(die_power);
-  return net_->ambient() + net_->peak_die_rise(rise);
+  solve_die_power_into(die_power, rise_);
+  return net_->ambient() + net_->peak_die_rise(rise_);
 }
 
 TransientSolver::TransientSolver(const RcNetwork& net, double dt)

@@ -53,6 +53,7 @@ class SteadyStateSolver {
                             std::vector<double>& rise) const;
 
   /// Peak absolute die temperature (ambient + peak rise) for a die power map.
+  /// Solves into solver-owned scratch, so a warmed call is allocation-free.
   double peak_die_temperature(const std::vector<double>& die_power) const;
 
   const RcNetwork& network() const { return *net_; }
@@ -61,6 +62,7 @@ class SteadyStateSolver {
   const RcNetwork* net_;
   SparseLdlt ldlt_;  // LDL^T of G
   mutable std::vector<double> full_power_;  // die-power expansion scratch
+  mutable std::vector<double> rise_;        // peak_die_temperature scratch
 };
 
 /// Fixed-step backward-Euler transient integrator.

@@ -6,8 +6,10 @@
 // MigrationThermalRuntime::run() at 58 and 202 nodes, and the
 // sparse steady/transient solve paths. A warmed
 // NocLdpcDecoder::decode_block() allocates exactly once, for the result it
-// returns. These suites pin the invariant in every CI configuration
-// (Debug, Release, every sanitizer build) through util/alloc_guard.
+// returns, and ThermalAwarePlacer::place() allocates only at setup, as
+// many times at 200 anneal moves as at 5,000. These suites pin the
+// invariant in every CI configuration (Debug, Release, every sanitizer
+// build) through util/alloc_guard.
 //
 // Linking this binary against the guard API pulls the interposed
 // operator new/delete out of the renoc archive (see util/alloc_guard.hpp),
@@ -29,6 +31,7 @@
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/noc_decoder.hpp"
+#include "mapping/placer.hpp"
 #include "noc/fabric.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
@@ -224,13 +227,39 @@ TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {
   std::vector<double> rise;
   steady.solve_die_power_into(power, rise);  // warm-up sizes the buffer
   transient.step(full);
+  const double peak = steady.peak_die_temperature(power);
   const AllocGuard guard;
   for (int i = 0; i < 8; ++i) {
     steady.solve_die_power_into(power, rise);
     transient.step(full);
+    EXPECT_EQ(steady.peak_die_temperature(power), peak);
   }
-  guard.check_zero("warmed sparse solve_die_power_into/step");
+  guard.check_zero(
+      "warmed sparse solve_die_power_into/step/peak_die_temperature");
   EXPECT_EQ(guard.count(), 0);
+}
+
+// The placer allocates only while setting up an anneal: its moves update
+// the communication total and the tile-power map in place and price the
+// peak through a warmed peak_die_temperature, so 200 and 5,000 moves cost
+// the same number of allocations.
+TEST(EngineAllocTest, PlacerAllocationsIndependentOfIterations) {
+  RENOC_REQUIRE_INSTRUMENTED();
+  const ChipConfig cfg = config_A();
+  const BuiltChip chip = build_chip(cfg);
+  const RcNetwork net = build_rc_network(chip.floorplan, cfg.hotspot);
+  const SteadyStateSolver steady(net);
+  auto allocations = [&](int iterations) {
+    PlacerOptions options = cfg.placer;
+    options.iterations = iterations;
+    const ThermalAwarePlacer placer(steady, cfg.dim, options);
+    const AllocGuard guard;
+    (void)placer.place(chip.compute_power_estimate, chip.traffic,
+                       cfg.workload.pins);
+    return guard.count();
+  };
+  (void)allocations(1);  // warms the solver's scratch
+  EXPECT_EQ(allocations(200), allocations(5000));
 }
 
 }  // namespace
