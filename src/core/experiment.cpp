@@ -196,45 +196,59 @@ const std::vector<double>& ExperimentDriver::migration_energy_map(
 SchemeEvaluation ExperimentDriver::evaluate_scheme(
     MigrationScheme scheme, std::optional<double> period_opt) {
   RENOC_CHECK_MSG(prepared_, "call prepare() first");
-  const double period_s = period_opt.value_or(default_period_s());
-  RENOC_CHECK(period_s > 0);
-
   SchemeEvaluation eval;
-  eval.scheme = scheme;
-  eval.period_s = period_s;
+  evaluate_period({&scheme, 1}, period_opt.value_or(default_period_s()),
+                  {&eval, 1});
+  return eval;
+}
 
+void ExperimentDriver::evaluate_period(
+    std::span<const MigrationScheme> schemes, double period_s,
+    std::span<SchemeEvaluation> out) {
+  RENOC_CHECK_MSG(prepared_, "call prepare() first");
+  RENOC_CHECK_MSG(std::isfinite(period_s) && period_s > 0,
+                  "migration period must be finite and positive, got "
+                      << period_s << " s");
   MigrationThermalRuntime& runtime = runtime_for(period_s);
 
-  if (scheme == MigrationScheme::kNone) {
-    const auto orbit = std::vector<std::vector<int>>{
-        identity_permutation(cfg_.dim.node_count())};
-    const ThermalRunResult r = runtime.run(base_power_, orbit, {});
-    eval.orbit_length = 1;
-    eval.peak_temp_c = r.peak_temp_c;
-    eval.reduction_c = 0.0;
-    eval.mean_temp_c = r.mean_temp_c;
-    eval.thermal_converged = r.converged;
-    return eval;
+  // kNone's single identity segment takes the runtime's static shortcut.
+  const std::vector<std::vector<int>> static_orbit{
+      identity_permutation(cfg_.dim.node_count())};
+  std::vector<ThermalJob> jobs(schemes.size());
+  std::vector<ThermalRunResult> results(schemes.size());
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    SchemeEvaluation& eval = out[i];
+    eval = SchemeEvaluation{};
+    eval.scheme = schemes[i];
+    eval.period_s = period_s;
+    if (schemes[i] == MigrationScheme::kNone) {
+      jobs[i].orbit = &static_orbit;
+      eval.orbit_length = 1;
+      continue;
+    }
+    const MigrationMeasurement& m = measure_migration(schemes[i]);
+    jobs[i] = ThermalJob{&m.orbit, &m.migration_energy};
+    eval.orbit_length = static_cast<int>(m.orbit.size());
+    eval.phases = m.phases;
+    eval.state_flits = m.state_flits;
+    eval.migration_s = m.halt_mean_s;
+    eval.migration_energy_j = m.energy_mean_j;
+    eval.throughput_penalty =
+        eval.migration_s / (period_s + eval.migration_s);
   }
 
-  const MigrationMeasurement& m = measure_migration(scheme);
-  eval.orbit_length = static_cast<int>(m.orbit.size());
-  eval.phases = m.phases;
-  eval.state_flits = m.state_flits;
-  eval.migration_s = m.halt_mean_s;
-  eval.migration_energy_j = m.energy_mean_j;
-  eval.throughput_penalty =
-      eval.migration_s / (period_s + eval.migration_s);
-
-  // --- Thermal co-simulation --------------------------------------------
-  const ThermalRunResult r =
-      runtime.run(base_power_, m.orbit, m.migration_energy);
-  eval.peak_temp_c = r.peak_temp_c;
-  eval.reduction_c = base_peak_temp_c_ - r.peak_temp_c;
-  eval.mean_temp_c = r.mean_temp_c;
-  eval.ripple_c = r.ripple_c;
-  eval.thermal_converged = r.converged;
-  return eval;
+  // --- Thermal co-simulation: every scheme in one lockstep batch --------
+  runtime.run_batch(base_power_, jobs, results);
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    SchemeEvaluation& eval = out[i];
+    const ThermalRunResult& r = results[i];
+    eval.peak_temp_c = r.peak_temp_c;
+    eval.mean_temp_c = r.mean_temp_c;
+    eval.thermal_converged = r.converged;
+    if (schemes[i] == MigrationScheme::kNone) continue;
+    eval.reduction_c = base_peak_temp_c_ - r.peak_temp_c;
+    eval.ripple_c = r.ripple_c;
+  }
 }
 
 std::vector<SchemeEvaluation> ExperimentDriver::scheme_study(
@@ -245,11 +259,15 @@ std::vector<SchemeEvaluation> ExperimentDriver::scheme_study(
   std::vector<double> study_periods = periods;
   if (study_periods.empty()) study_periods.push_back(default_period_s());
 
-  std::vector<SchemeEvaluation> evals;
-  evals.reserve(schemes.size() * study_periods.size());
-  for (const MigrationScheme scheme : schemes)
-    for (const double period : study_periods)
-      evals.push_back(evaluate_scheme(scheme, period));
+  // One lockstep batch per period, stored scheme-major.
+  const std::size_t np = study_periods.size();
+  std::vector<SchemeEvaluation> evals(schemes.size() * np);
+  std::vector<SchemeEvaluation> at_period(schemes.size());
+  for (std::size_t p = 0; p < np; ++p) {
+    evaluate_period(schemes, study_periods[p], at_period);
+    for (std::size_t s = 0; s < schemes.size(); ++s)
+      evals[s * np + p] = at_period[s];
+  }
   return evals;
 }
 

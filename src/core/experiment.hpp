@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/chip_config.hpp"
@@ -82,7 +83,10 @@ class ExperimentDriver {
 
   /// The full scheme x period study grid: one evaluation per (scheme,
   /// period) pair, scheme-major, sharing the caches above. Periods may be
-  /// empty to mean {default_period_s()}.
+  /// empty to mean {default_period_s()}. At each period every scheme's
+  /// co-simulation runs in one lockstep MigrationThermalRuntime::run_batch
+  /// call; each evaluation equals evaluate_scheme() of its cell bit for
+  /// bit.
   std::vector<SchemeEvaluation> scheme_study(
       const std::vector<MigrationScheme>& schemes,
       const std::vector<double>& periods = {});
@@ -118,6 +122,10 @@ class ExperimentDriver {
     std::uint64_t state_flits = 0;
   };
   const MigrationMeasurement& measure_migration(MigrationScheme scheme);
+  /// Evaluates every scheme at one period into out[i] (sizes match): one
+  /// lockstep co-simulation batch. evaluate_scheme is a batch of one.
+  void evaluate_period(std::span<const MigrationScheme> schemes,
+                       double period_s, std::span<SchemeEvaluation> out);
   MigrationThermalRuntime& runtime_for(double period_s);
 
   ChipConfig cfg_;

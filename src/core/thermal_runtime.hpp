@@ -19,16 +19,29 @@
 // For the static baseline pass an orbit of {identity} and zero migration
 // energy: the result collapses to the steady-state solution.
 //
-// Implementation: this is the *engine* flavour of the orbit integration —
-// the hot loop streams entirely in the factor's elimination order through
-// persistent per-instance workspaces. Per run() it precomputes every
-// segment's expanded + permuted power map and migration-spike vector once;
-// per step it fuses the C/dt * state + P right-hand-side build, calls the
-// permutation-free SparseLdlt::solve_permuted_in_place on a
-// minimum-degree-ordered factor (about half the fill of the default RCM
-// ordering), and folds the peak/mean die scans into one gather. After the
-// first run() with a given problem shape, run() performs zero heap
-// allocations.
+// Implementation: this is the *engine* flavour of the orbit integration.
+// Every co-simulation handed to one run_batch() call shares the network,
+// the period and therefore the backward-Euler factor, so the batch
+// integrates in lockstep: the jobs' states are the columns of one
+// slot-major block kept in the factor's elimination order, and each
+// transient step is one fused multi-column SparseLdlt::step_permuted call
+// (C/dt * state + P build, forward sweep by rows, backward sweep with
+// D^{-1} fused) on a minimum-degree-ordered factor (about half the fill of
+// the default RCM ordering), followed by one peak/mean gather over the die
+// slots. All jobs take the same number of steps per period, so their
+// segment boundaries coincide; at each segment start every column's power
+// map is rebuilt from base_power and its orbit permutation, with its
+// migration spike added for the first step only. Each job keeps its own
+// orbit length, convergence test, orbit counter and mean accumulator, and
+// leaves the block — which is compacted — once it converges or reaches
+// max_orbits. Static jobs take the steady-state shortcut and never enter
+// the block.
+//
+// Every column performs exactly the arithmetic of a lone run() in the same
+// order, so each result of a batch equals the lone run() of its job bit
+// for bit, at any batch size or mix; run() is a batch of one. After the
+// first call with a given problem shape and batch width, run() and
+// run_batch() perform zero heap allocations.
 //
 // The pre-engine scalar path is preserved verbatim as the semantics
 // oracle ReferenceThermalRuntime in tests/support; the engine agrees with
@@ -37,6 +50,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "thermal/rc_network.hpp"
@@ -45,9 +59,10 @@
 namespace renoc {
 
 struct ThermalRunOptions {
-  double period_s = 109.3e-6;   ///< time between migrations
+  double period_s = 109.3e-6;   ///< time between migrations (finite)
   double dt_s = 2.0e-6;         ///< nominal transient step (snapped so an
-                                ///< integer number of steps covers a period)
+                                ///< integer number of steps covers a
+                                ///< period; that count must fit in int)
   int min_orbits = 3;
   int max_orbits = 400;
   double tol_c = 1e-3;          ///< per-orbit peak drift convergence bound
@@ -65,6 +80,15 @@ struct ThermalRunResult {
   bool converged = false;
 };
 
+/// One co-simulation of a run_batch() call: an orbit and its per-segment
+/// migration-energy maps, with the meaning run() gives them. A null or
+/// empty `migration_energy` means no migration energy. Both must outlive
+/// the call.
+struct ThermalJob {
+  const std::vector<std::vector<int>>* orbit = nullptr;
+  const std::vector<std::vector<double>>* migration_energy = nullptr;
+};
+
 class MigrationThermalRuntime {
  public:
   MigrationThermalRuntime(const RcNetwork& net, ThermalRunOptions options);
@@ -80,6 +104,14 @@ class MigrationThermalRuntime {
       const std::vector<double>& base_power,
       const std::vector<std::vector<int>>& orbit,
       const std::vector<std::vector<double>>& migration_energy) const;
+
+  /// Runs every job on the same `base_power` in lockstep and writes job
+  /// i's result to results[i] (caller-owned; sizes must match). Each
+  /// result equals run() of that job's orbit and migration energy (empty
+  /// when null) bit for bit.
+  void run_batch(const std::vector<double>& base_power,
+                 std::span<const ThermalJob> jobs,
+                 std::span<ThermalRunResult> results) const;
 
   const RcNetwork& network() const { return *net_; }
 

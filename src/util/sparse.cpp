@@ -11,6 +11,9 @@ namespace {
 
 std::size_t uz(int i) { return static_cast<std::size_t>(i); }
 
+/// Widest column group step_permuted unrolls; wider blocks run in groups.
+constexpr int kStepGroup = 8;
+
 }  // namespace
 
 SparseMatrix SparseMatrix::from_triplets(
@@ -373,6 +376,23 @@ SparseLdlt::SparseLdlt(const SparseMatrix& a, std::vector<int> perm)
   for (int k = 0; k < n_; ++k) inv_d_[uz(k)] = 1.0 / d_[uz(k)];
 }
 
+void SparseLdlt::build_row_form() const {
+  // Columns are walked in ascending order, so each row's entries land in
+  // ascending column order.
+  rp_.assign(uz(n_) + 1, 0);
+  for (const int i : li_) ++rp_[uz(i) + 1];
+  for (int k = 0; k < n_; ++k) rp_[uz(k) + 1] += rp_[uz(k)];
+  rc_.resize(li_.size());
+  rx_.resize(lx_.size());
+  std::vector<int> next(rp_.begin(), rp_.end() - 1);
+  for (int j = 0; j < n_; ++j)
+    for (int p = lp_[uz(j)]; p < lp_[uz(j) + 1]; ++p) {
+      const int q = next[uz(li_[uz(p)])]++;
+      rc_[uz(q)] = j;
+      rx_[uz(q)] = lx_[uz(p)];
+    }
+}
+
 std::vector<double> SparseLdlt::solve(const std::vector<double>& b) const {
   std::vector<double> x(b);
   solve_in_place(x);
@@ -444,33 +464,83 @@ void SparseLdlt::solve_multi(std::vector<double>& x, int nrhs) const {
   // renoc-hot-end
 }
 
-void SparseLdlt::solve_permuted_in_place(double* y) const {
-  // renoc-hot-begin (one triangular solve per transient step, every orbit)
+template <int W>
+void SparseLdlt::step_group(const double* cd, const double* p, double* y,
+                            std::size_t stride) const {
+  const int* rp = rp_.data();
+  const int* rc = rc_.data();
+  const double* rx = rx_.data();
   const int* lp = lp_.data();
   const int* li = li_.data();
   const double* lx = lx_.data();
-  for (int k = 0; k < n_; ++k) {
-    const double yk = y[k];
-    for (int p = lp[k]; p < lp[k + 1]; ++p) y[li[p]] -= lx[p] * yk;
-  }
-  // Backward sweep with D^{-1} fused and four accumulators: the plain
-  // per-column dot is a serial chain whose latency, not throughput, bounds
-  // the sweep; splitting it breaks the chain.
   const double* invd = inv_d_.data();
-  for (int k = n_ - 1; k >= 0; --k) {
-    const int p1 = lp[k + 1];
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    int p = lp[k];
-    for (; p + 3 < p1; p += 4) {
-      a0 += lx[p] * y[li[p]];
-      a1 += lx[p + 1] * y[li[p + 1]];
-      a2 += lx[p + 2] * y[li[p + 2]];
-      a3 += lx[p + 3] * y[li[p + 3]];
+  // renoc-hot-begin (one step of up to 8 co-simulations, every transient step)
+  // Forward sweep L z = cd .* y + p by rows: row k's slots still hold the
+  // previous state when it is reached, and every row it reads is final.
+  for (int k = 0; k < n_; ++k) {
+    double* yk = y + uz(k) * stride;
+    const double* pk = p + uz(k) * stride;
+    double acc[W];
+    for (int j = 0; j < W; ++j) acc[j] = cd[k] * yk[j] + pk[j];
+    for (int q = rp[k]; q < rp[k + 1]; ++q) {
+      const double l = rx[q];
+      const double* yc = y + uz(rc[q]) * stride;
+      for (int j = 0; j < W; ++j) acc[j] -= l * yc[j];
     }
-    for (; p < p1; ++p) a0 += lx[p] * y[li[p]];
-    y[k] = y[k] * invd[k] - ((a0 + a1) + (a2 + a3));
+    for (int j = 0; j < W; ++j) yk[j] = acc[j];
+  }
+  // Backward sweep with D^{-1} fused and four accumulators per column: the
+  // plain per-column dot is a serial chain whose latency, not throughput,
+  // bounds the sweep; splitting it breaks the chain. Row k is scaled
+  // before its dot products: with the scaling in the final expression,
+  // GCC 12 leaves the accumulators scalar and spills them.
+  for (int k = n_ - 1; k >= 0; --k) {
+    double* yk = y + uz(k) * stride;
+    double scaled[W];
+    for (int j = 0; j < W; ++j) scaled[j] = yk[j] * invd[k];
+    const int q1 = lp[k + 1];
+    double a0[W] = {}, a1[W] = {}, a2[W] = {}, a3[W] = {};
+    int q = lp[k];
+    for (; q + 3 < q1; q += 4) {
+      const double* y0 = y + uz(li[q]) * stride;
+      const double* y1 = y + uz(li[q + 1]) * stride;
+      const double* y2 = y + uz(li[q + 2]) * stride;
+      const double* y3 = y + uz(li[q + 3]) * stride;
+      for (int j = 0; j < W; ++j) a0[j] += lx[q] * y0[j];
+      for (int j = 0; j < W; ++j) a1[j] += lx[q + 1] * y1[j];
+      for (int j = 0; j < W; ++j) a2[j] += lx[q + 2] * y2[j];
+      for (int j = 0; j < W; ++j) a3[j] += lx[q + 3] * y3[j];
+    }
+    for (; q < q1; ++q) {
+      const double* yq = y + uz(li[q]) * stride;
+      for (int j = 0; j < W; ++j) a0[j] += lx[q] * yq[j];
+    }
+    for (int j = 0; j < W; ++j)
+      yk[j] = scaled[j] - ((a0[j] + a1[j]) + (a2[j] + a3[j]));
   }
   // renoc-hot-end
+}
+
+void SparseLdlt::step_permuted(const double* cd, const double* p, double* y,
+                               int width) const {
+  RENOC_CHECK_MSG(width >= 1, "step needs at least one column");
+  if (rp_.empty()) build_row_form();
+  const std::size_t stride = uz(width);
+  // Column groups are independent, so a wide block runs group by group.
+  for (int j0 = 0; j0 < width; j0 += kStepGroup) {
+    const double* pg = p + j0;
+    double* yg = y + j0;
+    switch (std::min(kStepGroup, width - j0)) {
+      case 1: step_group<1>(cd, pg, yg, stride); break;
+      case 2: step_group<2>(cd, pg, yg, stride); break;
+      case 3: step_group<3>(cd, pg, yg, stride); break;
+      case 4: step_group<4>(cd, pg, yg, stride); break;
+      case 5: step_group<5>(cd, pg, yg, stride); break;
+      case 6: step_group<6>(cd, pg, yg, stride); break;
+      case 7: step_group<7>(cd, pg, yg, stride); break;
+      default: step_group<8>(cd, pg, yg, stride); break;
+    }
+  }
 }
 
 }  // namespace renoc

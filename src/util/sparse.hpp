@@ -15,9 +15,11 @@
 // an exact elimination-tree symbolic pass, and the default ordering is a
 // reverse Cuthill-McKee pass over the low-degree grid nodes with the hub
 // nodes pushed last so their dense rows cannot poison the band. The
-// triangular sweeps are plain scalar loops.
+// triangular sweeps are plain scalar loops; the co-simulation's step
+// kernel runs them over several interleaved columns at once.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace renoc {
@@ -126,15 +128,27 @@ class SparseLdlt {
   /// property AdaptivePolicy's batched lookahead relies on).
   void solve_multi(std::vector<double>& x, int nrhs) const;
 
-  /// Streamed solve in permuted coordinates for hot loops that keep their
-  /// state in elimination order (see the co-sim engine in
-  /// core/thermal_runtime): y[k] holds component permutation()[k] of the
-  /// right-hand side on entry and of the solution on exit. Skips both
-  /// permutation passes and fuses D^{-1} (as a precomputed reciprocal)
-  /// into an unrolled backward sweep, so results drift from solve() only
-  /// in the last bits (~1e-15 relative; the engine's reference-agreement
-  /// test pins the accumulated effect).
-  void solve_permuted_in_place(double* y) const;
+  /// One backward-Euler step for `width` independent columns kept in
+  /// elimination order (the co-sim engine of core/thermal_runtime).
+  /// `y` and `p` are slot-major n x width blocks: column j's slot k sits at
+  /// [k * width + j] and holds component permutation()[k]. On exit each
+  /// column of `y` holds the solution of A y_new = cd .* y + p, where `cd`
+  /// is an n-vector in slot order shared by every column.
+  ///
+  /// The forward sweep runs by rows over a row-form copy of L (built on
+  /// the first call, so factors that only solve() do not carry it). Each
+  /// row's accumulator starts at cd[k] * y + p, fusing in the
+  /// right-hand-side build, and subtracts in ascending column order — the
+  /// order a column-oriented scatter applies them, so no rounding changes.
+  /// The backward sweep fuses D^{-1} (as a reciprocal) and splits each dot
+  /// product over four accumulators, so results drift from solve() only in
+  /// the last bits (~1e-15 relative). Each column performs the same
+  /// operations in the same order at any width, so a column is
+  /// bit-identical to a width-1 call on it; widths up to 8 run as one
+  /// unrolled group, wider blocks in groups of 8. No allocation after the
+  /// first call; not thread-safe, like solve_in_place.
+  void step_permuted(const double* cd, const double* p, double* y,
+                     int width) const;
 
   /// The fill-reducing permutation in use: permutation()[k] = original
   /// index eliminated at step k.
@@ -145,14 +159,27 @@ class SparseLdlt {
   int factor_nnz() const { return static_cast<int>(li_.size()); }
 
  private:
+  /// step_permuted on columns [0, W) of a block whose rows lie `stride`
+  /// doubles apart; W is a compile-time constant, so every per-column
+  /// loop unrolls into W independent chains.
+  template <int W>
+  void step_group(const double* cd, const double* p, double* y,
+                  std::size_t stride) const;
+  /// Fills rp_/rc_/rx_ from the column form.
+  void build_row_form() const;
+
   int n_ = 0;
   std::vector<int> lp_;      // column pointers of L (size n_ + 1)
   std::vector<int> li_;      // row indices of L (strictly lower part)
   std::vector<double> lx_;   // values of L
   std::vector<double> d_;    // diagonal of D
-  std::vector<double> inv_d_;  // 1/d_, for the streamed permuted solve
+  std::vector<double> inv_d_;  // 1/d_, for step_permuted
   std::vector<int> perm_;    // perm_[k] = original index at position k
   std::vector<int> iperm_;   // inverse permutation
+  // Row form of L's strict lower part, for step_permuted only.
+  mutable std::vector<int> rp_;     // row pointers
+  mutable std::vector<int> rc_;     // column indices, ascending per row
+  mutable std::vector<double> rx_;  // values
   mutable std::vector<double> scratch_;        // permuted rhs workspace
   mutable std::vector<double> scratch_multi_;  // multi-RHS workspace
 };

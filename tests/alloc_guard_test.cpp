@@ -3,8 +3,8 @@
 // The engine contract (PRs 3–5) is that every *warmed* hot path performs
 // zero heap allocations: Fabric::step() under a periodic recycled load,
 // MinSumDecoder::decode_into() with a reused result, a warmed
-// MigrationThermalRuntime::run() at 58 and 202 nodes, and the
-// sparse steady/transient solve paths. A warmed
+// MigrationThermalRuntime::run() at 58 and 202 nodes and a warmed 5-job
+// run_batch(), and the sparse steady/transient solve paths. A warmed
 // NocLdpcDecoder::decode_block() allocates exactly once, for the result it
 // returns, and ThermalAwarePlacer::place() allocates only at setup, as
 // many times at 200 anneal moves as at 5,000. These suites pin the
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -213,6 +214,42 @@ TEST(EngineAllocTest, WarmedMigrationRuntimeRunIsAllocationFree) {
                          : "warmed MigrationThermalRuntime::run (202 nodes)");
     EXPECT_EQ(guard.count(), 0);
   }
+}
+
+TEST(EngineAllocTest, WarmedFiveJobBatchIsAllocationFree) {
+  // A Figure-1-sized lockstep batch (four migrating schemes, with and
+  // without migration energy, plus a static job) writing into
+  // caller-owned storage allocates nothing once warmed.
+  RENOC_REQUIRE_INSTRUMENTED();
+  const RcNetwork net = runtime_net(1);
+  const GridDim dim{4, 4};
+  std::vector<double> power(16, 2.0);
+  power[0] = 9.0;
+  const auto rot =
+      orbit_permutations(Transform{TransformKind::kRotation, 0}, dim);
+  const auto mirror =
+      orbit_permutations(Transform{TransformKind::kMirrorX, 0}, dim);
+  const auto shift =
+      orbit_permutations(Transform{TransformKind::kShiftXY, 1}, dim);
+  const std::vector<std::vector<int>> identity{identity_permutation(16)};
+  const std::vector<std::vector<double>> rot_energy(
+      rot.size(), std::vector<double>(16, 200e-6 / 16));
+  const std::vector<std::vector<double>> shift_energy(
+      shift.size(), std::vector<double>(16, 150e-6 / 16));
+  const std::array<ThermalJob, 5> jobs{{{&rot, &rot_energy},
+                                        {&mirror, nullptr},
+                                        {&shift, &shift_energy},
+                                        {&rot, nullptr},
+                                        {&identity, nullptr}}};
+  std::array<ThermalRunResult, 5> results{};
+
+  const MigrationThermalRuntime engine(net, ThermalRunOptions{});
+  engine.run_batch(power, jobs, results);  // builds + warms the engine
+  const AllocGuard guard;
+  for (int i = 0; i < 3; ++i) engine.run_batch(power, jobs, results);
+  guard.check_zero("warmed 5-job MigrationThermalRuntime::run_batch");
+  EXPECT_EQ(guard.count(), 0);
+  for (const ThermalRunResult& r : results) EXPECT_TRUE(r.converged);
 }
 
 TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {

@@ -330,29 +330,64 @@ TEST(SparseLdltTest, SolveMultiValidation) {
   EXPECT_THROW(chol.solve_multi(ok, 0), CheckError);
 }
 
-TEST(SparseLdltTest, SolvePermutedMatchesSolve) {
+TEST(SparseLdltTest, StepPermutedColumnsMatchWidthOneAndSolve) {
+  // The co-simulation's fused step kernel, on both orderings. At every
+  // width up to the unroll cap (8) and at 11 (a group of 8, then 3), each
+  // column of the block equals the width-1 step of that column bit for
+  // bit; the width-1 step equals solve() of the fused right-hand side
+  // cd .* y + p within 1e-10.
   const SparseMatrix a = grid_with_hub(6);
+  const int n = a.rows();
+  const auto un = static_cast<std::size_t>(n);
+  constexpr int kMaxWidth = 11;
+  // Column j's previous state and power at slot k.
+  const auto state_at = [](std::size_t k, int j) {
+    return std::sin(0.7 * static_cast<double>(k) + j) + 2.0;
+  };
+  const auto power_at = [](std::size_t k, int j) {
+    return std::cos(0.3 * static_cast<double>(k) - 0.9 * j) + 1.5;
+  };
+  std::vector<double> cd(un);
+  for (std::size_t k = 0; k < un; ++k)
+    cd[k] = 0.5 + 0.01 * static_cast<double>(k);
+
   for (const bool use_md : {false, true}) {
     const SparseLdlt chol =
         use_md ? SparseLdlt(a, minimum_degree_ordering(a)) : SparseLdlt(a);
-    const int n = a.rows();
-    std::vector<double> b(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      b[static_cast<std::size_t>(i)] = std::cos(0.3 * i) + 1.5;
-    const std::vector<double> x = chol.solve(b);
-    // Feed the permuted RHS through the streamed kernel and un-permute.
     const std::vector<int>& perm = chol.permutation();
-    std::vector<double> y(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k)
-      y[static_cast<std::size_t>(k)] =
-          b[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])];
-    chol.solve_permuted_in_place(y.data());
-    for (int k = 0; k < n; ++k)
-      EXPECT_NEAR(y[static_cast<std::size_t>(k)],
-                  x[static_cast<std::size_t>(perm[static_cast<std::size_t>(
-                      k)])],
-                  1e-10)
-          << "streamed kernel must match solve() (md=" << use_md << ")";
+
+    std::vector<std::vector<double>> lone(kMaxWidth);
+    for (int j = 0; j < kMaxWidth; ++j) {
+      std::vector<double> y(un), p(un), b(un);
+      for (std::size_t k = 0; k < un; ++k) {
+        y[k] = state_at(k, j);
+        p[k] = power_at(k, j);
+        b[static_cast<std::size_t>(perm[k])] = cd[k] * y[k] + p[k];
+      }
+      chol.step_permuted(cd.data(), p.data(), y.data(), 1);
+      const std::vector<double> x = chol.solve(b);
+      for (std::size_t k = 0; k < un; ++k)
+        EXPECT_NEAR(y[k], x[static_cast<std::size_t>(perm[k])], 1e-10)
+            << "width-1 step must match solve() (md=" << use_md << ")";
+      lone[static_cast<std::size_t>(j)] = y;
+    }
+
+    for (const int width : {1, 2, 3, 4, 5, 6, 7, 8, kMaxWidth}) {
+      const auto w = static_cast<std::size_t>(width);
+      std::vector<double> y(un * w), p(un * w);
+      for (std::size_t k = 0; k < un; ++k)
+        for (int j = 0; j < width; ++j) {
+          y[k * w + static_cast<std::size_t>(j)] = state_at(k, j);
+          p[k * w + static_cast<std::size_t>(j)] = power_at(k, j);
+        }
+      chol.step_permuted(cd.data(), p.data(), y.data(), width);
+      for (int j = 0; j < width; ++j)
+        for (std::size_t k = 0; k < un; ++k)
+          ASSERT_EQ(y[k * w + static_cast<std::size_t>(j)],
+                    lone[static_cast<std::size_t>(j)][k])
+              << "width " << width << " column " << j << " slot " << k
+              << " (md=" << use_md << ")";
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 // experiment driver (calibration, scheme evaluation sanity).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/chip_config.hpp"
 #include "core/experiment.hpp"
@@ -168,6 +171,56 @@ TEST(ExperimentDriverTest, SchemeStudySharesCachesConsistently) {
       driver.evaluate_scheme(MigrationScheme::kRotation, p1);
   EXPECT_EQ(after.peak_temp_c, first.peak_temp_c);
   EXPECT_EQ(after.migration_s, first.migration_s);
+}
+
+TEST(ExperimentDriverTest, SchemeStudyBitMatchesEvaluateScheme) {
+  // scheme_study runs each period's schemes as one lockstep co-simulation
+  // batch; every cell must equal evaluate_scheme (a batch of one) on a
+  // fresh driver in every field. The scheme list repeats one scheme.
+  std::vector<MigrationScheme> schemes{MigrationScheme::kNone};
+  for (const MigrationScheme s : figure1_schemes()) schemes.push_back(s);
+  schemes.push_back(MigrationScheme::kRotation);
+
+  ExperimentDriver driver(fast_config());
+  driver.prepare(1);
+  const double p1 = driver.default_period_s();
+  const std::vector<double> periods{p1, 4 * p1, 8 * p1};
+  const std::vector<SchemeEvaluation> study =
+      driver.scheme_study(schemes, periods);
+  ASSERT_EQ(study.size(), schemes.size() * periods.size());
+
+  ExperimentDriver lone(fast_config());
+  lone.prepare(1);
+  for (std::size_t s = 0; s < schemes.size(); ++s)
+    for (std::size_t p = 0; p < periods.size(); ++p) {
+      const SchemeEvaluation& got = study[s * periods.size() + p];
+      const SchemeEvaluation want =
+          lone.evaluate_scheme(schemes[s], periods[p]);
+      const std::string label = std::string(to_string(schemes[s])) +
+                                " period " + std::to_string(p);
+      EXPECT_EQ(got.scheme, want.scheme) << label;
+      EXPECT_EQ(got.period_s, want.period_s) << label;
+      EXPECT_EQ(got.orbit_length, want.orbit_length) << label;
+      EXPECT_EQ(got.peak_temp_c, want.peak_temp_c) << label;
+      EXPECT_EQ(got.reduction_c, want.reduction_c) << label;
+      EXPECT_EQ(got.mean_temp_c, want.mean_temp_c) << label;
+      EXPECT_EQ(got.ripple_c, want.ripple_c) << label;
+      EXPECT_EQ(got.migration_s, want.migration_s) << label;
+      EXPECT_EQ(got.throughput_penalty, want.throughput_penalty) << label;
+      EXPECT_EQ(got.phases, want.phases) << label;
+      EXPECT_EQ(got.state_flits, want.state_flits) << label;
+      EXPECT_EQ(got.migration_energy_j, want.migration_energy_j) << label;
+      EXPECT_EQ(got.thermal_converged, want.thermal_converged) << label;
+    }
+}
+
+TEST(ExperimentDriverTest, NonFinitePeriodRejected) {
+  ExperimentDriver driver(fast_config());
+  driver.prepare(1);
+  EXPECT_THROW(driver.evaluate_scheme(
+                   MigrationScheme::kRotation,
+                   std::numeric_limits<double>::infinity()),
+               CheckError);
 }
 
 TEST(ExperimentDriverTest, EvaluateBeforePrepareRejected) {
