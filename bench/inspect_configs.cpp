@@ -1,9 +1,9 @@
 // Diagnostic report for the five chip configurations: placement grids,
 // calibrated power maps, and baseline temperature fields. Not a paper
-// artifact by itself, but the evidence behind the workload design recorded
-// in DESIGN.md (hot row in every configuration; configuration E's central
-// hotspot), and the provenance for the calibration scales quoted in
-// EXPERIMENTS.md.
+// artifact by itself, but the evidence behind the workload design that
+// src/core/chip_config.hpp describes (hot row in every configuration;
+// configuration E's central hotspot) and the calibration scales
+// PAPER_fig1.json records.
 #include <cstdio>
 #include <iostream>
 

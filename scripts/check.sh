@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # One-shot tier-1 verify: configure, build, and run ctest in Debug and
-# Release with warnings-as-errors, benches, and examples all enabled. The
-# engine guards are ctest cases: bit-exactness against the seed oracles in
+# Release with warnings-as-errors and examples enabled. The engine guards
+# are ctest cases: bit-exactness against the seed oracles in
 # tests/support, steady-state allocations (alloc_guard_test), thread,
 # shard and resume invariance of every sweep, and the degraded-fabric
-# conservation law.
-# The Release pass additionally regenerates every PAPER_*.json figure/table
-# record in --smoke mode and diffs it against the pinned golden under
-# goldens/ with renoc_golden_diff (integer fields exact, temperatures
-# tolerance-checked, *_ms timing skipped).
+# conservation law. So is the paper-records check: paper_goldens_test
+# runs renoc_paper --smoke and diffs every PAPER_*.json record against the
+# pinned golden under goldens/ with renoc_golden_diff (integer fields
+# exact, temperatures tolerance-checked, *_ms timing skipped).
 # The Release pass also runs renoc_lint over the tree (repo invariants:
 # hot-region allocations, raw randomness, ring-buffer modulo, engine hash
 # maps, route-table rebuilds in hot regions, non-atomic artifact writes,
@@ -18,7 +17,7 @@
 # retries the dead shard and resumes from its checkpoint segments), and
 # renoc_golden_diff must find the two artifacts identical outside the
 # run-specific "driver" block.
-# --skip-bench-smoke skips the paper figures and the sweep-resume smoke.
+# --skip-bench-smoke skips the sweep-resume smoke.
 # Timing of record is the repo benchmark: python3 perfbench/run.py.
 # Usage: scripts/check.sh [--skip-bench-smoke] [--sanitize=<kind>]
 #                         [extra cmake args...]
@@ -45,18 +44,6 @@ for arg in "$@"; do
   esac
 done
 
-# name:binary:golden triplets for the paper-results pipeline.
-paper_benches=(
-  "fig1:bench_fig1_peak_reduction:PAPER_fig1.json"
-  "table1:bench_table1_transforms:PAPER_table1.json"
-  "dtm:bench_dtm_comparison:PAPER_dtm.json"
-  "period:bench_period_sweep:PAPER_period.json"
-  "phases:bench_migration_phases:PAPER_phases.json"
-  "resolution:bench_grid_resolution:PAPER_resolution.json"
-  "adaptive:bench_adaptive_policy:PAPER_adaptive.json"
-  "noc:bench_noc_characterization:PAPER_noc.json"
-)
-
 if [[ -n "${sanitize}" ]]; then
   build_dir="${repo_root}/build-check-san-${sanitize//+/-}"
   echo "== sanitize(${sanitize}): configure =="
@@ -64,7 +51,6 @@ if [[ -n "${sanitize}" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DRENOC_SANITIZE="${sanitize}" \
     -DRENOC_WERROR=ON \
-    -DRENOC_BUILD_BENCH=ON \
     -DRENOC_BUILD_EXAMPLES=ON \
     ${cmake_args[@]+"${cmake_args[@]}"}
   echo "== sanitize(${sanitize}): build =="
@@ -81,7 +67,6 @@ for config in Debug Release; do
   cmake -B "${build_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE="${config}" \
     -DRENOC_WERROR=ON \
-    -DRENOC_BUILD_BENCH=ON \
     -DRENOC_BUILD_EXAMPLES=ON \
     ${cmake_args[@]+"${cmake_args[@]}"}
   echo "== ${config}: build =="
@@ -106,18 +91,6 @@ for config in Debug Release; do
     "${build_dir}/tools/renoc_golden_diff" --skip driver \
       "${build_dir}/SWEEP_noc_baseline.json" \
       "${build_dir}/SWEEP_noc_crashed.json"
-    echo "== ${config}: paper figures (smoke) vs goldens/ =="
-    for entry in "${paper_benches[@]}"; do
-      name="${entry%%:*}"
-      rest="${entry#*:}"
-      binary="${rest%%:*}"
-      golden="${rest#*:}"
-      echo "-- paper bench: ${name} --"
-      "${build_dir}/bench/${binary}" --smoke \
-        --json "${build_dir}/${golden}" > /dev/null
-      "${build_dir}/tools/renoc_golden_diff" \
-        "${repo_root}/goldens/${golden}" "${build_dir}/${golden}"
-    done
   fi
 done
 

@@ -32,7 +32,7 @@
 //                        offline analysis. (Identity scores the static
 //                        peak, so this objective always migrates.)
 //
-// The bench (bench/adaptive_policy) compares both against the five fixed
+// renoc_paper's PAPER_adaptive.json compares both against the five fixed
 // schemes of Figure 1.
 #pragma once
 

@@ -153,6 +153,18 @@ ChipConfig config_by_name(const std::string& name) {
   RENOC_FAIL("unknown configuration '" << name << "'");
 }
 
+ChipConfig smoke_scaled(ChipConfig cfg) {
+  cfg.workload.code_n = cfg.dim.width == 4 ? 510 : 600;
+  cfg.ldpc_params.iterations = 4;
+  cfg.placer.iterations = 4000;
+  return cfg;
+}
+
+std::vector<ChipConfig> paper_configs(bool smoke) {
+  if (!smoke) return all_configs();
+  return {smoke_scaled(config_A()), smoke_scaled(config_C())};
+}
+
 BuiltChip build_chip(const ChipConfig& cfg) {
   RENOC_CHECK(static_cast<int>(cfg.workload.vn_weights.size()) ==
               cfg.dim.node_count());

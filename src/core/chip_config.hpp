@@ -28,8 +28,8 @@
 //
 // Each configuration's absolute power is calibrated at runtime so its
 // baseline peak temperature equals the paper's reported value (A=85.44,
-// B=84.05, C=75.17, D=72.80, E=75.98 C); the scale factors are reported by
-// the benches and recorded in EXPERIMENTS.md.
+// B=84.05, C=75.17, D=72.80, E=75.98 C); renoc_paper's PAPER_fig1.json
+// records each scale factor.
 #pragma once
 
 #include <string>
@@ -82,6 +82,17 @@ ChipConfig config_D();
 ChipConfig config_E();
 std::vector<ChipConfig> all_configs();
 ChipConfig config_by_name(const std::string& name);
+
+/// The smoke scaling of the paper records and the integration tests: a
+/// shorter code, fewer decode iterations, and a lighter placer anneal.
+/// Calibration still targets the paper's base peak, so temperatures stay
+/// in the paper's regime; only the workload measurement shrinks.
+ChipConfig smoke_scaled(ChipConfig cfg);
+
+/// The paper records' configurations: all five at full scale; in smoke
+/// mode one even-mesh (A, 4x4) and one odd-mesh (C, 5x5) chip through
+/// smoke_scaled(). Odd meshes exercise the rotation/mirror fixed point.
+std::vector<ChipConfig> paper_configs(bool smoke);
 
 /// Everything derived from a ChipConfig that experiments need.
 struct BuiltChip {

@@ -20,9 +20,9 @@
 //     toward DVFS which scales super-linearly); throughput = average d.
 //
 // Both slow the *entire chip* to cool one hotspot — which is exactly why
-// migration wins: it attacks the spatial non-uniformity instead. The bench
-// (bench/dtm_comparison) targets each baseline at the peak temperature a
-// migration scheme achieves and compares throughput costs.
+// migration wins: it attacks the spatial non-uniformity instead.
+// renoc_paper's PAPER_dtm.json targets each baseline at the peak
+// temperature a migration scheme achieves and compares throughput costs.
 //
 // run() used to rebuild its factorizations per call — one transient
 // (C/dt + G) factorization plus one steady G factorization, the same

@@ -7,7 +7,7 @@
 //   throughput penalty.
 //
 // Every number in Figure 1 and the period-sweep discussion of Section 3 is
-// produced by this class; the bench binaries only format its output.
+// produced by this class; renoc_paper only formats its output.
 #pragma once
 
 #include <map>

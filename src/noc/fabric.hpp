@@ -25,7 +25,7 @@
 // Every event increments the activity counters that feed the power model.
 // Ejection is ideal (unbounded reassembly buffers); injection queues are
 // unbounded but serialize at one flit per cycle. Both are standard
-// simulator idealizations and are documented in DESIGN.md.
+// simulator idealizations.
 //
 // --- Flat engine memory layout ---------------------------------------------
 //

@@ -9,8 +9,8 @@
 // uniformly over a tile's sub-blocks; temperatures are read back per tile
 // as the max over its sub-blocks.
 //
-// bench/grid_resolution sweeps the refinement factor and reruns the
-// Figure-1 comparison at refine=2 to confirm the scheme ordering holds.
+// renoc_paper's PAPER_resolution.json sweeps the refinement factor and
+// reruns the Figure-1 comparison to confirm the scheme ordering holds.
 #pragma once
 
 #include <memory>

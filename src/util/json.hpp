@@ -1,8 +1,8 @@
 // Machine-readable JSON artifacts: one writer, one parser, one comparator.
 //
-// Every paper figure/table bench publishes a PAPER_*.json record,
-// renoc_sweep a SWEEP_*.json artifact, and CI diffs the paper records
-// against pinned goldens. They all share:
+// renoc_paper publishes one PAPER_*.json record per paper figure/table,
+// renoc_sweep a SWEEP_*.json artifact, and paper_goldens_test diffs the
+// paper records against pinned goldens. They all share:
 //
 //   * JsonWriter   — a streaming pretty-printer with deterministic number
 //                    formatting (fixed precision, no locale), so identical

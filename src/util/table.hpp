@@ -1,8 +1,6 @@
-// Plain-text table rendering for the benchmark/experiment harnesses.
-//
-// The bench binaries regenerate the paper's tables and figures as aligned
-// text tables on stdout (plus optional CSV), so runs are easy to diff
-// against EXPERIMENTS.md.
+// Plain-text table rendering for renoc_paper: each paper table or figure
+// prints as an aligned text table on stdout next to its PAPER_*.json
+// record.
 #pragma once
 
 #include <iosfwd>
@@ -28,10 +26,6 @@ class Table {
 
   /// Renders with padded columns, a header rule, and the title if set.
   void print(std::ostream& os) const;
-
-  /// Renders as CSV (comma-separated, header first, no quoting of commas —
-  /// callers must not put commas in cells).
-  void print_csv(std::ostream& os) const;
 
   std::size_t row_count() const { return rows_.size(); }
 

@@ -7,8 +7,8 @@
 // physics cannot pass unnoticed.
 //
 // The pinned constants are the smoke-scale values (code_n 510/600,
-// 4 LDPC iterations, 4000 placer iterations) — the same scaling
-// bench/paper_bench.hpp uses for --smoke runs.
+// 4 LDPC iterations, 4000 placer iterations): smoke_scaled(), the scaling
+// renoc_paper --smoke runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,15 +22,6 @@
 
 namespace renoc {
 namespace {
-
-// Mirror of bench::smoke_scaled (bench/paper_bench.hpp): the smoke-mode
-// scaling every paper bench applies.
-ChipConfig smoke_scaled(ChipConfig cfg) {
-  cfg.workload.code_n = cfg.dim.width == 4 ? 510 : 600;
-  cfg.ldpc_params.iterations = 4;
-  cfg.placer.iterations = 4000;
-  return cfg;
-}
 
 TEST(PaperResultsTest, Figure1SmokeReductionsPinned) {
   // Configuration A (4x4): rotation is the strongest scheme at smoke

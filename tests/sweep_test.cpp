@@ -8,7 +8,7 @@
 //   * sharding — stride partition properties and bit-identity of any
 //     N-way merge with the single-shard run, for the toy spec and for all
 //     three harness specs. Each harness's run_*_sweep entry point is that
-//     single-shard run, so these cases cover what the paper benches run;
+//     single-shard run, so these cases cover what renoc_paper runs;
 //   * checkpointing — segment round trips, kill-at-every-boundary resume
 //     (every stop point merges bit-identical to a straight-through run),
 //     a half-way kill and resume on all three harness specs, and the

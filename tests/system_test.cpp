@@ -16,17 +16,9 @@
 namespace renoc {
 namespace {
 
-// A scaled-down configuration so integration tests run in seconds.
-ChipConfig fast_config(int side = 4) {
-  ChipConfig cfg = side == 4 ? config_A() : config_C();
-  cfg.workload.code_n = side == 4 ? 510 : 600;
-  cfg.ldpc_params.iterations = 4;
-  cfg.placer.iterations = 4000;
-  return cfg;
-}
-
 TEST(ReconfigurableSystemTest, MigrationPreservesDecodeFunction) {
-  ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kRotation);
+  ReconfigurableLdpcSystem system(smoke_scaled(config_A()),
+                                  MigrationScheme::kRotation);
   const StreamResult res = system.run_stream(/*blocks=*/6,
                                              /*blocks_per_migration=*/1);
   EXPECT_TRUE(res.all_blocks_match_golden)
@@ -37,7 +29,8 @@ TEST(ReconfigurableSystemTest, MigrationPreservesDecodeFunction) {
 }
 
 TEST(ReconfigurableSystemTest, FourRotationsReturnHome) {
-  ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kRotation);
+  ReconfigurableLdpcSystem system(smoke_scaled(config_A()),
+                                  MigrationScheme::kRotation);
   const StreamResult res = system.run_stream(5, 1);  // 4 migrations
   EXPECT_EQ(res.migrations, 4);
   EXPECT_EQ(res.final_placement,
@@ -52,16 +45,19 @@ TEST(ReconfigurableSystemTest, FourRotationsReturnHome) {
 
 TEST(ReconfigurableSystemTest, ThroughputPenaltyScalesWithPeriod) {
   // Migrating every block costs ~k times more than every k blocks.
-  ReconfigurableLdpcSystem every1(fast_config(), MigrationScheme::kShiftXY);
+  ReconfigurableLdpcSystem every1(smoke_scaled(config_A()),
+                                  MigrationScheme::kShiftXY);
   const StreamResult r1 = every1.run_stream(8, 1);
-  ReconfigurableLdpcSystem every4(fast_config(), MigrationScheme::kShiftXY);
+  ReconfigurableLdpcSystem every4(smoke_scaled(config_A()),
+                                  MigrationScheme::kShiftXY);
   const StreamResult r4 = every4.run_stream(8, 4);
   EXPECT_GT(r1.throughput_penalty, r4.throughput_penalty * 2.5);
   EXPECT_LT(r1.throughput_penalty, 0.5);  // still a small fraction
 }
 
 TEST(ReconfigurableSystemTest, NoMigrationMeansNoPenalty) {
-  ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kMirrorX);
+  ReconfigurableLdpcSystem system(smoke_scaled(config_A()),
+                                  MigrationScheme::kMirrorX);
   const StreamResult res = system.run_stream(3, 0);
   EXPECT_EQ(res.migrations, 0);
   EXPECT_EQ(res.migration_cycles, 0u);
@@ -70,7 +66,8 @@ TEST(ReconfigurableSystemTest, NoMigrationMeansNoPenalty) {
 }
 
 TEST(ReconfigurableSystemTest, WorksOnOddMesh) {
-  ReconfigurableLdpcSystem system(fast_config(5), MigrationScheme::kShiftXY);
+  ReconfigurableLdpcSystem system(smoke_scaled(config_C()),
+                                  MigrationScheme::kShiftXY);
   const StreamResult res = system.run_stream(6, 1);
   EXPECT_TRUE(res.all_blocks_match_golden);
   EXPECT_EQ(res.migrations, 5);
@@ -79,7 +76,7 @@ TEST(ReconfigurableSystemTest, WorksOnOddMesh) {
 }
 
 TEST(ExperimentDriverTest, PrepareCalibratesToPaperBaseline) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(/*measure_blocks=*/1);
   EXPECT_NEAR(driver.base_peak_temp_c(), 85.44, 0.01)
       << "calibration must hit the paper's base peak temperature";
@@ -97,7 +94,7 @@ TEST(ExperimentDriverTest, PrepareCalibratesToPaperBaseline) {
 }
 
 TEST(ExperimentDriverTest, StaticSchemeHasZeroReduction) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   const SchemeEvaluation eval =
       driver.evaluate_scheme(MigrationScheme::kNone);
@@ -107,7 +104,7 @@ TEST(ExperimentDriverTest, StaticSchemeHasZeroReduction) {
 }
 
 TEST(ExperimentDriverTest, RotationEvaluationIsSane) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   const SchemeEvaluation eval =
       driver.evaluate_scheme(MigrationScheme::kRotation);
@@ -129,7 +126,7 @@ TEST(ExperimentDriverTest, SchemeStudySharesCachesConsistently) {
   // identical to the first (both underlying simulations are
   // deterministic), and a period sweep of one scheme must reuse the same
   // measured migration timing/energy at every period.
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   const double p1 = driver.default_period_s();
   const double p2 = 2 * p1;
@@ -181,7 +178,7 @@ TEST(ExperimentDriverTest, SchemeStudyBitMatchesEvaluateScheme) {
   for (const MigrationScheme s : figure1_schemes()) schemes.push_back(s);
   schemes.push_back(MigrationScheme::kRotation);
 
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   const double p1 = driver.default_period_s();
   const std::vector<double> periods{p1, 4 * p1, 8 * p1};
@@ -189,7 +186,7 @@ TEST(ExperimentDriverTest, SchemeStudyBitMatchesEvaluateScheme) {
       driver.scheme_study(schemes, periods);
   ASSERT_EQ(study.size(), schemes.size() * periods.size());
 
-  ExperimentDriver lone(fast_config());
+  ExperimentDriver lone(smoke_scaled(config_A()));
   lone.prepare(1);
   for (std::size_t s = 0; s < schemes.size(); ++s)
     for (std::size_t p = 0; p < periods.size(); ++p) {
@@ -215,7 +212,7 @@ TEST(ExperimentDriverTest, SchemeStudyBitMatchesEvaluateScheme) {
 }
 
 TEST(ExperimentDriverTest, NonFinitePeriodRejected) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   EXPECT_THROW(driver.evaluate_scheme(
                    MigrationScheme::kRotation,
@@ -224,7 +221,7 @@ TEST(ExperimentDriverTest, NonFinitePeriodRejected) {
 }
 
 TEST(ExperimentDriverTest, EvaluateBeforePrepareRejected) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   EXPECT_THROW(driver.evaluate_scheme(MigrationScheme::kRotation),
                CheckError);
 }
@@ -283,7 +280,7 @@ TEST(ChipConfigTest, CfuRowTalksToEveryBfuCluster) {
 }
 
 TEST(ChipConfigTest, PinsKeepCfuRowInPlace) {
-  ExperimentDriver driver(fast_config());
+  ExperimentDriver driver(smoke_scaled(config_A()));
   driver.prepare(1);
   const auto& placement = driver.baseline_placement();
   for (const auto& pin : config_A().workload.pins)

@@ -301,14 +301,6 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(out.find("22"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, RowArityChecked) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), CheckError);

@@ -1,15 +1,19 @@
 // Golden comparison for the paper-results pipeline.
 //
-// CI and scripts/check.sh regenerate every PAPER_*.json figure/table from
-// scratch and run this tool against the pinned copies under goldens/.
-// Comparison rules live in util/json.hpp (diff_json): integer-token fields
-// (counts, cycles, phases, flits) must match exactly, real-token fields
-// (temperatures, penalties) within max(abs_tol, rel_tol * |golden|), and
-// wall-clock keys ("ms", "*_ms") are ignored.
+// The paper_goldens_test ctest case regenerates every PAPER_*.json record
+// with renoc_paper --smoke and runs this tool against the pinned copies
+// under goldens/. Comparison rules live in util/json.hpp (diff_json):
+// integer-token fields (counts, cycles, phases, flits) must match exactly,
+// real-token fields (temperatures, penalties) within
+// max(abs_tol, rel_tol * |golden|), and wall-clock keys ("ms", "*_ms") are
+// ignored.
 //
 // Usage: renoc_golden_diff <golden.json> <candidate.json>
 //                          [--abs-tol X] [--rel-tol Y] [--skip KEY]...
+// A tolerance must parse completely as a finite number >= 0: "5%",
+// "banana" and "-1" are usage errors.
 // Exit codes: 0 match, 1 diverged, 2 usage/IO/parse error.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +33,13 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a finite tolerance >= 0.
+bool parse_tolerance(const char* text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(out) && out >= 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -36,9 +47,9 @@ int main(int argc, char** argv) {
   renoc::JsonDiffOptions opt;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--abs-tol") == 0 && i + 1 < argc) {
-      opt.abs_tol = std::atof(argv[++i]);
+      if (!parse_tolerance(argv[++i], opt.abs_tol)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
-      opt.rel_tol = std::atof(argv[++i]);
+      if (!parse_tolerance(argv[++i], opt.rel_tol)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--skip") == 0 && i + 1 < argc) {
       opt.skip_keys.emplace_back(argv[++i]);
     } else if (argv[i][0] == '-') {
