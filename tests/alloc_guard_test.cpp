@@ -98,7 +98,9 @@ TEST(AllocGuardTest, TotalsAdvanceMonotonically) {
 // every 6 cycles and every delivery is recycled, so pool/ring/staging
 // demand is exactly periodic and one warm-up period reaches every
 // high-water mark. (A stochastic load would keep finding new queue-tail
-// maxima, making the pin probabilistic.)
+// maxima, making the pin probabilistic.) Node 5 empties its pooled buffer
+// before each send: an empty message travels as one flit and arrives as
+// one zero word, the only payload word the fabric itself writes.
 TEST(EngineAllocTest, WarmedFabricStepLoopIsAllocationFree) {
   RENOC_REQUIRE_INSTRUMENTED();
   NocConfig cfg;
@@ -116,6 +118,7 @@ TEST(EngineAllocTest, WarmedFabricStepLoopIsAllocationFree) {
           m.dst = coord_to_index({(co.x + 1) % dim.width, co.y}, dim);
           m.tag = static_cast<std::uint64_t>(c);
           m.payload.assign(4, 0xa5a5a5a5ULL);
+          if (src == 5) m.payload.clear();
           fabric.send(std::move(m));
         }
       }

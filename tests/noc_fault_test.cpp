@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,8 +22,11 @@
 #include "noc/fault_model.hpp"
 #include "noc/routing.hpp"
 #include "noc/sweep_harness.hpp"
+#include "noc/traffic.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/sweep.hpp"
 
 namespace renoc {
 namespace {
@@ -647,6 +654,309 @@ TEST(DegradedFabricTest, WarmedStepIsAllocationFreeWithActiveFaultPlan) {
   pump(512);
   EXPECT_EQ(guard.count(), 0)
       << "degraded-mode steady state must not allocate";
+}
+
+// --- Degraded fabric pinned to the parent engine ---------------------------
+//
+// The reference fabric has no degraded mode, so purge, staged-attempt
+// discard and duplicate suppression have no oracle but their own past.
+// Each scenario drives a Fabric directly, drains it, and compares what it
+// observed with the values the engine produced before its FIFOs carried
+// packet handles (reals as bit patterns).
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+void fnv1a(std::uint64_t& h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Everything a degraded run is pinned on. `totals` are the network sums
+/// of the nine TileActivity counters in declaration order; `tile_digest`
+/// folds every counter of every tile, and `delivery_digest` every received
+/// message (cycle, node, src, tag, payload words) in receive order.
+struct DegradedPin {
+  const char* name;
+  Cycle now;
+  int route_epoch;
+  std::uint64_t totals[9];
+  std::uint64_t tile_digest;
+  std::uint64_t delivered, retried, dropped, unreachable, duplicates;
+  std::uint64_t latency_count;
+  std::uint64_t latency_mean_bits, latency_min_bits, latency_max_bits;
+  std::uint64_t delivery_digest;
+};
+
+std::array<std::uint64_t, 9> activity_words(const TileActivity& a) {
+  return {a.buffer_writes,  a.buffer_reads,   a.crossbar_traversals,
+          a.arbitrations,   a.link_flits,     a.injected_flits,
+          a.ejected_flits,  a.pe_compute_ops, a.pe_state_words};
+}
+
+/// Drives a fabric and digests what it delivers, in receive order.
+class PinDriver {
+ public:
+  explicit PinDriver(Fabric& fabric) : fabric_(&fabric) {}
+
+  void step() {
+    fabric_->step();
+    for (int node = 0; node < fabric_->node_count(); ++node)
+      while (auto msg = fabric_->try_receive(node)) {
+        fnv1a(digest_, fabric_->now());
+        fnv1a(digest_, static_cast<std::uint64_t>(node));
+        fnv1a(digest_, static_cast<std::uint64_t>(msg->src));
+        fnv1a(digest_, msg->tag);
+        fnv1a(digest_, msg->payload.size());
+        for (const std::uint64_t w : msg->payload) fnv1a(digest_, w);
+        fabric_->recycle(std::move(*msg));
+      }
+  }
+
+  void drain() {
+    for (int i = 0; !fabric_->idle(); ++i) {
+      ASSERT_LT(i, 1'000'000) << "degraded fabric failed to drain";
+      step();
+    }
+  }
+
+  DegradedPin observe(const char* name) const {
+    const NetworkStats& st = fabric_->stats();
+    DegradedPin got{};
+    got.name = name;
+    got.now = fabric_->now();
+    got.route_epoch = fabric_->route_epoch();
+    const auto totals = activity_words(st.total());
+    std::copy(totals.begin(), totals.end(), got.totals);
+    got.tile_digest = kFnvOffset;
+    for (int t = 0; t < fabric_->node_count(); ++t)
+      for (const std::uint64_t w : activity_words(st.tile(t)))
+        fnv1a(got.tile_digest, w);
+    got.delivered = st.packets_delivered();
+    got.retried = st.packets_retried();
+    got.dropped = st.packets_dropped();
+    got.unreachable = st.packets_unreachable();
+    got.duplicates = st.duplicates_suppressed();
+    const RunningStats& latency = st.packet_latency();
+    got.latency_count = latency.count();
+    got.latency_mean_bits = std::bit_cast<std::uint64_t>(latency.mean());
+    got.latency_min_bits = std::bit_cast<std::uint64_t>(latency.min());
+    got.latency_max_bits = std::bit_cast<std::uint64_t>(latency.max());
+    got.delivery_digest = digest_;
+    return got;
+  }
+
+ private:
+  Fabric* fabric_;
+  std::uint64_t digest_ = kFnvOffset;
+};
+
+/// A distinct word per (message, position), so a payload word that moved
+/// to the wrong message or slot changes the delivery digest.
+std::uint64_t payload_word(std::uint64_t tag, std::size_t i) {
+  return (tag << 8) ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+}
+
+/// noc_load's degraded cells (grid indices 1, 9 and 17 of its sweep):
+/// 8x8, 0.3 flits/node/cycle of 4-word messages for 2,000 cycles, four
+/// flaky links with onsets inside that window, retry budget 4.
+DegradedPin run_noc_load_cell(TrafficPattern pattern, int scenario_index,
+                              const char* name) {
+  NocConfig cfg = mesh(8);
+  Fabric fabric(cfg);
+  DeliveryGuardConfig guard;
+  guard.retry_budget = 4;
+  fabric.configure_delivery_guard(guard);
+  FaultSpec spec;
+  spec.kind = FaultKind::kLinkFlaky;
+  spec.count = 4;
+  spec.onset_min = 0;
+  spec.onset_max = 2000;
+  fabric.install_fault_plan(make_fault_plan(
+      cfg.dim, spec, fault_scenario_rng(1, scenario_index)));
+  TrafficGenerator pattern_of(fabric, pattern, 0.3, 4,
+                              sweep::scenario_rng(1, scenario_index));
+  Rng draws = sweep::scenario_rng(2, scenario_index);
+  PinDriver driver(fabric);
+  std::uint64_t tag = 0;
+  for (int c = 0; c < 2000; ++c) {
+    for (int src = 0; src < fabric.node_count(); ++src) {
+      if (!draws.next_bool(0.3 / 4)) continue;
+      const int dst = pattern_of.destination(src);
+      if (dst == src) continue;
+      Message m = fabric.acquire_message();
+      m.src = src;
+      m.dst = dst;
+      m.tag = ++tag;
+      for (std::size_t i = 0; i < 4; ++i)
+        m.payload.push_back(payload_word(m.tag, i));
+      fabric.send(std::move(m));
+    }
+    driver.step();
+  }
+  driver.drain();
+  return driver.observe(name);
+}
+
+/// 4x4 uniform traffic of 0..6-word messages (an empty payload travels as
+/// one flit) while two routers die mid-run, with a tight retry budget.
+DegradedPin run_dead_routers() {
+  Fabric fabric(mesh(4));
+  DeliveryGuardConfig guard;
+  guard.retry_budget = 2;
+  guard.timeout_cycles = 64;
+  guard.ack_latency_cycles = 8;
+  fabric.configure_delivery_guard(guard);
+  FaultSpec spec;
+  spec.kind = FaultKind::kRouterDead;
+  spec.count = 2;
+  spec.onset_min = 40;
+  spec.onset_max = 300;
+  fabric.install_fault_plan(
+      make_fault_plan(fabric.config().dim, spec, fault_scenario_rng(7, 3)));
+  Rng rng(0x5eed);
+  PinDriver driver(fabric);
+  std::uint64_t tag = 0;
+  for (int c = 0; c < 600; ++c) {
+    for (int src = 0; src < fabric.node_count(); ++src) {
+      if (!rng.next_bool(0.06)) continue;
+      int dst = static_cast<int>(rng.next_below(15));
+      if (dst >= src) ++dst;
+      Message m = fabric.acquire_message();
+      m.src = src;
+      m.dst = dst;
+      m.tag = ++tag;
+      const std::size_t words = rng.next_below(7);
+      for (std::size_t i = 0; i < words; ++i)
+        m.payload.push_back(payload_word(m.tag, i));
+      fabric.send(std::move(m));
+    }
+    driver.step();
+  }
+  driver.drain();
+  return driver.observe("4x4 two dead routers");
+}
+
+/// RetryRedeliversAfterAMidFlightLinkKill's setup.
+DegradedPin run_link_kill() {
+  Fabric fabric(mesh(4));
+  DeliveryGuardConfig guard;
+  guard.timeout_cycles = 32;
+  guard.ack_latency_cycles = 4;
+  fabric.configure_delivery_guard(guard);
+  FaultPlan plan;
+  plan.events.push_back(
+      {FaultEvent::Kind::kLinkDown, 3, 0, static_cast<int>(Direction::kEast)});
+  fabric.install_fault_plan(plan);
+  Message m;
+  m.src = 0;
+  m.dst = 3;
+  m.tag = 9;
+  m.payload.assign(8, 0xAB);
+  fabric.send(m);
+  PinDriver driver(fabric);
+  driver.drain();
+  return driver.observe("mid-flight link kill");
+}
+
+/// RetransmitAckRaceIsSuppressedAsDuplicate's setup.
+DegradedPin run_ack_race() {
+  Fabric fabric(mesh(4));
+  DeliveryGuardConfig guard;
+  guard.timeout_cycles = 8;
+  guard.ack_latency_cycles = 64;
+  guard.retry_budget = 3;
+  fabric.configure_delivery_guard(guard);
+  Message m;
+  m.src = 0;
+  m.dst = 1;
+  m.tag = 5;
+  m.payload = {10, 11, 12, 13};
+  fabric.send(m);
+  PinDriver driver(fabric);
+  driver.drain();
+  return driver.observe("ack race");
+}
+
+std::string pin_row(const DegradedPin& p) {
+  std::ostringstream os;
+  os << std::hex << "{\"" << p.name << "\", " << std::dec << p.now << ", "
+     << p.route_epoch << ", {";
+  for (int i = 0; i < 9; ++i) os << (i ? ", " : "") << p.totals[i];
+  os << "}, " << std::hex << "0x" << p.tile_digest << "u, " << std::dec
+     << p.delivered << ", " << p.retried << ", " << p.dropped << ", "
+     << p.unreachable << ", " << p.duplicates << ", " << p.latency_count
+     << ", " << std::hex << "0x" << p.latency_mean_bits << "u, 0x"
+     << p.latency_min_bits << "u, 0x" << p.latency_max_bits << "u, 0x"
+     << p.delivery_digest << "u},";
+  return os.str();
+}
+
+TEST(DegradedFabricTest, DrainedRunsMatchParentEngine) {
+  static constexpr DegradedPin kPinned[] = {
+      {"8x8 flaky hotspot", 38463, 8,
+       {300208, 300192, 300192, 75048, 263216, 36992, 36976, 0, 0},
+       0x89fbc2f9750a3059u, 9224, 22, 0, 166, 20, 9224,
+       0x405efcdeeae83e3eu, 0x401c000000000000u, 0x40d2248000000000u,
+       0xcc3acc7854e44a09u},
+      {"8x8 flaky transpose", 8400, 8,
+       {226035, 226030, 226030, 56509, 193398, 32637, 32632, 0, 0},
+       0x5309cbd9f31d1ab1u, 8158, 2, 0, 207, 0, 8158,
+       0x4026b934c81495deu, 0x4018000000000000u, 0x4043000000000000u,
+       0xb58141eb17b3070fu},
+      {"8x8 flaky uniform", 7913, 8,
+       {239610, 239606, 239606, 59903, 201906, 37704, 37700, 0, 0},
+       0xd8dd2e7c9d95aeedu, 9425, 1, 0, 59, 0, 9425,
+       0x4024678a719735b2u, 0x4014000000000000u, 0x403d000000000000u,
+       0x757d291b1df5146au},
+      {"4x4 two dead routers", 653, 2,
+       {4325, 4322, 4322, 1385, 3148, 1177, 1174, 0, 0},
+       0x5e6d1fa1d591218bu, 379, 0, 52, 130, 0, 379,
+       0x401a0c288717a41fu, 0x4000000000000000u, 0x4036000000000000u,
+       0xc0345b79230f09f1u},
+      {"mid-flight link kill", 50, 1,
+       {51, 49, 49, 7, 41, 10, 8, 0, 0},
+       0x840ce6d8cf746ceeu, 1, 1, 0, 0, 0, 1,
+       0x402a000000000000u, 0x402a000000000000u, 0x402a000000000000u,
+       0xb681fca07c05b29u},
+      {"ack race", 70, 0,
+       {32, 32, 32, 8, 16, 16, 16, 0, 0},
+       0xcfa16fdde5bac2b5u, 1, 3, 0, 0, 3, 1,
+       0x4014000000000000u, 0x4014000000000000u, 0x4014000000000000u,
+       0xcd0d8101fe6aa6c3u},
+  };
+  const DegradedPin got[] = {
+      run_noc_load_cell(TrafficPattern::kHotspot, 1, "8x8 flaky hotspot"),
+      run_noc_load_cell(TrafficPattern::kTranspose, 9, "8x8 flaky transpose"),
+      run_noc_load_cell(TrafficPattern::kUniformRandom, 17,
+                        "8x8 flaky uniform"),
+      run_dead_routers(),
+      run_link_kill(),
+      run_ack_race(),
+  };
+  ASSERT_EQ(std::size(kPinned), std::size(got));
+  for (std::size_t i = 0; i < std::size(got); ++i) {
+    const DegradedPin& pin = kPinned[i];
+    const DegradedPin& g = got[i];
+    SCOPED_TRACE(std::string(pin.name) + "; got " + pin_row(g));
+    EXPECT_STREQ(g.name, pin.name);
+    EXPECT_EQ(g.now, pin.now);
+    EXPECT_EQ(g.route_epoch, pin.route_epoch);
+    for (int k = 0; k < 9; ++k)
+      EXPECT_EQ(g.totals[k], pin.totals[k]) << "TileActivity counter " << k;
+    EXPECT_EQ(g.tile_digest, pin.tile_digest);
+    EXPECT_EQ(g.delivered, pin.delivered);
+    EXPECT_EQ(g.retried, pin.retried);
+    EXPECT_EQ(g.dropped, pin.dropped);
+    EXPECT_EQ(g.unreachable, pin.unreachable);
+    EXPECT_EQ(g.duplicates, pin.duplicates);
+    EXPECT_EQ(g.latency_count, pin.latency_count);
+    EXPECT_EQ(g.latency_mean_bits, pin.latency_mean_bits);
+    EXPECT_EQ(g.latency_min_bits, pin.latency_min_bits);
+    EXPECT_EQ(g.latency_max_bits, pin.latency_max_bits);
+    EXPECT_EQ(g.delivery_digest, pin.delivery_digest);
+  }
 }
 
 // --- Migration abort -------------------------------------------------------
