@@ -21,11 +21,31 @@ constexpr int kOppositeDir[4] = {1, 0, 3, 2};
 // caller recycles far more than it sends.
 constexpr std::size_t kPayloadPoolCap = 16384;
 
+// FlitType bit 0 marks a head flit and bit 1 a tail flit.
+bool is_head(FlitType t) { return (static_cast<unsigned>(t) & 1u) != 0; }
+bool is_tail(FlitType t) { return (static_cast<unsigned>(t) & 2u) != 0; }
+/// Type of flit `i` of an `n`-flit packet.
+FlitType flit_type(int i, int n) {
+  return static_cast<FlitType>((i == 0 ? 1u : 0u) | (i + 1 == n ? 2u : 0u));
+}
+
+std::uint64_t node_bit(std::size_t n) { return std::uint64_t{1} << (n % 64); }
+
+const NocConfig& validated(const NocConfig& config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
 
 void NocConfig::validate() const {
   RENOC_CHECK_MSG(dim.width >= 2 && dim.height >= 2,
                   "mesh must be at least 2x2, got " << to_string(dim));
+  const std::int64_t nodes = std::int64_t{dim.width} * dim.height;
+  RENOC_CHECK_MSG(nodes <= kMaxFabricNodes,
+                  "mesh " << to_string(dim) << " has " << nodes
+                          << " nodes; the fabric simulates at most "
+                          << kMaxFabricNodes);
   RENOC_CHECK(buffer_depth >= 1);
   RENOC_CHECK(clock_hz > 0);
 }
@@ -49,27 +69,37 @@ void Fabric::MessageRing::grow() {
 }
 
 Fabric::Fabric(const NocConfig& config)
-    : config_(config), stats_(config.dim.node_count()) {
-  config_.validate();
+    : config_(validated(config)), stats_(config.dim.node_count()) {
   depth_ = config_.buffer_depth;
   const int n = node_count();
   const std::size_t nodes = static_cast<std::size_t>(n);
+  nodes_ = nodes;
   const std::size_t ports = nodes * kDirectionCount;
+  // A live packet has a flit buffered somewhere or is its NI's staged one.
+  const std::size_t max_packets =
+      ports * static_cast<std::size_t>(depth_) + nodes;
+  RENOC_CHECK_MSG(max_packets <= 0xffffffffu,
+                  "buffer depth " << depth_
+                                  << " overflows 32-bit packet slots");
 
   arena_.resize(ports * static_cast<std::size_t>(depth_));
   fifo_head_.assign(ports, 0);
   fifo_size_.assign(ports, 0);
-  head_packet_.assign(ports, 0);
-  head_dst_.assign(ports, 0);
-  head_is_head_.assign(ports, 0);
-  credits_.assign(nodes * 4, depth_);
-  owner_input_.assign(ports, -1);
+  req_out_.assign(ports, kNoRequest);
+  // One spare credit counter past the mesh outputs absorbs the returns of
+  // inputs with no upstream router (local injection, mesh edges).
+  credits_.assign(nodes * 4 + 1, depth_);
+  credit_return_.assign(ports, static_cast<int>(nodes * 4));
+  owner_input_.assign(ports, 0);
   owner_packet_.assign(ports, 0);
+  granted_.assign(nodes, 0);
   rr_pointer_.assign(ports, 0);
   node_buffered_.assign(nodes, 0);
+  busy_.assign((nodes + 63) / 64, 0);
   nis_.resize(nodes);
   ni_work_.assign((nodes + 63) / 64, 0);
-  slots_.resize(nodes * nodes);
+  packets_.reserve(max_packets);
+  free_packets_.reserve(max_packets);
   payload_pool_.reserve(256);
   planned_.reserve(ports);  // hard cap: one move per output port per cycle
 
@@ -82,10 +112,11 @@ Fabric::Fabric(const NocConfig& config)
     const GridCoord here = index_to_coord(node, config_.dim);
     for (int d = 0; d < 4; ++d) {
       const GridCoord nb = neighbor(here, static_cast<Direction>(d));
-      if (in_bounds(nb, config_.dim))
-        neighbor_node_[static_cast<std::size_t>(node) * 4 +
-                       static_cast<std::size_t>(d)] =
-            coord_to_index(nb, config_.dim);
+      if (!in_bounds(nb, config_.dim)) continue;
+      const int up = coord_to_index(nb, config_.dim);
+      neighbor_node_[static_cast<std::size_t>(node) * 4 +
+                     static_cast<std::size_t>(d)] = up;
+      credit_return_[port_index(node, d)] = up * 4 + kOppositeDir[d];
     }
     for (int dst = 0; dst < n; ++dst)
       route_table_[static_cast<std::size_t>(node) * nodes +
@@ -95,7 +126,25 @@ Fabric::Fabric(const NocConfig& config)
   }
 }
 
-void Fabric::push_flit(int node, int port, const Flit& flit) {
+std::uint8_t Fabric::request_of(int node, std::size_t f,
+                                FlitHandle front) const {
+  // renoc-hot-begin (whenever a FIFO's front changes)
+  // The XY table serves the zero-fault fabric; after the first topology
+  // change the per-input west-first table takes over (the input port
+  // encodes the travel direction its turn restriction needs). An
+  // unreachable head parks: kUnreachableRoute is kNoRequest, and the purge
+  // removes such heads at the epoch that strands them. A body or tail
+  // flit follows its packet's wormhole grant; routing it again after an
+  // epoch changed its route could grant it a second output.
+  const std::uint8_t out =
+      adaptive_active_
+          ? adaptive_table_[f * nodes_ + front.dst]
+          : route_table_[static_cast<std::size_t>(node) * nodes_ + front.dst];
+  return is_head(front.type) ? out : kNoRequest;
+  // renoc-hot-end
+}
+
+void Fabric::push_flit(int node, int port, FlitHandle flit) {
   // renoc-hot-begin (once per link traversal, every cycle)
   const std::size_t f = port_index(node, port);
   RENOC_CHECK_MSG(fifo_size_[f] < depth_, "FIFO overflow at node "
@@ -103,23 +152,36 @@ void Fabric::push_flit(int node, int port, const Flit& flit) {
                                               << " — credit protocol violated");
   // Conditional wrap, not %: depth_ is a runtime value, so modulo would
   // cost an integer division on every ring operation.
-  int slot = fifo_head_[f] + fifo_size_[f];
-  if (slot >= depth_) slot -= depth_;
+  const int end = fifo_head_[f] + fifo_size_[f];
+  const int slot = end >= depth_ ? end - depth_ : end;
   arena_[f * static_cast<std::size_t>(depth_) +
          static_cast<std::size_t>(slot)] = flit;
-  if (++fifo_size_[f] == 1) refresh_head(f);
-  ++node_buffered_[static_cast<std::size_t>(node)];
-  ++buffered_flits_;
+  // Selects rather than branches: whether the FIFO was empty is a coin
+  // flip the predictor loses.
+  const std::uint8_t request = request_of(node, f, flit);
+  req_out_[f] = ++fifo_size_[f] == 1 ? request : req_out_[f];
+  const std::size_t n = static_cast<std::size_t>(node);
+  ++node_buffered_[n];
+  busy_[n / 64] |= node_bit(n);
   // renoc-hot-end
 }
 
 /// Advances FIFO f past its front flit (caller has already consumed it).
 void Fabric::pop_front(int node, std::size_t f) {
   // renoc-hot-begin (once per forwarded flit, every cycle)
-  if (++fifo_head_[f] == depth_) fifo_head_[f] = 0;
-  if (--fifo_size_[f] > 0) refresh_head(f);
-  --node_buffered_[static_cast<std::size_t>(node)];
-  --buffered_flits_;
+  const int head = fifo_head_[f] + 1 == depth_ ? 0 : fifo_head_[f] + 1;
+  fifo_head_[f] = head;
+  // The slot past the old front holds a valid (if stale) handle even when
+  // the FIFO is now empty, so the new request is computed unconditionally
+  // and selected.
+  const std::uint8_t request = request_of(
+      node, f,
+      arena_[f * static_cast<std::size_t>(depth_) +
+             static_cast<std::size_t>(head)]);
+  req_out_[f] = --fifo_size_[f] > 0 ? request : kNoRequest;
+  const std::size_t n = static_cast<std::size_t>(node);
+  busy_[n / 64] &= ~(static_cast<std::uint64_t>(--node_buffered_[n] == 0)
+                     << (n % 64));
   // renoc-hot-end
 }
 
@@ -153,10 +215,17 @@ std::optional<Message> Fabric::try_receive(int node) {
   return ni.delivered.pop();
 }
 
-void Fabric::recycle(Message&& msg) {
-  if (payload_pool_.size() >= kPayloadPoolCap) return;
-  msg.payload.clear();
-  payload_pool_.push_back(std::move(msg.payload));
+void Fabric::recycle(Message&& msg) { recycle_payload(msg.payload); }
+
+/// Moves a payload buffer into the pool (or frees it once the pool is
+/// full), leaving `payload` empty without capacity.
+void Fabric::recycle_payload(std::vector<std::uint64_t>& payload) {
+  if (payload_pool_.size() >= kPayloadPoolCap) {
+    std::vector<std::uint64_t>().swap(payload);
+    return;
+  }
+  payload.clear();
+  payload_pool_.push_back(std::move(payload));
 }
 
 Message Fabric::acquire_message() {
@@ -175,121 +244,114 @@ int Fabric::delivered_count(int node) const {
       nis_[static_cast<std::size_t>(node)].delivered.size());
 }
 
-void Fabric::build_staged_flits(NetworkInterface& ni, const Message& msg,
-                                PacketId pid, std::uint32_t msg_seq) {
-  const int nflits = msg.flit_count();
-  ni.staged_flits.clear();
-  ni.staged_pos = 0;
-  ni.staged_flits.reserve(static_cast<std::size_t>(nflits));
-  for (int i = 0; i < nflits; ++i) {
-    Flit f;
-    f.packet = pid;
-    f.src = msg.src;
-    f.dst = msg.dst;
-    f.seq = static_cast<std::uint32_t>(i);
-    f.payload = msg.payload.empty() ? 0
-                                    : msg.payload[static_cast<std::size_t>(i)];
-    f.tag = msg.tag;
-    f.injected_at = now_;
-    f.pkt_flits = static_cast<std::uint32_t>(nflits);
-    f.msg_seq = msg_seq;
-    if (nflits == 1) {
-      f.type = FlitType::kHeadTail;
-    } else if (i == 0) {
-      f.type = FlitType::kHead;
-    } else if (i == nflits - 1) {
-      f.type = FlitType::kTail;
-    } else {
-      f.type = FlitType::kBody;
-    }
-    ni.staged_flits.push_back(f);
+/// Opens a packet-store record for `msg` under the next PacketId; the
+/// caller fills its payload.
+std::uint32_t Fabric::open_packet(const Message& msg, std::uint32_t msg_seq) {
+  // renoc-hot-begin (once per packet)
+  std::uint32_t slot;
+  if (!free_packets_.empty()) {
+    slot = free_packets_.back();
+    free_packets_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(packets_.size());
+    // renoc-lint-allow(hot-alloc): new high water, within the ctor's reserve
+    packets_.emplace_back();
   }
+  PacketRecord& p = packets_[slot];
+  p.pid = next_packet_id_++;
+  p.tag = msg.tag;
+  p.staged_at = now_;
+  p.src = msg.src;
+  p.dst = msg.dst;
+  p.msg_seq = msg_seq;
+  return slot;
+  // renoc-hot-end
+}
+
+/// Returns a record whose payload has been moved out or recycled.
+void Fabric::free_packet(std::uint32_t slot) {
+  PacketRecord& p = packets_[slot];
+  p.pid = 0;
+  p.reassembling = false;
+  p.discarding = false;
+  p.doomed = false;
+  free_packets_.push_back(slot);
+}
+
+void Fabric::start_injection(NetworkInterface& ni, std::uint32_t slot) {
+  const PacketRecord& p = packets_[slot];
+  ni.packet = slot;
+  ni.flits = p.payload.empty() ? 1 : static_cast<int>(p.payload.size());
+  ni.next_flit = 0;
 }
 
 void Fabric::stage_next_message(int node) {
   auto& ni = nis_[static_cast<std::size_t>(node)];
   if (ni.send_queue.empty()) return;
   Message msg = ni.send_queue.pop();
-  build_staged_flits(ni, msg, next_packet_id_++, ++ni.next_msg_seq);
-  // The staged message's payload buffer goes back to the pool so the next
-  // acquire_message()/reassembly can reuse it.
-  recycle(std::move(msg));
+  const std::uint32_t slot = open_packet(msg, ++ni.next_msg_seq);
+  // The sent buffer travels with the packet to its delivery.
+  packets_[slot].payload = std::move(msg.payload);
+  start_injection(ni, slot);
 }
 
-void Fabric::eject_flit(int node, const Flit& flit) {
+void Fabric::eject_flit(int node, FlitHandle flit, TileActivity* tiles) {
   // renoc-hot-begin (once per flit reaching its destination)
-  ++stats_.tile(node).ejected_flits;
-  if (degraded_) note_flit_left_network(flit);
-  const std::size_t nodes = static_cast<std::size_t>(node_count());
-  ReassemblySlot& slot =
-      slots_[static_cast<std::size_t>(node) * nodes +
-             static_cast<std::size_t>(flit.src)];
-  if (flit.is_head()) {
-    // Wormhole ownership of every traversed port plus FIFO links means a
-    // (src, dst) pair never has two packets interleaved at ejection; in
-    // degraded mode the stop-and-wait tracker enforces the same bound.
-    RENOC_CHECK_MSG(slot.flits == 0 && !slot.discarding,
-                    "reassembly slot busy for src " << flit.src << " at node "
-                                                    << node);
-    slot.pid = flit.packet;
-    if (degraded_ && flit.msg_seq != 0 &&
-        flit.msg_seq <= slot.last_seq_delivered) {
+  ++tiles[node].ejected_flits;
+  PacketRecord& p = packets_[flit.packet];
+  if (degraded_) note_flit_left_network(p);
+  const std::size_t pair =
+      static_cast<std::size_t>(node) * nodes_ + static_cast<std::size_t>(p.src);
+  if (is_head(flit.type)) {
+    if (degraded_ && p.msg_seq != 0 &&
+        p.msg_seq <= last_seq_delivered_[pair]) {
       // Retransmission duplicate: the original was delivered, but its
       // delivery notice was still in flight when the source's timeout
       // fired. Swallow the whole packet; count it at the tail.
-      slot.discarding = true;
+      p.discarding = true;
     } else {
-      slot.msg.src = flit.src;
-      slot.msg.dst = flit.dst;
-      slot.msg.tag = flit.tag;
-      slot.head_injected_at = flit.injected_at;
-      // Reserve the whole payload up front from the head flit's packet
-      // length, pulling capacity from the recycling pool when the slot's
-      // own buffer (moved out with the previous delivery) is too small.
-      if (slot.msg.payload.capacity() < flit.pkt_flits &&
-          !payload_pool_.empty()) {
-        slot.msg.payload.swap(payload_pool_.back());
-        payload_pool_.pop_back();
-      }
-      slot.msg.payload.clear();
-      // renoc-lint-allow(hot-alloc): head-flit reserve reusing pooled capacity
-      slot.msg.payload.reserve(flit.pkt_flits);
+      p.reassembling = true;
       ++partial_count_;
     }
   }
-  if (slot.discarding) {
-    if (flit.is_tail()) {
-      stats_.note_duplicate_suppressed();
-      slot.discarding = false;
-      slot.pid = 0;
-    }
+  if (!is_tail(flit.type)) return;
+  if (p.discarding) {
+    stats_.note_duplicate_suppressed();
+    recycle_payload(p.payload);
   } else {
-    // renoc-lint-allow(hot-alloc): within the capacity reserved at the head
-    slot.msg.payload.push_back(flit.payload);
-    ++slot.flits;
-    if (flit.is_tail()) {
+    Message& msg = nis_[static_cast<std::size_t>(node)].delivered.push_slot();
+    msg.src = p.src;
+    msg.dst = node;
+    msg.tag = p.tag;
+    msg.payload = std::move(p.payload);
+    if (msg.payload.empty()) {
       // A message sent with an empty payload occupies one flit and is
       // delivered with a single zero word (the wire cannot distinguish the
       // two; see Message::flit_count).
-      stats_.note_packet_delivered(slot.flits, now_ - slot.head_injected_at);
-      nis_[static_cast<std::size_t>(node)].delivered.push(std::move(slot.msg));
-      ++unread_;
-      slot.flits = 0;
-      slot.pid = 0;
-      --partial_count_;
-      if (degraded_) {
-        slot.last_seq_delivered = flit.msg_seq;
-        // Delivery notice toward the source: the tracker resolves once the
-        // notice lands (ack_latency_cycles later). Keyed by msg_seq, not
-        // PacketId — the delivering attempt may be older than the tracked
-        // one when a retransmission is already in flight.
-        auto& sni = nis_[static_cast<std::size_t>(flit.src)];
-        if (sni.tracked_active && sni.tracked_seq == flit.msg_seq &&
-            sni.tracked_ack_at == kNoAck)
-          sni.tracked_ack_at = now_ + guard_.ack_latency_cycles;
+      if (msg.payload.capacity() == 0 && !payload_pool_.empty()) {
+        msg.payload.swap(payload_pool_.back());
+        payload_pool_.pop_back();
       }
+      // renoc-lint-allow(hot-alloc): one word into a sent or pooled buffer
+      msg.payload.push_back(0);
+    }
+    stats_.note_packet_delivered(static_cast<int>(msg.payload.size()),
+                                 now_ - p.staged_at);
+    ++unread_;
+    --partial_count_;
+    if (degraded_) {
+      last_seq_delivered_[pair] = p.msg_seq;
+      // Delivery notice toward the source: the tracker resolves once the
+      // notice lands (ack_latency_cycles later). Keyed by msg_seq, not
+      // PacketId — the delivering attempt may be older than the tracked
+      // one when a retransmission is already in flight.
+      auto& sni = nis_[static_cast<std::size_t>(p.src)];
+      if (sni.tracked_active && sni.tracked_seq == p.msg_seq &&
+          sni.tracked_ack_at == kNoAck)
+        sni.tracked_ack_at = now_ + guard_.ack_latency_cycles;
     }
   }
+  free_packet(flit.packet);
   // renoc-hot-end
 }
 
@@ -301,13 +363,6 @@ void Fabric::step() {
   if (degraded_ && next_fault_ < fault_events_.size() &&
       fault_events_[next_fault_].cycle <= now_)
     apply_due_faults();
-  const int n_nodes = node_count();
-  const std::size_t nodes = static_cast<std::size_t>(n_nodes);
-  // Epoch-versioned table selection, hoisted out of the scan: the adaptive
-  // pointer only ever changes at an epoch boundary above, never mid-cycle.
-  const bool adaptive = adaptive_active_;
-  const std::uint8_t* const adaptive_routes =
-      adaptive ? adaptive_table_.data() : nullptr;
   // Contiguous tile counters, hoisted past tile()'s per-call bounds check
   // (every index below is a valid node).
   TileActivity* const tiles = &stats_.tile(0);
@@ -316,96 +371,92 @@ void Fabric::step() {
   // Same decision procedure as Router::arbitrate in the reference engine,
   // inlined over the flat arrays: wormhole continuation first, then
   // round-robin output allocation among buffered head flits.
-  // renoc-hot-begin (phases 1+2 run every cycle over every router)
+  // renoc-hot-begin (phases 1+2 run every cycle over every busy router)
   planned_.clear();
-  for (int n = 0; n < n_nodes; ++n) {
-    // A router with no buffered flit can plan nothing: continuations stall
-    // on empty FIFOs and allocations need a head flit. (The reference
-    // arbitrates such routers too, with zero planned moves and a zero
-    // arbitration count — no observable difference.)
-    if (node_buffered_[static_cast<std::size_t>(n)] == 0) continue;
-
-    const std::size_t base = static_cast<std::size_t>(n) * kDirectionCount;
-    const std::size_t credit_base = static_cast<std::size_t>(n) * 4;
-    const std::size_t route_base = static_cast<std::size_t>(n) * nodes;
-    // Round-robin allocation as request masks: bit `in` of req[o] is set
-    // when the head flit at input `in`'s front routes to output o. The
-    // zero-fault fast path reads the XY table; after the first
-    // topology-change epoch the per-input west-first table takes over
-    // (input port encodes the travel direction the turn restriction
-    // needs). Only head flits request: a body flit follows its packet's
-    // wormhole grant, and routing it again after an epoch changed its
-    // route could grant it a second output. An unreachable head parks
-    // (requests nothing); purge removes such heads at the epoch that
-    // strands them, so nothing spins here.
-    unsigned req[kDirectionCount] = {};
-    for (int in = 0; in < kDirectionCount; ++in) {
-      const std::size_t f = base + static_cast<std::size_t>(in);
-      if (fifo_size_[f] == 0 || head_is_head_[f] == 0) continue;
-      const std::size_t dst = static_cast<std::size_t>(head_dst_[f]);
-      const std::uint8_t out = adaptive ? adaptive_routes[f * nodes + dst]
-                                        : route_table_[route_base + dst];
-      if (out != kUnreachableRoute) req[out] |= 1u << in;
-    }
-    // Doubling a mask and shifting it past the cursor puts inputs rr+1,
-    // rr+2, ... (mod P) in bit order, so the lowest set bit is the input
-    // the round-robin scan would reach first.
-    int new_allocations = 0;
-    for (int o = 0; o < kDirectionCount; ++o) {
-      const bool credit_ok =
-          o == kLocal /* ideal ejection */ ||
-          credits_[credit_base + static_cast<std::size_t>(o)] > 0;
-      const std::size_t out = base + static_cast<std::size_t>(o);
-      const int owner = owner_input_[out];
-      if (owner >= 0) {
-        // Wormhole continuation: move the next flit of the owning packet
-        // if it has arrived and the downstream FIFO can take it.
-        const std::size_t f = base + static_cast<std::size_t>(owner);
-        if (fifo_size_[f] > 0 && head_packet_[f] == owner_packet_[out] &&
-            credit_ok)
-          // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
-          planned_.push_back(
-              PlannedMove{n, owner, static_cast<Direction>(o)});
-        continue;
+  // Only routers holding a buffered flit can plan a move, and the busy set
+  // visits them in ascending order, so planned_ (and with it the commit
+  // order) is the one a scan over every router builds. (The reference
+  // arbitrates idle routers too, with zero planned moves and a zero
+  // arbitration count — no observable difference.)
+  for (std::size_t w = 0; w < busy_.size(); ++w) {
+    for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
+      const int n = static_cast<int>(w * 64) + std::countr_zero(bits);
+      const std::size_t base = static_cast<std::size_t>(n) * kDirectionCount;
+      // Round-robin allocation as request masks: bit `in` of req[o] is set
+      // when input `in`'s front is a head flit routed to output o. A FIFO
+      // requesting nothing (kNoRequest) lands in the unused row 7.
+      unsigned req[8] = {};
+      unsigned requested = 0;
+      for (int in = 0; in < kDirectionCount; ++in) {
+        const unsigned o = req_out_[base + static_cast<std::size_t>(in)] & 7u;
+        req[o] |= 1u << in;
+        requested |= 1u << o;
       }
-      if (!credit_ok || req[o] == 0) continue;
-      const int from = rr_pointer_[out] + 1;  // 1..P
-      const unsigned doubled = req[o] | (req[o] << kDirectionCount);
-      int in = from + std::countr_zero(doubled >> from);
-      if (in >= kDirectionCount) in -= kDirectionCount;
-      // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
-      planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
-      owner_input_[out] = static_cast<std::int8_t>(in);
-      owner_packet_[out] = head_packet_[base + static_cast<std::size_t>(in)];
-      rr_pointer_[out] = static_cast<std::int8_t>(in);
-      ++new_allocations;
+      const int* const credit = &credits_[static_cast<std::size_t>(n) * 4];
+      const unsigned credit_ok = 1u << kLocal /* ideal ejection */ |
+                                 unsigned{credit[0] > 0} |
+                                 unsigned{credit[1] > 0} << 1 |
+                                 unsigned{credit[2] > 0} << 2 |
+                                 unsigned{credit[3] > 0} << 3;
+      // An output can move a flit only with downstream room, and then only
+      // for its wormhole owner or, if free, for a requesting head. Visiting
+      // those outputs in ascending order plans what a scan of all five
+      // would.
+      const unsigned granted = granted_[static_cast<std::size_t>(n)];
+      unsigned newly_granted = 0;
+      for (unsigned visit = (granted | requested) & credit_ok; visit != 0;
+           visit &= visit - 1) {
+        const int o = std::countr_zero(visit);
+        const std::size_t out = base + static_cast<std::size_t>(o);
+        if ((granted >> o) & 1u) {
+          // Wormhole continuation: move the next flit of the owning packet
+          // if it has arrived.
+          const int owner = owner_input_[out];
+          const std::size_t f = base + static_cast<std::size_t>(owner);
+          if (fifo_size_[f] > 0 && fifo_front(f).packet == owner_packet_[out])
+            // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
+            planned_.push_back(
+                PlannedMove{n, owner, static_cast<Direction>(o)});
+          continue;
+        }
+        // Doubling a mask and shifting it past the cursor puts inputs rr+1,
+        // rr+2, ... (mod P) in bit order, so the lowest set bit is the
+        // input the round-robin scan would reach first.
+        const int from = rr_pointer_[out] + 1;  // 1..P
+        const unsigned doubled = req[o] | (req[o] << kDirectionCount);
+        int in = from + std::countr_zero(doubled >> from);
+        if (in >= kDirectionCount) in -= kDirectionCount;
+        // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
+        planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
+        owner_input_[out] = static_cast<std::int8_t>(in);
+        owner_packet_[out] =
+            fifo_front(base + static_cast<std::size_t>(in)).packet;
+        rr_pointer_[out] = static_cast<std::int8_t>(in);
+        newly_granted |= 1u << o;
+      }
+      granted_[static_cast<std::size_t>(n)] =
+          static_cast<std::uint8_t>(granted | newly_granted);
+      tiles[n].arbitrations +=
+          static_cast<std::uint64_t>(std::popcount(newly_granted));
     }
-    tiles[n].arbitrations += static_cast<std::uint64_t>(new_allocations);
   }
 
   // --- Phase 2: commit all planned moves --------------------------------
   for (const PlannedMove& mv : planned_) {
     const int n = mv.node;
     const std::size_t f = port_index(n, mv.in_port);
-    // The flit moves arena-to-arena (or arena-to-reassembly) in one copy:
-    // consume it in place, then advance the source ring.
-    const Flit& flit = fifo_front(f);
-    const bool tail = flit.is_tail();
+    const FlitHandle flit = fifo_front(f);
     TileActivity& act = tiles[n];
     ++act.buffer_reads;
     ++act.crossbar_traversals;
 
-    // Credit return toward the upstream router (not for local injection).
-    if (mv.in_port != kLocal) {
-      const int up = neighbor_node_[static_cast<std::size_t>(n) * 4 +
-                                    static_cast<std::size_t>(mv.in_port)];
-      ++credits_[static_cast<std::size_t>(up) * 4 +
-                 static_cast<std::size_t>(kOppositeDir[mv.in_port])];
-    }
+    // Credit return toward the upstream router (a local injection's goes
+    // to the spare counter).
+    ++credits_[static_cast<std::size_t>(credit_return_[f])];
 
     const int o = static_cast<int>(mv.out);
     if (mv.out == Direction::kLocal) {
-      eject_flit(n, flit);
+      eject_flit(n, flit, tiles);
     } else {
       const int down = neighbor_node_[static_cast<std::size_t>(n) * 4 +
                                       static_cast<std::size_t>(o)];
@@ -416,19 +467,17 @@ void Fabric::step() {
                  static_cast<std::size_t>(o)];
     }
     pop_front(n, f);
-    if (tail) {
-      const std::size_t out = port_index(n, o);
-      owner_input_[out] = -1;
-      owner_packet_[out] = 0;
-    }
+    // The tail releases its wormhole grant.
+    granted_[static_cast<std::size_t>(n)] &= static_cast<std::uint8_t>(
+        ~(unsigned{is_tail(flit.type)} << o));
   }
   // renoc-hot-end
 
   // --- Phase 3: injection ------------------------------------------------
-  inject_phase();
+  inject_phase(tiles);
 }
 
-void Fabric::inject_phase() {
+void Fabric::inject_phase(TileActivity* tiles) {
   // renoc-hot-begin (phase 3 runs every cycle)
   if (degraded_) {
     for (int n = 0; n < node_count(); ++n) {
@@ -440,7 +489,7 @@ void Fabric::inject_phase() {
       // mid-injection without wedging its grants downstream.
       if (router_up_[static_cast<std::size_t>(n)] == 0) continue;
       guard_tick(n, ni);
-      if (inject_staged_flit(n, ni)) ++ni.tracked_flits_in_net;
+      if (inject_flit(n, ni, tiles)) ++ni.tracked_flits_in_net;
     }
     return;
   }
@@ -453,23 +502,28 @@ void Fabric::inject_phase() {
       const int n = static_cast<int>(w) * 64 + b;
       auto& ni = nis_[static_cast<std::size_t>(n)];
       if (!ni.enabled) continue;
-      if (ni.staged_pos >= ni.staged_flits.size()) stage_next_message(n);
-      inject_staged_flit(n, ni);
-      if (ni.staged_pos >= ni.staged_flits.size() && ni.send_queue.empty())
+      if (!ni.staging()) stage_next_message(n);
+      inject_flit(n, ni, tiles);
+      if (!ni.staging() && ni.send_queue.empty())
         ni_work_[w] &= ~(std::uint64_t{1} << b);
     }
   }
   // renoc-hot-end
 }
 
-/// Streams the NI's next staged flit into its router's local FIFO if one
-/// is staged and the FIFO has room; returns whether a flit moved.
-bool Fabric::inject_staged_flit(int node, NetworkInterface& ni) {
+/// Injects the next flit of the NI's current packet if one is staged and
+/// the router's local FIFO has room; returns whether a flit moved.
+bool Fabric::inject_flit(int node, NetworkInterface& ni,
+                         TileActivity* tiles) {
   // renoc-hot-begin (once per NI with work, every cycle)
-  if (ni.staged_pos >= ni.staged_flits.size()) return false;
+  if (!ni.staging()) return false;
   if (fifo_size_[port_index(node, kLocal)] >= depth_) return false;
-  push_flit(node, kLocal, ni.staged_flits[ni.staged_pos++]);
-  TileActivity& act = stats_.tile(node);
+  const int i = ni.next_flit++;
+  push_flit(node, kLocal,
+            FlitHandle{ni.packet,
+                       static_cast<std::uint16_t>(packets_[ni.packet].dst),
+                       flit_type(i, ni.flits)});
+  TileActivity& act = tiles[node];
   ++act.injected_flits;
   ++act.buffer_writes;
   return true;
@@ -508,18 +562,20 @@ int Fabric::drain(int max_cycles) {
 }
 
 bool Fabric::idle() const {
-  // No buffered flit also implies no wormhole grant can be pending (a held
-  // grant means a tail flit is still staged or buffered somewhere), and no
-  // active reassembly (its tail would be in flight) — so these two counters
-  // plus the NI queues (the work set, on a pristine fabric) cover the
-  // reference engine's full quiescence check.
-  if (buffered_flits_ != 0 || partial_count_ != 0) return false;
-  if (!degraded_)
-    return std::all_of(ni_work_.begin(), ni_work_.end(),
+  // No buffered flit (no busy router) also implies no wormhole grant can
+  // be pending (a held grant means a tail flit is still staged or buffered
+  // somewhere), and no active reassembly (its tail would be in flight) — so
+  // the busy set and partial_count_ plus the NI queues (the work set, on a
+  // pristine fabric) cover the reference engine's full quiescence check.
+  const auto empty = [](const std::vector<std::uint64_t>& bits) {
+    return std::all_of(bits.begin(), bits.end(),
                        [](std::uint64_t w) { return w == 0; });
+  };
+  if (partial_count_ != 0 || !empty(busy_)) return false;
+  if (!degraded_) return empty(ni_work_);
   for (const auto& ni : nis_) {
     if (!ni.send_queue.empty()) return false;
-    if (ni.staged_pos < ni.staged_flits.size()) return false;
+    if (ni.staging()) return false;
     // A tracked message awaiting its delivery notice, a timeout, or a
     // retransmission still owns future work.
     if (ni.tracked_active) return false;
@@ -540,8 +596,7 @@ bool Fabric::injection_enabled(int node) const {
 int Fabric::pending_send_count(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   const auto& ni = nis_[static_cast<std::size_t>(node)];
-  const int staged_left = ni.staged_pos < ni.staged_flits.size() ? 1 : 0;
-  return static_cast<int>(ni.send_queue.size()) + staged_left;
+  return static_cast<int>(ni.send_queue.size()) + (ni.staging() ? 1 : 0);
 }
 
 // --- Degraded-fabric mode ---------------------------------------------------
@@ -554,6 +609,7 @@ void Fabric::enter_degraded_mode() {
   link_up_.assign(nodes * 4, 0);
   for (std::size_t l = 0; l < nodes * 4; ++l)
     if (neighbor_node_[l] >= 0) link_up_[l] = 1;
+  last_seq_delivered_.assign(nodes * nodes, 0);
   doomed_.reserve(64);
 }
 
@@ -659,6 +715,19 @@ void Fabric::apply_due_faults() {
   adaptive_active_ = true;
   build_adaptive_routes(config_.dim, link_up_, router_up_, adaptive_table_);
   purge_stranded_packets();
+  // Every surviving head re-routes under the new tables.
+  for (std::size_t f = 0; f < req_out_.size(); ++f)
+    req_out_[f] = fifo_size_[f] > 0
+                      ? request_of(static_cast<int>(f / kDirectionCount), f,
+                                   fifo_front(f))
+                      : kNoRequest;
+}
+
+void Fabric::doom(std::uint32_t slot) {
+  PacketRecord& p = packets_[slot];
+  if (p.doomed) return;
+  p.doomed = true;
+  doomed_.push_back(slot);
 }
 
 void Fabric::purge_stranded_packets() {
@@ -666,7 +735,7 @@ void Fabric::purge_stranded_packets() {
   const std::size_t nodes = static_cast<std::size_t>(n_nodes);
   doomed_.clear();
 
-  // Pass A: collect doomed packets — every flit buffered in a dead router,
+  // Pass A: mark doomed packets — every flit buffered in a dead router,
   // every wormhole grant crossing a dead link (the packet's remaining
   // flits can never follow their head), every buffered head whose
   // destination is unreachable from where it sits under the new tables,
@@ -678,18 +747,14 @@ void Fabric::purge_stranded_packets() {
       const std::size_t arena_base = f * static_cast<std::size_t>(depth_);
       int pos = fifo_head_[f];
       for (int k = 0; k < fifo_size_[f]; ++k) {
-        const Flit& fl = arena_[arena_base + static_cast<std::size_t>(pos)];
+        const FlitHandle& fl =
+            arena_[arena_base + static_cast<std::size_t>(pos)];
         if (++pos == depth_) pos = 0;
-        if (dead) {
-          doomed_.push_back(fl.packet);
-        } else if (fl.is_head() &&
-                   adaptive_table_[f * nodes +
-                                   static_cast<std::size_t>(fl.dst)] ==
-                       kUnreachableRoute) {
-          doomed_.push_back(fl.packet);
-        }
+        if (dead || (is_head(fl.type) &&
+                     adaptive_table_[f * nodes + fl.dst] == kUnreachableRoute))
+          doom(fl.packet);
       }
-      if (owner_input_[f] >= 0) {
+      if ((granted_[static_cast<std::size_t>(n)] >> p) & 1u) {
         bool broken = dead;
         if (!broken && p != kLocal) {
           const std::size_t l =
@@ -698,40 +763,35 @@ void Fabric::purge_stranded_packets() {
           broken = link_up_[l] == 0 ||
                    (down >= 0 && router_up_[static_cast<std::size_t>(down)] == 0);
         }
-        if (broken) doomed_.push_back(owner_packet_[f]);
+        if (broken) doom(owner_packet_[f]);
       }
     }
     if (dead) {
-      for (int s = 0; s < n_nodes; ++s) {
-        const ReassemblySlot& slot =
-            slots_[static_cast<std::size_t>(n) * nodes +
-                   static_cast<std::size_t>(s)];
-        if (slot.flits > 0 || slot.discarding) doomed_.push_back(slot.pid);
-      }
       const auto& ni = nis_[static_cast<std::size_t>(n)];
       // The dead NI's current attempt dies with it even when every flit is
-      // in flight elsewhere on a healthy path: Pass B4 resolves the tracker
+      // in flight elsewhere on a healthy path: Pass B3 resolves the tracker
       // (recording the drop), so letting those flits eject would count the
-      // same packet both dropped and delivered.
-      if (ni.tracked_active) doomed_.push_back(ni.tracked_pid);
-      if (ni.staged_pos < ni.staged_flits.size())
-        doomed_.push_back(ni.staged_flits[0].packet);
+      // same packet both dropped and delivered. (A record whose PacketId
+      // moved on has no flit left anywhere.)
+      if (ni.tracked_active && packets_[ni.tracked_slot].pid == ni.tracked_pid)
+        doom(ni.tracked_slot);
+      if (ni.staging()) doom(ni.packet);
     }
   }
-  std::sort(doomed_.begin(), doomed_.end());
-  doomed_.erase(std::unique(doomed_.begin(), doomed_.end()), doomed_.end());
-  const auto is_doomed = [this](PacketId pid) {
-    return std::binary_search(doomed_.begin(), doomed_.end(), pid);
-  };
+  for (std::size_t slot = 0; slot < packets_.size(); ++slot) {
+    const PacketRecord& p = packets_[slot];
+    if (p.pid != 0 && (p.reassembling || p.discarding) &&
+        router_up_[static_cast<std::size_t>(p.dst)] == 0)
+      doom(static_cast<std::uint32_t>(slot));
+  }
 
   if (!doomed_.empty()) {
     // Pass B1: drop doomed flits from the input FIFOs, compacting each
     // ring in place and returning the freed buffer slots' credits
     // upstream. Source trackers see their flit counts fall (a zeroed count
     // is what arms their retransmission).
-    std::vector<Flit> kept(static_cast<std::size_t>(depth_));
+    std::vector<FlitHandle> kept(static_cast<std::size_t>(depth_));
     for (int n = 0; n < n_nodes; ++n) {
-      const bool dead = router_up_[static_cast<std::size_t>(n)] == 0;
       for (int p = 0; p < kDirectionCount; ++p) {
         const std::size_t f = port_index(n, p);
         const int sz = fifo_size_[f];
@@ -740,20 +800,13 @@ void Fabric::purge_stranded_packets() {
         int pos = fifo_head_[f];
         int keep = 0;
         for (int k = 0; k < sz; ++k) {
-          const Flit fl = arena_[arena_base + static_cast<std::size_t>(pos)];
+          const FlitHandle fl =
+              arena_[arena_base + static_cast<std::size_t>(pos)];
           if (++pos == depth_) pos = 0;
-          if (dead || is_doomed(fl.packet)) {
-            note_flit_left_network(fl);
-            if (p != kLocal) {
-              const int up =
-                  neighbor_node_[static_cast<std::size_t>(n) * 4 +
-                                 static_cast<std::size_t>(p)];
-              if (up >= 0)
-                ++credits_[static_cast<std::size_t>(up) * 4 +
-                           static_cast<std::size_t>(kOppositeDir[p])];
-            }
+          if (packets_[fl.packet].doomed) {
+            note_flit_left_network(packets_[fl.packet]);
+            ++credits_[static_cast<std::size_t>(credit_return_[f])];
             --node_buffered_[static_cast<std::size_t>(n)];
-            --buffered_flits_;
           } else {
             kept[static_cast<std::size_t>(keep++)] = fl;
           }
@@ -764,38 +817,21 @@ void Fabric::purge_stranded_packets() {
                 kept[static_cast<std::size_t>(k)];
           fifo_head_[f] = 0;
           fifo_size_[f] = keep;
-          if (keep > 0) refresh_head(f);
         }
       }
+      const std::size_t un = static_cast<std::size_t>(n);
+      if (node_buffered_[un] == 0) busy_[un / 64] &= ~node_bit(un);
     }
     // Pass B2: release wormhole grants held by doomed packets.
-    for (std::size_t f = 0; f < owner_input_.size(); ++f) {
-      if (owner_input_[f] >= 0 && is_doomed(owner_packet_[f])) {
-        owner_input_[f] = -1;
-        owner_packet_[f] = 0;
-      }
-    }
-    // Pass B3: clear stranded reassembly slots. No drop is recorded here —
-    // the source tracker owns the packet's accounting (it retransmits or
-    // resolves dropped/unreachable at its timeout).
-    for (int d = 0; d < n_nodes; ++d) {
-      const bool ddead = router_up_[static_cast<std::size_t>(d)] == 0;
-      for (int s = 0; s < n_nodes; ++s) {
-        ReassemblySlot& slot = slots_[static_cast<std::size_t>(d) * nodes +
-                                      static_cast<std::size_t>(s)];
-        if (slot.flits == 0 && !slot.discarding) continue;
-        if (!ddead && !is_doomed(slot.pid)) continue;
-        if (slot.flits > 0) {
-          slot.flits = 0;
-          --partial_count_;
-        }
-        slot.discarding = false;
-        slot.pid = 0;
-      }
-    }
+    for (int n = 0; n < n_nodes; ++n)
+      for (int o = 0; o < kDirectionCount; ++o)
+        if ((granted_[static_cast<std::size_t>(n)] >> o) & 1u &&
+            packets_[owner_packet_[port_index(n, o)]].doomed)
+          granted_[static_cast<std::size_t>(n)] &=
+              static_cast<std::uint8_t>(~(1u << o));
   }
 
-  // Pass B4: NI cleanup — always runs (a dead router may hold queued
+  // Pass B3: NI cleanup — always runs (a dead router may hold queued
   // messages even when no flit of its was buffered).
   for (int n = 0; n < n_nodes; ++n) {
     auto& ni = nis_[static_cast<std::size_t>(n)];
@@ -803,8 +839,7 @@ void Fabric::purge_stranded_packets() {
       // Dead PE: everything queued or tracked here resolves now. A tracked
       // message whose delivery notice is already in flight was delivered —
       // counting it dropped would double-count.
-      ni.staged_flits.clear();
-      ni.staged_pos = 0;
+      ni.next_flit = ni.flits;
       if (ni.tracked_active) {
         if (ni.tracked_ack_at == kNoAck) stats_.note_packet_dropped();
         resolve_tracked(ni);
@@ -813,30 +848,48 @@ void Fabric::purge_stranded_packets() {
         stats_.note_packet_dropped();
         recycle(ni.send_queue.pop());
       }
-    } else if (ni.staged_pos < ni.staged_flits.size() &&
-               is_doomed(ni.staged_flits[0].packet)) {
+    } else if (ni.staging() && packets_[ni.packet].doomed) {
       // The partially injected attempt was purged from the fabric; discard
       // its remaining staged flits so the tracker can retransmit the whole
       // message cleanly.
-      ni.staged_flits.clear();
-      ni.staged_pos = 0;
+      ni.next_flit = ni.flits;
     }
+  }
+
+  // Every pass above reads the doomed marks, so the records are freed
+  // last, ending any reassembly in progress. No drop is recorded here — the
+  // source tracker owns the packet's accounting (it retransmits or resolves
+  // dropped/unreachable at its timeout).
+  for (const std::uint32_t slot : doomed_) {
+    if (packets_[slot].reassembling) --partial_count_;
+    recycle_payload(packets_[slot].payload);
+    free_packet(slot);
   }
 }
 
-void Fabric::note_flit_left_network(const Flit& flit) {
+void Fabric::note_flit_left_network(const PacketRecord& packet) {
   // renoc-hot-begin (once per flit leaving a degraded fabric)
-  auto& ni = nis_[static_cast<std::size_t>(flit.src)];
-  if (ni.tracked_active && ni.tracked_pid == flit.packet)
+  auto& ni = nis_[static_cast<std::size_t>(packet.src)];
+  if (ni.tracked_active && ni.tracked_pid == packet.pid)
     --ni.tracked_flits_in_net;
   // renoc-hot-end
 }
 
 void Fabric::restage_tracked(NetworkInterface& ni) {
-  const PacketId pid = next_packet_id_++;
-  ni.tracked_pid = pid;
+  const std::uint32_t slot = open_packet(ni.tracked_msg, ni.tracked_seq);
+  PacketRecord& p = packets_[slot];
+  // Each attempt carries its own copy of the payload (in a pooled buffer):
+  // the tracked message keeps the original for later retransmissions.
+  if (!payload_pool_.empty()) {
+    p.payload = std::move(payload_pool_.back());
+    payload_pool_.pop_back();
+  }
+  p.payload.assign(ni.tracked_msg.payload.begin(),
+                   ni.tracked_msg.payload.end());
+  ni.tracked_pid = p.pid;
+  ni.tracked_slot = slot;
   ni.tracked_flits_in_net = 0;
-  build_staged_flits(ni, ni.tracked_msg, pid, ni.tracked_seq);
+  start_injection(ni, slot);
   const int shift = std::min(ni.tracked_attempts, guard_.backoff_shift_cap);
   ni.tracked_deadline = now_ + (guard_.timeout_cycles << shift);
 }
@@ -875,10 +928,9 @@ void Fabric::guard_tick(int node, NetworkInterface& ni) {
   if (ni.tracked_active) {
     // "Attempt gone" = the current attempt has no flit staged or buffered
     // anywhere. Resolution additionally waits for it so stop-and-wait
-    // stays airtight: the next message can never interleave with a
-    // lingering retransmission at the destination's reassembly slot.
-    const bool attempt_gone = ni.tracked_flits_in_net == 0 &&
-                              ni.staged_pos >= ni.staged_flits.size();
+    // stays airtight: the next message never shares the fabric with a
+    // lingering attempt of this one.
+    const bool attempt_gone = ni.tracked_flits_in_net == 0 && !ni.staging();
     if (ni.tracked_ack_at != kNoAck && now_ >= ni.tracked_ack_at &&
         attempt_gone) {
       // Delivery notice landed (the destination counted the delivery).
@@ -908,8 +960,8 @@ void Fabric::guard_tick(int node, NetworkInterface& ni) {
       }
     }
   }
-  if (ni.enabled && !ni.tracked_active &&
-      ni.staged_pos >= ni.staged_flits.size() && !ni.send_queue.empty())
+  if (ni.enabled && !ni.tracked_active && !ni.staging() &&
+      !ni.send_queue.empty())
     admit_next_message(node, ni);
   // renoc-hot-end
 }

@@ -33,38 +33,62 @@
 // millions of times, so step() is a first-class hot loop. The seed
 // implementation (preserved in tests/support as the ReferenceFabric
 // bit-exactness oracle) kept a Router object per tile with five std::deque
-// FIFOs and reassembled packets through an unordered_map; this engine keeps
-// the identical cycle semantics but lays every piece of per-cycle state out
-// as flat per-fabric arrays. With N = node_count, P = kDirectionCount (5),
-// D = buffer_depth, and f = node * P + port:
+// FIFOs of 64-byte flits and reassembled packets through an unordered_map;
+// this engine keeps the identical cycle semantics but lays every piece of
+// per-cycle state out as flat per-fabric arrays, and a flit in a FIFO is an
+// 8-byte handle to its packet. With N = node_count, P = kDirectionCount
+// (5), D = buffer_depth, and f = node * P + port:
 //
-//   arena_         Flit[N*P*D]   all input FIFOs, carved from one buffer;
-//                                FIFO f is the fixed-capacity ring
-//                                arena_[f*D .. f*D+D-1]
+//   arena_         FlitHandle[N*P*D]  all input FIFOs, carved from one
+//                                buffer; FIFO f is the fixed-capacity ring
+//                                arena_[f*D .. f*D+D-1]. A handle is
+//                                {packet-store slot, destination, FlitType}
 //   fifo_head_/fifo_size_ [N*P]  ring cursors for each FIFO
-//   credits_       int[N*4]      free downstream slots per mesh output
-//   owner_input_   int8[N*P]     wormhole grant: input that owns output
-//                                (-1 = free)
-//   owner_packet_  PacketId[N*P] packet holding the grant
+//   req_out_       uint8[N*P]    output the FIFO's front requests: its
+//                                route if the front is a head flit, else
+//                                kNoRequest; set whenever the front changes
+//                                and recomputed for every FIFO after a
+//                                route epoch
+//   credits_       int[N*4+1]    free downstream slots per mesh output,
+//                                plus a spare no output reads
+//   credit_return_ int[N*P]      credits_ index a pop from FIFO f returns
+//                                to (the spare for local and edge inputs)
+//   granted_       uint8[N]      per router: bit o set while output o is
+//                                held by a wormhole grant
+//   owner_input_   int8[N*P]     input holding output o's grant, and
+//   owner_packet_  uint32[N*P]   its packet-store slot (both read only
+//                                while the granted_ bit is set)
 //   rr_pointer_    int8[N*P]     round-robin arbitration cursor
 //   neighbor_node_ int[N*4]      downstream node per mesh output (-1 edge)
 //   route_table_   uint8[N*N]    XY output port for (here, dst), computed
 //                                once instead of per-flit coordinate math
-//   slots_         [N*N]         packet reassembly, one slot per (dst, src)
-//                                pair — wormhole + XY + FIFO links ensure at
-//                                most one packet per pair is ever in flight,
-//                                replacing the seed's unordered_map
+//   busy_          bits[N]       routers holding a buffered flit; phase 1
+//                                visits just these, in ascending order, and
+//                                in each only the outputs with downstream
+//                                room and an owner or a requesting head
+//   packets_       PacketRecord[] one record per packet between staging and
+//                                its last flit leaving the fabric: PacketId,
+//                                source, tag, staging cycle, msg_seq and the
+//                                payload, which is moved in from the sent
+//                                Message and out to the delivered one, never
+//                                copied per flit. Freed slots are reused
+//                                from free_packets_; both are reserved for
+//                                the worst case (N*P*D buffered flits plus
+//                                one staged packet per NI) at construction
 //   ni_work_       bits[N]       pristine only: NIs holding a queued or
 //                                staged message (uint64 words); phase 3
 //                                visits just these
 //
+// An NI injects its current packet one flit per cycle; each flit's handle
+// is made from the packet's slot and its position when it is injected.
+//
 // Two-phase plan/commit is unchanged: arbitration appends PlannedMoves to a
 // reused scratch vector from the pre-cycle snapshot, then the commit loop
 // applies them; no intra-cycle ordering can leak. All per-cycle scratch
-// (planned moves, NI staging buffers, reassembly payloads, delivered rings)
-// is reused across cycles, and message payload buffers circulate through an
-// internal recycling pool (see recycle()/acquire_message()), so step()
-// performs zero heap allocations once the workload reaches steady state —
+// (planned moves, packet records, delivered rings) is reused across
+// cycles, and message payload buffers circulate through an internal
+// recycling pool (see recycle()/acquire_message()), so step() performs
+// zero heap allocations once the workload reaches steady state —
 // tests/alloc_guard_test.cpp pins this, and tests/noc_flat_test.cpp pins
 // the bit-exactness against the reference.
 // --- Degraded-fabric mode ---------------------------------------------------
@@ -116,12 +140,18 @@ struct PlannedMove {
   Direction out = Direction::kLocal;
 };
 
+/// Largest mesh a Fabric simulates: a FIFO entry names its destination in
+/// 16 bits.
+inline constexpr std::int64_t kMaxFabricNodes = std::int64_t{1} << 16;
+
 /// Static fabric parameters.
 struct NocConfig {
   GridDim dim{4, 4};
   int buffer_depth = 4;      ///< input FIFO depth, flits
   double clock_hz = 500e6;   ///< used to convert cycles to seconds
 
+  /// Checks the mesh is at least 2x2 and at most kMaxFabricNodes nodes
+  /// (counted in 64 bits, before anything sizes a table from it).
   void validate() const;
 };
 
@@ -231,13 +261,15 @@ class Fabric {
 
     bool empty() const { return count == 0; }
     std::size_t size() const { return count; }
-    void push(Message&& m) {
+    /// Appends a slot for the caller to fill in place.
+    Message& push_slot() {
       if (count == buf.size()) grow();
       std::size_t slot = head + count;
       if (slot >= buf.size()) slot -= buf.size();
-      buf[slot] = std::move(m);
       ++count;
+      return buf[slot];
     }
+    void push(Message&& m) { push_slot() = std::move(m); }
     Message pop() {
       Message m = std::move(buf[head]);
       ++head;
@@ -250,16 +282,50 @@ class Fabric {
 
   /// Sentinel for "no delivery notice pending" in the tracked-send state.
   static constexpr Cycle kNoAck = ~Cycle{0};
+  /// req_out_ value of a FIFO whose front requests no output: empty, a
+  /// body or tail flit, or a head with no route.
+  static constexpr std::uint8_t kNoRequest = kUnreachableRoute;
+
+  /// One input-FIFO entry.
+  struct FlitHandle {
+    std::uint32_t packet;  ///< packets_ slot
+    std::uint16_t dst;     ///< destination node
+    FlitType type;
+  };
+  static_assert(sizeof(FlitHandle) == 8);
+
+  /// A packet from staging until its last flit is ejected or purged.
+  struct PacketRecord {
+    /// Moved in from the sent Message at staging, out to the delivered one
+    /// at the tail.
+    std::vector<std::uint64_t> payload;
+    PacketId pid = 0;                    ///< 0 while the slot is free
+    std::uint64_t tag = 0;
+    Cycle staged_at = 0;  ///< latency origin
+    int src = 0;
+    int dst = 0;
+    /// Per-source message sequence number, identical across
+    /// retransmissions of one message (the PacketId is fresh per attempt).
+    /// Reassembly suppresses duplicates by (src, msg_seq) when the delivery
+    /// guard is active.
+    std::uint32_t msg_seq = 0;
+    bool reassembling = false;  ///< head ejected, tail not yet
+    bool discarding = false;    ///< head ejected as a suppressed duplicate
+    bool doomed = false;        ///< marked by the purge in progress
+  };
 
   /// Per-node network interface state.
   struct NetworkInterface {
     bool enabled = true;
     MessageRing send_queue;
-    // Serializer workspace for the message currently being injected
-    // (cleared and refilled per message; capacity persists).
-    std::vector<Flit> staged_flits;
-    std::size_t staged_pos = 0;
+    // The packet being injected: flits next_flit..flits-1 of packets_
+    // slot `packet` are still staged.
+    std::uint32_t packet = 0;
+    int flits = 0;
+    int next_flit = 0;
     MessageRing delivered;
+
+    bool staging() const { return next_flit < flits; }
 
     // Delivery-guard state, live only in degraded mode: the one tracked
     // outstanding message (stop-and-wait per source — delivery guarantees
@@ -267,6 +333,7 @@ class Fabric {
     // is retained until resolution so timeouts can retransmit it.
     Message tracked_msg;
     PacketId tracked_pid = 0;
+    std::uint32_t tracked_slot = 0;     ///< packets_ slot of tracked_pid
     std::uint32_t tracked_seq = 0;      ///< msg_seq, stable across attempts
     int tracked_attempts = 0;           ///< retransmissions issued so far
     Cycle tracked_deadline = 0;
@@ -276,48 +343,35 @@ class Fabric {
     std::uint32_t next_msg_seq = 0;     ///< per-source sequence counter
   };
 
-  /// Reassembly state for the (dst, src) pair's in-flight packet.
-  struct ReassemblySlot {
-    Message msg;
-    Cycle head_injected_at = 0;
-    int flits = 0;  ///< 0 = no packet in progress
-    PacketId pid = 0;  ///< packet being reassembled (purge bookkeeping)
-    /// Highest msg_seq delivered from this src (degraded mode): a head
-    /// carrying msg_seq <= this is a retransmission duplicate.
-    std::uint32_t last_seq_delivered = 0;
-    bool discarding = false;  ///< swallowing a suppressed duplicate
-  };
-
   std::size_t port_index(int node, int port) const {
     return static_cast<std::size_t>(node) * kDirectionCount +
            static_cast<std::size_t>(port);
   }
-  const Flit& fifo_front(std::size_t f) const {
+  const FlitHandle& fifo_front(std::size_t f) const {
     return arena_[f * static_cast<std::size_t>(depth_) +
                   static_cast<std::size_t>(fifo_head_[f])];
   }
-  void refresh_head(std::size_t f) {
-    const Flit& fl = fifo_front(f);
-    head_packet_[f] = fl.packet;
-    head_dst_[f] = fl.dst;
-    head_is_head_[f] = fl.is_head() ? 1 : 0;
-  }
-  void push_flit(int node, int port, const Flit& flit);
+  /// The req_out_ value for FIFO f (at `node`) with `front` at its front.
+  std::uint8_t request_of(int node, std::size_t f, FlitHandle front) const;
+  void push_flit(int node, int port, FlitHandle flit);
   void pop_front(int node, std::size_t f);
 
+  std::uint32_t open_packet(const Message& msg, std::uint32_t msg_seq);
+  void free_packet(std::uint32_t slot);
   void stage_next_message(int node);
-  void inject_phase();
-  bool inject_staged_flit(int node, NetworkInterface& ni);
-  void eject_flit(int node, const Flit& flit);
+  void start_injection(NetworkInterface& ni, std::uint32_t slot);
+  void inject_phase(TileActivity* tiles);
+  bool inject_flit(int node, NetworkInterface& ni, TileActivity* tiles);
+  void eject_flit(int node, FlitHandle flit, TileActivity* tiles);
+  void recycle_payload(std::vector<std::uint64_t>& payload);
 
   // Degraded-mode machinery (all cold paths; nothing here is reached when
   // degraded_ is false).
   void enter_degraded_mode();
-  void build_staged_flits(NetworkInterface& ni, const Message& msg,
-                          PacketId pid, std::uint32_t msg_seq);
   void apply_due_faults();
   void purge_stranded_packets();
-  void note_flit_left_network(const Flit& flit);
+  void doom(std::uint32_t slot);
+  void note_flit_left_network(const PacketRecord& packet);
   void guard_tick(int node, NetworkInterface& ni);
   void admit_next_message(int node, NetworkInterface& ni);
   void restage_tracked(NetworkInterface& ni);
@@ -325,28 +379,26 @@ class Fabric {
 
   NocConfig config_;
   int depth_ = 0;  ///< config_.buffer_depth, hoisted for the ring math
+  std::size_t nodes_ = 0;  ///< node_count(), hoisted for table indexing
   Cycle now_ = 0;
   PacketId next_packet_id_ = 1;
 
   // Flat per-fabric router state (layout documented in the header comment).
-  std::vector<Flit> arena_;
+  std::vector<FlitHandle> arena_;
   std::vector<int> fifo_head_;
-  // FIFO sizes and the head-flit metadata mirrors (refreshed whenever a
-  // FIFO's front changes): the arbitration scan reads only these dense
-  // arrays instead of striding 64-byte Flits out of the arena.
   std::vector<int> fifo_size_;
-  std::vector<PacketId> head_packet_;
-  std::vector<int> head_dst_;
-  std::vector<std::uint8_t> head_is_head_;
+  std::vector<std::uint8_t> req_out_;
   std::vector<int> credits_;
+  std::vector<int> credit_return_;  ///< per FIFO: credits_ index upstream
   std::vector<std::int8_t> owner_input_;
-  std::vector<PacketId> owner_packet_;
+  std::vector<std::uint32_t> owner_packet_;
+  std::vector<std::uint8_t> granted_;  ///< per node: bit o = output o held
   std::vector<std::int8_t> rr_pointer_;
   std::vector<int> neighbor_node_;
   std::vector<std::uint8_t> route_table_;
-  std::vector<int> node_buffered_;  ///< flits buffered per node (early-out)
-  int buffered_flits_ = 0;          ///< total flits in all FIFOs
-  int partial_count_ = 0;           ///< active reassembly slots, all nodes
+  std::vector<int> node_buffered_;  ///< flits buffered per node
+  std::vector<std::uint64_t> busy_;  ///< bit n set iff node_buffered_[n] > 0
+  int partial_count_ = 0;           ///< packets mid-reassembly, all nodes
   int unread_ = 0;                  ///< delivered messages not yet received
 
   std::vector<NetworkInterface> nis_;
@@ -355,7 +407,8 @@ class Fabric {
   /// the words instead of every NI. Degraded mode walks every NI (its
   /// guard timers tick each cycle) and never reads or clears the set.
   std::vector<std::uint64_t> ni_work_;
-  std::vector<ReassemblySlot> slots_;  ///< [dst * N + src]
+  std::vector<PacketRecord> packets_;
+  std::vector<std::uint32_t> free_packets_;
   std::vector<std::vector<std::uint64_t>> payload_pool_;
   NetworkStats stats_;
   std::vector<PlannedMove> planned_;  // scratch, reserved once
@@ -372,7 +425,10 @@ class Fabric {
   /// West-first next hops, [(node*kDirectionCount + in_port)*N + dst];
   /// rebuilt by build_adaptive_routes once per route epoch.
   std::vector<std::uint8_t> adaptive_table_;
-  std::vector<PacketId> doomed_;  ///< purge scratch, sorted + deduped
+  /// Highest msg_seq delivered per (dst, src) pair, [dst * N + src]: a
+  /// head carrying msg_seq <= this is a retransmission duplicate.
+  std::vector<std::uint32_t> last_seq_delivered_;
+  std::vector<std::uint32_t> doomed_;  ///< purge scratch: slots to free
 };
 
 }  // namespace renoc

@@ -4,52 +4,28 @@
 // one wormhole packet: a Head flit, zero or more Body flits, and a Tail
 // flit; a single-word message uses a combined HeadTail flit. The head flit
 // carries the destination used by the routers; payload words ride one per
-// flit (64-bit physical channel, as in the ISVLSI'05 LDPC NoC).
+// flit (64-bit physical channel, as in the ISVLSI'05 LDPC NoC). The fabric
+// models that wire cycle by cycle but keeps each packet's words in one
+// place (see noc/fabric.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "util/units.hpp"
 
 namespace renoc {
 
 /// Globally unique packet identifier (assigned by the fabric at injection).
 using PacketId = std::uint64_t;
 
-enum class FlitType : std::uint8_t { kHead, kBody, kTail, kHeadTail };
-
-/// One flow-control unit.
-struct Flit {
-  FlitType type = FlitType::kHead;
-  PacketId packet = 0;
-  int src = 0;           ///< source node index
-  int dst = 0;           ///< destination node index
-  std::uint32_t seq = 0;  ///< position within the packet (0 = head)
-  std::uint64_t payload = 0;
-  std::uint64_t tag = 0;  ///< message tag, replicated from the message
-  Cycle injected_at = 0;  ///< cycle the head entered the injection queue
-  /// Total flits of the carrying packet, stamped at staging. Lets the
-  /// receiver reserve the full payload on the head flit instead of growing
-  /// one push_back per body flit (real NoC headers carry packet length for
-  /// the same reason).
-  std::uint32_t pkt_flits = 1;
-  /// Per-source message sequence number, stamped at staging and identical
-  /// across retransmissions of the same message (the PacketId is fresh per
-  /// attempt). Reassembly suppresses duplicates by (src, msg_seq) when the
-  /// delivery guard is active; the reference engine ignores the field.
-  std::uint32_t msg_seq = 0;
-
-  bool is_head() const {
-    return type == FlitType::kHead || type == FlitType::kHeadTail;
-  }
-  bool is_tail() const {
-    return type == FlitType::kTail || type == FlitType::kHeadTail;
-  }
+/// A flit's position in its packet as two bits: kHead marks the first
+/// flit and kTail the last, so a one-flit packet is kHeadTail (both) and a
+/// middle flit is kBody (neither).
+enum class FlitType : std::uint8_t {
+  kBody = 0,
+  kHead = 1,
+  kTail = 2,
+  kHeadTail = 3,
 };
-// One cache line per flit: a 56-byte repack measured slower (flits then
-// straddle cache lines).
-static_assert(sizeof(Flit) == 64);
 
 /// Application-level message exchanged between PEs through the NoC.
 struct Message {

@@ -297,10 +297,23 @@ TEST(FabricTest, BadAddressesRejected) {
   EXPECT_THROW(fabric.try_receive(16), CheckError);
 }
 
-TEST(FabricTest, MeshMustBeAtLeast2x2) {
+TEST(FabricTest, MeshMustBeAtLeast2x2AndAtMost65536Nodes) {
   NocConfig cfg;
   cfg.dim = GridDim{1, 4};
   EXPECT_THROW(Fabric{cfg}, CheckError);
+  // The node count is checked in 64 bits before any table is sized from
+  // it: 70000 x 70000 overflows int.
+  cfg.dim = GridDim{70000, 70000};
+  EXPECT_THROW(Fabric{cfg}, CheckError);
+  // A FIFO entry names its destination in 16 bits. 65537 is prime, so
+  // 2 x 32769 is the smallest mesh past the bound. (Meshes at the bound
+  // are only validated: a Fabric that size builds N^2 tables.)
+  cfg.dim = GridDim{2, 32769};
+  EXPECT_THROW(Fabric{cfg}, CheckError);
+  cfg.dim = GridDim{2, 32768};
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.dim = GridDim{256, 256};
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(FabricTest, SaturationDrainsEventually) {

@@ -30,8 +30,37 @@
 #include "noc/flit.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
+#include "util/units.hpp"
 
 namespace renoc {
+
+/// One flow-control unit of the oracle: every field travels with every
+/// flit, hop by hop. (The fast Fabric moves 8-byte handles to a per-packet
+/// store instead.)
+struct Flit {
+  FlitType type = FlitType::kHead;
+  PacketId packet = 0;
+  int src = 0;           ///< source node index
+  int dst = 0;           ///< destination node index
+  std::uint32_t seq = 0;  ///< position within the packet (0 = head)
+  std::uint64_t payload = 0;
+  std::uint64_t tag = 0;  ///< message tag, replicated from the message
+  Cycle injected_at = 0;  ///< cycle the head entered the injection queue
+  /// Total flits of the carrying packet; the oracle leaves it unset.
+  std::uint32_t pkt_flits = 1;
+  /// Per-source message sequence number; the oracle leaves it unset.
+  std::uint32_t msg_seq = 0;
+
+  bool is_head() const {
+    return type == FlitType::kHead || type == FlitType::kHeadTail;
+  }
+  bool is_tail() const {
+    return type == FlitType::kTail || type == FlitType::kHeadTail;
+  }
+};
+// One cache line per flit: a 56-byte repack measured slower (flits then
+// straddle cache lines).
+static_assert(sizeof(Flit) == 64);
 
 // Input-buffered wormhole router, one per mesh tile of the oracle:
 //   * five input FIFOs (north/south/east/west/local), `buffer_depth` flits
