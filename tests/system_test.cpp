@@ -3,6 +3,8 @@
 // experiment driver (calibration, scheme evaluation sanity).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
 #include <limits>
 #include <set>
 #include <string>
@@ -240,6 +242,48 @@ TEST(ChipConfigTest, AllFiveConfigsBuild) {
   }
   EXPECT_EQ(config_by_name("D").name, "D");
   EXPECT_THROW(config_by_name("Z"), CheckError);
+}
+
+/// FNV-1a over the quantized LLRs, two little-endian bytes each.
+std::uint64_t llr_digest(const std::vector<std::int16_t>& llrs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::int16_t q : llrs) {
+    const auto u = static_cast<std::uint16_t>(q);
+    for (int i = 0; i < 2; ++i) {
+      h ^= (u >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(ChipBuildTest, ChannelLlrsMatchParent) {
+  // NoC cycles and activity counts do not depend on the data values, so no
+  // golden or perfbench count notices if build_chip encodes a different
+  // (still valid) codeword. These digests of the encoded, noisy block were
+  // recorded from the Gauss-Jordan encoder; any encoder must reproduce its
+  // codewords exactly.
+  struct Pin {
+    const char* config;
+    bool smoke;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"A", false, 0x6167f5e03445b2f0ULL},
+      {"B", false, 0xf2ec7510b7c47faaULL},
+      {"C", false, 0x7e3ad8c492eedbebULL},
+      {"D", false, 0x75252dd33fe8546fULL},
+      {"E", false, 0x8ca83f484ddde380ULL},
+      {"A", true, 0x314406d5a1b05f8bULL},
+      {"C", true, 0xdf4376c4e470a3beULL},
+  };
+  for (const Pin& pin : pins) {
+    const ChipConfig base = config_by_name(pin.config);
+    const BuiltChip built = build_chip(pin.smoke ? smoke_scaled(base) : base);
+    const std::uint64_t got = llr_digest(built.channel_llrs);
+    EXPECT_EQ(got, pin.digest) << pin.config << (pin.smoke ? " (smoke)" : "")
+                               << ": got 0x" << std::hex << got;
+  }
 }
 
 TEST(ChipConfigTest, CfuRowConcentratesCheckWork) {
