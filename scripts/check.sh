@@ -15,8 +15,10 @@
 # sweep-resume smoke: the renoc_sweep driver runs the NoC smoke sweep
 # uninterrupted, then sharded with an injected mid-run crash (supervisor
 # retries the dead shard and resumes from its checkpoint segments), and
-# renoc_golden_diff must find the two artifacts identical outside the
-# run-specific "driver" block.
+# the BER smoke sweep (encode, AWGN channel, min-sum decode per block) at
+# 1 and at 4 shards, as CI's sweep-resume job does; renoc_golden_diff must
+# find each pair of artifacts identical outside the run-specific "driver"
+# block.
 # --skip-bench-smoke skips the sweep-resume smoke.
 # Timing of record is the repo benchmark: python3 perfbench/run.py.
 # Usage: scripts/check.sh [--skip-bench-smoke] [--sanitize=<kind>]
@@ -80,7 +82,8 @@ for config in Debug Release; do
   fi
   if [[ "${bench_smoke}" == 1 && "${config}" == "Release" ]]; then
     echo "== ${config}: sweep-resume smoke (crash, retry, resume, diff) =="
-    rm -rf "${build_dir}/ckpt-check-baseline" "${build_dir}/ckpt-check-crash"
+    rm -rf "${build_dir}/ckpt-check-baseline" "${build_dir}/ckpt-check-crash" \
+      "${build_dir}/ckpt-check-ber1" "${build_dir}/ckpt-check-ber4"
     "${build_dir}/tools/renoc_sweep" --harness noc --preset smoke \
       --shards 1 --ckpt-dir "${build_dir}/ckpt-check-baseline" \
       --out "${build_dir}/SWEEP_noc_baseline.json"
@@ -91,6 +94,16 @@ for config in Debug Release; do
     "${build_dir}/tools/renoc_golden_diff" --skip driver \
       "${build_dir}/SWEEP_noc_baseline.json" \
       "${build_dir}/SWEEP_noc_crashed.json"
+    echo "== ${config}: BER sweep smoke (1 vs 4 shards, diff) =="
+    "${build_dir}/tools/renoc_sweep" --harness ber --preset smoke \
+      --shards 1 --ckpt-dir "${build_dir}/ckpt-check-ber1" \
+      --out "${build_dir}/SWEEP_ber_1shard.json"
+    "${build_dir}/tools/renoc_sweep" --harness ber --preset smoke \
+      --shards 4 --ckpt-dir "${build_dir}/ckpt-check-ber4" \
+      --out "${build_dir}/SWEEP_ber_4shard.json"
+    "${build_dir}/tools/renoc_golden_diff" --skip driver \
+      "${build_dir}/SWEEP_ber_1shard.json" \
+      "${build_dir}/SWEEP_ber_4shard.json"
   fi
 done
 

@@ -1,10 +1,26 @@
-// Systematic LDPC encoding via GF(2) Gaussian elimination.
+// Systematic LDPC encoding via GF(2) elimination.
 //
 // Gallager constructions do not come in systematic form, so the encoder
-// reduces H to reduced row-echelon form once at construction. Pivot columns
-// become parity positions; the remaining (free) columns carry data. Each
-// pivot row then reads "parity bit = XOR of the data bits present in the
-// row", which is exactly how encode() fills a codeword.
+// brings H to row-echelon form once at construction: forward elimination
+// over one flat word-packed bit matrix, scanning columns left to right and
+// taking the first row at or below the current pivot row that has the
+// column set. Only the rows below the pivot are cleared, and only from the
+// pivot's word onward. Pivot columns become parity positions; the
+// remaining (free) columns carry data.
+//
+// encode() places the data bits at the free positions of a word-packed
+// codeword and back-substitutes from the last pivot row up: every column
+// right of a row's pivot is either data or an already-solved parity bit,
+// so the pivot bit is the parity of popcount(row & codeword) over the
+// row's words from its pivot word onward. Once the free bits are set the
+// parity bits are unique, so this yields exactly the codeword a full
+// Gauss–Jordan reduction with the same pivot rule yields
+// (tests/support/reference_encoder, pinned by ldpc_test).
+//
+// Cost: construction O(m * m * n / 64) word operations, encode()
+// O(rank * n / 64). encode() is const and keeps no scratch member: one
+// encoder is shared read-only by run_ber_sweep's worker threads, so each
+// call packs its codeword into a buffer of its own.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +32,7 @@ namespace renoc {
 
 class LdpcEncoder {
  public:
-  /// Performs the one-time elimination. O(m * n * m / 64).
+  /// Performs the one-time elimination.
   explicit LdpcEncoder(const LdpcCode& code);
 
   /// Data bits per codeword (n - rank(H); >= n - m).
@@ -29,23 +45,13 @@ class LdpcEncoder {
   /// satisfies every check of the original code.
   std::vector<std::uint8_t> encode(const std::vector<std::uint8_t>& data) const;
 
-  /// Extracts the data bits back out of a codeword (inverse of the
-  /// systematic placement).
-  std::vector<std::uint8_t> extract_data(
-      const std::vector<std::uint8_t>& codeword) const;
-
  private:
-  using Row = std::vector<std::uint64_t>;  // bitset over n columns
-
-  bool get(const Row& r, int col) const {
-    return (r[static_cast<std::size_t>(col / 64)] >>
-            (static_cast<unsigned>(col) % 64)) & 1ULL;
-  }
-
   int n_ = 0;
-  std::vector<Row> rref_rows_;   // one per pivot, in pivot order
-  std::vector<int> pivot_cols_;  // pivot column of each rref row
-  std::vector<int> free_cols_;   // data positions, ascending
+  std::size_t words_ = 0;            // 64-bit words per row
+  std::vector<std::uint64_t> rows_;  // m x words_, row-echelon form; the
+                                     // rows past rank() are zero
+  std::vector<int> pivot_cols_;      // pivot column of each row
+  std::vector<int> free_cols_;       // data positions, ascending
 };
 
 }  // namespace renoc

@@ -1,11 +1,15 @@
 // Tests for LDPC code construction, encoding, the channel, the fixed-point
 // min-sum kernels, the golden decoder, and partitioning. The sum-product
-// cases check min-sum against the seed sum-product loop in tests/support.
+// cases check min-sum against the seed sum-product loop in tests/support,
+// and the encoder-equivalence cases hold the encoder to the Gauss–Jordan
+// oracle there.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
+#include "core/chip_config.hpp"
 #include "ldpc/channel.hpp"
 #include "ldpc/code.hpp"
 #include "ldpc/decoder.hpp"
@@ -13,6 +17,7 @@
 #include "ldpc/minsum.hpp"
 #include "ldpc/partition.hpp"
 #include "support/reference_decoder.hpp"
+#include "support/reference_encoder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -73,6 +78,9 @@ TEST(CodeTest, SingleBitFlipViolatesItsChecks) {
 TEST(EncoderTest, EncodedWordsAreCodewords) {
   const LdpcCode code = small_code();
   const LdpcEncoder encoder(code);
+  // The oracle reads the data back from its free columns, so this also
+  // checks that the encoder places the data bits there unchanged.
+  const ReferenceEncoder oracle(code);
   EXPECT_GE(encoder.k(), code.n() - code.m());
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
@@ -80,7 +88,7 @@ TEST(EncoderTest, EncodedWordsAreCodewords) {
     for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
     const auto cw = encoder.encode(data);
     EXPECT_TRUE(code.is_codeword(cw)) << "trial " << trial;
-    EXPECT_EQ(encoder.extract_data(cw), data);
+    EXPECT_EQ(oracle.extract_data(cw), data);
   }
 }
 
@@ -101,6 +109,59 @@ TEST(EncoderTest, EncodingIsLinear) {
   const auto cab = encoder.encode(ab);
   for (std::size_t i = 0; i < ca.size(); ++i)
     EXPECT_EQ(cab[i], ca[i] ^ cb[i]);
+}
+
+/// Holds the encoder to the Gauss–Jordan oracle on `code`: k, n, rank,
+/// and the codewords of the all-zero word, the all-one word and 64 random
+/// data words, bit for bit. Every codeword must also satisfy every check.
+void expect_encoder_matches_oracle(const LdpcCode& code,
+                                   const std::string& label) {
+  SCOPED_TRACE(label);
+  const LdpcEncoder encoder(code);
+  const ReferenceEncoder oracle(code);
+  ASSERT_EQ(encoder.k(), oracle.k());
+  ASSERT_EQ(encoder.n(), oracle.n());
+  ASSERT_EQ(encoder.rank(), oracle.rank());
+  const std::size_t k = static_cast<std::size_t>(encoder.k());
+  std::vector<std::vector<std::uint8_t>> words = {
+      std::vector<std::uint8_t>(k, 0), std::vector<std::uint8_t>(k, 1)};
+  Rng rng(0xe7c0de);
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::uint8_t>& data = words.emplace_back(k);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
+  }
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const auto cw = encoder.encode(words[i]);
+    EXPECT_TRUE(cw == oracle.encode(words[i])) << "data word " << i;
+    EXPECT_TRUE(code.is_codeword(cw)) << "data word " << i;
+  }
+}
+
+TEST(EncoderEquivalence, PaperConfigCodes) {
+  for (const ChipConfig& cfg : all_configs()) {
+    const LdpcCode code = build_chip(cfg).code;
+    expect_encoder_matches_oracle(code, cfg.name);
+    // A's H is rank-deficient, so elimination past the rank is covered.
+    if (cfg.name == "A") {
+      EXPECT_EQ(code.m(), 1023);
+      EXPECT_EQ(LdpcEncoder(code).rank(), 1021);
+    }
+  }
+}
+
+TEST(EncoderEquivalence, SmokeConfigCodes) {
+  for (const ChipConfig& cfg : paper_configs(/*smoke=*/true))
+    expect_encoder_matches_oracle(build_chip(cfg).code,
+                                  cfg.name + " (smoke)");
+}
+
+TEST(EncoderEquivalence, SmallAndIrregularCodes) {
+  expect_encoder_matches_oracle(small_code(), "small regular");
+  Rng rng(13);
+  std::vector<int> degrees(240, 3);
+  for (int i = 0; i < 40; ++i) degrees[static_cast<std::size_t>(i)] = 4;
+  expect_encoder_matches_oracle(LdpcCode::make_irregular(degrees, 6, rng),
+                                "irregular");
 }
 
 TEST(ChannelTest, NoiselessLimitPreservesSigns) {
