@@ -1,16 +1,23 @@
 // Integration tests: the full reconfigurable LDPC system (decode +
-// migrate + resume, function preserved, deterministic overhead) and the
-// experiment driver (calibration, scheme evaluation sanity).
+// migrate + resume, function preserved, deterministic overhead), the
+// experiment driver (calibration, scheme evaluation sanity) and the
+// full-scale adaptive and DTM runs, pinned bit for bit.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <ios>
 #include <limits>
+#include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/adaptive_policy.hpp"
 #include "core/chip_config.hpp"
+#include "core/dtm_baselines.hpp"
 #include "core/experiment.hpp"
 #include "core/reconfigurable_system.hpp"
 #include "util/check.hpp"
@@ -283,6 +290,135 @@ TEST(ChipBuildTest, ChannelLlrsMatchParent) {
     const std::uint64_t got = llr_digest(built.channel_llrs);
     EXPECT_EQ(got, pin.digest) << pin.config << (pin.smoke ? " (smoke)" : "")
                                << ": got 0x" << std::hex << got;
+  }
+}
+
+// One configuration's adaptive and DTM runs as renoc_paper makes them at
+// full scale: reals as bit patterns, counts exact, printable as the
+// literal rows below so a failure shows the row it got.
+struct AdaptivePin {
+  std::uint64_t settled_peak_bits = 0;
+  int migrations = 0;
+  std::array<int, 7> choices{};  // per TransformKind, in enum order
+  bool operator==(const AdaptivePin&) const = default;
+};
+
+struct DtmPin {
+  std::uint64_t peak_bits = 0;
+  std::uint64_t mean_bits = 0;
+  std::uint64_t throughput_bits = 0;
+  int throttle_events = 0;
+  bool operator==(const DtmPin&) const = default;
+};
+
+struct AdaptiveDtmPin {
+  const char* config = "";
+  // Predictive peak, coolest history, orbit average.
+  std::array<AdaptivePin, 3> adaptive{};
+  DtmPin stop_go;
+  DtmPin dvfs;
+};
+
+std::ostream& operator<<(std::ostream& os, const AdaptivePin& p) {
+  os << "{0x" << std::hex << p.settled_peak_bits << std::dec << ", "
+     << p.migrations << ", {";
+  for (std::size_t k = 0; k < p.choices.size(); ++k)
+    os << (k ? ", " : "") << p.choices[k];
+  return os << "}}";
+}
+
+std::ostream& operator<<(std::ostream& os, const DtmPin& p) {
+  return os << std::hex << "{0x" << p.peak_bits << ", 0x" << p.mean_bits
+            << ", 0x" << p.throughput_bits << std::dec << ", "
+            << p.throttle_events << "}";
+}
+
+TEST(ExperimentDriverTest, PaperScaleAdaptiveAndDtmMatchParent) {
+  // The only other cover of these runs is the 40-period smoke golden, at
+  // 5e-4 relative. Here each full-scale config runs all three adaptive
+  // objectives for 150 periods and both DTM controllers for 400 periods
+  // at the default period, trip and setpoint 3 and 4 C below the base
+  // peak. A change to how a trajectory is integrated (ordering, fused
+  // sweeps, accumulator splits) moves these bits.
+  const AdaptiveDtmPin pins[] = {
+      {"A",
+       {{{0x4053594997f8a6c0, 80, {70, 12, 49, 0, 9, 6, 4}},
+         {0x40535dd3d3a9598e, 10, {140, 1, 0, 0, 3, 5, 1}},
+         {0x4053ecfe7cd769bc, 150, {0, 150, 0, 0, 0, 0, 0}}}},
+       {0x40549ce2e542ab72, 0x4052679f16b9e6f7, 0x3feb47ae147ae148, 11},
+       {0x4054784f218d62e6, 0x40526882b106b1ce, 0x3feb5721d9636b96, 400}},
+      {"B",
+       {{{0x40533eb03af1d240, 30, {120, 5, 10, 0, 12, 1, 2}},
+         {0x40531c4fa2994e74, 11, {139, 1, 2, 0, 4, 2, 2}},
+         {0x4053a9d158b5877a, 150, {0, 150, 0, 0, 0, 0, 0}}}},
+       {0x40544475c9231b46, 0x4052429d5171deca, 0x3feb0a3d70a3d70a, 10},
+       {0x40542077b3c92f6f, 0x4052460918f2551a, 0x3feb1e70004eea98, 400}},
+      {"C",
+       {{{0x4051771e1fe607f5, 47, {103, 2, 39, 0, 1, 2, 3}},
+         {0x40517ad10d3c5d7b, 5, {145, 1, 0, 0, 1, 0, 3}},
+         {0x40518d66c307e611, 150, {0, 148, 0, 0, 0, 0, 2}}}},
+       {0x40520bbab4bf70af, 0x40508af7580fe2f3, 0x3fe8e147ae147ae1, 10},
+       {0x4051f27f5184f578, 0x405095e8bf99cee1, 0x3fe9762b30239146, 400}},
+      {"D",
+       {{{0x405113fb87f23e0c, 90, {60, 1, 60, 0, 27, 0, 2}},
+         {0x4051250ac6795bff, 5, {145, 0, 0, 0, 1, 0, 4}},
+         {0x405175e8d9213d1c, 150, {0, 0, 0, 0, 0, 0, 150}}}},
+       {0x405174165f77c7c6, 0x405029bd1a2f3599, 0x3fe87ae147ae147b, 10},
+       {0x40515d712bc10c0c, 0x40503656ea7f8d56, 0x3fe90d8e71d23891, 400}},
+      {"E",
+       {{{0x405186bb0ee46a85, 67, {83, 18, 23, 0, 23, 0, 3}},
+         {0x4051853042a24a08, 6, {144, 0, 0, 0, 3, 0, 3}},
+         {0x40520b131e2be392, 150, {0, 0, 0, 0, 0, 0, 150}}}},
+       {0x40523f46c61fde12, 0x40509853db5a664e, 0x3fe91eb851eb851f, 10},
+       {0x4052256bb362a93a, 0x4050a2137dbaa0ef, 0x3fe9934946caf0d3, 400}},
+  };
+  const AdaptiveObjective objectives[] = {AdaptiveObjective::kPredictivePeak,
+                                          AdaptiveObjective::kCoolestHistory,
+                                          AdaptiveObjective::kOrbitAverage};
+  for (const AdaptiveDtmPin& want : pins) {
+    const ChipConfig cfg = config_by_name(want.config);
+    ExperimentDriver driver(cfg);
+    driver.prepare();
+    const RcNetwork& net = driver.thermal_network();
+    const double period = driver.default_period_s();
+    std::map<TransformKind, std::vector<double>> energy_maps;
+    for (MigrationScheme scheme : figure1_schemes())
+      energy_maps[transform_of(scheme).kind] =
+          driver.migration_energy_map(scheme);
+    AdaptiveSimConfig sim;
+    sim.period_s = period;
+    sim.periods = 150;
+
+    AdaptiveDtmPin got;
+    got.config = want.config;
+    for (std::size_t o = 0; o < got.adaptive.size(); ++o) {
+      AdaptivePolicy policy(net, cfg.dim, objectives[o], period);
+      const AdaptiveSimResult r = run_adaptive_simulation(
+          net, cfg.dim, policy, driver.base_power(), energy_maps, sim);
+      AdaptivePin& pin = got.adaptive[o];
+      pin.settled_peak_bits = std::bit_cast<std::uint64_t>(r.settled_peak_c);
+      pin.migrations = r.migrations;
+      for (const auto& [kind, count] : r.choices)
+        pin.choices[static_cast<std::size_t>(kind)] = count;
+    }
+    auto dtm_pin = [](const DtmRunResult& r) {
+      return DtmPin{std::bit_cast<std::uint64_t>(r.peak_temp_c),
+                    std::bit_cast<std::uint64_t>(r.mean_temp_c),
+                    std::bit_cast<std::uint64_t>(r.throughput_fraction),
+                    r.throttle_events};
+    };
+    const double base_peak = driver.base_peak_temp_c();
+    got.stop_go = dtm_pin(StopGoController(net, base_peak - 3.0, 1.0)
+                              .run(driver.base_power(), period, 400));
+    got.dvfs = dtm_pin(DvfsController(net, base_peak - 4.0, 0.25)
+                           .run(driver.base_power(), period, 400));
+
+    const bool match = got.adaptive == want.adaptive &&
+                       got.stop_go == want.stop_go && got.dvfs == want.dvfs;
+    EXPECT_TRUE(match) << "got {\"" << got.config << "\", {{"
+                       << got.adaptive[0] << ", " << got.adaptive[1] << ", "
+                       << got.adaptive[2] << "}}, " << got.stop_go << ", "
+                       << got.dvfs << "}";
   }
 }
 
