@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# One-shot tier-1 verify: configure, build, and run ctest in Debug and
-# Release with warnings-as-errors and examples enabled. The engine guards
-# are ctest cases: bit-exactness against the seed oracles in
-# tests/support, steady-state allocations (alloc_guard_test), thread,
-# shard and resume invariance of every sweep, and the degraded-fabric
-# conservation law. So is the paper-records check: paper_goldens_test
+# One-shot tier-1 verify: configure, build (library, tools, benches,
+# examples, tests), and run ctest in Debug and Release with
+# warnings-as-errors. The engine guards are ctest cases: bit-exactness
+# against the seed oracles in tests/support, steady-state allocations
+# (alloc_guard_test), thread, shard and resume invariance of every sweep,
+# and the degraded-fabric conservation law. So is the paper-records check: paper_goldens_test
 # runs renoc_paper --smoke and diffs every PAPER_*.json record against the
 # pinned golden under goldens/ with renoc_golden_diff (integer fields
 # exact, temperatures tolerance-checked, *_ms timing skipped).
@@ -53,7 +53,6 @@ if [[ -n "${sanitize}" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DRENOC_SANITIZE="${sanitize}" \
     -DRENOC_WERROR=ON \
-    -DRENOC_BUILD_EXAMPLES=ON \
     ${cmake_args[@]+"${cmake_args[@]}"}
   echo "== sanitize(${sanitize}): build =="
   cmake --build "${build_dir}" -j "${jobs}"
@@ -69,7 +68,6 @@ for config in Debug Release; do
   cmake -B "${build_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE="${config}" \
     -DRENOC_WERROR=ON \
-    -DRENOC_BUILD_EXAMPLES=ON \
     ${cmake_args[@]+"${cmake_args[@]}"}
   echo "== ${config}: build =="
   cmake --build "${build_dir}" -j "${jobs}"

@@ -50,21 +50,18 @@ void AdaptivePolicy::set_candidates(std::vector<Transform> candidates) {
   RENOC_CHECK(!candidates_.empty());
 }
 
-double AdaptivePolicy::predicted_peak(
-    const Transform& t, const std::vector<double>& current_power,
+double AdaptivePolicy::lookahead_score(
+    const std::vector<int>& perm, const std::vector<double>& current_power,
     const std::vector<double>& state_rise) {
-  RENOC_CHECK(static_cast<int>(current_power.size()) == dim_.node_count());
-  RENOC_CHECK(static_cast<int>(state_rise.size()) == net_->node_count());
-  const std::vector<double> moved =
-      apply_permutation(current_power, t.permutation(dim_));
+  apply_permutation_into(current_power, perm, moved_);
   lookahead_->set_state(state_rise);
   // Evaluate the *end-of-period* peak, not the maximum over the window:
   // the window maximum is dominated by the shared initial condition (the
   // die time constant dwarfs one period), which would make every
   // candidate look identical. The end state is where candidates diverge —
   // a moved hotspot has had a period to cool.
-  const std::vector<double> full = net_->expand_die_power(moved);
-  for (int s = 0; s < lookahead_steps_; ++s) lookahead_->step(full);
+  for (int s = 0; s < lookahead_steps_; ++s)
+    lookahead_->step_die_power(moved_);
   return net_->ambient() + net_->peak_die_rise(lookahead_->state());
 }
 
@@ -96,64 +93,24 @@ double AdaptivePolicy::orbit_average_score(
   return steady_->peak_die_temperature(average_maps(maps));
 }
 
-void AdaptivePolicy::predictive_scores_batch(
-    const std::vector<double>& current_power,
-    const std::vector<double>& state_rise, std::vector<double>& scores) {
-  // All candidates' lookahead trajectories advance together as one
-  // row-major n x k block: every backward-Euler step performs a single
-  // factor traversal (TransientSolver::step_multi) instead of k
-  // independent integrations. The blocked kernels replicate the scalar
-  // arithmetic per column, so scores[j] bit-matches
-  // predicted_peak(candidates()[j], ...).
-  const int k = static_cast<int>(candidates_.size());
-  const auto uk = static_cast<std::size_t>(k);
-  const std::size_t n = static_cast<std::size_t>(net_->node_count());
-  const std::size_t die = static_cast<std::size_t>(net_->die_count());
-
-  power_block_.assign(n * uk, 0.0);
-  state_block_.resize(n * uk);
-  for (std::size_t j = 0; j < uk; ++j) {
-    apply_permutation_into(current_power, candidate_perms_[j], moved_);
-    for (std::size_t i = 0; i < die; ++i)
-      power_block_[i * uk + j] = moved_[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = state_rise[i];
-    double* row = &state_block_[i * uk];
-    for (std::size_t j = 0; j < uk; ++j) row[j] = s;
-  }
-  for (int s = 0; s < lookahead_steps_; ++s)
-    lookahead_->step_multi(power_block_, state_block_, k);
-
-  scores.resize(uk);
-  for (std::size_t j = 0; j < uk; ++j) {
-    // Column-j peak over die nodes, matching peak_die_rise's first-entry
-    // seed followed by max over the remaining die nodes.
-    double peak = state_block_[j];
-    for (std::size_t i = 1; i < die; ++i)
-      peak = std::max(peak, state_block_[i * uk + j]);
-    scores[j] = net_->ambient() + peak;
-  }
-}
-
 std::vector<double> AdaptivePolicy::candidate_scores(
     const std::vector<double>& current_power,
     const std::vector<double>& state_rise) {
   RENOC_CHECK(static_cast<int>(current_power.size()) == dim_.node_count());
   RENOC_CHECK(static_cast<int>(state_rise.size()) == net_->node_count());
   std::vector<double> scores;
+  scores.reserve(candidates_.size());
   switch (objective_) {
     case AdaptiveObjective::kPredictivePeak:
-      predictive_scores_batch(current_power, state_rise, scores);
+      for (const std::vector<int>& perm : candidate_perms_)
+        scores.push_back(lookahead_score(perm, current_power, state_rise));
       break;
     case AdaptiveObjective::kCoolestHistory:
-      scores.reserve(candidates_.size());
       for (std::size_t j = 0; j < candidates_.size(); ++j)
         scores.push_back(history_score(candidate_perms_[j], candidates_[j],
                                        current_power, state_rise));
       break;
     case AdaptiveObjective::kOrbitAverage:
-      scores.reserve(candidates_.size());
       for (const Transform& t : candidates_)
         scores.push_back(orbit_average_score(t, current_power));
       break;

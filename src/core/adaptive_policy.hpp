@@ -78,33 +78,25 @@ class AdaptivePolicy {
 
   /// Per-candidate scores (lower is better), aligned with candidates().
   /// choose() returns the first minimum of this vector. Under
-  /// kPredictivePeak the candidates' lookahead trajectories advance
-  /// together as one multi-RHS batch — one factor traversal per lookahead
-  /// step instead of candidates() independent integrations — and the
-  /// blocked solves replicate the scalar arithmetic exactly, so every
-  /// entry bit-matches predicted_peak() on that candidate.
+  /// kPredictivePeak each entry is the end-of-period peak (C) of that
+  /// candidate's lookahead, stepped from `state_rise` through the policy's
+  /// one TransientSolver.
   std::vector<double> candidate_scores(
       const std::vector<double>& current_power,
       const std::vector<double>& state_rise);
 
-  /// Predicted end-of-period peak (C) if `t` were applied now (exposed
-  /// for tests; the scalar path the batched scores must bit-match).
-  double predicted_peak(const Transform& t,
-                        const std::vector<double>& current_power,
-                        const std::vector<double>& state_rise);
-
   const std::vector<Transform>& candidates() const { return candidates_; }
 
  private:
+  double lookahead_score(const std::vector<int>& perm,
+                         const std::vector<double>& current_power,
+                         const std::vector<double>& state_rise);
   double history_score(const std::vector<int>& perm,
                        const Transform& t,
                        const std::vector<double>& current_power,
                        const std::vector<double>& state_rise);
   double orbit_average_score(const Transform& t,
                              const std::vector<double>& current_power) const;
-  void predictive_scores_batch(const std::vector<double>& current_power,
-                               const std::vector<double>& state_rise,
-                               std::vector<double>& scores);
 
   const RcNetwork* net_;
   std::unique_ptr<SteadyStateSolver> steady_;
@@ -114,10 +106,7 @@ class AdaptivePolicy {
   std::unique_ptr<TransientSolver> lookahead_;
   std::vector<Transform> candidates_;
   std::vector<std::vector<int>> candidate_perms_;  // cached permutations
-  // Batched-lookahead workspaces (row-major node x candidate blocks).
-  std::vector<double> moved_;
-  std::vector<double> power_block_;
-  std::vector<double> state_block_;
+  std::vector<double> moved_;  // permuted-power workspace
 };
 
 /// Closed-loop adaptive run parameters. `period_s` must be positive;

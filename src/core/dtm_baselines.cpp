@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "thermal/solver.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
@@ -9,40 +10,23 @@ namespace {
 
 constexpr int kStepsPerPeriod = 20;
 
-}  // namespace
-
-namespace detail {
-
-TransientSolver& DtmIntegrator::prepared_transient(
-    double dt, const std::vector<double>& power) {
-  if (transient_ == nullptr || transient_dt_ != dt) {
-    transient_ = std::make_unique<TransientSolver>(*net_, dt);
-    transient_dt_ = dt;
-  }
-  if (steady_ == nullptr) steady_ = std::make_unique<SteadyStateSolver>(*net_);
-  steady_->solve_die_power_into(power, state_);
-  transient_->set_state(state_);
-  return *transient_;
-}
-
-const std::vector<double>& DtmIntegrator::scaled_power(
-    const std::vector<double>& power, double duty, double leakage_floor) {
-  scaled_.resize(power.size());
+/// power * (leakage_floor + (1 - leakage_floor) * duty) into `scaled`.
+void scale_power(const std::vector<double>& power, double duty,
+                 double leakage_floor, std::vector<double>& scaled) {
+  scaled.resize(power.size());
   const double factor = leakage_floor + (1.0 - leakage_floor) * duty;
   for (std::size_t i = 0; i < power.size(); ++i)
-    scaled_[i] = power[i] * factor;
-  return scaled_;
+    scaled[i] = power[i] * factor;
 }
 
-}  // namespace detail
+}  // namespace
 
 StopGoController::StopGoController(const RcNetwork& net, double trip_c,
                                    double hysteresis_c, double leakage_floor)
     : net_(&net),
       trip_c_(trip_c),
       hysteresis_c_(hysteresis_c),
-      leakage_floor_(leakage_floor),
-      integrator_(net) {
+      leakage_floor_(leakage_floor) {
   RENOC_CHECK(hysteresis_c > 0);
   RENOC_CHECK(leakage_floor >= 0 && leakage_floor < 1);
   RENOC_CHECK(trip_c > net.ambient());
@@ -51,11 +35,11 @@ StopGoController::StopGoController(const RcNetwork& net, double trip_c,
 DtmRunResult StopGoController::run(const std::vector<double>& power,
                                    double period_s, int periods) const {
   RENOC_CHECK(period_s > 0 && periods >= 4);
-  TransientSolver& transient =
-      integrator_.prepared_transient(period_s / kStepsPerPeriod, power);
+  TransientSolver transient(*net_, period_s / kStepsPerPeriod);
+  transient.set_state_to_steady(power);
 
-  const std::vector<double> halted =
-      integrator_.scaled_power(power, 0.0, leakage_floor_);
+  std::vector<double> halted;
+  scale_power(power, 0.0, leakage_floor_, halted);
   DtmRunResult result;
   bool running = true;
   double uptime = 0.0;
@@ -97,8 +81,7 @@ DvfsController::DvfsController(const RcNetwork& net, double setpoint_c,
       setpoint_c_(setpoint_c),
       gain_(gain),
       d_min_(d_min),
-      leakage_floor_(leakage_floor),
-      integrator_(net) {
+      leakage_floor_(leakage_floor) {
   RENOC_CHECK(gain > 0);
   RENOC_CHECK(d_min > 0 && d_min <= 1);
   RENOC_CHECK(leakage_floor >= 0 && leakage_floor < 1);
@@ -108,10 +91,11 @@ DvfsController::DvfsController(const RcNetwork& net, double setpoint_c,
 DtmRunResult DvfsController::run(const std::vector<double>& power,
                                  double period_s, int periods) const {
   RENOC_CHECK(period_s > 0 && periods >= 4);
-  TransientSolver& transient =
-      integrator_.prepared_transient(period_s / kStepsPerPeriod, power);
+  TransientSolver transient(*net_, period_s / kStepsPerPeriod);
+  transient.set_state_to_steady(power);
 
   DtmRunResult result;
+  std::vector<double> p_now;
   double duty_sum = 0.0;
   double mean_accum = 0.0;
   std::uint64_t samples = 0;
@@ -123,8 +107,7 @@ DtmRunResult DvfsController::run(const std::vector<double>& power,
     const double duty =
         std::clamp(1.0 - gain_ * (peak - setpoint_c_), d_min_, 1.0);
     if (duty < 1.0) ++result.throttle_events;
-    const std::vector<double>& p_now =
-        integrator_.scaled_power(power, duty, leakage_floor_);
+    scale_power(power, duty, leakage_floor_, p_now);
     for (int s = 0; s < kStepsPerPeriod; ++s) {
       transient.step_die_power(p_now);
       const double t =

@@ -24,22 +24,15 @@
 // renoc_paper's PAPER_dtm.json targets each baseline at the peak
 // temperature a migration scheme achieves and compares throughput costs.
 //
-// run() used to rebuild its factorizations per call — one transient
-// (C/dt + G) factorization plus one steady G factorization, the same
-// refactorize-per-call pattern PR 2 evicted from the experiment driver —
-// which a 400-period equal-peak sweep over five configurations multiplies
-// into dozens of redundant factorizations. Both controllers now keep a
-// DtmIntegrator cache: the steady solver is factored once per controller
-// and the transient solver once per distinct period; repeated (and
-// mixed-period) run() calls are bit-identical to a fresh controller's
-// (tests/dtm_test pins this).
+// Each run() factors its own transient solver for its period and starts
+// it at the steady state of `power`. renoc_paper runs each controller
+// once per configuration, so a factorization kept across calls would
+// save nothing; run() holds no state between calls.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "thermal/rc_network.hpp"
-#include "thermal/solver.hpp"
 
 namespace renoc {
 
@@ -49,39 +42,6 @@ struct DtmRunResult {
   double throughput_fraction = 1.0;  ///< delivered work / full-speed work
   int throttle_events = 0;           ///< halts (stop-go) / slowdowns (dvfs)
 };
-
-namespace detail {
-
-/// Shared factorization cache + scratch for the two controllers: one
-/// steady-state solver per controller lifetime, one transient solver per
-/// distinct control period, and a reusable scaled-power buffer so the
-/// control loop stops allocating per period.
-class DtmIntegrator {
- public:
-  explicit DtmIntegrator(const RcNetwork& net) : net_(&net) {}
-
-  /// The transient solver for `dt`, factored on first use (and refactored
-  /// only when the period changes), with its state initialized to the
-  /// steady state of `power` — the same arithmetic as
-  /// TransientSolver::set_state_to_steady, through a cached factorization.
-  TransientSolver& prepared_transient(double dt,
-                                      const std::vector<double>& power);
-
-  /// power * (leakage_floor + (1 - leakage_floor) * duty) into a reused
-  /// buffer (valid until the next call).
-  const std::vector<double>& scaled_power(const std::vector<double>& power,
-                                          double duty, double leakage_floor);
-
- private:
-  const RcNetwork* net_;
-  std::unique_ptr<SteadyStateSolver> steady_;
-  std::unique_ptr<TransientSolver> transient_;
-  double transient_dt_ = 0.0;
-  std::vector<double> state_;   // steady-init scratch
-  std::vector<double> scaled_;
-};
-
-}  // namespace detail
 
 /// Chip-wide stop-go (clock disabling) under a thermal trip point.
 class StopGoController {
@@ -102,7 +62,6 @@ class StopGoController {
   double trip_c_;
   double hysteresis_c_;
   double leakage_floor_;
-  mutable detail::DtmIntegrator integrator_;  // lazy factorization cache
 };
 
 /// Chip-wide proportional frequency scaling under a thermal setpoint.
@@ -123,7 +82,6 @@ class DvfsController {
   double gain_;
   double d_min_;
   double leakage_floor_;
-  mutable detail::DtmIntegrator integrator_;  // lazy factorization cache
 };
 
 }  // namespace renoc

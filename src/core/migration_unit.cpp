@@ -18,12 +18,6 @@ void AddressTranslator::apply(const Transform& t) {
   ++migrations_applied_;
 }
 
-void AddressTranslator::reset() {
-  logical_to_physical_ = identity_permutation(dim_.node_count());
-  physical_to_logical_ = logical_to_physical_;
-  migrations_applied_ = 0;
-}
-
 int AddressTranslator::logical_to_physical(int logical) const {
   RENOC_CHECK(logical >= 0 && logical < dim_.node_count());
   return logical_to_physical_[static_cast<std::size_t>(logical)];

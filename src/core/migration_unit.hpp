@@ -32,9 +32,6 @@ class AddressTranslator {
   /// migration event, after the workloads have moved).
   void apply(const Transform& t);
 
-  /// Drops back to the identity map.
-  void reset();
-
   /// Physical tile currently hosting `logical` (ingress rewrite).
   int logical_to_physical(int logical) const;
 

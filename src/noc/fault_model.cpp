@@ -79,12 +79,6 @@ void FaultSpec::validate(const GridDim& dim) const {
   }
 }
 
-Cycle FaultPlan::last_event_cycle() const {
-  Cycle last = 0;
-  for (const FaultEvent& e : events) last = std::max(last, e.cycle);
-  return last;
-}
-
 FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng) {
   spec.validate(dim);
   FaultPlan plan;

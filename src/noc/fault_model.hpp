@@ -61,9 +61,6 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 
   bool empty() const { return events.empty(); }
-  /// Cycle of the last event (0 for an empty plan) — benches place their
-  /// steady-state allocation window after this.
-  Cycle last_event_cycle() const;
 };
 
 /// Generates the plan for `spec` on a `dim` mesh by drawing victims and

@@ -6,17 +6,6 @@
 
 namespace renoc {
 
-const char* to_string(Direction d) {
-  switch (d) {
-    case Direction::kNorth: return "north";
-    case Direction::kSouth: return "south";
-    case Direction::kEast: return "east";
-    case Direction::kWest: return "west";
-    case Direction::kLocal: return "local";
-  }
-  return "?";
-}
-
 Direction opposite(Direction d) {
   switch (d) {
     case Direction::kNorth: return Direction::kSouth;

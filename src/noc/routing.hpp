@@ -37,9 +37,6 @@ enum class Direction : std::uint8_t {
 
 inline constexpr int kDirectionCount = 5;
 
-/// Human-readable direction name ("north", ...).
-const char* to_string(Direction d);
-
 /// The opposite mesh direction (north<->south, east<->west). kLocal has no
 /// opposite; passing it is a checked error.
 Direction opposite(Direction d);

@@ -40,16 +40,4 @@ std::vector<double> EnergyModel::power_map(const NetworkStats& stats,
   return map;
 }
 
-std::vector<double> EnergyModel::dynamic_power_map(const NetworkStats& stats,
-                                                   double window_seconds,
-                                                   double scale) const {
-  RENOC_CHECK(window_seconds > 0 && scale > 0);
-  std::vector<double> map(static_cast<std::size_t>(stats.node_count()));
-  for (int i = 0; i < stats.node_count(); ++i) {
-    map[static_cast<std::size_t>(i)] =
-        scale * tile_dynamic_energy(stats.tile(i)) / window_seconds;
-  }
-  return map;
-}
-
 }  // namespace renoc

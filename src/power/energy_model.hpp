@@ -55,12 +55,6 @@ class EnergyModel {
                                 double window_seconds,
                                 double scale = 1.0) const;
 
-  /// Same split out: dynamic-only map (no leakage), for energy-accounting
-  /// tests.
-  std::vector<double> dynamic_power_map(const NetworkStats& stats,
-                                        double window_seconds,
-                                        double scale = 1.0) const;
-
  private:
   EnergyParams params_;
 };

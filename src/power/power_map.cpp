@@ -1,7 +1,5 @@
 #include "power/power_map.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace renoc {
@@ -54,21 +52,8 @@ double total_power(const std::vector<double>& map) {
   return s;
 }
 
-double max_power(const std::vector<double>& map) {
-  RENOC_CHECK(!map.empty());
-  return *std::max_element(map.begin(), map.end());
-}
-
 void scale_map(std::vector<double>& map, double s) {
   for (double& v : map) v *= s;
-}
-
-std::vector<double> add_maps(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  RENOC_CHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
 }
 
 }  // namespace renoc

@@ -33,14 +33,7 @@ std::vector<double> average_maps(const std::vector<std::vector<double>>& maps);
 /// Sum of entries (total watts).
 double total_power(const std::vector<double>& map);
 
-/// Largest entry.
-double max_power(const std::vector<double>& map);
-
 /// In-place multiply by s.
 void scale_map(std::vector<double>& map, double s);
-
-/// a + b element-wise (same size).
-std::vector<double> add_maps(const std::vector<double>& a,
-                             const std::vector<double>& b);
 
 }  // namespace renoc

@@ -95,42 +95,8 @@ void TransientSolver::step(const std::vector<double>& power) {
   std::swap(state_, rhs_);
 }
 
-void TransientSolver::step_multi(const std::vector<double>& powers,
-                                 std::vector<double>& states, int nrhs) {
-  RENOC_CHECK_MSG(nrhs >= 1, "need at least one trajectory");
-  const std::size_t expected =
-      static_cast<std::size_t>(net_->node_count()) *
-      static_cast<std::size_t>(nrhs);
-  RENOC_CHECK_MSG(powers.size() == expected && states.size() == expected,
-                  "step_multi blocks must be node_count x nrhs");
-  const std::size_t w = static_cast<std::size_t>(nrhs);
-  rhs_multi_.resize(expected);
-  for (std::size_t i = 0; i < c_over_dt_.size(); ++i) {
-    const double cd = c_over_dt_[i];
-    const double* s = &states[i * w];
-    const double* p = &powers[i * w];
-    double* r = &rhs_multi_[i * w];
-    for (std::size_t j = 0; j < w; ++j) r[j] = cd * s[j] + p[j];
-  }
-  step_ldlt_.solve_multi(rhs_multi_, nrhs);
-  std::swap(states, rhs_multi_);
-}
-
 void TransientSolver::step_die_power(const std::vector<double>& die_power) {
   step(expand_into(*net_, die_power, full_power_));
-}
-
-double TransientSolver::run_die_power(const std::vector<double>& die_power,
-                                      int steps) {
-  RENOC_CHECK(steps >= 0);
-  const std::vector<double>& full =
-      expand_into(*net_, die_power, full_power_);
-  double peak = net_->peak_die_rise(state_);
-  for (int s = 0; s < steps; ++s) {
-    step(full);
-    peak = std::max(peak, net_->peak_die_rise(state_));
-  }
-  return peak;
 }
 
 }  // namespace renoc

@@ -14,6 +14,11 @@
 // factor them with the sparse LDL^T of util/sparse.hpp — O(n * b^2) factor
 // and O(nnz(L)) solve. The tests check it against a dense LU oracle
 // (tests/support) on every network size the paper configurations build.
+//
+// TransientSolver advances one trajectory at a time: AdaptivePolicy's
+// lookahead and the DTM controllers step through it. The migration
+// co-simulation (core/thermal_runtime) integrates through its own fused
+// kernel, SparseLdlt::step_permuted.
 #pragma once
 
 #include <vector>
@@ -84,23 +89,8 @@ class TransientSolver {
   /// Advances one step under a full-node power vector.
   void step(const std::vector<double>& power);
 
-  /// Advances `nrhs` independent trajectories one step each. `powers` and
-  /// `states` are row-major n x nrhs blocks (trajectory j's component i at
-  /// index i * nrhs + j); `states` holds the advanced states on exit. The
-  /// fused C/dt * state + P right-hand-side build and the blocked
-  /// solve_multi replicate step()'s arithmetic per trajectory, so each
-  /// column advances bit-identically to a lone solver stepped with that
-  /// column's power — the contract behind AdaptivePolicy's batched
-  /// lookahead. Does not touch the scalar state().
-  void step_multi(const std::vector<double>& powers,
-                  std::vector<double>& states, int nrhs);
-
   /// Advances one step under a per-die-block power vector.
   void step_die_power(const std::vector<double>& die_power);
-
-  /// Advances `steps` steps under constant die power, returning the maximum
-  /// peak die rise observed at step boundaries.
-  double run_die_power(const std::vector<double>& die_power, int steps);
 
   const RcNetwork& network() const { return *net_; }
 
@@ -111,7 +101,6 @@ class TransientSolver {
   SparseLdlt step_ldlt_;           // LDL^T of (C/dt + G)
   std::vector<double> state_;      // temperature rises
   std::vector<double> rhs_;        // scratch
-  std::vector<double> rhs_multi_;  // step_multi scratch
   std::vector<double> full_power_;  // die-power expansion scratch
 };
 

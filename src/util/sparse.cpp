@@ -421,49 +421,6 @@ void SparseLdlt::solve_in_place(std::vector<double>& x) const {
   for (int k = 0; k < n_; ++k) x[uz(perm_[uz(k)])] = y[uz(k)];
 }
 
-void SparseLdlt::solve_multi(std::vector<double>& x, int nrhs) const {
-  RENOC_CHECK_MSG(nrhs >= 1, "need at least one right-hand side");
-  RENOC_CHECK_MSG(
-      x.size() == uz(n_) * static_cast<std::size_t>(nrhs),
-      "multi-RHS block size " << x.size() << " != n*nrhs = " << n_ * nrhs);
-  const std::size_t w = static_cast<std::size_t>(nrhs);
-  scratch_multi_.resize(uz(n_) * w);
-  std::vector<double>& y = scratch_multi_;
-  // renoc-hot-begin (blocked multi-RHS sweeps, every lookahead step)
-  // Permute in: whole rows move, so each gather copies nrhs contiguous
-  // values. Every per-column operation below replicates solve_in_place's
-  // arithmetic in the same order, keeping columns bit-identical to lone
-  // solves.
-  for (int k = 0; k < n_; ++k)
-    std::copy_n(&x[uz(perm_[uz(k)]) * w], w, &y[uz(k) * w]);
-  // L Z = Y (unit-diagonal, by columns).
-  for (int k = 0; k < n_; ++k) {
-    const double* yk = &y[uz(k) * w];
-    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
-      const double l = lx_[uz(p)];
-      double* yi = &y[uz(li_[uz(p)]) * w];
-      for (std::size_t j = 0; j < w; ++j) yi[j] -= l * yk[j];
-    }
-  }
-  for (int k = 0; k < n_; ++k) {
-    const double dk = d_[uz(k)];
-    double* yk = &y[uz(k) * w];
-    for (std::size_t j = 0; j < w; ++j) yk[j] /= dk;
-  }
-  // L^T W = Z (by columns of L in reverse).
-  for (int k = n_ - 1; k >= 0; --k) {
-    double* yk = &y[uz(k) * w];
-    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
-      const double l = lx_[uz(p)];
-      const double* yi = &y[uz(li_[uz(p)]) * w];
-      for (std::size_t j = 0; j < w; ++j) yk[j] -= l * yi[j];
-    }
-  }
-  for (int k = 0; k < n_; ++k)
-    std::copy_n(&y[uz(k) * w], w, &x[uz(perm_[uz(k)]) * w]);
-  // renoc-hot-end
-}
-
 template <int W>
 void SparseLdlt::step_group(const double* cd, const double* p, double* y,
                             std::size_t stride) const {

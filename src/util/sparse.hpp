@@ -119,15 +119,6 @@ class SparseLdlt {
   /// call; like the rest of the library this is not thread-safe.
   void solve_in_place(std::vector<double>& x) const;
 
-  /// Blocked multi-RHS solve: `x` holds `nrhs` right-hand sides as a
-  /// row-major n x nrhs block (RHS j's component i at x[i * nrhs + j]) and
-  /// holds the solutions on exit. One traversal of the factor serves all
-  /// nrhs columns, amortizing the L/L^T index walk; each column performs
-  /// exactly the arithmetic of solve_in_place in the same order, so column
-  /// j of the result is bit-identical to a lone solve of that column (the
-  /// property AdaptivePolicy's batched lookahead relies on).
-  void solve_multi(std::vector<double>& x, int nrhs) const;
-
   /// One backward-Euler step for `width` independent columns kept in
   /// elimination order (the co-sim engine of core/thermal_runtime).
   /// `y` and `p` are slot-major n x width blocks: column j's slot k sits at
@@ -180,8 +171,7 @@ class SparseLdlt {
   mutable std::vector<int> rp_;     // row pointers
   mutable std::vector<int> rc_;     // column indices, ascending per row
   mutable std::vector<double> rx_;  // values
-  mutable std::vector<double> scratch_;        // permuted rhs workspace
-  mutable std::vector<double> scratch_multi_;  // multi-RHS workspace
+  mutable std::vector<double> scratch_;  // permuted rhs workspace
 };
 
 }  // namespace renoc

@@ -22,21 +22,4 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / (n1 + n2);
-  m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 }  // namespace renoc

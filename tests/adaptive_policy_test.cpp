@@ -2,6 +2,7 @@
 // function-switching extension).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -79,10 +80,10 @@ TEST(AdaptivePolicyTest, PredictiveMovesEdgeHotspot) {
   const auto perm = t.permutation(env.dim);
   EXPECT_NE(perm[static_cast<std::size_t>(hot)], hot)
       << "chosen transform must move the hotspot";
-  // And its predicted peak beats staying put.
-  EXPECT_LT(policy.predicted_peak(t, power, state),
-            policy.predicted_peak(Transform{TransformKind::kIdentity, 0},
-                                  power, state));
+  // And its predicted peak beats staying put (identity is candidate 0).
+  const std::vector<double> scores = policy.candidate_scores(power, state);
+  ASSERT_EQ(policy.candidates()[0].kind, TransformKind::kIdentity);
+  EXPECT_LT(*std::min_element(scores.begin(), scores.end()), scores[0]);
 }
 
 TEST(AdaptivePolicyTest, PredictiveAvoidsRotationForCenterHotspot) {
@@ -183,32 +184,40 @@ TEST(AdaptivePolicyTest, CustomCandidates) {
   EXPECT_THROW(policy.set_candidates({}), CheckError);
 }
 
-TEST(AdaptivePolicyTest, BatchedScoresBitMatchScalarLookahead) {
-  // candidate_scores evaluates every candidate's lookahead trajectory as
-  // one multi-RHS batch; each score must equal the scalar predicted_peak
-  // bit for bit, at both paper chip sizes: side 4 (58 nodes) and side 5
-  // (85 nodes).
+TEST(AdaptivePolicyTest, PredictiveScoresBitMatchSteppedLookahead) {
+  // Each kPredictivePeak score is the end-of-period peak of a lone
+  // TransientSolver started at `state` and stepped lookahead_steps (10)
+  // times under the candidate's moved power, bit for bit, at both paper
+  // chip sizes: side 4 (58 nodes) and side 5 (85 nodes). The policy has
+  // scored another state first, so no lookahead state may carry over.
   for (const int side : {4, 5}) {
     Env env(side);
     AdaptivePolicy policy(env.net, env.dim,
                           AdaptiveObjective::kPredictivePeak, kPeriod);
     std::vector<double> power(
         static_cast<std::size_t>(side * side), 1.0);
+    (void)policy.candidate_scores(power, env.steady_state(power));
     power[static_cast<std::size_t>(side + 1)] = 8.0;
     const std::vector<double> state = env.steady_state(power);
 
-    const std::vector<double> batch = policy.candidate_scores(power, state);
-    ASSERT_EQ(batch.size(), policy.candidates().size());
-    for (std::size_t j = 0; j < policy.candidates().size(); ++j)
-      EXPECT_EQ(batch[j],
-                policy.predicted_peak(policy.candidates()[j], power, state))
+    const std::vector<double> scores = policy.candidate_scores(power, state);
+    ASSERT_EQ(scores.size(), policy.candidates().size());
+    for (std::size_t j = 0; j < scores.size(); ++j) {
+      TransientSolver lookahead(env.net, kPeriod / 10);
+      lookahead.set_state(state);
+      const std::vector<double> moved = apply_permutation(
+          power, policy.candidates()[j].permutation(env.dim));
+      for (int s = 0; s < 10; ++s) lookahead.step_die_power(moved);
+      EXPECT_EQ(scores[j],
+                env.net.ambient() + env.net.peak_die_rise(lookahead.state()))
           << "side " << side << " candidate " << j;
+    }
 
     // choose() is the argmin of the same scores.
     const Transform chosen = policy.choose(power, state);
     std::size_t best = 0;
-    for (std::size_t j = 1; j < batch.size(); ++j)
-      if (batch[j] < batch[best]) best = j;
+    for (std::size_t j = 1; j < scores.size(); ++j)
+      if (scores[j] < scores[best]) best = j;
     EXPECT_EQ(chosen.kind, policy.candidates()[best].kind) << "side " << side;
   }
 }

@@ -9,13 +9,12 @@
 // returns, and ThermalAwarePlacer::place() allocates only at setup, as
 // many times at 200 anneal moves as at 5,000. These suites pin the
 // invariant in every CI configuration (Debug, Release, every sanitizer
-// build) through util/alloc_guard.
+// build) through the test-only allocation guard.
 //
-// Linking this binary against the guard API pulls the interposed
-// operator new/delete out of the renoc archive (see util/alloc_guard.hpp),
-// so the measurements here are real allocation counts. When the
-// RENOC_ALLOC_GUARD option is off the pins skip rather than vacuously pass.
-#include "util/alloc_guard.hpp"
+// Linking renoc_test_support pulls the counting operator new/delete into
+// this binary (see support/alloc_guard.hpp), so the measurements here are
+// real allocation counts.
+#include "support/alloc_guard.hpp"
 
 #include <gtest/gtest.h>
 
@@ -43,18 +42,9 @@
 namespace renoc {
 namespace {
 
-#define RENOC_REQUIRE_INSTRUMENTED()                                     \
-  do {                                                                   \
-    if (!alloc_guard::instrumented())                                    \
-      GTEST_SKIP() << "RENOC_ALLOC_GUARD is off: operator new/delete "   \
-                      "are not interposed, so allocation counts would "  \
-                      "be vacuous";                                      \
-  } while (0)
-
 // --- Guard mechanics -------------------------------------------------------
 
 TEST(AllocGuardTest, CountsAndSizesAllocations) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const AllocGuard guard;
   {
     std::vector<char> v;
@@ -65,7 +55,6 @@ TEST(AllocGuardTest, CountsAndSizesAllocations) {
 }
 
 TEST(AllocGuardTest, QuietScopeCountsZero) {
-  RENOC_REQUIRE_INSTRUMENTED();
   std::vector<int> v(16, 7);
   const AllocGuard guard;
   long long sum = 0;
@@ -77,14 +66,12 @@ TEST(AllocGuardTest, QuietScopeCountsZero) {
 }
 
 TEST(AllocGuardTest, CheckZeroThrowsOnAllocation) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const AllocGuard guard;
   std::vector<char> v(64);
   EXPECT_THROW(guard.check_zero("allocating scope"), CheckError);
 }
 
 TEST(AllocGuardTest, TotalsAdvanceMonotonically) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const AllocTotals before = alloc_guard::totals();
   std::vector<char> v(128);
   const AllocTotals after = alloc_guard::totals();
@@ -102,7 +89,6 @@ TEST(AllocGuardTest, TotalsAdvanceMonotonically) {
 // before each send: an empty message travels as one flit and arrives as
 // one zero word, the only payload word the fabric itself writes.
 TEST(EngineAllocTest, WarmedFabricStepLoopIsAllocationFree) {
-  RENOC_REQUIRE_INSTRUMENTED();
   NocConfig cfg;
   cfg.dim = GridDim{4, 4};
   Fabric fabric(cfg);
@@ -140,7 +126,6 @@ TEST(EngineAllocTest, WarmedFabricStepLoopIsAllocationFree) {
 // recycling pool, and the decoder grows a short pooled buffer to its
 // largest message, so two warm-up blocks reach every high-water mark.
 TEST(EngineAllocTest, WarmedNocDecodeBlockAllocatesOnlyItsResult) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const ChipConfig cfg = config_A();
   const BuiltChip chip = build_chip(cfg);
   Fabric fabric(cfg.noc);
@@ -158,7 +143,6 @@ TEST(EngineAllocTest, WarmedNocDecodeBlockAllocatesOnlyItsResult) {
 }
 
 TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {
-  RENOC_REQUIRE_INSTRUMENTED();
   Rng code_rng(3);
   const LdpcCode code = LdpcCode::make_regular(510, 3, 6, code_rng);
   const LdpcEncoder encoder(code);
@@ -193,7 +177,6 @@ RcNetwork runtime_net(int refine) {
 }
 
 TEST(EngineAllocTest, WarmedMigrationRuntimeRunIsAllocationFree) {
-  RENOC_REQUIRE_INSTRUMENTED();
   for (const int refine : {1, 2}) {
     const RcNetwork net = runtime_net(refine);
     const int side = 4 * refine;
@@ -223,7 +206,6 @@ TEST(EngineAllocTest, WarmedFiveJobBatchIsAllocationFree) {
   // A Figure-1-sized lockstep batch (four migrating schemes, with and
   // without migration energy, plus a static job) writing into
   // caller-owned storage allocates nothing once warmed.
-  RENOC_REQUIRE_INSTRUMENTED();
   const RcNetwork net = runtime_net(1);
   const GridDim dim{4, 4};
   std::vector<double> power(16, 2.0);
@@ -256,7 +238,6 @@ TEST(EngineAllocTest, WarmedFiveJobBatchIsAllocationFree) {
 }
 
 TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const RcNetwork net = runtime_net(2);
   std::vector<double> power(static_cast<std::size_t>(net.die_count()), 2.0);
   power[0] = 9.0;
@@ -284,7 +265,6 @@ TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {
 // peak through a warmed peak_die_temperature, so 200 and 5,000 moves cost
 // the same number of allocations.
 TEST(EngineAllocTest, PlacerAllocationsIndependentOfIterations) {
-  RENOC_REQUIRE_INSTRUMENTED();
   const ChipConfig cfg = config_A();
   const BuiltChip chip = build_chip(cfg);
   const RcNetwork net = build_rc_network(chip.floorplan, cfg.hotspot);

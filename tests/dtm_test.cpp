@@ -113,13 +113,9 @@ bool results_identical(const DtmRunResult& a, const DtmRunResult& b) {
          a.throttle_events == b.throttle_events;
 }
 
-// Regression for the refactorize-per-call fix: the controllers now cache
-// the steady factorization for the controller lifetime and the transient
-// factorization per distinct period (detail::DtmIntegrator). Repeated and
-// mixed-period run() calls through the warm caches must stay bit-identical
-// to a fresh controller's — the cache may only skip work, never change
-// arithmetic.
-TEST(DtmCacheTest, RepeatedAndMixedPeriodRunsBitIdenticalToFresh) {
+// run() keeps no state between calls: repeated and mixed-period runs of
+// one controller stay bit-identical to a fresh controller's.
+TEST(DtmRunTest, RepeatedAndMixedPeriodRunsBitIdenticalToFresh) {
   Env env;
   const auto power = hot_map();
   const double trip = env.static_peak(power) - 4.0;

@@ -62,9 +62,6 @@ TEST(EnergyModelTest, PowerMapDividesByWindowAndAddsLeakage) {
   // Scale applies to everything.
   const auto scaled = model.power_map(stats, window, 3.0);
   EXPECT_NEAR(scaled[2], 3.0 * map[2], 1e-9);
-  // Dynamic-only map has no leakage.
-  const auto dyn = model.dynamic_power_map(stats, window);
-  EXPECT_NEAR(dyn[0], 0.0, 1e-15);
 }
 
 TEST(EnergyModelTest, InvalidParamsRejected) {
@@ -91,14 +88,10 @@ TEST(PowerMapTest, BadPermutationsRejected) {
 TEST(PowerMapTest, AverageAndArithmetic) {
   const std::vector<std::vector<double>> maps{{2.0, 0.0}, {0.0, 4.0}};
   EXPECT_EQ(average_maps(maps), (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(max_power({1.0, 5.0, 2.0}), 5.0);
   std::vector<double> m{1.0, 2.0};
   scale_map(m, 2.0);
   EXPECT_EQ(m, (std::vector<double>{2.0, 4.0}));
-  EXPECT_EQ(add_maps({1.0, 2.0}, {3.0, 4.0}),
-            (std::vector<double>{4.0, 6.0}));
   EXPECT_THROW(average_maps({}), CheckError);
-  EXPECT_THROW(add_maps({1.0}, {1.0, 2.0}), CheckError);
 }
 
 TEST(NetworkStatsTest, TotalsAndClear) {

@@ -290,45 +290,7 @@ TEST(OrderingTest, MinimumDegreeHandlesTinyMatrices) {
   EXPECT_NO_THROW(SparseLdlt(diag, minimum_degree_ordering(diag)));
 }
 
-// --- Multi-RHS and streamed solves -------------------------------------
-
-TEST(SparseLdltTest, SolveMultiBitMatchesIndependentSolves) {
-  const SparseMatrix a = grid_with_hub(5);
-  const SparseLdlt chol(a);
-  const int n = a.rows();
-  for (const int nrhs : {1, 3, 6}) {
-    std::vector<double> block(static_cast<std::size_t>(n * nrhs));
-    std::vector<std::vector<double>> columns(
-        static_cast<std::size_t>(nrhs),
-        std::vector<double>(static_cast<std::size_t>(n)));
-    for (int j = 0; j < nrhs; ++j)
-      for (int i = 0; i < n; ++i) {
-        const double v = std::sin(0.7 * i + j) + 2.0;
-        columns[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-            v;
-        block[static_cast<std::size_t>(i * nrhs + j)] = v;
-      }
-    chol.solve_multi(block, nrhs);
-    for (int j = 0; j < nrhs; ++j) {
-      const std::vector<double> x =
-          chol.solve(columns[static_cast<std::size_t>(j)]);
-      for (int i = 0; i < n; ++i)
-        EXPECT_EQ(block[static_cast<std::size_t>(i * nrhs + j)],
-                  x[static_cast<std::size_t>(i)])
-            << "nrhs=" << nrhs << " column " << j << " row " << i
-            << " must be bit-identical to a lone solve";
-    }
-  }
-}
-
-TEST(SparseLdltTest, SolveMultiValidation) {
-  const SparseMatrix a = grid_with_hub(4);
-  const SparseLdlt chol(a);
-  std::vector<double> wrong(static_cast<std::size_t>(a.rows() * 2 + 1));
-  EXPECT_THROW(chol.solve_multi(wrong, 2), CheckError);
-  std::vector<double> ok(static_cast<std::size_t>(a.rows()));
-  EXPECT_THROW(chol.solve_multi(ok, 0), CheckError);
-}
+// --- Streamed solves ---------------------------------------------------
 
 TEST(SparseLdltTest, StepPermutedColumnsMatchWidthOneAndSolve) {
   // The co-simulation's fused step kernel, on both orderings. At every

@@ -1,4 +1,4 @@
-#include "util/alloc_guard.hpp"
+#include "support/alloc_guard.hpp"
 
 #include <atomic>
 #include <cstdlib>
@@ -15,16 +15,6 @@ namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
 std::atomic<std::int64_t> g_alloc_bytes{0};
 
-}  // namespace
-
-#ifdef RENOC_ALLOC_GUARD_HOOKS
-
-// Replacement global allocation functions. These live in the same TU as
-// the accessors below on purpose: linking any alloc_guard API pulls this
-// object file from the archive, and with it the interposition — binaries
-// that never mention the guard keep the default operators.
-namespace {
-
 void* counted_alloc(std::size_t size) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size),
@@ -34,6 +24,8 @@ void* counted_alloc(std::size_t size) noexcept {
 
 }  // namespace
 
+// Replacement global allocation functions, counted into the totals the
+// accessors below read.
 void* operator new(std::size_t size) {
   if (void* p = counted_alloc(size)) return p;
   throw std::bad_alloc();
@@ -60,18 +52,8 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
-#endif  // RENOC_ALLOC_GUARD_HOOKS
-
 namespace renoc {
 namespace alloc_guard {
-
-bool instrumented() {
-#ifdef RENOC_ALLOC_GUARD_HOOKS
-  return true;
-#else
-  return false;
-#endif
-}
 
 AllocTotals totals() {
   return AllocTotals{g_alloc_count.load(std::memory_order_relaxed),
@@ -91,7 +73,6 @@ std::int64_t AllocGuard::bytes() const {
 }
 
 void AllocGuard::check_zero(const char* what) const {
-  if (!alloc_guard::instrumented()) return;
   const std::int64_t n = count();
   RENOC_CHECK_MSG(n == 0, what << ": " << n << " heap allocation(s) ("
                                 << bytes()

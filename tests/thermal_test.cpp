@@ -246,16 +246,6 @@ TEST(TransientTest, DieRespondsOnMillisecondScale) {
   EXPECT_GT(die_now, 1.0);
 }
 
-TEST(TransientTest, RunReturnsMaxPeak) {
-  const RcNetwork net = make_net(4);
-  std::vector<double> power(16, 0.0);
-  power[0] = 15.0;
-  TransientSolver transient(net, 1e-4);
-  const double peak = transient.run_die_power(power, 1000);
-  EXPECT_GT(peak, 0.0);
-  EXPECT_NEAR(peak, net.peak_die_rise(transient.state()), 1e-12);
-}
-
 TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
   // Both paper chip sizes: side 4 (58 nodes) and side 5 (85 nodes).
   for (const int side : {4, 5}) {
@@ -278,64 +268,6 @@ TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
     solver.solve_into(full, rise2);
     for (std::size_t i = 0; i < fresh.size(); ++i)
       EXPECT_EQ(rise2[i], fresh[i]);
-  }
-}
-
-TEST(TransientTest, StepMultiBitMatchesScalarSteps) {
-  // Both chip sizes again; three trajectories under three different power
-  // maps, advanced several steps, must match three lone solvers exactly.
-  for (const int side : {4, 5}) {
-    const RcNetwork net = make_net(side);
-    const int n = net.node_count();
-    const int die = net.die_count();
-    const int k = 3;
-    std::vector<std::vector<double>> die_powers;
-    for (int j = 0; j < k; ++j) {
-      std::vector<double> p(static_cast<std::size_t>(die), 1.0);
-      p[static_cast<std::size_t>(j * 2)] = 5.0 + j;
-      die_powers.push_back(p);
-    }
-
-    // Scalar references.
-    std::vector<std::vector<double>> scalar_states;
-    for (int j = 0; j < k; ++j) {
-      TransientSolver solo(net, 2e-6);
-      solo.set_state_to_steady(die_powers[0]);
-      const std::vector<double> full =
-          net.expand_die_power(die_powers[static_cast<std::size_t>(j)]);
-      for (int s = 0; s < 5; ++s) solo.step(full);
-      scalar_states.push_back(solo.state());
-    }
-
-    // Batch.
-    TransientSolver batch_solver(net, 2e-6);
-    batch_solver.set_state_to_steady(die_powers[0]);
-    const std::vector<double> init = batch_solver.state();
-    std::vector<double> powers(static_cast<std::size_t>(n * k), 0.0);
-    std::vector<double> states(static_cast<std::size_t>(n * k));
-    for (int j = 0; j < k; ++j) {
-      const std::vector<double> full =
-          net.expand_die_power(die_powers[static_cast<std::size_t>(j)]);
-      for (int i = 0; i < n; ++i) {
-        powers[static_cast<std::size_t>(i * k + j)] =
-            full[static_cast<std::size_t>(i)];
-        states[static_cast<std::size_t>(i * k + j)] =
-            init[static_cast<std::size_t>(i)];
-      }
-    }
-    for (int s = 0; s < 5; ++s) batch_solver.step_multi(powers, states, k);
-
-    for (int j = 0; j < k; ++j)
-      for (int i = 0; i < n; ++i)
-        EXPECT_EQ(states[static_cast<std::size_t>(i * k + j)],
-                  scalar_states[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(i)])
-            << "side " << side << " trajectory " << j << " node " << i;
-
-    // Validation.
-    std::vector<double> wrong(static_cast<std::size_t>(n));
-    EXPECT_THROW(batch_solver.step_multi(wrong, states, k), CheckError);
-    EXPECT_THROW(batch_solver.step_multi(powers, states, 0), CheckError);
   }
 }
 

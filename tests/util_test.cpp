@@ -273,22 +273,6 @@ TEST(StatsTest, EmptyStatsAreZero) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(StatsTest, MergeMatchesSequential) {
-  Rng rng(17);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.next_double() * 100;
-    all.add(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(TableTest, RendersAlignedColumns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
