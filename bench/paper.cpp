@@ -599,14 +599,12 @@ void write_dtm(const PaperArgs& args, const std::deque<ConfigStudy>& studies) {
     const int periods = args.smoke ? 120 : 400;
 
     // Stop-go with the trip at the target peak.
-    const StopGoController stop_go(driver.thermal_network(), target,
-                                   /*hysteresis_c=*/1.0);
+    const StopGoController stop_go(driver.thermal_network(), target);
     const DtmRunResult sg = stop_go.run(driver.base_power(), period, periods);
 
     // DVFS with the setpoint a shade below the target (proportional
     // control settles slightly above its setpoint).
-    const DvfsController dvfs(driver.thermal_network(), target - 1.0,
-                              /*gain=*/0.25);
+    const DvfsController dvfs(driver.thermal_network(), target - 1.0);
     const DtmRunResult dv = dvfs.run(driver.base_power(), period, periods);
 
     t.add_row({s.cfg.name, Table::num(driver.base_peak_temp_c()),

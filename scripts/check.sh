@@ -11,7 +11,9 @@
 # The Release pass also runs renoc_lint over the tree (repo invariants:
 # hot-region allocations, raw randomness, ring-buffer modulo, engine hash
 # maps, route-table rebuilds in hot regions, non-atomic artifact writes,
-# untagged deferred-work markers — see tools/lint_core.hpp) and a
+# untagged deferred-work markers — see tools/lint_core.hpp), then
+# scripts/reachability.sh (every library function some production
+# executable links, or marked "renoc-test-only"), and a
 # sweep-resume smoke: the renoc_sweep driver runs the NoC smoke sweep
 # uninterrupted, then sharded with an injected mid-run crash (supervisor
 # retries the dead shard and resumes from its checkpoint segments), and
@@ -77,6 +79,8 @@ for config in Debug Release; do
     echo "== ${config}: renoc_lint =="
     "${build_dir}/tools/renoc_lint" --root "${repo_root}" \
       --report "${build_dir}/lint-report.txt"
+    echo "== ${config}: reachability =="
+    "${repo_root}/scripts/reachability.sh"
   fi
   if [[ "${bench_smoke}" == 1 && "${config}" == "Release" ]]; then
     echo "== ${config}: sweep-resume smoke (crash, retry, resume, diff) =="

@@ -7,48 +7,35 @@
 #include "util/check.hpp"
 
 namespace renoc {
+namespace {
 
-const char* to_string(AdaptiveObjective objective) {
-  switch (objective) {
-    case AdaptiveObjective::kPredictivePeak: return "predictive-peak";
-    case AdaptiveObjective::kCoolestHistory: return "coolest-history";
-    case AdaptiveObjective::kOrbitAverage: return "orbit-average";
-  }
-  return "?";
-}
+/// Backward-Euler steps of the predictive lookahead over one period.
+constexpr int kLookaheadSteps = 10;
+/// Backward-Euler steps per period of run_adaptive_simulation.
+constexpr int kStepsPerPeriod = 50;
+
+}  // namespace
 
 AdaptivePolicy::AdaptivePolicy(const RcNetwork& net, const GridDim& dim,
-                               AdaptiveObjective objective, double period_s,
-                               int lookahead_steps)
-    : net_(&net),
-      dim_(dim),
-      objective_(objective),
-      lookahead_steps_(lookahead_steps) {
+                               AdaptiveObjective objective, double period_s)
+    : net_(&net), dim_(dim), objective_(objective) {
   RENOC_CHECK(net.die_count() == dim.node_count());
-  RENOC_CHECK(period_s > 0 && lookahead_steps >= 1);
+  RENOC_CHECK(period_s > 0);
   lookahead_ = std::make_unique<TransientSolver>(
-      net, period_s / lookahead_steps);
+      net, period_s / kLookaheadSteps);
   steady_ = std::make_unique<SteadyStateSolver>(net);
-  std::vector<Transform> defaults{Transform{TransformKind::kIdentity, 0}};
+  std::vector<Transform> candidates{Transform{TransformKind::kIdentity, 0}};
   for (MigrationScheme s : figure1_schemes())
-    defaults.push_back(transform_of(s));
-  set_candidates(std::move(defaults));
-}
-
-AdaptivePolicy::~AdaptivePolicy() = default;
-
-void AdaptivePolicy::set_candidates(std::vector<Transform> candidates) {
-  RENOC_CHECK_MSG(!candidates.empty(), "need at least one candidate");
-  candidates_.clear();
-  candidate_perms_.clear();
+    candidates.push_back(transform_of(s));
   for (const Transform& t : candidates) {
     if (t.kind == TransformKind::kRotation && dim_.width != dim_.height)
       continue;  // rotation is not closed on non-square meshes
     candidates_.push_back(t);
     candidate_perms_.push_back(t.permutation(dim_));
   }
-  RENOC_CHECK(!candidates_.empty());
 }
+
+AdaptivePolicy::~AdaptivePolicy() = default;
 
 double AdaptivePolicy::lookahead_score(
     const std::vector<int>& perm, const std::vector<double>& current_power,
@@ -60,7 +47,7 @@ double AdaptivePolicy::lookahead_score(
   // die time constant dwarfs one period), which would make every
   // candidate look identical. The end state is where candidates diverge —
   // a moved hotspot has had a period to cool.
-  for (int s = 0; s < lookahead_steps_; ++s)
+  for (int s = 0; s < kLookaheadSteps; ++s)
     lookahead_->step_die_power(moved_);
   return net_->ambient() + net_->peak_die_rise(lookahead_->state());
 }
@@ -140,11 +127,10 @@ AdaptiveSimResult run_adaptive_simulation(
     const std::map<TransformKind, std::vector<double>>& energy_maps,
     const AdaptiveSimConfig& cfg) {
   RENOC_CHECK(cfg.period_s > 0);
-  RENOC_CHECK(cfg.periods >= 5 && cfg.steps_per_period >= 1);
+  RENOC_CHECK(cfg.periods >= 5);
   RENOC_CHECK(net.die_count() == dim.node_count());
 
-  TransientSolver transient(net,
-                            cfg.period_s / cfg.steps_per_period);
+  TransientSolver transient(net, cfg.period_s / kStepsPerPeriod);
   transient.set_state_to_steady(base_power);
 
   std::vector<int> accumulated = identity_permutation(dim.node_count());
@@ -166,7 +152,7 @@ AdaptiveSimResult run_adaptive_simulation(
     // Integrate the period; deposit the migration energy in the first
     // step (identity choices cost nothing).
     double period_peak = 0.0;
-    for (int s = 0; s < cfg.steps_per_period; ++s) {
+    for (int s = 0; s < kStepsPerPeriod; ++s) {
       if (s == 0 && chosen.kind != TransformKind::kIdentity) {
         auto it = energy_maps.find(chosen.kind);
         RENOC_CHECK_MSG(it != energy_maps.end(),

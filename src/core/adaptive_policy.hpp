@@ -52,22 +52,16 @@ enum class AdaptiveObjective {
   kOrbitAverage,
 };
 
-const char* to_string(AdaptiveObjective objective);
-
 /// Chooses a migration function per period.
 class AdaptivePolicy {
  public:
   /// `net` must outlive the policy. `period_s` is the migration period the
-  /// predictive lookahead integrates over (`lookahead_steps` backward-Euler
-  /// steps). Candidates default to identity plus the paper's five schemes;
-  /// rotation is dropped automatically on non-square meshes.
+  /// predictive lookahead integrates over (10 backward-Euler steps). The
+  /// candidates are identity plus the paper's five schemes; rotation is
+  /// dropped on non-square meshes.
   AdaptivePolicy(const RcNetwork& net, const GridDim& dim,
-                 AdaptiveObjective objective, double period_s,
-                 int lookahead_steps = 10);
+                 AdaptiveObjective objective, double period_s);
   ~AdaptivePolicy();
-
-  /// Overrides the candidate set (must be non-empty).
-  void set_candidates(std::vector<Transform> candidates);
 
   /// Picks the next transform. `current_power` is the physical per-tile
   /// power map of the running placement; `state_rise` the current
@@ -102,7 +96,6 @@ class AdaptivePolicy {
   std::unique_ptr<SteadyStateSolver> steady_;
   GridDim dim_;
   AdaptiveObjective objective_;
-  int lookahead_steps_;
   std::unique_ptr<TransientSolver> lookahead_;
   std::vector<Transform> candidates_;
   std::vector<std::vector<int>> candidate_perms_;  // cached permutations
@@ -110,12 +103,11 @@ class AdaptivePolicy {
 };
 
 /// Closed-loop adaptive run parameters. `period_s` must be positive;
-/// `periods` is the run length; each period integrates in
-/// `steps_per_period` backward-Euler steps.
+/// `periods` is the run length; each period integrates in 50
+/// backward-Euler steps.
 struct AdaptiveSimConfig {
   double period_s = 0.0;
   int periods = 150;
-  int steps_per_period = 50;
 };
 
 struct AdaptiveSimResult {

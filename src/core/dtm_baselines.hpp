@@ -11,23 +11,26 @@
 // the migration experiments use:
 //
 //   * StopGoController  — dynamic clock disabling: when the hottest die
-//     node exceeds `trip_c`, the whole chip halts (dynamic power off,
-//     leakage floor remains) until it cools below `trip_c - hysteresis_c`;
-//     throughput = duty cycle of the "go" state.
+//     node exceeds `trip_c`, the whole chip halts (dynamic power off, a
+//     leakage floor of 10% of each tile's power remains) until it cools
+//     1 C below the trip; throughput = duty cycle of the "go" state.
 //   * DvfsController    — dynamic frequency scaling: a proportional
-//     governor picks a frequency multiplier d in [d_min, 1]; dynamic
-//     power scales with d (clock-gating-style linear model, conservative
-//     toward DVFS which scales super-linearly); throughput = average d.
+//     governor picks a frequency multiplier d in [0.1, 1]; dynamic
+//     power scales with d above the same leakage floor (clock-gating-style
+//     linear model, conservative toward DVFS which scales
+//     super-linearly); throughput = average d.
 //
 // Both slow the *entire chip* to cool one hotspot — which is exactly why
 // migration wins: it attacks the spatial non-uniformity instead.
 // renoc_paper's PAPER_dtm.json targets each baseline at the peak
 // temperature a migration scheme achieves and compares throughput costs.
 //
-// Each run() factors its own transient solver for its period and starts
-// it at the steady state of `power`. renoc_paper runs each controller
-// once per configuration, so a factorization kept across calls would
-// save nothing; run() holds no state between calls.
+// Both run() calls share one integration loop: it factors its own
+// transient solver for the period, starts it at the steady state of
+// `power`, and asks the controller for each period's power map.
+// renoc_paper runs each controller once per configuration, so a
+// factorization kept across calls would save nothing; run() holds no
+// state between calls.
 #pragma once
 
 #include <vector>
@@ -46,11 +49,8 @@ struct DtmRunResult {
 /// Chip-wide stop-go (clock disabling) under a thermal trip point.
 class StopGoController {
  public:
-  /// `leakage_floor` is the per-tile power that remains when the clock is
-  /// gated (leakage + always-on logic), as a fraction of each tile's
-  /// nominal power.
-  StopGoController(const RcNetwork& net, double trip_c, double hysteresis_c,
-                   double leakage_floor = 0.1);
+  /// `trip_c` must lie above ambient.
+  StopGoController(const RcNetwork& net, double trip_c);
 
   /// Runs `periods` control periods of `period_s` each, starting from the
   /// steady state of `power` (worst case: the chip arrives hot).
@@ -60,18 +60,15 @@ class StopGoController {
  private:
   const RcNetwork* net_;
   double trip_c_;
-  double hysteresis_c_;
-  double leakage_floor_;
 };
 
 /// Chip-wide proportional frequency scaling under a thermal setpoint.
 class DvfsController {
  public:
-  /// Frequency multiplier d = clamp(1 - gain * (peak - setpoint), d_min, 1)
+  /// Frequency multiplier d = clamp(1 - 0.25 * (peak - setpoint), 0.1, 1)
   /// re-evaluated every control period; dynamic power scales linearly
-  /// with d above the leakage floor.
-  DvfsController(const RcNetwork& net, double setpoint_c, double gain,
-                 double d_min = 0.1, double leakage_floor = 0.1);
+  /// with d above the leakage floor. `setpoint_c` must lie above ambient.
+  DvfsController(const RcNetwork& net, double setpoint_c);
 
   DtmRunResult run(const std::vector<double>& power, double period_s,
                    int periods) const;
@@ -79,9 +76,6 @@ class DvfsController {
  private:
   const RcNetwork* net_;
   double setpoint_c_;
-  double gain_;
-  double d_min_;
-  double leakage_floor_;
 };
 
 }  // namespace renoc

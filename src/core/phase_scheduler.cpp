@@ -57,16 +57,6 @@ std::vector<MigrationPhase> schedule_phases(
   return phases;
 }
 
-bool phase_is_link_disjoint(const MigrationPhase& phase, const GridDim& dim) {
-  std::set<std::pair<int, int>> used;
-  for (const MigrationMove& mv : phase.moves) {
-    for (const auto& link : move_links(mv, dim)) {
-      if (!used.insert(link).second) return false;
-    }
-  }
-  return true;
-}
-
 int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim,
                           int pipeline_constant) {
   int worst = 0;

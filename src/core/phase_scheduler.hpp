@@ -38,9 +38,6 @@ struct MigrationPhase {
 std::vector<MigrationPhase> schedule_phases(
     const std::vector<MigrationMove>& moves, const GridDim& dim);
 
-/// True if every pair of moves in the phase uses disjoint directed links.
-bool phase_is_link_disjoint(const MigrationPhase& phase, const GridDim& dim);
-
 /// Analytic duration bound of one phase in cycles on an uncontended mesh
 /// with 1-cycle links and one-flit-per-cycle injection: the slowest move
 /// needs its head to cover `hops` links plus its remaining flits to stream

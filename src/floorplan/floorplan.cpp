@@ -37,12 +37,6 @@ const Block& Floorplan::block(int i) const {
   return blocks_[static_cast<std::size_t>(i)];
 }
 
-double Floorplan::total_block_area() const {
-  double a = 0.0;
-  for (const Block& b : blocks_) a += b.area();
-  return a;
-}
-
 void Floorplan::compute_adjacencies() {
   const int n = block_count();
   for (int i = 0; i < n; ++i) {

@@ -53,9 +53,6 @@ class Floorplan {
   double die_height() const { return die_height_; }
   double die_area() const { return die_width_ * die_height_; }
 
-  /// Sum of block areas; equals die_area() for gap-free floorplans.
-  double total_block_area() const;
-
  private:
   void compute_adjacencies();
 

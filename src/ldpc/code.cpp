@@ -127,6 +127,8 @@ LdpcCode LdpcCode::make_regular(int n, int wc, int wr, Rng& rng) {
   return code;
 }
 
+// renoc-test-only: needs private access to build the graph, and tests
+// reach the decoders' non-uniform-degree paths through it.
 LdpcCode LdpcCode::make_irregular(const std::vector<int>& var_degrees,
                                   int wr, Rng& rng) {
   const int n = static_cast<int>(var_degrees.size());

@@ -11,7 +11,7 @@
 //
 // Two kernel flavors share one implementation:
 //   - contiguous: operate on a dense span of `degree` messages (the
-//     pre-flattening std::vector API wraps these for tests);
+//     variable-node sweeps, whose messages are node-major);
 //   - edge-indexed: gather/scatter through `edge_ids` into the global
 //     edge-indexed q/r arrays in place — no copy-in/out, no allocation.
 // The edge-indexed flavor is what the flat decoders stream through: a
@@ -23,8 +23,8 @@
 // (a check emits only two distinct output magnitudes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace renoc::minsum {
 
@@ -240,19 +240,5 @@ inline void check_update_edges_fixed(const std::int16_t* q, std::int16_t* r,
   }
 }
 // renoc-hot-end
-
-// --- std::vector wrappers (pre-flattening API, kept for tests/oracles) ----
-
-/// Resizes `out_q` and forwards to the contiguous var_update.
-void var_update(std::int16_t channel_llr,
-                const std::vector<std::int16_t>& incoming_r,
-                std::vector<std::int16_t>& out_q);
-
-std::int32_t var_posterior(std::int16_t channel_llr,
-                           const std::vector<std::int16_t>& incoming_r);
-
-/// Resizes `out_r` and forwards to the contiguous check_update.
-void check_update(const std::vector<std::int16_t>& incoming_q,
-                  std::vector<std::int16_t>& out_r);
 
 }  // namespace renoc::minsum

@@ -79,20 +79,6 @@ Partition make_striped_partition(const LdpcCode& code, int clusters) {
   return make_weighted_partition(code, w, w);
 }
 
-Partition make_interleaved_partition(const LdpcCode& code, int clusters) {
-  RENOC_CHECK(clusters > 0);
-  Partition p;
-  p.cluster_count = clusters;
-  p.vn_owner.resize(static_cast<std::size_t>(code.n()));
-  p.cn_owner.resize(static_cast<std::size_t>(code.m()));
-  for (int v = 0; v < code.n(); ++v)
-    p.vn_owner[static_cast<std::size_t>(v)] = v % clusters;
-  for (int c = 0; c < code.m(); ++c)
-    p.cn_owner[static_cast<std::size_t>(c)] = c % clusters;
-  p.validate(code);
-  return p;
-}
-
 std::vector<std::uint64_t> cluster_edge_ops(const LdpcCode& code,
                                             const Partition& p) {
   std::vector<std::uint64_t> ops(static_cast<std::size_t>(p.cluster_count), 0);

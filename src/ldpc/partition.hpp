@@ -33,10 +33,6 @@ Partition make_weighted_partition(const LdpcCode& code,
 /// Uniform striping across `clusters`.
 Partition make_striped_partition(const LdpcCode& code, int clusters);
 
-/// Round-robin interleaving across `clusters` (maximally scattered; high
-/// traffic, flat compute).
-Partition make_interleaved_partition(const LdpcCode& code, int clusters);
-
 /// Compute work per cluster per full iteration: one op per incident edge in
 /// each of the VN and CN phases.
 std::vector<std::uint64_t> cluster_edge_ops(const LdpcCode& code,

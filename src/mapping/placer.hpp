@@ -21,7 +21,8 @@
 // with the simulator).
 //
 // place() prices each swap incrementally (the net-cost update of VPR,
-// Betz & Rose, FPL 1997), and every move's cost equals cost_of bit for bit:
+// Betz & Rose, FPL 1997), and every move's cost equals the full recompute
+// (peak_temperature_of plus comm_weight times comm_cost_of) bit for bit:
 //
 //   * communication is an integer total, updated in O(clusters) from the
 //     two swapped clusters' rows weighted by traffic[i][k] + traffic[k][i].
@@ -88,15 +89,8 @@ class ThermalAwarePlacer {
                         const std::vector<std::vector<std::uint64_t>>& traffic,
                         const std::vector<Pin>& pins = {}) const;
 
-  /// Objective value of a given placement (exposed for tests and for
-  /// evaluating the identity placement), computed from scratch. `placement`
-  /// has one tile per `cluster_power` entry; `traffic` is square over it.
-  double cost_of(const std::vector<int>& placement,
-                 const std::vector<double>& cluster_power,
-                 const std::vector<std::vector<std::uint64_t>>& traffic)
-      const;
-
   /// Peak steady-state temperature of a placement under compute power.
+  /// `placement` has one tile per `cluster_power` entry.
   double peak_temperature_of(const std::vector<int>& placement,
                              const std::vector<double>& cluster_power) const;
 

@@ -238,12 +238,6 @@ Message Fabric::acquire_message() {
   return m;
 }
 
-int Fabric::delivered_count(int node) const {
-  RENOC_CHECK(node >= 0 && node < node_count());
-  return static_cast<int>(
-      nis_[static_cast<std::size_t>(node)].delivered.size());
-}
-
 /// Opens a packet-store record for `msg` under the next PacketId; the
 /// caller fills its payload.
 std::uint32_t Fabric::open_packet(const Message& msg, std::uint32_t msg_seq) {
@@ -588,15 +582,11 @@ void Fabric::set_injection_enabled(int node, bool enabled) {
   nis_[static_cast<std::size_t>(node)].enabled = enabled;
 }
 
+// renoc-test-only: no public call exposes the per-node injection gate
+// that migration halts and releases; tests check it is released.
 bool Fabric::injection_enabled(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   return nis_[static_cast<std::size_t>(node)].enabled;
-}
-
-int Fabric::pending_send_count(int node) const {
-  RENOC_CHECK(node >= 0 && node < node_count());
-  const auto& ni = nis_[static_cast<std::size_t>(node)];
-  return static_cast<int>(ni.send_queue.size()) + (ni.staging() ? 1 : 0);
 }
 
 // --- Degraded-fabric mode ---------------------------------------------------
@@ -634,11 +624,15 @@ void Fabric::configure_delivery_guard(const DeliveryGuardConfig& cfg) {
   enter_degraded_mode();
 }
 
+// renoc-test-only: no public call exposes which routers a fault plan has
+// taken down; tests check the plan applied.
 bool Fabric::router_alive(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   return !degraded_ || router_up_[static_cast<std::size_t>(node)] != 0;
 }
 
+// renoc-test-only: no public call exposes which links a fault plan has
+// taken down or restored; tests check the plan applied.
 bool Fabric::link_alive(int node, int dir) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   RENOC_CHECK(dir >= 0 && dir < 4);

@@ -196,8 +196,6 @@ class Fabric {
   /// when one is available (fields zeroed, payload empty).
   Message acquire_message();
 
-  /// Number of delivered-but-unread messages at `node`.
-  int delivered_count(int node) const;
   /// Delivered-but-unread messages summed over every node.
   int unread_deliveries() const { return unread_; }
 
@@ -221,9 +219,6 @@ class Fabric {
   /// migration; delivery continues so in-flight packets can land).
   void set_injection_enabled(int node, bool enabled);
   bool injection_enabled(int node) const;
-
-  /// Messages waiting (not yet fully injected) at a node's NI.
-  int pending_send_count(int node) const;
 
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }

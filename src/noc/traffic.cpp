@@ -132,7 +132,7 @@ void TrafficGenerator::step() {
     if (dst == src) {
       // Fixed point of the pattern: the draw is part of the offered load
       // but cannot inject. Counted, not silently dropped — see
-      // offered_flit_rate()/injected_flit_rate().
+      // messages_skipped().
       ++messages_skipped_;
       continue;
     }
@@ -151,34 +151,10 @@ void TrafficGenerator::step() {
       fabric_->recycle(std::move(*msg));
     }
   }
-  ++cycles_run_;
 }
 
 void TrafficGenerator::run(int cycles) {
   for (int i = 0; i < cycles; ++i) step();
-}
-
-double TrafficGenerator::offered_flit_rate() const {
-  if (cycles_run_ == 0) return 0.0;
-  const double draws =
-      static_cast<double>(messages_sent_ + messages_skipped_);
-  return draws * message_words_ /
-         (static_cast<double>(fabric_->node_count()) *
-          static_cast<double>(cycles_run_));
-}
-
-double TrafficGenerator::injected_flit_rate() const {
-  if (cycles_run_ == 0) return 0.0;
-  return static_cast<double>(messages_sent_) * message_words_ /
-         (static_cast<double>(fabric_->node_count()) *
-          static_cast<double>(cycles_run_));
-}
-
-double TrafficGenerator::accepted_flit_rate() const {
-  if (cycles_run_ == 0) return 0.0;
-  return static_cast<double>(messages_received_) * message_words_ /
-         (static_cast<double>(fabric_->node_count()) *
-          static_cast<double>(cycles_run_));
 }
 
 }  // namespace renoc

@@ -79,15 +79,6 @@ class TrafficGenerator {
   /// count toward offered load but inject nothing; reporting both sides is
   /// what keeps measured offered load equal to the configured rate.
   std::uint64_t messages_skipped() const { return messages_skipped_; }
-  std::uint64_t cycles_run() const { return cycles_run_; }
-
-  /// Measured offered load in flits/node/cycle, *including* fixed-point
-  /// skips — converges on the configured injection rate.
-  double offered_flit_rate() const;
-  /// Offered load minus skips: what actually entered the NIs.
-  double injected_flit_rate() const;
-  /// Delivered load in flits/node/cycle over the cycles run so far.
-  double accepted_flit_rate() const;
 
  private:
   Fabric* fabric_;
@@ -101,7 +92,6 @@ class TrafficGenerator {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_received_ = 0;
   std::uint64_t messages_skipped_ = 0;
-  std::uint64_t cycles_run_ = 0;
 };
 
 }  // namespace renoc

@@ -1,7 +1,5 @@
 #include "thermal/grid_refine.hpp"
 
-#include <algorithm>
-
 #include "thermal/solver.hpp"
 #include "util/check.hpp"
 
@@ -57,20 +55,6 @@ std::vector<double> RefinedThermalModel::refine_power(
       fine[static_cast<std::size_t>(b)] = p;
   }
   return fine;
-}
-
-std::vector<double> RefinedThermalModel::tile_temperatures(
-    const std::vector<double>& rise) const {
-  RENOC_CHECK(static_cast<int>(rise.size()) == net_.node_count());
-  std::vector<double> temps(
-      static_cast<std::size_t>(tile_dim_.node_count()));
-  for (int tile = 0; tile < tile_dim_.node_count(); ++tile) {
-    double peak = -1e300;
-    for (int b : subblocks_of_tile(tile))
-      peak = std::max(peak, rise[static_cast<std::size_t>(b)]);
-    temps[static_cast<std::size_t>(tile)] = net_.ambient() + peak;
-  }
-  return temps;
 }
 
 const SteadyStateSolver& RefinedThermalModel::steady_solver() const {

@@ -6,8 +6,8 @@
 // this module rebuilds the RC network with every PE tile subdivided into
 // refine x refine sub-blocks (the package layers scale automatically
 // because they are derived from the floorplan). Tile power spreads
-// uniformly over a tile's sub-blocks; temperatures are read back per tile
-// as the max over its sub-blocks.
+// uniformly over a tile's sub-blocks, and the peak is the hottest
+// sub-block.
 //
 // renoc_paper's PAPER_resolution.json sweeps the refinement factor and
 // reruns the Figure-1 comparison to confirm the scheme ordering holds.
@@ -39,11 +39,6 @@ class RefinedThermalModel {
   /// Spreads per-tile watts uniformly over each tile's sub-blocks.
   std::vector<double> refine_power(
       const std::vector<double>& tile_power) const;
-
-  /// Per-tile temperature: max over the tile's sub-blocks of a full-node
-  /// rise vector, plus ambient.
-  std::vector<double> tile_temperatures(
-      const std::vector<double>& rise) const;
 
   /// Peak die temperature for a per-tile power map (steady state). Reuses
   /// the cached steady_solver(), so repeated queries pay one factorization.

@@ -25,35 +25,17 @@ double vertical_r(double thickness, double k, double area) {
 
 }  // namespace
 
-RcNetwork::RcNetwork(SparseMatrix g, std::vector<double> cap,
-                     std::vector<std::string> names, int die_count,
+RcNetwork::RcNetwork(SparseMatrix g, std::vector<double> cap, int die_count,
                      double ambient)
     : g_(std::move(g)),
       cap_(std::move(cap)),
-      names_(std::move(names)),
       die_count_(die_count),
       ambient_(ambient) {
   RENOC_CHECK(g_.rows() == g_.cols());
   RENOC_CHECK(g_.rows() == static_cast<int>(cap_.size()));
-  RENOC_CHECK(names_.size() == cap_.size());
   RENOC_CHECK(die_count_ > 0 &&
               die_count_ <= static_cast<int>(cap_.size()));
   for (double c : cap_) RENOC_CHECK(c > 0.0);
-}
-
-const std::string& RcNetwork::node_name(int i) const {
-  RENOC_CHECK(i >= 0 && i < node_count());
-  return names_[static_cast<std::size_t>(i)];
-}
-
-std::vector<double> RcNetwork::expand_die_power(
-    const std::vector<double>& die_power) const {
-  RENOC_CHECK_MSG(static_cast<int>(die_power.size()) == die_count_,
-                  "power vector size " << die_power.size() << " != die count "
-                                       << die_count_);
-  std::vector<double> full(static_cast<std::size_t>(node_count()), 0.0);
-  std::copy(die_power.begin(), die_power.end(), full.begin());
-  return full;
 }
 
 double RcNetwork::peak_die_rise(const std::vector<double>& rise) const {
@@ -105,14 +87,10 @@ RcNetwork build_rc_network(const Floorplan& fp, const HotSpotParams& p) {
   std::vector<Triplet> trips;
   trips.reserve(static_cast<std::size_t>(total) * 28);
   std::vector<double> cap(static_cast<std::size_t>(total), 0.0);
-  std::vector<std::string> names(static_cast<std::size_t>(total));
 
-  // --- Node names and capacitances -------------------------------------
+  // --- Capacitances ------------------------------------------------------
   for (int i = 0; i < n; ++i) {
     const Block& b = fp.block(i);
-    names[static_cast<std::size_t>(i)] = "die:" + b.name;
-    names[static_cast<std::size_t>(idx_tim0 + i)] = "tim:" + b.name;
-    names[static_cast<std::size_t>(idx_sp0 + i)] = "spreader:" + b.name;
     cap[static_cast<std::size_t>(i)] = p.c_die * b.area() * p.t_die;
     cap[static_cast<std::size_t>(idx_tim0 + i)] =
         p.c_interface * b.area() * p.t_interface;
@@ -124,10 +102,7 @@ RcNetwork build_rc_network(const Floorplan& fp, const HotSpotParams& p) {
   const double a_sp_total = p.s_spreader * p.s_spreader;
   const double a_sp_per_each = (a_sp_total - a_die_fp) / 4.0;
   RENOC_CHECK(a_sp_per_each > 0.0);
-  static const char* kDirs[4] = {"north", "south", "east", "west"};
   for (int d = 0; d < 4; ++d) {
-    names[static_cast<std::size_t>(idx_sp_per0 + d)] =
-        std::string("spreader:") + kDirs[d];
     cap[static_cast<std::size_t>(idx_sp_per0 + d)] =
         p.c_spreader * a_sp_per_each * p.t_spreader;
   }
@@ -135,17 +110,13 @@ RcNetwork build_rc_network(const Floorplan& fp, const HotSpotParams& p) {
   const double a_sink_total = p.s_sink * p.s_sink;
   const double a_sink_per_each = (a_sink_total - a_sp_total) / 4.0;
   RENOC_CHECK(a_sink_per_each > 0.0);
-  names[static_cast<std::size_t>(idx_sink_center)] = "sink:center";
   cap[static_cast<std::size_t>(idx_sink_center)] =
       p.c_sink * a_sp_total * p.t_sink;
   for (int d = 0; d < 4; ++d) {
-    names[static_cast<std::size_t>(idx_sink_per0 + d)] =
-        std::string("sink:") + kDirs[d];
     cap[static_cast<std::size_t>(idx_sink_per0 + d)] =
         p.c_sink * a_sink_per_each * p.t_sink;
   }
 
-  names[static_cast<std::size_t>(idx_convec)] = "convection";
   cap[static_cast<std::size_t>(idx_convec)] = p.c_convec;
 
   // --- Lateral conduction in die and in the under-die spreader ----------
@@ -186,7 +157,7 @@ RcNetwork build_rc_network(const Floorplan& fp, const HotSpotParams& p) {
     const Block& b = fp.block(i);
     struct EdgeSpec {
       bool on_boundary;
-      int trapezoid;      // index into kDirs order: N, S, E, W
+      int trapezoid;      // periphery trapezoid: 0..3 = N, S, E, W
       double edge_len;    // length of the block edge feeding the trapezoid
       double half_extent; // distance from block center to that edge
       double margin;      // copper beyond the die on that side
@@ -263,7 +234,7 @@ RcNetwork build_rc_network(const Floorplan& fp, const HotSpotParams& p) {
   trips.push_back({idx_convec, idx_convec, 1.0 / p.r_convec});
 
   return RcNetwork(SparseMatrix::from_triplets(total, total, trips),
-                   std::move(cap), std::move(names), n, p.ambient);
+                   std::move(cap), n, p.ambient);
 }
 
 }  // namespace renoc

@@ -35,7 +35,6 @@
 // HotSpot applies; it keeps the solvers free of boundary special cases.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -52,8 +51,8 @@ namespace renoc {
 /// quadratically larger.
 class RcNetwork {
  public:
-  RcNetwork(SparseMatrix g, std::vector<double> cap,
-            std::vector<std::string> names, int die_count, double ambient);
+  RcNetwork(SparseMatrix g, std::vector<double> cap, int die_count,
+            double ambient);
 
   int node_count() const { return static_cast<int>(cap_.size()); }
   /// Number of die (floorplan block) nodes; these are nodes [0, die_count).
@@ -61,13 +60,7 @@ class RcNetwork {
 
   const SparseMatrix& conductance_sparse() const { return g_; }
   const std::vector<double>& capacitance() const { return cap_; }
-  const std::string& node_name(int i) const;
   double ambient() const { return ambient_; }
-
-  /// Expands a per-die-block power vector (size die_count) to a full node
-  /// power vector (zeros for package nodes).
-  std::vector<double> expand_die_power(
-      const std::vector<double>& die_power) const;
 
   /// Max entry over die nodes of a full temperature-rise vector.
   double peak_die_rise(const std::vector<double>& rise) const;
@@ -78,7 +71,6 @@ class RcNetwork {
  private:
   SparseMatrix g_;
   std::vector<double> cap_;
-  std::vector<std::string> names_;
   int die_count_ = 0;
   double ambient_ = 0.0;
 };

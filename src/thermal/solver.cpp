@@ -8,7 +8,8 @@ namespace renoc {
 namespace {
 
 /// Copies die power into the leading entries of a full-node scratch vector
-/// whose package tail is already zero (allocation-free expand_die_power).
+/// whose package tail is already zero, so no call after the first
+/// allocates.
 const std::vector<double>& expand_into(const RcNetwork& net,
                                        const std::vector<double>& die_power,
                                        std::vector<double>& full) {

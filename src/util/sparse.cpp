@@ -1,7 +1,6 @@
 #include "util/sparse.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/check.hpp"
@@ -55,35 +54,6 @@ SparseMatrix SparseMatrix::from_triplets(
   return m;
 }
 
-double SparseMatrix::at(int r, int c) const {
-  RENOC_CHECK_MSG(r >= 0 && r < rows_ && c >= 0 && c < cols_,
-                  "index (" << r << "," << c << ") out of " << rows_ << "x"
-                            << cols_);
-  const auto begin = col_idx_.begin() + row_ptr_[uz(r)];
-  const auto end = col_idx_.begin() + row_ptr_[uz(r) + 1];
-  const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) return 0.0;
-  return vals_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-std::vector<double> SparseMatrix::mul(const std::vector<double>& x) const {
-  std::vector<double> y(uz(rows_), 0.0);
-  mul_into(x, y);
-  return y;
-}
-
-void SparseMatrix::mul_into(const std::vector<double>& x,
-                            std::vector<double>& y) const {
-  RENOC_CHECK(static_cast<int>(x.size()) == cols_);
-  y.assign(uz(rows_), 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (int p = row_ptr_[uz(r)]; p < row_ptr_[uz(r) + 1]; ++p)
-      acc += vals_[uz(p)] * x[uz(col_idx_[uz(p)])];
-    y[uz(r)] = acc;
-  }
-}
-
 SparseMatrix SparseMatrix::plus_diagonal(const std::vector<double>& d) const {
   RENOC_CHECK(rows_ == cols_);
   RENOC_CHECK(static_cast<int>(d.size()) == rows_);
@@ -100,15 +70,6 @@ SparseMatrix SparseMatrix::plus_diagonal(const std::vector<double>& d) const {
     RENOC_CHECK_MSG(found, "row " << r << " has no stored diagonal entry");
   }
   return out;
-}
-
-bool SparseMatrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (int r = 0; r < rows_; ++r)
-    for (int p = row_ptr_[uz(r)]; p < row_ptr_[uz(r) + 1]; ++p)
-      if (std::fabs(vals_[uz(p)] - at(col_idx_[uz(p)], r)) > tol)
-        return false;
-  return true;
 }
 
 std::vector<int> bandwidth_reducing_ordering(const SparseMatrix& a,

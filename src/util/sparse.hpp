@@ -48,22 +48,10 @@ class SparseMatrix {
   /// Number of stored entries.
   int nnz() const { return static_cast<int>(col_idx_.size()); }
 
-  /// Value at (r, c); zero when no entry is stored there.
-  double at(int r, int c) const;
-
-  /// y = this * x. Requires x.size() == cols().
-  std::vector<double> mul(const std::vector<double>& x) const;
-
-  /// y = this * x into a caller-provided buffer (no allocation).
-  void mul_into(const std::vector<double>& x, std::vector<double>& y) const;
-
   /// Returns a copy with d[i] added to diagonal entry (i, i). Every
   /// diagonal entry must already be stored (true for any conductance or
   /// step matrix assembled by stamping).
   SparseMatrix plus_diagonal(const std::vector<double>& d) const;
-
-  /// True if the sparsity pattern and values are symmetric to within tol.
-  bool is_symmetric(double tol) const;
 
   const std::vector<int>& row_ptr() const { return row_ptr_; }
   const std::vector<int>& col_idx() const { return col_idx_; }

@@ -1,25 +1,14 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace renoc {
 
 void RunningStats::add(double x) {
   ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace renoc

@@ -47,21 +47,6 @@ void decode_scenario_index(std::int64_t index,
                                                << " outside the axis shape");
 }
 
-std::int64_t encode_scenario_index(const std::vector<std::int64_t>& digits,
-                                   const std::vector<std::int64_t>& shape) {
-  RENOC_CHECK_MSG(digits.size() == shape.size(),
-                  "digit count " << digits.size() << " != axis count "
-                                 << shape.size());
-  std::int64_t index = 0;
-  for (std::size_t k = 0; k < shape.size(); ++k) {
-    RENOC_CHECK_MSG(digits[k] >= 0 && digits[k] < shape[k],
-                    "digit " << digits[k] << " outside axis " << k
-                             << " of size " << shape[k]);
-    index = index * shape[k] + digits[k];
-  }
-  return index;
-}
-
 // ---------------------------------------------------------------------------
 // RNG, validation, worker boilerplate
 // ---------------------------------------------------------------------------

@@ -64,10 +64,6 @@ void decode_scenario_index(std::int64_t index,
                            const std::vector<std::int64_t>& shape,
                            std::vector<std::int64_t>& digits);
 
-/// Inverse of decode_scenario_index. digits[k] must be in [0, shape[k]).
-std::int64_t encode_scenario_index(const std::vector<std::int64_t>& digits,
-                                   const std::vector<std::int64_t>& shape);
-
 // ---------------------------------------------------------------------------
 // Stateless per-scenario RNG
 // ---------------------------------------------------------------------------

@@ -172,22 +172,10 @@ TEST(AdaptivePolicyTest, SensorObjectiveSendsPowerToColdTiles) {
   EXPECT_LT(after, before);
 }
 
-TEST(AdaptivePolicyTest, CustomCandidates) {
-  Env env(4);
-  AdaptivePolicy policy(env.net, env.dim,
-                        AdaptiveObjective::kPredictivePeak, kPeriod);
-  policy.set_candidates({Transform{TransformKind::kMirrorY, 0}});
-  std::vector<double> power(16, 1.0);
-  power[0] = 4.0;
-  EXPECT_EQ(policy.choose(power, env.steady_state(power)).kind,
-            TransformKind::kMirrorY);
-  EXPECT_THROW(policy.set_candidates({}), CheckError);
-}
-
 TEST(AdaptivePolicyTest, PredictiveScoresBitMatchSteppedLookahead) {
   // Each kPredictivePeak score is the end-of-period peak of a lone
-  // TransientSolver started at `state` and stepped lookahead_steps (10)
-  // times under the candidate's moved power, bit for bit, at both paper
+  // TransientSolver started at `state` and stepped 10 times over one
+  // period under the candidate's moved power, bit for bit, at both paper
   // chip sizes: side 4 (58 nodes) and side 5 (85 nodes). The policy has
   // scored another state first, so no lookahead state may carry over.
   for (const int side : {4, 5}) {
@@ -233,17 +221,18 @@ TEST(AdaptivePolicyTest, CandidateScoresCoverAllObjectives) {
         AdaptiveObjective::kOrbitAverage}) {
     AdaptivePolicy policy(env.net, env.dim, objective, kPeriod);
     const std::vector<double> scores = policy.candidate_scores(power, state);
+    const int which = static_cast<int>(objective);
     ASSERT_EQ(scores.size(), policy.candidates().size())
-        << to_string(objective);
+        << "objective " << which;
     // Scores are finite and choose() picks their first minimum.
     const Transform chosen = policy.choose(power, state);
     std::size_t best = 0;
     for (std::size_t j = 0; j < scores.size(); ++j) {
-      EXPECT_TRUE(std::isfinite(scores[j])) << to_string(objective);
+      EXPECT_TRUE(std::isfinite(scores[j])) << "objective " << which;
       if (scores[j] < scores[best]) best = j;
     }
     EXPECT_EQ(chosen.kind, policy.candidates()[best].kind)
-        << to_string(objective);
+        << "objective " << which;
   }
 }
 

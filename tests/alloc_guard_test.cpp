@@ -33,6 +33,7 @@
 #include "ldpc/noc_decoder.hpp"
 #include "mapping/placer.hpp"
 #include "noc/fabric.hpp"
+#include "support/helpers.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/solver.hpp"
@@ -243,7 +244,7 @@ TEST(EngineAllocTest, WarmedSparseSolvePathsAreAllocationFree) {
   power[0] = 9.0;
   const SteadyStateSolver steady(net);
   TransientSolver transient(net, 2e-6);
-  const std::vector<double> full = net.expand_die_power(power);
+  const std::vector<double> full = expand_die_power(net, power);
 
   std::vector<double> rise;
   steady.solve_die_power_into(power, rise);  // warm-up sizes the buffer

@@ -38,7 +38,7 @@ TEST(StopGoTest, TripAboveStaticPeakNeverThrottles) {
   Env env;
   const auto power = hot_map();
   const double peak = env.static_peak(power);
-  const StopGoController ctrl(env.net, peak + 5.0, 1.0);
+  const StopGoController ctrl(env.net, peak + 5.0);
   const DtmRunResult r = ctrl.run(power, kPeriod, 200);
   EXPECT_EQ(r.throttle_events, 0);
   EXPECT_DOUBLE_EQ(r.throughput_fraction, 1.0);
@@ -50,7 +50,7 @@ TEST(StopGoTest, EnforcesTripPoint) {
   const auto power = hot_map();
   const double peak = env.static_peak(power);
   const double trip = peak - 4.0;
-  const StopGoController ctrl(env.net, trip, 1.0);
+  const StopGoController ctrl(env.net, trip);
   const DtmRunResult r = ctrl.run(power, kPeriod, 2000);
   EXPECT_GT(r.throttle_events, 0);
   // Settled peak hovers at the trip (plus one control period of overshoot).
@@ -64,8 +64,8 @@ TEST(StopGoTest, LowerTripCostsMoreThroughput) {
   Env env;
   const auto power = hot_map();
   const double peak = env.static_peak(power);
-  const StopGoController mild(env.net, peak - 2.0, 1.0);
-  const StopGoController harsh(env.net, peak - 6.0, 1.0);
+  const StopGoController mild(env.net, peak - 2.0);
+  const StopGoController harsh(env.net, peak - 6.0);
   const double mild_tp =
       mild.run(power, kPeriod, 2000).throughput_fraction;
   const double harsh_tp =
@@ -77,7 +77,7 @@ TEST(DvfsTest, SetpointAboveStaticPeakRunsFullSpeed) {
   Env env;
   const auto power = hot_map();
   const double peak = env.static_peak(power);
-  const DvfsController ctrl(env.net, peak + 5.0, 0.25);
+  const DvfsController ctrl(env.net, peak + 5.0);
   const DtmRunResult r = ctrl.run(power, kPeriod, 200);
   EXPECT_DOUBLE_EQ(r.throughput_fraction, 1.0);
 }
@@ -87,7 +87,7 @@ TEST(DvfsTest, ConvergesNearSetpoint) {
   const auto power = hot_map();
   const double peak = env.static_peak(power);
   const double setpoint = peak - 5.0;
-  const DvfsController ctrl(env.net, setpoint, 0.25);
+  const DvfsController ctrl(env.net, setpoint);
   const DtmRunResult r = ctrl.run(power, kPeriod, 3000);
   // Proportional control settles a little above the setpoint but far
   // below the unthrottled peak.
@@ -102,7 +102,7 @@ TEST(DvfsTest, GlobalThrottlingIsExpensive) {
   Env env;
   const auto power = hot_map();
   const double peak = env.static_peak(power);
-  const DvfsController ctrl(env.net, peak - 4.0, 0.25);
+  const DvfsController ctrl(env.net, peak - 4.0);
   const DtmRunResult r = ctrl.run(power, kPeriod, 3000);
   EXPECT_GT(1.0 - r.throughput_fraction, 0.05);
 }
@@ -120,38 +120,36 @@ TEST(DtmRunTest, RepeatedAndMixedPeriodRunsBitIdenticalToFresh) {
   const auto power = hot_map();
   const double trip = env.static_peak(power) - 4.0;
 
-  const StopGoController warm_sg(env.net, trip, 1.0);
+  const StopGoController warm_sg(env.net, trip);
   const DtmRunResult sg_first = warm_sg.run(power, kPeriod, 300);
   const DtmRunResult sg_other = warm_sg.run(power, 2 * kPeriod, 300);
   const DtmRunResult sg_back = warm_sg.run(power, kPeriod, 300);
 
   EXPECT_TRUE(results_identical(sg_first, sg_back));
   EXPECT_TRUE(results_identical(
-      sg_first, StopGoController(env.net, trip, 1.0).run(power, kPeriod, 300)));
+      sg_first, StopGoController(env.net, trip).run(power, kPeriod, 300)));
   EXPECT_TRUE(results_identical(
       sg_other,
-      StopGoController(env.net, trip, 1.0).run(power, 2 * kPeriod, 300)));
+      StopGoController(env.net, trip).run(power, 2 * kPeriod, 300)));
 
-  const DvfsController warm_dv(env.net, trip, 0.25);
+  const DvfsController warm_dv(env.net, trip);
   const DtmRunResult dv_first = warm_dv.run(power, kPeriod, 300);
   const DtmRunResult dv_other = warm_dv.run(power, 2 * kPeriod, 300);
   const DtmRunResult dv_back = warm_dv.run(power, kPeriod, 300);
 
   EXPECT_TRUE(results_identical(dv_first, dv_back));
   EXPECT_TRUE(results_identical(
-      dv_first, DvfsController(env.net, trip, 0.25).run(power, kPeriod, 300)));
+      dv_first, DvfsController(env.net, trip).run(power, kPeriod, 300)));
   EXPECT_TRUE(results_identical(
       dv_other,
-      DvfsController(env.net, trip, 0.25).run(power, 2 * kPeriod, 300)));
+      DvfsController(env.net, trip).run(power, 2 * kPeriod, 300)));
 }
 
 TEST(DtmValidationTest, BadParamsRejected) {
   Env env;
-  EXPECT_THROW(StopGoController(env.net, 30.0, 1.0), CheckError);  // < amb
-  EXPECT_THROW(StopGoController(env.net, 80.0, 0.0), CheckError);
-  EXPECT_THROW(DvfsController(env.net, 80.0, 0.0), CheckError);
-  EXPECT_THROW(DvfsController(env.net, 80.0, 0.2, 0.0), CheckError);
-  const StopGoController ok(env.net, 80.0, 1.0);
+  EXPECT_THROW(StopGoController(env.net, 30.0), CheckError);  // < amb
+  EXPECT_THROW(DvfsController(env.net, 30.0), CheckError);
+  const StopGoController ok(env.net, 80.0);
   EXPECT_THROW(ok.run(hot_map(), -1.0, 100), CheckError);
   EXPECT_THROW(ok.run(hot_map(), kPeriod, 2), CheckError);
 }

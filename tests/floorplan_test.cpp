@@ -50,7 +50,9 @@ TEST(FloorplanTest, GridFloorplanGeometry) {
   for (int i = 0; i < fp.block_count(); ++i)
     EXPECT_NEAR(fp.block(i).area(), units::mm2(4.36), 1e-12);
   // Die is gap-free: total block area equals the bounding box.
-  EXPECT_NEAR(fp.total_block_area(), fp.die_area(), 1e-10);
+  double block_area = 0.0;
+  for (const Block& b : fp.blocks()) block_area += b.area();
+  EXPECT_NEAR(block_area, fp.die_area(), 1e-10);
   // 4x4 of 4.36mm^2 tiles -> ~8.35 mm on a side.
   EXPECT_NEAR(fp.die_width(), 4 * std::sqrt(units::mm2(4.36)), 1e-9);
 }

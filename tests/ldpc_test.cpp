@@ -16,6 +16,7 @@
 #include "ldpc/encoder.hpp"
 #include "ldpc/minsum.hpp"
 #include "ldpc/partition.hpp"
+#include "support/helpers.hpp"
 #include "support/reference_decoder.hpp"
 #include "support/reference_encoder.hpp"
 #include "util/check.hpp"
@@ -207,8 +208,9 @@ TEST(MinSumTest, NormalizeThreeQuarters) {
 }
 
 TEST(MinSumTest, VarUpdateExtrinsic) {
-  std::vector<std::int16_t> out;
-  minsum::var_update(10, {5, -3, 2}, out);
+  const std::int16_t r[] = {5, -3, 2};
+  std::int16_t out[3];
+  minsum::var_update(10, r, out, 3);
   // total = 14; q_e = total - r_e
   EXPECT_EQ(out[0], 9);
   EXPECT_EQ(out[1], 17);
@@ -216,8 +218,9 @@ TEST(MinSumTest, VarUpdateExtrinsic) {
 }
 
 TEST(MinSumTest, CheckUpdateSignsAndMins) {
-  std::vector<std::int16_t> out;
-  minsum::check_update({10, -6, 4}, out);
+  const std::int16_t q[] = {10, -6, 4};
+  std::int16_t out[3];
+  minsum::check_update(q, out, 3);
   // overall sign = -, magnitudes: min1=4 (idx 2), min2=6
   // r_0 = norm(sign(-/+)=- * 4) = -3
   EXPECT_EQ(out[0], -3);
@@ -228,16 +231,18 @@ TEST(MinSumTest, CheckUpdateSignsAndMins) {
 }
 
 TEST(MinSumTest, CheckUpdateAllPositive) {
-  std::vector<std::int16_t> out;
-  minsum::check_update({7, 9, 9}, out);
+  const std::int16_t q[] = {7, 9, 9};
+  std::int16_t out[3];
+  minsum::check_update(q, out, 3);
   EXPECT_EQ(out[0], minsum::normalize(9));
   EXPECT_EQ(out[1], minsum::normalize(7));
   EXPECT_EQ(out[2], minsum::normalize(7));
 }
 
 TEST(MinSumTest, PosteriorSums) {
-  EXPECT_EQ(minsum::var_posterior(5, {1, -2, 3}), 7);
-  EXPECT_EQ(minsum::var_posterior(-5, {}), -5);
+  const std::int16_t r[] = {1, -2, 3};
+  EXPECT_EQ(minsum::var_posterior(5, r, 3), 7);
+  EXPECT_EQ(minsum::var_posterior(-5, r, 0), -5);
 }
 
 TEST(DecoderTest, NoiselessDecodesExactly) {

@@ -10,6 +10,7 @@
 #include "core/phase_scheduler.hpp"
 #include "core/transform.hpp"
 #include "noc/fabric.hpp"
+#include "support/helpers.hpp"
 #include "util/check.hpp"
 
 namespace renoc {

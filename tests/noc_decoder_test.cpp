@@ -13,6 +13,7 @@
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/noc_decoder.hpp"
+#include "support/helpers.hpp"
 #include "util/check.hpp"
 
 namespace renoc {

@@ -13,6 +13,7 @@
 #include "noc/fabric.hpp"
 #include "noc/fault_model.hpp"
 #include "noc/traffic.hpp"
+#include "support/helpers.hpp"
 #include "util/rng.hpp"
 
 namespace renoc {

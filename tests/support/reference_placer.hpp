@@ -31,11 +31,13 @@ class ReferencePlacer {
       const std::vector<std::vector<std::uint64_t>>& traffic,
       const std::vector<ThermalAwarePlacer::Pin>& pins = {}) const;
 
- private:
+  /// The annealing objective of a placement, computed from scratch.
   double cost_of(const std::vector<int>& placement,
                  const std::vector<double>& cluster_power,
                  const std::vector<std::vector<std::uint64_t>>& traffic)
       const;
+
+ private:
   double peak_temperature_of(const std::vector<int>& placement,
                              const std::vector<double>& cluster_power) const;
   std::vector<double> tile_power_of(

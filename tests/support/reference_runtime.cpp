@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "power/power_map.hpp"
+#include "support/helpers.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
@@ -86,7 +87,7 @@ ThermalRunResult ReferenceThermalRuntime::run(
   if (!migration_energy.empty())
     spiked_full.resize(L);
   for (std::size_t seg = 0; seg < L; ++seg) {
-    segment_full[seg] = net.expand_die_power(segment_power[seg]);
+    segment_full[seg] = expand_die_power(net, segment_power[seg]);
     if (!migration_energy.empty()) {
       const auto& e_map = migration_energy[seg];
       spiked_full[seg] = segment_full[seg];

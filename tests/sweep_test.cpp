@@ -34,6 +34,7 @@
 #include "core/experiment_sweep.hpp"
 #include "ldpc/ber_harness.hpp"
 #include "noc/sweep_harness.hpp"
+#include "support/helpers.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"

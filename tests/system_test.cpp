@@ -408,9 +408,9 @@ TEST(ExperimentDriverTest, PaperScaleAdaptiveAndDtmMatchParent) {
                     r.throttle_events};
     };
     const double base_peak = driver.base_peak_temp_c();
-    got.stop_go = dtm_pin(StopGoController(net, base_peak - 3.0, 1.0)
+    got.stop_go = dtm_pin(StopGoController(net, base_peak - 3.0)
                               .run(driver.base_power(), period, 400));
-    got.dvfs = dtm_pin(DvfsController(net, base_peak - 4.0, 0.25)
+    got.dvfs = dtm_pin(DvfsController(net, base_peak - 4.0)
                            .run(driver.base_power(), period, 400));
 
     const bool match = got.adaptive == want.adaptive &&

@@ -11,6 +11,7 @@
 
 #include "core/chip_config.hpp"
 #include "floorplan/floorplan.hpp"
+#include "support/helpers.hpp"
 #include "support/matrix.hpp"
 #include "thermal/grid_refine.hpp"
 #include "thermal/hotspot_params.hpp"
@@ -51,7 +52,7 @@ TEST(RcNetworkTest, NodeCountLayout) {
 
 TEST(RcNetworkTest, ConductanceSymmetric) {
   const RcNetwork net = make_net(5);
-  EXPECT_TRUE(net.conductance_sparse().is_symmetric(1e-12));
+  EXPECT_TRUE(to_dense(net.conductance_sparse()).is_symmetric(1e-12));
 }
 
 TEST(RcNetworkTest, AllCapacitancesPositive) {
@@ -192,7 +193,7 @@ TEST(TransientTest, RelaxesToSteadyState) {
   for (int i = 0; i < net.node_count(); ++i)
     EXPECT_NEAR(transient.state()[static_cast<std::size_t>(i)],
                 target[static_cast<std::size_t>(i)], 0.01)
-        << "node " << net.node_name(i);
+        << "node " << i;
 }
 
 TEST(TransientTest, SteadyStateIsFixedPoint) {
@@ -263,7 +264,7 @@ TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
         EXPECT_EQ(reused[i], fresh[i]) << "side " << side << " rep " << rep;
     }
     // Full-node variant.
-    const std::vector<double> full = net.expand_die_power(power);
+    const std::vector<double> full = expand_die_power(net, power);
     std::vector<double> rise2;
     solver.solve_into(full, rise2);
     for (std::size_t i = 0; i < fresh.size(); ++i)
@@ -335,22 +336,6 @@ TEST(GridRefineTest, PeaksAgreeAcrossResolutions) {
   EXPECT_NEAR(pc, pf, 3.5) << "block and grid models diverge";
 }
 
-TEST(GridRefineTest, TileTemperaturesTakeSubblockMax) {
-  const GridDim dim{4, 4};
-  const RefinedThermalModel model(dim, date05_tile_area(),
-                                  date05_hotspot_params(), 2);
-  std::vector<double> power(16, 1.0);
-  power[0] = 8.0;
-  SteadyStateSolver solver(model.network());
-  const auto rise = solver.solve_die_power(model.refine_power(power));
-  const auto temps = model.tile_temperatures(rise);
-  EXPECT_EQ(temps.size(), 16u);
-  // Tile 0 is hottest and its reported temperature is >= each sub-block.
-  for (int b : model.subblocks_of_tile(0))
-    EXPECT_GE(temps[0],
-              model.network().ambient() + rise[static_cast<std::size_t>(b)]);
-}
-
 TEST(GridRefineTest, BadRefineRejected) {
   EXPECT_THROW(RefinedThermalModel(GridDim{4, 4}, date05_tile_area(),
                                    date05_hotspot_params(), 0),
@@ -410,7 +395,7 @@ constexpr double kOracleTol = 1e-8;
 std::vector<double> oracle_steady(const RcNetwork& net,
                                   const std::vector<double>& die_power) {
   const LuFactorization lu(to_dense(net.conductance_sparse()));
-  return lu.solve(net.expand_die_power(die_power));
+  return lu.solve(expand_die_power(net, die_power));
 }
 
 /// The state after `steps` backward-Euler steps of size `dt` from ambient
@@ -425,7 +410,7 @@ std::vector<double> oracle_transient(const RcNetwork& net, double dt,
     step_matrix(i, i) += c_over_dt[i];
   }
   const LuFactorization lu(step_matrix);
-  const std::vector<double> power = net.expand_die_power(die_power);
+  const std::vector<double> power = expand_die_power(net, die_power);
   std::vector<double> state(power.size(), 0.0);
   for (int s = 0; s < steps; ++s) {
     for (std::size_t i = 0; i < state.size(); ++i)
@@ -457,7 +442,7 @@ void expect_solvers_match_oracle(const RcNetwork& net,
   for (int i = 0; i < net.node_count(); ++i)
     EXPECT_NEAR(transient.state()[static_cast<std::size_t>(i)],
                 transient_oracle[static_cast<std::size_t>(i)], kOracleTol)
-        << label << " transient " << net.node_name(i);
+        << label << " transient node " << i;
 }
 
 TEST(DenseSparseAgreementTest, SteadyStateMatchesOnRandomPowers) {
@@ -498,17 +483,6 @@ TEST(DenseSparseAgreementTest, PaperConfigNetworksMatchOracle) {
     for (auto& p : power) p = 1.0 + rng.next_double() * 7.0;
     expect_solvers_match_oracle(net, power, "config " + cfg.name);
   }
-}
-
-TEST(DenseSparseAgreementTest, SparseConductanceMatchesDenseView) {
-  const RcNetwork net = make_net(5);
-  EXPECT_TRUE(net.conductance_sparse().is_symmetric(1e-12));
-  const Matrix dense = to_dense(net.conductance_sparse());
-  for (int r = 0; r < net.node_count(); ++r)
-    for (int c = 0; c < net.node_count(); ++c)
-      EXPECT_DOUBLE_EQ(net.conductance_sparse().at(r, c),
-                       dense(static_cast<std::size_t>(r),
-                             static_cast<std::size_t>(c)));
 }
 
 TEST(SolverValidationTest, SizeMismatchesThrow) {
