@@ -1,9 +1,8 @@
 #include "core/experiment_sweep.hpp"
 
-#include <memory>
-
 #include "thermal/grid_refine.hpp"
 #include "util/check.hpp"
+#include "util/sweep.hpp"
 
 namespace renoc {
 namespace {
@@ -77,8 +76,8 @@ void ExperimentSweepConfig::validate() const {
 std::vector<ExperimentScenario> ExperimentSweepConfig::scenarios() const {
   // Enumerate through the shared row-major index decoder (scheme-major,
   // refinement innermost — byte-identical to the nested loops this
-  // replaced), so a scenario index means the same cell here, in the
-  // service's shards, and in any replay.
+  // replaced), so a scenario index means the same cell here and in any
+  // replay.
   const std::vector<std::int64_t> shape = {
       static_cast<std::int64_t>(schemes.size()),
       static_cast<std::int64_t>(periods_s.size()),
@@ -178,130 +177,18 @@ ExperimentSweepPoint run_experiment_scenario(
   return point;
 }
 
-namespace {
-
-// Record layout for the sweep service: counts as raw words, temperatures
-// as pack_double bit patterns, so records round-trip bit-exactly through
-// the hex-string JSON transport.
-enum ExperimentWord {
-  kOrbitLength = 0,
-  kFineNodes,
-  kStaticPeak,
-  kPeakTemp,
-  kReduction,
-  kMeanTemp,
-  kRipple,
-  kSteadyPeakOfAvg,
-  kOrbitsRun,
-  kConverged,
-};
-constexpr int kExperimentRecordWords = 10;
-
-}  // namespace
-
-sweep::SweepSpec make_experiment_sweep_spec(
-    const ExperimentSweepConfig& cfg) {
-  cfg.validate();
-  sweep::SweepSpec spec;
-  const auto grid =
-      std::make_shared<const std::vector<ExperimentScenario>>(
-          cfg.scenarios());
-  spec.enumerated = static_cast<std::int64_t>(grid->size());
-  spec.record_words = kExperimentRecordWords;
-
-  // Everything a scenario's results depend on feeds the digest; threads
-  // (and the service's shard/checkpoint geometry) are excluded because
-  // results are invariant in them — a checkpoint written at one thread
-  // count must resume at another.
-  sweep::DigestBuilder digest;
-  digest.fold_string("experiment");
-  digest.fold(cfg.seed);
-  digest.fold_int(cfg.dim.width);
-  digest.fold_int(cfg.dim.height);
-  digest.fold_real(cfg.tile_area);
-  for (const MigrationScheme s : cfg.schemes)
-    digest.fold_int(static_cast<int>(s));
-  for (const double p : cfg.periods_s) digest.fold_real(p);
-  for (const double s : cfg.power_scales) digest.fold_real(s);
-  for (const int r : cfg.refines) digest.fold_int(r);
-  digest.fold_int(static_cast<long long>(cfg.base_tile_power.size()));
-  for (const double w : cfg.base_tile_power) digest.fold_real(w);
-  digest.fold_real(cfg.synthetic_tile_power_w);
-  digest.fold_real(cfg.power_jitter);
-  digest.fold_real(cfg.migration_energy_j);
-  digest.fold_real(cfg.thermal.dt_s);
-  digest.fold_int(cfg.thermal.min_orbits);
-  digest.fold_int(cfg.thermal.max_orbits);
-  digest.fold_real(cfg.thermal.tol_c);
-  digest.fold_real(cfg.hotspot.t_die);
-  digest.fold_real(cfg.hotspot.k_die);
-  digest.fold_real(cfg.hotspot.c_die);
-  digest.fold_real(cfg.hotspot.t_interface);
-  digest.fold_real(cfg.hotspot.k_interface);
-  digest.fold_real(cfg.hotspot.s_spreader);
-  digest.fold_real(cfg.hotspot.t_spreader);
-  digest.fold_real(cfg.hotspot.s_sink);
-  digest.fold_real(cfg.hotspot.t_sink);
-  digest.fold_real(cfg.hotspot.r_convec);
-  spec.config_digest = digest.digest();
-
-  spec.make_runner = [&cfg, grid]() {
-    return [&cfg, grid](std::int64_t scenario, std::uint64_t* words) {
-      const ExperimentSweepPoint p = run_experiment_scenario(
-          (*grid)[static_cast<std::size_t>(scenario)], cfg,
-          static_cast<int>(scenario));
-      words[kOrbitLength] = static_cast<std::uint64_t>(p.orbit_length);
-      words[kFineNodes] = static_cast<std::uint64_t>(p.fine_nodes);
-      words[kStaticPeak] = sweep::pack_double(p.static_peak_c);
-      words[kPeakTemp] = sweep::pack_double(p.peak_temp_c);
-      words[kReduction] = sweep::pack_double(p.reduction_c);
-      words[kMeanTemp] = sweep::pack_double(p.mean_temp_c);
-      words[kRipple] = sweep::pack_double(p.ripple_c);
-      words[kSteadyPeakOfAvg] = sweep::pack_double(p.steady_peak_of_avg_c);
-      words[kOrbitsRun] = static_cast<std::uint64_t>(p.orbits_run);
-      words[kConverged] = p.converged ? 1u : 0u;
-    };
-  };
-  return spec;
-}
-
-ExperimentSweepPoint experiment_point_from_record(
-    const ExperimentScenario& scenario, const sweep::ScenarioRecord& rec) {
-  RENOC_CHECK_MSG(rec.outcome == sweep::Outcome::kCompleted,
-                  "cannot decode a " << sweep::to_string(rec.outcome)
-                                     << " record into a sweep point");
-  RENOC_CHECK_MSG(
-      rec.words.size() == static_cast<std::size_t>(kExperimentRecordWords),
-      "experiment record must have " << kExperimentRecordWords
-                                     << " words, got " << rec.words.size());
-  ExperimentSweepPoint p;
-  p.scenario = scenario;
-  p.scenario_index = static_cast<int>(rec.scenario);
-  p.orbit_length = static_cast<int>(rec.words[kOrbitLength]);
-  p.fine_nodes = static_cast<int>(rec.words[kFineNodes]);
-  p.static_peak_c = sweep::unpack_double(rec.words[kStaticPeak]);
-  p.peak_temp_c = sweep::unpack_double(rec.words[kPeakTemp]);
-  p.reduction_c = sweep::unpack_double(rec.words[kReduction]);
-  p.mean_temp_c = sweep::unpack_double(rec.words[kMeanTemp]);
-  p.ripple_c = sweep::unpack_double(rec.words[kRipple]);
-  p.steady_peak_of_avg_c = sweep::unpack_double(rec.words[kSteadyPeakOfAvg]);
-  p.orbits_run = static_cast<int>(rec.words[kOrbitsRun]);
-  p.converged = rec.words[kConverged] != 0;
-  return p;
-}
-
 std::vector<ExperimentSweepPoint> run_experiment_sweep(
     const ExperimentSweepConfig& cfg) {
-  sweep::ShardRunOptions run;
-  run.threads = cfg.threads;
-  const std::vector<sweep::ScenarioRecord> records =
-      sweep::run_sweep_shard(make_experiment_sweep_spec(cfg), run).records;
+  cfg.validate();
   const std::vector<ExperimentScenario> grid = cfg.scenarios();
-  std::vector<ExperimentSweepPoint> out;
-  out.reserve(records.size());
-  for (const sweep::ScenarioRecord& rec : records)
-    out.push_back(experiment_point_from_record(
-        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  std::vector<ExperimentSweepPoint> out(grid.size());
+  sweep::run_scenarios(
+      static_cast<std::int64_t>(grid.size()), cfg.threads,
+      [&](int, std::int64_t scenario) {
+        const auto i = static_cast<std::size_t>(scenario);
+        out[i] = run_experiment_scenario(grid[i], cfg,
+                                         static_cast<int>(scenario));
+      });
   return out;
 }
 

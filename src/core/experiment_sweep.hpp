@@ -1,22 +1,19 @@
 // Multithreaded thermal co-simulation scenario sweep.
 //
 // Scheme-study characterization over a grid of {migration scheme, period,
-// power scale, grid refinement} scenarios. The grid is one util/sweep
-// spec: run_experiment_sweep() runs it through sweep::run_sweep_shard as
-// a single shard on cfg.threads workers and decodes each record with
-// experiment_point_from_record(), the same spec and decoder
-// tools/renoc_sweep uses across processes. Determinism:
+// power scale, grid refinement} scenarios. run_experiment_sweep() runs
+// the grid through sweep::run_scenarios on cfg.threads workers, each
+// scenario straight into its ExperimentSweepPoint slot. Determinism:
 //
 //   - every scenario gets its own RNG stream (used for the per-tile power
 //     jitter that diversifies the workload maps), sweep::scenario_rng(seed,
 //     scenario index) — never derived from the worker that runs it;
 //   - each scenario is co-simulated end to end by exactly one worker into
-//     its own record, and no cross-scenario state exists (each scenario
+//     its own slot, and no cross-scenario state exists (each scenario
 //     owns its refined RC network, factorizations, and runtime), so the
-//     result vector is bit-identical for any thread count or shard split,
-//     and any single cell can be replayed in isolation with
-//     run_experiment_scenario() in O(1) — without re-simulating the grid
-//     before it.
+//     result vector is bit-identical for any thread count, and any single
+//     cell can be replayed in isolation with run_experiment_scenario() in
+//     O(1) — without re-simulating the grid before it.
 //
 // Methodology per scenario: build the jittered, scaled per-tile power
 // map, refine the thermal grid, lift the scheme's orbit to the fine grid,
@@ -32,7 +29,6 @@
 #include "floorplan/floorplan.hpp"
 #include "floorplan/grid.hpp"
 #include "thermal/hotspot_params.hpp"
-#include "util/sweep.hpp"
 
 namespace renoc {
 
@@ -114,17 +110,5 @@ std::vector<double> experiment_scenario_power(
 ExperimentSweepPoint run_experiment_scenario(
     const ExperimentScenario& scenario, const ExperimentSweepConfig& cfg,
     int scenario_index);
-
-/// The sweep as a util/sweep spec: one scenario per grid cell in
-/// scenarios() order, 10-word records (counts raw, temperatures as
-/// pack_double bit patterns). Decoded records equal
-/// run_experiment_sweep()'s points for any shard split or resume schedule.
-/// `cfg` must outlive the spec.
-sweep::SweepSpec make_experiment_sweep_spec(const ExperimentSweepConfig& cfg);
-
-/// Decodes a kCompleted service record back into the ExperimentSweepPoint
-/// run_experiment_sweep would have produced for that scenario.
-ExperimentSweepPoint experiment_point_from_record(
-    const ExperimentScenario& scenario, const sweep::ScenarioRecord& rec);
 
 }  // namespace renoc

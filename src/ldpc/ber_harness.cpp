@@ -1,10 +1,9 @@
 #include "ldpc/ber_harness.hpp"
 
-#include <memory>
-
 #include "ldpc/channel.hpp"
 #include "ldpc/decoder.hpp"
 #include "util/check.hpp"
+#include "util/sweep.hpp"
 
 namespace renoc {
 
@@ -30,120 +29,85 @@ Rng ber_block_rng(std::uint64_t seed, int point, int block) {
 
 namespace {
 
-// Service-record layout: one record per (point, block) job.
-enum BerWord { kBits = 0, kBitErrors, kBlockError, kIterationsRun };
-constexpr int kBerRecordWords = 4;
+/// One block's counts, written by the worker that decoded it.
+struct BlockCounts {
+  std::int64_t bits = 0;
+  std::int64_t bit_errors = 0;
+  std::int64_t block_error = 0;
+  std::int64_t iterations_run = 0;
+};
+
+/// One worker's decoder (decoder workspaces are single-threaded), decode
+/// result and block buffers, built before the loop.
+struct BlockWorker {
+  MinSumDecoder decoder;
+  DecodeResult result;
+  std::vector<std::uint8_t> data;
+  std::vector<std::uint8_t> cw;
+  std::vector<std::int16_t> llrs;
+
+  BlockWorker(const LdpcCode& code, const LdpcEncoder& encoder,
+              const BerConfig& cfg)
+      : decoder(code, cfg.iterations, cfg.early_exit),
+        data(static_cast<std::size_t>(encoder.k())) {}
+};
 
 }  // namespace
-
-sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
-                                     const LdpcEncoder& encoder,
-                                     const BerConfig& cfg) {
-  cfg.validate();
-  RENOC_CHECK_MSG(encoder.n() == code.n(), "encoder does not match code");
-
-  sweep::SweepSpec spec;
-  spec.enumerated = static_cast<std::int64_t>(cfg.ebn0_db.size()) *
-                    static_cast<std::int64_t>(cfg.blocks_per_point);
-  spec.record_words = kBerRecordWords;
-  // Everything that determines a block's decode result goes into the
-  // fingerprint; the thread count is excluded because the counts are
-  // invariant in it (pinned by ber_harness_test).
-  sweep::DigestBuilder digest;
-  digest.fold_string("ber")
-      .fold(cfg.seed)
-      .fold_int(cfg.blocks_per_point)
-      .fold_int(cfg.iterations)
-      .fold_int(cfg.early_exit ? 1 : 0)
-      .fold_int(code.n())
-      .fold_int(code.m());
-  for (const double ebn0 : cfg.ebn0_db) digest.fold_real(ebn0);
-  spec.config_digest = digest.digest();
-
-  spec.make_runner = [&code, &encoder, &cfg]() {
-    // Per-worker setup hoisting: each worker owns its decoder (decoder
-    // workspaces are single-threaded), decode result and block buffers.
-    struct WorkerState {
-      MinSumDecoder decoder;
-      DecodeResult result;
-      std::vector<std::int64_t> digits;
-      std::vector<std::int64_t> shape;
-      std::vector<std::uint8_t> data;
-      std::vector<std::uint8_t> cw;
-      std::vector<std::int16_t> llrs;
-      double rate = 0.0;
-
-      WorkerState(const LdpcCode& c, const LdpcEncoder& e,
-                  const BerConfig& b)
-          : decoder(c, b.iterations, b.early_exit),
-            shape{static_cast<std::int64_t>(b.ebn0_db.size()),
-                  b.blocks_per_point},
-            data(static_cast<std::size_t>(e.k())),
-            rate(static_cast<double>(e.k()) / static_cast<double>(e.n())) {}
-    };
-    auto state = std::make_shared<WorkerState>(code, encoder, cfg);
-    return [state, &code, &encoder, &cfg](std::int64_t scenario,
-                                          std::uint64_t* words) {
-      WorkerState& ws = *state;
-      sweep::decode_scenario_index(scenario, ws.shape, ws.digits);
-      const int p = static_cast<int>(ws.digits[0]);
-      const int b = static_cast<int>(ws.digits[1]);
-      Rng rng = ber_block_rng(cfg.seed, p, b);
-      for (auto& bit : ws.data)
-        bit = static_cast<std::uint8_t>(rng.next_below(2));
-      ws.cw = encoder.encode(ws.data);
-      AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], ws.rate,
-                          rng.split());
-      ws.llrs = quantize_llrs(channel.transmit(ws.cw));
-      ws.decoder.decode_into(ws.llrs, ws.result);
-      std::int64_t errs = 0;
-      for (std::size_t i = 0; i < ws.cw.size(); ++i)
-        errs += ws.result.hard_bits[i] != ws.cw[i];
-      words[kBits] = static_cast<std::uint64_t>(code.n());
-      words[kBitErrors] = static_cast<std::uint64_t>(errs);
-      words[kBlockError] = errs > 0 ? 1 : 0;
-      words[kIterationsRun] =
-          static_cast<std::uint64_t>(ws.result.iterations_run);
-    };
-  };
-  return spec;
-}
-
-std::vector<BerPoint> ber_points_from_records(
-    const BerConfig& cfg,
-    const std::vector<sweep::ScenarioRecord>& records) {
-  const std::int64_t points = static_cast<std::int64_t>(cfg.ebn0_db.size());
-  const std::vector<std::int64_t> shape = {points, cfg.blocks_per_point};
-  std::vector<BerPoint> out(static_cast<std::size_t>(points));
-  for (std::int64_t p = 0; p < points; ++p)
-    out[static_cast<std::size_t>(p)].ebn0_db =
-        cfg.ebn0_db[static_cast<std::size_t>(p)];
-  std::vector<std::int64_t> digits;
-  for (const sweep::ScenarioRecord& rec : records) {
-    if (rec.outcome != sweep::Outcome::kCompleted) continue;
-    RENOC_CHECK_MSG(rec.words.size() == kBerRecordWords,
-                    "BER record has " << rec.words.size() << " words");
-    sweep::decode_scenario_index(rec.scenario, shape, digits);
-    BerPoint& pt = out[static_cast<std::size_t>(digits[0])];
-    ++pt.blocks;
-    pt.bits += static_cast<std::int64_t>(rec.words[kBits]);
-    pt.bit_errors += static_cast<std::int64_t>(rec.words[kBitErrors]);
-    pt.block_errors += static_cast<std::int64_t>(rec.words[kBlockError]);
-    pt.iterations_total +=
-        static_cast<std::int64_t>(rec.words[kIterationsRun]);
-  }
-  return out;
-}
 
 std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
                                     const LdpcEncoder& encoder,
                                     const BerConfig& cfg) {
-  sweep::ShardRunOptions run;
-  run.threads = cfg.threads;
-  return ber_points_from_records(
-      cfg,
-      sweep::run_sweep_shard(make_ber_sweep_spec(code, encoder, cfg), run)
-          .records);
+  cfg.validate();
+  RENOC_CHECK_MSG(encoder.n() == code.n(), "encoder does not match code");
+  const std::int64_t points = static_cast<std::int64_t>(cfg.ebn0_db.size());
+  const std::int64_t jobs = points * cfg.blocks_per_point;
+  const double rate =
+      static_cast<double>(encoder.k()) / static_cast<double>(encoder.n());
+
+  std::vector<BlockWorker> workers;
+  const int worker_count = sweep::clamp_workers(cfg.threads, jobs);
+  workers.reserve(static_cast<std::size_t>(worker_count));
+  for (int w = 0; w < worker_count; ++w)
+    workers.emplace_back(code, encoder, cfg);
+
+  // Job j is block j % blocks_per_point of point j / blocks_per_point.
+  std::vector<BlockCounts> blocks(static_cast<std::size_t>(jobs));
+  sweep::run_scenarios(jobs, cfg.threads, [&](int worker, std::int64_t job) {
+    BlockWorker& ws = workers[static_cast<std::size_t>(worker)];
+    const int p = static_cast<int>(job / cfg.blocks_per_point);
+    const int b = static_cast<int>(job % cfg.blocks_per_point);
+    Rng rng = ber_block_rng(cfg.seed, p, b);
+    for (auto& bit : ws.data)
+      bit = static_cast<std::uint8_t>(rng.next_below(2));
+    ws.cw = encoder.encode(ws.data);
+    AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], rate,
+                        rng.split());
+    ws.llrs = quantize_llrs(channel.transmit(ws.cw));
+    ws.decoder.decode_into(ws.llrs, ws.result);
+    std::int64_t errs = 0;
+    for (std::size_t i = 0; i < ws.cw.size(); ++i)
+      errs += ws.result.hard_bits[i] != ws.cw[i];
+    BlockCounts& counts = blocks[static_cast<std::size_t>(job)];
+    counts.bits = code.n();
+    counts.bit_errors = errs;
+    counts.block_error = errs > 0 ? 1 : 0;
+    counts.iterations_run = ws.result.iterations_run;
+  });
+
+  std::vector<BerPoint> out(static_cast<std::size_t>(points));
+  for (std::int64_t job = 0; job < jobs; ++job) {
+    const BlockCounts& counts = blocks[static_cast<std::size_t>(job)];
+    BerPoint& pt = out[static_cast<std::size_t>(job / cfg.blocks_per_point)];
+    ++pt.blocks;
+    pt.bits += counts.bits;
+    pt.bit_errors += counts.bit_errors;
+    pt.block_errors += counts.block_error;
+    pt.iterations_total += counts.iterations_run;
+  }
+  for (std::int64_t p = 0; p < points; ++p)
+    out[static_cast<std::size_t>(p)].ebn0_db =
+        cfg.ebn0_db[static_cast<std::size_t>(p)];
+  return out;
 }
 
 }  // namespace renoc

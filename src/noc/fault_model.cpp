@@ -52,15 +52,6 @@ Cycle draw_cycle(Cycle lo, Cycle hi, Rng& rng) {
 
 }  // namespace
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkDead: return "link_dead";
-    case FaultKind::kRouterDead: return "router_dead";
-    case FaultKind::kLinkFlaky: return "link_flaky";
-  }
-  return "?";
-}
-
 void FaultSpec::validate(const GridDim& dim) const {
   RENOC_CHECK_MSG(count >= 0, "fault count must be >= 0, got " << count);
   RENOC_CHECK(onset_min <= onset_max);

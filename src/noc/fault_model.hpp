@@ -31,8 +31,6 @@ enum class FaultKind : std::uint8_t {
   kLinkFlaky = 2,   ///< links down for a bounded window, then recovered
 };
 
-const char* to_string(FaultKind k);
-
 /// One atomic topology change. Flaky-link faults expand into a kLinkDown /
 /// kLinkUp pair so the fabric only ever sees monotone per-event changes.
 struct FaultEvent {
@@ -72,7 +70,7 @@ FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng);
 /// The RNG stream a sweep scenario's fault plan draws from. Salted so the
 /// fault stream never collides with the scenario's traffic stream
 /// (sweep::scenario_rng) for any (seed, index) pair; stateless, so any
-/// scenario's plan is reachable in O(1).
+/// scenario's plan is reachable in O(1), whichever worker runs it.
 Rng fault_scenario_rng(std::uint64_t seed, int scenario_index);
 
 }  // namespace renoc

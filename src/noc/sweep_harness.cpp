@@ -1,8 +1,7 @@
 #include "noc/sweep_harness.hpp"
 
-#include <memory>
-
 #include "util/check.hpp"
+#include "util/sweep.hpp"
 
 namespace renoc {
 
@@ -58,8 +57,8 @@ void SweepConfig::validate() const {
 std::vector<SweepScenario> SweepConfig::scenarios() const {
   // Enumerate through the shared row-major index decoder (pattern-major,
   // fault axes innermost — byte-identical to the nested loops this
-  // replaced), so a scenario index means the same cell here, in the
-  // service's shards, and in any replay.
+  // replaced), so a scenario index means the same cell here and in any
+  // replay.
   const std::vector<std::int64_t> shape = {
       static_cast<std::int64_t>(patterns.size()),
       static_cast<std::int64_t>(mesh_sides.size()),
@@ -190,127 +189,16 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
   return point;
 }
 
-namespace {
-
-// Service-record layout: one 16-word record per grid cell.
-enum NocWord {
-  kMessagesSent = 0,
-  kMessagesReceived,
-  kMessagesSkipped,
-  kPacketsDelivered,
-  kFlitsDelivered,
-  kOfferedRate,
-  kInjectedRate,
-  kAcceptedRate,
-  kAvgLatency,
-  kMaxLatency,
-  kCycles,
-  kPacketsRetried,
-  kPacketsDropped,
-  kPacketsUnreachable,
-  kDuplicatesSuppressed,
-  kRouteEpochs,
-};
-constexpr int kNocRecordWords = 16;
-
-}  // namespace
-
-sweep::SweepSpec make_noc_sweep_spec(const SweepConfig& cfg) {
-  cfg.validate();
-  sweep::SweepSpec spec;
-  const auto grid =
-      std::make_shared<const std::vector<SweepScenario>>(cfg.scenarios());
-  spec.enumerated = static_cast<std::int64_t>(grid->size());
-  spec.record_words = kNocRecordWords;
-  // Fingerprint everything that determines a scenario's measurement;
-  // threads are excluded (results are thread-count invariant).
-  sweep::DigestBuilder digest;
-  digest.fold_string("noc").fold(cfg.seed);
-  for (const TrafficPattern p : cfg.patterns)
-    digest.fold_int(static_cast<int>(p));
-  for (const int side : cfg.mesh_sides) digest.fold_int(side);
-  for (const double rate : cfg.injection_rates) digest.fold_real(rate);
-  for (const int words : cfg.message_words) digest.fold_int(words);
-  for (const int count : cfg.fault_counts) digest.fold_int(count);
-  for (const FaultKind kind : cfg.fault_kinds)
-    digest.fold_int(static_cast<int>(kind));
-  for (const int budget : cfg.retry_budgets) digest.fold_int(budget);
-  digest.fold_int(cfg.burst.enabled ? 1 : 0)
-      .fold_real(cfg.burst.p_on_to_off)
-      .fold_real(cfg.burst.p_off_to_on)
-      .fold_int(cfg.buffer_depth)
-      .fold_int(cfg.warmup_cycles)
-      .fold_int(cfg.measure_cycles)
-      .fold_int(cfg.drain_max_cycles);
-  spec.config_digest = digest.digest();
-
-  spec.make_runner = [grid, &cfg]() {
-    return [grid, &cfg](std::int64_t scenario, std::uint64_t* words) {
-      const SweepPoint point = run_noc_scenario(
-          (*grid)[static_cast<std::size_t>(scenario)], cfg,
-          static_cast<int>(scenario));
-      words[kMessagesSent] = point.messages_sent;
-      words[kMessagesReceived] = point.messages_received;
-      words[kMessagesSkipped] = point.messages_skipped;
-      words[kPacketsDelivered] = point.packets_delivered;
-      words[kFlitsDelivered] = point.flits_delivered;
-      words[kOfferedRate] = sweep::pack_double(point.offered_flit_rate);
-      words[kInjectedRate] = sweep::pack_double(point.injected_flit_rate);
-      words[kAcceptedRate] = sweep::pack_double(point.accepted_flit_rate);
-      words[kAvgLatency] = sweep::pack_double(point.avg_latency_cycles);
-      words[kMaxLatency] = sweep::pack_double(point.max_latency_cycles);
-      words[kCycles] = point.cycles;
-      words[kPacketsRetried] = point.packets_retried;
-      words[kPacketsDropped] = point.packets_dropped;
-      words[kPacketsUnreachable] = point.packets_unreachable;
-      words[kDuplicatesSuppressed] = point.duplicates_suppressed;
-      words[kRouteEpochs] = static_cast<std::uint64_t>(point.route_epochs);
-    };
-  };
-  return spec;
-}
-
-SweepPoint noc_point_from_record(const SweepScenario& scenario,
-                                 const sweep::ScenarioRecord& rec) {
-  RENOC_CHECK_MSG(rec.outcome == sweep::Outcome::kCompleted &&
-                      rec.words.size() == kNocRecordWords,
-                  "NoC record for scenario " << rec.scenario
-                                             << " is not a completed "
-                                             << kNocRecordWords
-                                             << "-word record");
-  SweepPoint point;
-  point.scenario = scenario;
-  point.scenario_index = static_cast<int>(rec.scenario);
-  point.messages_sent = rec.words[kMessagesSent];
-  point.messages_received = rec.words[kMessagesReceived];
-  point.messages_skipped = rec.words[kMessagesSkipped];
-  point.packets_delivered = rec.words[kPacketsDelivered];
-  point.flits_delivered = rec.words[kFlitsDelivered];
-  point.offered_flit_rate = sweep::unpack_double(rec.words[kOfferedRate]);
-  point.injected_flit_rate = sweep::unpack_double(rec.words[kInjectedRate]);
-  point.accepted_flit_rate = sweep::unpack_double(rec.words[kAcceptedRate]);
-  point.avg_latency_cycles = sweep::unpack_double(rec.words[kAvgLatency]);
-  point.max_latency_cycles = sweep::unpack_double(rec.words[kMaxLatency]);
-  point.cycles = rec.words[kCycles];
-  point.packets_retried = rec.words[kPacketsRetried];
-  point.packets_dropped = rec.words[kPacketsDropped];
-  point.packets_unreachable = rec.words[kPacketsUnreachable];
-  point.duplicates_suppressed = rec.words[kDuplicatesSuppressed];
-  point.route_epochs = static_cast<int>(rec.words[kRouteEpochs]);
-  return point;
-}
-
 std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg) {
-  sweep::ShardRunOptions run;
-  run.threads = cfg.threads;
-  const std::vector<sweep::ScenarioRecord> records =
-      sweep::run_sweep_shard(make_noc_sweep_spec(cfg), run).records;
+  cfg.validate();
   const std::vector<SweepScenario> grid = cfg.scenarios();
-  std::vector<SweepPoint> out;
-  out.reserve(records.size());
-  for (const sweep::ScenarioRecord& rec : records)
-    out.push_back(noc_point_from_record(
-        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  std::vector<SweepPoint> out(grid.size());
+  sweep::run_scenarios(
+      static_cast<std::int64_t>(grid.size()), cfg.threads,
+      [&](int, std::int64_t scenario) {
+        const auto i = static_cast<std::size_t>(scenario);
+        out[i] = run_noc_scenario(grid[i], cfg, static_cast<int>(scenario));
+      });
   return out;
 }
 

@@ -1,18 +1,17 @@
 // Multithreaded NoC scenario-sweep harness.
 //
 // Latency/throughput characterization over a grid of {traffic pattern,
-// mesh size, injection rate, message length, fault} scenarios. The grid
-// is one util/sweep spec: run_noc_sweep() runs it through
-// sweep::run_sweep_shard as a single shard on cfg.threads workers and
-// decodes each record with noc_point_from_record(), the same spec and
-// decoder tools/renoc_sweep uses across processes. Determinism:
+// mesh size, injection rate, message length, fault} scenarios.
+// run_noc_sweep() runs the grid through sweep::run_scenarios on
+// cfg.threads workers, each scenario straight into its SweepPoint slot.
+// Determinism:
 //
 //   - every scenario gets its own RNG stream, sweep::scenario_rng(seed,
 //     scenario index) — never derived from the worker that runs it;
 //   - each scenario is simulated end to end by exactly one worker into
-//     its own record, and no cross-scenario state exists, so the result
-//     vector is bit-identical for any thread count or shard split, and any
-//     single scenario can be replayed in isolation with run_noc_scenario().
+//     its own slot, and no cross-scenario state exists, so the result
+//     vector is bit-identical for any thread count, and any single
+//     scenario can be replayed in isolation with run_noc_scenario().
 //
 // Methodology per scenario: warm up, clear the stats, measure for a fixed
 // window, then drain so every measured packet's latency is recorded.
@@ -27,7 +26,6 @@
 #include "noc/fabric.hpp"
 #include "noc/fault_model.hpp"
 #include "noc/traffic.hpp"
-#include "util/sweep.hpp"
 
 namespace renoc {
 
@@ -122,17 +120,5 @@ std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg);
 /// run_noc_scenario(cfg.scenarios()[i], cfg, i) for every i.
 SweepPoint run_noc_scenario(const SweepScenario& scenario,
                             const SweepConfig& cfg, int scenario_index);
-
-/// The sweep as a util/sweep spec: one scenario per grid cell in
-/// scenarios() order, 16-word records (counts raw, rates/latencies as
-/// pack_double bit patterns). Decoded records equal run_noc_sweep()'s
-/// points for any shard split or resume schedule. `cfg` must outlive the
-/// spec.
-sweep::SweepSpec make_noc_sweep_spec(const SweepConfig& cfg);
-
-/// Decodes a kCompleted service record back into the SweepPoint
-/// run_noc_sweep would have produced for that scenario.
-SweepPoint noc_point_from_record(const SweepScenario& scenario,
-                                 const sweep::ScenarioRecord& rec);
 
 }  // namespace renoc

@@ -31,8 +31,8 @@ void close_quietly(int fd) {
 
 void write_file_atomic(const std::string& path, std::string_view content) {
   // Same directory as the target, so the final rename cannot cross a
-  // filesystem boundary; pid-suffixed so concurrent writers (e.g. sweep
-  // shards flushing into one checkpoint directory) never share a temp.
+  // filesystem boundary; pid-suffixed so concurrent writer processes never
+  // share a temp.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   RENOC_CHECK_MSG(fd >= 0, "atomic write: cannot create " << tmp << ": "
@@ -83,16 +83,6 @@ void AtomicFile::commit() {
   RENOC_CHECK_MSG(!committed_, "AtomicFile: double commit of " << path_);
   committed_ = true;
   write_file_atomic(path_, buffer_.str());
-}
-
-void write_json_atomic(const std::string& path,
-                       const std::function<void(JsonWriter&)>& body) {
-  std::ostringstream buffer;
-  {
-    JsonWriter w(buffer);
-    body(w);
-  }
-  write_file_atomic(path, buffer.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -513,13 +503,6 @@ const char* kind_name(JsonValue::Kind k) {
   return "?";
 }
 
-bool key_skipped(std::string_view key, const JsonDiffOptions& opt) {
-  if (json_key_is_timing(key)) return true;
-  for (const std::string& s : opt.skip_keys)
-    if (key == s) return true;
-  return false;
-}
-
 void diff_rec(const JsonValue& golden, const JsonValue& candidate,
               const JsonDiffOptions& opt, const std::string& path,
               std::vector<std::string>& out) {
@@ -579,7 +562,7 @@ void diff_rec(const JsonValue& golden, const JsonValue& candidate,
     }
     case JsonValue::Kind::kObject: {
       for (const auto& [key, gv] : golden.members) {
-        if (key_skipped(key, opt)) continue;
+        if (json_key_is_timing(key)) continue;
         const JsonValue* cv = candidate.find(key);
         if (cv == nullptr) {
           out.push_back(path + "." + key + ": missing from candidate");
@@ -588,7 +571,7 @@ void diff_rec(const JsonValue& golden, const JsonValue& candidate,
         diff_rec(gv, *cv, opt, path + "." + key, out);
       }
       for (const auto& [key, cv] : candidate.members) {
-        if (key_skipped(key, opt)) continue;
+        if (json_key_is_timing(key)) continue;
         if (golden.find(key) == nullptr)
           out.push_back(path + "." + key + ": not in golden");
       }

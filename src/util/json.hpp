@@ -1,8 +1,8 @@
 // Machine-readable JSON artifacts: one writer, one parser, one comparator.
 //
 // renoc_paper publishes one PAPER_*.json record per paper figure/table,
-// renoc_sweep a SWEEP_*.json artifact, and paper_goldens_test diffs the
-// paper records against pinned goldens. They all share:
+// and paper_goldens_test diffs those records against pinned goldens. Both
+// share:
 //
 //   * JsonWriter   — a streaming pretty-printer with deterministic number
 //                    formatting (fixed precision, no locale), so identical
@@ -18,15 +18,14 @@
 //                    entirely (wall-clock timing is not a result).
 //
 // Artifacts are also *published* through this module: write_file_atomic /
-// AtomicFile / write_json_atomic stage the bytes in a temp file, fsync,
-// and rename over the target, so a reader (or a crashed writer) never
-// observes a half-written JSON file. The renoc_lint rule
+// AtomicFile stage the bytes in a temp file, fsync, and rename over the
+// target, so a reader (or a crashed writer) never observes a half-written
+// JSON file. The renoc_lint rule
 // atomic-artifact-write bans direct ofstream writes of artifacts outside
 // these helpers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -135,11 +134,6 @@ class AtomicFile {
   bool committed_ = false;
 };
 
-/// Convenience wrapper for whole-document writers: runs `body` against a
-/// JsonWriter over an in-memory buffer, then publishes atomically.
-void write_json_atomic(const std::string& path,
-                       const std::function<void(JsonWriter&)>& body);
-
 /// Parses a complete JSON document. Throws CheckError on malformed input
 /// or trailing garbage.
 JsonValue parse_json(std::string_view text);
@@ -150,9 +144,6 @@ JsonValue parse_json_file(const std::string& path);
 struct JsonDiffOptions {
   double abs_tol = 1e-6;   ///< real fields: |a-b| <= max(abs_tol, ...)
   double rel_tol = 5e-4;   ///< ... rel_tol * |golden|
-  /// Keys whose subtree is ignored (in addition to the built-in rule that
-  /// "ms" and "*_ms" keys are timing and never compared).
-  std::vector<std::string> skip_keys;
 };
 
 /// True for keys the golden comparison always ignores ("ms", "*_ms").

@@ -2,11 +2,11 @@
 //
 // The harness's design center is schedule-independence: per-block RNG
 // streams are derived statelessly from (seed, point, block), each block's
-// counts land in its own sweep record, and the fold is a plain sum, so the
+// counts land in their own slot, and the fold is a plain sum, so the
 // reported counts must be identical for any thread count. This suite pins
 // that property, the ber_block_rng replay contract, a serial decode of
 // every block as the independent oracle for every BerPoint count, and the
-// config validation. (sweep_test covers shard and resume invariance.)
+// config validation.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,16 +1,23 @@
 // Tests for the shared JSON layer (util/json): the streaming writer the
-// bench records are emitted with, the parser, and the golden-diff rules
-// CI relies on (integer fields exact, reals within tolerance, *_ms timing
-// keys skipped).
+// bench records are emitted with, the parser, the golden-diff rules CI
+// relies on (integer fields exact, reals within tolerance, *_ms timing
+// keys skipped), and atomic publication (write_file_atomic, AtomicFile).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace renoc {
 namespace {
+
+namespace fs = std::filesystem;
 
 std::string write_sample() {
   std::ostringstream os;
@@ -179,6 +186,86 @@ TEST(JsonDiffTest, ArrayLengthMismatchReported) {
   const JsonValue g = parse_json("[1, 2, 3]");
   const JsonValue c = parse_json("[1, 2]");
   EXPECT_FALSE(diff_json(g, c, JsonDiffOptions{}).empty());
+}
+
+// --- atomic publication ----------------------------------------------------
+
+/// Scratch directory, unique per test, created empty and removed on
+/// destruction.
+struct ScratchDir {
+  fs::path path;
+  explicit ScratchDir(const std::string& name)
+      : path(fs::temp_directory_path() /
+             ("renoc_json_test_" + name + "_" + std::to_string(::getpid()))) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScratchDir() { fs::remove_all(path); }
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(AtomicWriteTest, PublishesWholeFilesAndLeavesNoTemp) {
+  const ScratchDir dir("atomic");
+  const std::string path = (dir.path / "artifact.json").string();
+  write_file_atomic(path, "first");
+  EXPECT_EQ(slurp(path), "first");
+  write_file_atomic(path, "second");  // atomic replace of an existing file
+  EXPECT_EQ(slurp(path), "second");
+  int entries = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1);  // no .tmp litter
+}
+
+TEST(AtomicWriteTest, UncommittedAtomicFileLeavesTargetUntouched) {
+  const ScratchDir dir("uncommitted");
+  const std::string path = (dir.path / "artifact.json").string();
+  write_file_atomic(path, "golden");
+  {
+    AtomicFile file(path);
+    file.stream() << "half-written garbage";
+    // No commit: destructor must discard, not publish.
+  }
+  EXPECT_EQ(slurp(path), "golden");
+  AtomicFile file(path);
+  file.stream() << "replacement";
+  file.commit();
+  EXPECT_EQ(slurp(path), "replacement");
+  EXPECT_THROW(file.commit(), CheckError);  // commit is once
+}
+
+TEST(AtomicWriteTest, AtomicFileJsonParsesBackFromDisk) {
+  // The path every paper record takes: a JsonWriter over AtomicFile's
+  // stream, committed, then read back by parse_json_file.
+  const ScratchDir dir("jsonatomic");
+  const std::string path = (dir.path / "doc.json").string();
+  {
+    AtomicFile out(path);
+    {
+      JsonWriter w(out.stream());
+      w.begin_object();
+      w.key("answer").integer(42);
+      w.key("peak_c").real(85.4375, 4);
+      w.end_object();
+    }
+    out.commit();
+  }
+  const JsonValue doc = parse_json_file(path);
+  ASSERT_NE(doc.find("answer"), nullptr);
+  EXPECT_TRUE(doc.find("answer")->num_is_integer);
+  EXPECT_EQ(doc.find("answer")->num_v, 42.0);
+  ASSERT_NE(doc.find("peak_c"), nullptr);
+  EXPECT_EQ(doc.find("peak_c")->num_v, 85.4375);
+  EXPECT_THROW(parse_json_file((dir.path / "missing.json").string()),
+               CheckError);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "noc/sweep_harness.hpp"
 #include "noc/traffic.hpp"
 #include "support/alloc_guard.hpp"
+#include "support/helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/sweep.hpp"
@@ -987,25 +988,6 @@ TEST(MigrationAbortTest, LostStatePacketAbortsWithoutCommitting) {
 
 // --- Sweep fault axes ------------------------------------------------------
 
-bool points_equal(const SweepPoint& a, const SweepPoint& b) {
-  return a.scenario_index == b.scenario_index &&
-         a.messages_sent == b.messages_sent &&
-         a.messages_received == b.messages_received &&
-         a.messages_skipped == b.messages_skipped &&
-         a.packets_delivered == b.packets_delivered &&
-         a.flits_delivered == b.flits_delivered &&
-         a.offered_flit_rate == b.offered_flit_rate &&
-         a.injected_flit_rate == b.injected_flit_rate &&
-         a.accepted_flit_rate == b.accepted_flit_rate &&
-         a.avg_latency_cycles == b.avg_latency_cycles &&
-         a.max_latency_cycles == b.max_latency_cycles &&
-         a.cycles == b.cycles && a.packets_retried == b.packets_retried &&
-         a.packets_dropped == b.packets_dropped &&
-         a.packets_unreachable == b.packets_unreachable &&
-         a.duplicates_suppressed == b.duplicates_suppressed &&
-         a.route_epochs == b.route_epochs;
-}
-
 SweepConfig fault_sweep_config() {
   SweepConfig cfg;
   cfg.patterns = {TrafficPattern::kUniformRandom};
@@ -1031,7 +1013,7 @@ TEST(FaultSweepTest, BitIdenticalForAnyThreadCount) {
     const std::vector<SweepPoint> points = run_noc_sweep(cfg);
     ASSERT_EQ(points.size(), baseline.size());
     for (std::size_t i = 0; i < points.size(); ++i)
-      EXPECT_TRUE(points_equal(points[i], baseline[i]))
+      EXPECT_EQ(sweep_point_diff(points[i], baseline[i]), "")
           << "scenario " << i << " diverged at " << threads << " threads";
   }
 }
@@ -1045,10 +1027,11 @@ TEST(FaultSweepTest, AnyFaultScenarioReplaysInIsolation) {
   // O(1) replay: any scenario — including its fault plan — reproduces
   // without simulating the grid before it.
   for (std::size_t i = 0; i < grid.size(); ++i)
-    EXPECT_TRUE(points_equal(
-        run_noc_scenario(grid[static_cast<std::size_t>(i)], cfg,
-                         static_cast<int>(i)),
-        sweep[i]))
+    EXPECT_EQ(sweep_point_diff(
+                  run_noc_scenario(grid[static_cast<std::size_t>(i)], cfg,
+                                   static_cast<int>(i)),
+                  sweep[i]),
+              "")
         << "scenario " << i << " failed to replay";
 }
 

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "noc/fabric.hpp"
 #include "noc/sweep_harness.hpp"
 #include "noc/traffic.hpp"
+#include "support/helpers.hpp"
 #include "support/reference_fabric.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -531,20 +533,6 @@ SweepConfig small_sweep() {
   return cfg;
 }
 
-void expect_points_equal(const SweepPoint& a, const SweepPoint& b) {
-  EXPECT_EQ(a.scenario_index, b.scenario_index);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.messages_received, b.messages_received);
-  EXPECT_EQ(a.messages_skipped, b.messages_skipped);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
-  EXPECT_EQ(a.max_latency_cycles, b.max_latency_cycles);
-  EXPECT_EQ(a.offered_flit_rate, b.offered_flit_rate);
-  EXPECT_EQ(a.accepted_flit_rate, b.accepted_flit_rate);
-}
-
 TEST(SweepHarness, ResultsAreThreadCountInvariant) {
   SweepConfig cfg = small_sweep();
   cfg.threads = 1;
@@ -556,7 +544,7 @@ TEST(SweepHarness, ResultsAreThreadCountInvariant) {
     const std::vector<SweepPoint> pts = run_noc_sweep(cfg);
     ASSERT_EQ(pts.size(), baseline.size());
     for (std::size_t i = 0; i < pts.size(); ++i)
-      expect_points_equal(baseline[i], pts[i]);
+      EXPECT_EQ(sweep_point_diff(baseline[i], pts[i]), "") << "scenario " << i;
   }
 }
 
@@ -569,7 +557,8 @@ TEST(SweepHarness, SingleScenarioReplayMatchesSweep) {
     SCOPED_TRACE("scenario=" + std::to_string(i));
     const SweepPoint replay = run_noc_scenario(
         grid[static_cast<std::size_t>(i)], cfg, i);
-    expect_points_equal(sweep[static_cast<std::size_t>(i)], replay);
+    EXPECT_EQ(sweep_point_diff(sweep[static_cast<std::size_t>(i)], replay),
+              "");
   }
 }
 

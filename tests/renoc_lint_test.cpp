@@ -253,7 +253,7 @@ TEST(AtomicArtifactWriteTest, QuietOutsideArtifactScopeAndInJsonImpl) {
   const std::string src = "std::ofstream out(path);\n";
   // tools and tests stage scratch files on purpose; util/json IS the
   // atomic writer, so the underlying ofstream lives there.
-  EXPECT_TRUE(lint_source("tools/renoc_sweep.cpp", src).empty());
+  EXPECT_TRUE(lint_source("tools/golden_diff.cpp", src).empty());
   EXPECT_TRUE(lint_source("tests/sweep_test.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/util/json.cpp", src).empty());
   // Mentions that are not the token (comments, strings, other words).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "noc/routing.hpp"
@@ -43,6 +44,49 @@ bool phase_is_link_disjoint(const MigrationPhase& phase, const GridDim& dim) {
       if (!used.emplace(path[i], path[i + 1]).second) return false;
   }
   return true;
+}
+
+std::string sweep_point_diff(const SweepPoint& a, const SweepPoint& b) {
+  std::string out;
+  const auto field = [&out](bool same, const char* name) {
+    if (same) return;
+    if (!out.empty()) out += ", ";
+    out += name;
+  };
+  const SweepScenario& sa = a.scenario;
+  const SweepScenario& sb = b.scenario;
+  field(sa.pattern == sb.pattern, "scenario.pattern");
+  field(sa.dim == sb.dim, "scenario.dim");
+  field(sa.injection_rate == sb.injection_rate, "scenario.injection_rate");
+  field(sa.message_words == sb.message_words, "scenario.message_words");
+  field(sa.burst.enabled == sb.burst.enabled &&
+            sa.burst.p_on_to_off == sb.burst.p_on_to_off &&
+            sa.burst.p_off_to_on == sb.burst.p_off_to_on,
+        "scenario.burst");
+  field(sa.hotspot == sb.hotspot, "scenario.hotspot");
+  field(sa.fault_count == sb.fault_count, "scenario.fault_count");
+  field(sa.fault_kind == sb.fault_kind, "scenario.fault_kind");
+  field(sa.retry_budget == sb.retry_budget, "scenario.retry_budget");
+  field(a.scenario_index == b.scenario_index, "scenario_index");
+  field(a.messages_sent == b.messages_sent, "messages_sent");
+  field(a.messages_received == b.messages_received, "messages_received");
+  field(a.messages_skipped == b.messages_skipped, "messages_skipped");
+  field(a.packets_delivered == b.packets_delivered, "packets_delivered");
+  field(a.flits_delivered == b.flits_delivered, "flits_delivered");
+  field(a.offered_flit_rate == b.offered_flit_rate, "offered_flit_rate");
+  field(a.injected_flit_rate == b.injected_flit_rate, "injected_flit_rate");
+  field(a.accepted_flit_rate == b.accepted_flit_rate, "accepted_flit_rate");
+  field(a.avg_latency_cycles == b.avg_latency_cycles, "avg_latency_cycles");
+  field(a.max_latency_cycles == b.max_latency_cycles, "max_latency_cycles");
+  field(a.cycles == b.cycles, "cycles");
+  field(a.packets_retried == b.packets_retried, "packets_retried");
+  field(a.packets_dropped == b.packets_dropped, "packets_dropped");
+  field(a.packets_unreachable == b.packets_unreachable,
+        "packets_unreachable");
+  field(a.duplicates_suppressed == b.duplicates_suppressed,
+        "duplicates_suppressed");
+  field(a.route_epochs == b.route_epochs, "route_epochs");
+  return out;
 }
 
 namespace sweep {

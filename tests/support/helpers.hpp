@@ -8,12 +8,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/phase_scheduler.hpp"
 #include "floorplan/grid.hpp"
 #include "ldpc/code.hpp"
 #include "ldpc/partition.hpp"
+#include "noc/sweep_harness.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace renoc {
@@ -30,6 +32,13 @@ Partition make_interleaved_partition(const LdpcCode& code, int clusters);
 /// True if every pair of moves in the phase uses disjoint directed links
 /// of their XY paths.
 bool phase_is_link_disjoint(const MigrationPhase& phase, const GridDim& dim);
+
+/// Names of the fields in which two sweep points differ, comma-separated
+/// in declaration order, or "" when they agree in every field: every
+/// SweepScenario field (the burst parameters included), the scenario
+/// index, every count, rate and latency, and every delivery-guard
+/// counter. Reals compare exactly, so "" means bit-identical results.
+std::string sweep_point_diff(const SweepPoint& a, const SweepPoint& b);
 
 namespace sweep {
 

@@ -136,12 +136,6 @@ std::optional<Message> ReferenceFabric::try_receive(int node) {
   return m;
 }
 
-int ReferenceFabric::delivered_count(int node) const {
-  RENOC_CHECK(node >= 0 && node < node_count());
-  return static_cast<int>(
-      nis_[static_cast<std::size_t>(node)].delivered.size());
-}
-
 void ReferenceFabric::stage_next_message(int node) {
   auto& ni = nis_[static_cast<std::size_t>(node)];
   if (ni.send_queue.empty()) return;
@@ -303,14 +297,6 @@ void ReferenceFabric::set_injection_enabled(int node, bool enabled) {
 bool ReferenceFabric::injection_enabled(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   return nis_[static_cast<std::size_t>(node)].enabled;
-}
-
-int ReferenceFabric::pending_send_count(int node) const {
-  RENOC_CHECK(node >= 0 && node < node_count());
-  const auto& ni = nis_[static_cast<std::size_t>(node)];
-  int staged_left =
-      static_cast<int>(ni.staged_flits.size() - ni.staged_pos) > 0 ? 1 : 0;
-  return static_cast<int>(ni.send_queue.size()) + staged_left;
 }
 
 }  // namespace renoc

@@ -143,9 +143,6 @@ class ReferenceFabric {
   /// Pops the next fully-reassembled message delivered to `node`, if any.
   std::optional<Message> try_receive(int node);
 
-  /// Number of delivered-but-unread messages at `node`.
-  int delivered_count(int node) const;
-
   /// Advances the clock by one cycle.
   void step();
   /// Advances `n` cycles.
@@ -163,9 +160,6 @@ class ReferenceFabric {
   /// migration; delivery continues so in-flight packets can land).
   void set_injection_enabled(int node, bool enabled);
   bool injection_enabled(int node) const;
-
-  /// Messages waiting (not yet fully injected) at a node's NI.
-  int pending_send_count(int node) const;
 
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }

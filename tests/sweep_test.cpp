@@ -1,34 +1,25 @@
-// util/sweep tests: the crash-safe sweep service's full contract.
+// util/sweep tests: the in-process scenario loop's contract.
 //
-// Four clusters:
+// Two clusters:
 //   * indexing/RNG/boilerplate — decode/encode round trips on every
 //     harness's axis shape, enumeration-order equality with nested loops,
 //     the stateless per-scenario stream every harness draws from, and the
 //     pinned shared validation messages all three harnesses emit;
-//   * sharding — stride partition properties and bit-identity of any
-//     N-way merge with the single-shard run, for the toy spec and for all
-//     three harness specs. Each harness's run_*_sweep entry point is that
-//     single-shard run, so these cases cover what renoc_paper runs;
-//   * checkpointing — segment round trips, kill-at-every-boundary resume
-//     (every stop point merges bit-identical to a straight-through run),
-//     a half-way kill and resume on all three harness specs, and the
-//     validation ladder: each defect class (truncated file,
-//     flipped payload bit, wrong schema version, overlapping ranges,
-//     stale config, wrong geometry, malformed record, out-of-range
-//     integer) is rejected with a CheckError naming that defect;
-//   * conservation — completed + failed + skipped == enumerated in every
-//     merge, with failures captured and missing shards materialized as
-//     skipped.
+//   * the scenario loop — run_scenarios runs every index exactly once on
+//     any thread count, hands each worker an index into per-worker state,
+//     runs inline on one worker, and stops claiming after the first
+//     failure, which it rethrows. The harnesses' 1/2/4/7-thread invariance
+//     suites (ber_harness_test, noc_flat_test, noc_fault_test,
+//     experiment_sweep_test) hold their typed results to the same loop.
 #include "util/sweep.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment_sweep.hpp"
@@ -36,13 +27,10 @@
 #include "noc/sweep_harness.hpp"
 #include "support/helpers.hpp"
 #include "util/check.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace renoc::sweep {
 namespace {
-
-namespace fs = std::filesystem;
 
 // --- helpers ---------------------------------------------------------------
 
@@ -55,77 +43,6 @@ std::string check_message(Fn&& fn) {
     return e.what();
   }
   return "";
-}
-
-/// Deterministic toy spec: scenario i's record is the first `words` draws
-/// of scenario_rng(salt, i). Cheap enough to run hundreds of times.
-SweepSpec toy_spec(std::int64_t enumerated, int words = 3,
-                   std::uint64_t salt = 42) {
-  SweepSpec spec;
-  spec.enumerated = enumerated;
-  spec.record_words = words;
-  DigestBuilder digest;
-  digest.fold_string("toy").fold(salt).fold_int(enumerated).fold_int(words);
-  spec.config_digest = digest.digest();
-  spec.make_runner = [salt, words] {
-    return [salt, words](std::int64_t scenario, std::uint64_t* out) {
-      Rng rng = scenario_rng(salt, scenario);
-      for (int k = 0; k < words; ++k) out[k] = rng.next_u64();
-    };
-  };
-  return spec;
-}
-
-bool records_equal(const std::vector<ScenarioRecord>& a,
-                   const std::vector<ScenarioRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].scenario != b[i].scenario || a[i].outcome != b[i].outcome ||
-        a[i].words != b[i].words)
-      return false;
-  return true;
-}
-
-/// Scratch checkpoint directory, unique per test, removed on destruction.
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const std::string& name)
-      : path(fs::temp_directory_path() /
-             ("renoc_sweep_test_" + name + "_" +
-              std::to_string(::getpid()))) {
-    fs::remove_all(path);
-  }
-  ~ScratchDir() { fs::remove_all(path); }
-  CheckpointConfig ckpt(int every = 2) const {
-    CheckpointConfig c;
-    c.directory = path.string();
-    c.every = every;
-    return c;
-  }
-};
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return text;
-}
-
-void spill(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-}
-
-/// In-place text edit of a checkpoint file; fails the test if `from` is
-/// absent.
-void patch_file(const std::string& path, const std::string& from,
-                const std::string& to) {
-  std::string text = slurp(path);
-  const std::size_t pos = text.find(from);
-  ASSERT_NE(pos, std::string::npos) << from << " not in " << path;
-  text.replace(pos, from.size(), to);
-  spill(path, text);
 }
 
 // --- scenario indexing -----------------------------------------------------
@@ -304,513 +221,81 @@ TEST(ValidationTest, ClampWorkers) {
   EXPECT_THROW(clamp_workers(0, 10), CheckError);
 }
 
-// --- sharding --------------------------------------------------------------
+// --- the scenario loop -----------------------------------------------------
 
-TEST(ShardTest, StridePartitionIsExactAndAscending) {
-  const std::int64_t enumerated = 23;
-  for (const int count : {1, 2, 3, 4, 7}) {
-    std::vector<int> owner(static_cast<std::size_t>(enumerated), -1);
-    std::int64_t total = 0;
-    for (int i = 0; i < count; ++i) {
-      const Shard shard{i, count};
-      shard.validate();
-      const std::int64_t owned = shard.owned_count(enumerated);
-      total += owned;
-      std::int64_t prev = -1;
-      for (std::int64_t pos = 0; pos < owned; ++pos) {
-        const std::int64_t s = shard.owned_at(pos);
-        ASSERT_GE(s, 0);
-        ASSERT_LT(s, enumerated);
-        ASSERT_GT(s, prev);  // ascending
-        prev = s;
-        ASSERT_TRUE(shard.owns(s));
-        ASSERT_EQ(owner[static_cast<std::size_t>(s)], -1);  // disjoint
-        owner[static_cast<std::size_t>(s)] = i;
-      }
-    }
-    EXPECT_EQ(total, enumerated);  // complete
-  }
-}
-
-TEST(ShardTest, RejectsBadGeometry) {
-  EXPECT_THROW((Shard{0, 0}.validate()), CheckError);
-  EXPECT_THROW((Shard{-1, 2}.validate()), CheckError);
-  EXPECT_THROW((Shard{2, 2}.validate()), CheckError);
-}
-
-TEST(ShardRunTest, AnySplitMergesToTheSingleShardRun) {
-  const SweepSpec spec = toy_spec(17);
-  const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  ASSERT_EQ(baseline.size(), 17u);
-  for (const int shards : {1, 2, 4}) {
-    std::vector<std::vector<ScenarioRecord>> parts;
-    for (int s = 0; s < shards; ++s) {
-      ShardRunOptions opt;
-      opt.shard = Shard{s, shards};
-      parts.push_back(run_sweep_shard(spec, opt).records);
-    }
-    const MergeResult merged = merge_shard_records(spec.enumerated, parts);
-    EXPECT_TRUE(merged.counts.conserved());
-    EXPECT_EQ(merged.counts.skipped, 0);
-    EXPECT_TRUE(records_equal(baseline, merged.records)) << shards;
-  }
-}
-
-TEST(ShardRunTest, ThreadCountDoesNotChangeRecords) {
-  const SweepSpec spec = toy_spec(11);
-  const std::vector<ScenarioRecord> one =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  ShardRunOptions four;
-  four.threads = 4;
-  EXPECT_TRUE(records_equal(one, run_sweep_shard(spec, four).records));
-}
-
-// --- harness adapters ------------------------------------------------------
-
-/// The service contract on a real harness spec: the 2- and 4-way stride
-/// splits, and a run killed half way and then resumed, all merge to the
-/// single-shard records. Returns those records for the caller to compare
-/// against the harness's run_*_sweep entry point, which runs that same
-/// single shard in process.
-std::vector<ScenarioRecord> expect_service_identity(const SweepSpec& spec,
-                                                    const std::string& name) {
-  const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  EXPECT_EQ(static_cast<std::int64_t>(baseline.size()), spec.enumerated);
-  for (const int shards : {2, 4}) {
-    std::vector<std::vector<ScenarioRecord>> parts;
-    for (int s = 0; s < shards; ++s) {
-      ShardRunOptions opt;
-      opt.shard = Shard{s, shards};
-      parts.push_back(run_sweep_shard(spec, opt).records);
-    }
-    const MergeResult merged = merge_shard_records(spec.enumerated, parts);
-    EXPECT_TRUE(merged.counts.conserved()) << shards;
-    EXPECT_EQ(merged.counts.skipped, 0) << shards;
-    EXPECT_TRUE(records_equal(baseline, merged.records)) << shards;
-  }
-
-  // Kill half way (no tail flush, as a SIGKILL would) with a checkpoint
-  // period of a quarter, so the resume must recover flushed records rather
-  // than recompute everything.
-  const ScratchDir dir(name);
-  ShardRunOptions killed;
-  killed.checkpoint = dir.ckpt(
-      static_cast<int>(std::max<std::int64_t>(1, spec.enumerated / 4)));
-  killed.stop_after = spec.enumerated / 2;
-  run_sweep_shard(spec, killed);
-  ShardRunOptions resume;
-  resume.checkpoint = killed.checkpoint;
-  const ShardRunResult done = run_sweep_shard(spec, resume);
-  EXPECT_GT(done.resumed, 0);
-  EXPECT_TRUE(records_equal(baseline, done.records));
-  const MergeResult merged = merge_checkpoints(spec, resume.checkpoint, 1);
-  EXPECT_TRUE(merged.counts.conserved());
-  EXPECT_EQ(merged.counts.skipped, 0);
-  EXPECT_TRUE(records_equal(baseline, merged.records));
-  return baseline;
-}
-
-TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
-  Rng code_rng(3);
-  const LdpcCode code = LdpcCode::make_regular(120, 3, 6, code_rng);
-  const LdpcEncoder encoder(code);
-  BerConfig cfg;
-  cfg.ebn0_db = {1.0, 3.0};
-  cfg.blocks_per_point = 5;
-  cfg.iterations = 4;
-  cfg.seed = 99;
-  const std::vector<BerPoint> direct = run_ber_sweep(code, encoder, cfg);
-
-  const SweepSpec spec = make_ber_sweep_spec(code, encoder, cfg);
-  EXPECT_EQ(spec.enumerated, 10);
-  const std::vector<BerPoint> service =
-      ber_points_from_records(cfg, expect_service_identity(spec, "ber"));
-  ASSERT_EQ(service.size(), direct.size());
-  for (std::size_t p = 0; p < direct.size(); ++p) {
-    EXPECT_EQ(service[p].ebn0_db, direct[p].ebn0_db);
-    EXPECT_EQ(service[p].blocks, direct[p].blocks);
-    EXPECT_EQ(service[p].bits, direct[p].bits);
-    EXPECT_EQ(service[p].bit_errors, direct[p].bit_errors);
-    EXPECT_EQ(service[p].block_errors, direct[p].block_errors);
-    EXPECT_EQ(service[p].iterations_total, direct[p].iterations_total);
-  }
-}
-
-TEST(HarnessAdapterTest, NocServiceRunEqualsDirectSweep) {
-  SweepConfig cfg;
-  cfg.patterns = {TrafficPattern::kUniformRandom, TrafficPattern::kTranspose};
-  cfg.injection_rates = {0.05, 0.2};
-  cfg.fault_counts = {0, 2};
-  cfg.retry_budgets = {3};
-  cfg.warmup_cycles = 50;
-  cfg.measure_cycles = 150;
-  cfg.seed = 7;
-  const std::vector<SweepPoint> direct = run_noc_sweep(cfg);
-  const std::vector<SweepScenario> grid = cfg.scenarios();
-
-  const SweepSpec spec = make_noc_sweep_spec(cfg);
-  ASSERT_EQ(spec.enumerated, static_cast<std::int64_t>(direct.size()));
-  const std::vector<ScenarioRecord> records =
-      expect_service_identity(spec, "noc");
-  ASSERT_EQ(records.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    const SweepPoint got = noc_point_from_record(grid[i], records[i]);
-    const SweepPoint& want = direct[i];
-    EXPECT_EQ(got.scenario_index, want.scenario_index);
-    EXPECT_EQ(got.messages_sent, want.messages_sent);
-    EXPECT_EQ(got.messages_received, want.messages_received);
-    EXPECT_EQ(got.messages_skipped, want.messages_skipped);
-    EXPECT_EQ(got.packets_delivered, want.packets_delivered);
-    EXPECT_EQ(got.flits_delivered, want.flits_delivered);
-    EXPECT_EQ(got.offered_flit_rate, want.offered_flit_rate);
-    EXPECT_EQ(got.injected_flit_rate, want.injected_flit_rate);
-    EXPECT_EQ(got.accepted_flit_rate, want.accepted_flit_rate);
-    EXPECT_EQ(got.avg_latency_cycles, want.avg_latency_cycles);
-    EXPECT_EQ(got.max_latency_cycles, want.max_latency_cycles);
-    EXPECT_EQ(got.cycles, want.cycles);
-    EXPECT_EQ(got.packets_retried, want.packets_retried);
-    EXPECT_EQ(got.packets_dropped, want.packets_dropped);
-    EXPECT_EQ(got.packets_unreachable, want.packets_unreachable);
-    EXPECT_EQ(got.duplicates_suppressed, want.duplicates_suppressed);
-    EXPECT_EQ(got.route_epochs, want.route_epochs);
-  }
-}
-
-TEST(HarnessAdapterTest, ExperimentServiceRunEqualsDirectSweep) {
-  ExperimentSweepConfig cfg;
-  cfg.schemes = {MigrationScheme::kNone, MigrationScheme::kRotation};
-  cfg.periods_s = {109.3e-6};
-  cfg.power_scales = {1.0, 1.25};
-  cfg.refines = {1};
-  cfg.thermal.min_orbits = 1;
-  cfg.thermal.max_orbits = 2;
-  cfg.thermal.tol_c = 0.5;
-  cfg.seed = 1234;
-  const std::vector<ExperimentSweepPoint> direct = run_experiment_sweep(cfg);
-  const std::vector<ExperimentScenario> grid = cfg.scenarios();
-
-  const SweepSpec spec = make_experiment_sweep_spec(cfg);
-  ASSERT_EQ(spec.enumerated, static_cast<std::int64_t>(direct.size()));
-  const std::vector<ScenarioRecord> records =
-      expect_service_identity(spec, "experiment");
-  ASSERT_EQ(records.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    const ExperimentSweepPoint got =
-        experiment_point_from_record(grid[i], records[i]);
-    const ExperimentSweepPoint& want = direct[i];
-    EXPECT_EQ(got.scenario_index, want.scenario_index);
-    EXPECT_EQ(got.orbit_length, want.orbit_length);
-    EXPECT_EQ(got.fine_nodes, want.fine_nodes);
-    EXPECT_EQ(got.static_peak_c, want.static_peak_c);
-    EXPECT_EQ(got.peak_temp_c, want.peak_temp_c);
-    EXPECT_EQ(got.reduction_c, want.reduction_c);
-    EXPECT_EQ(got.mean_temp_c, want.mean_temp_c);
-    EXPECT_EQ(got.ripple_c, want.ripple_c);
-    EXPECT_EQ(got.steady_peak_of_avg_c, want.steady_peak_of_avg_c);
-    EXPECT_EQ(got.orbits_run, want.orbits_run);
-    EXPECT_EQ(got.converged, want.converged);
-  }
-}
-
-// --- checkpointing ---------------------------------------------------------
-
-TEST(CheckpointTest, SegmentsRoundTripAndResumeRunsNothing) {
-  const SweepSpec spec = toy_spec(10);
-  const ScratchDir dir("roundtrip");
-  ShardRunOptions opt;
-  opt.checkpoint = dir.ckpt(/*every=*/3);
-  const ShardRunResult first = run_sweep_shard(spec, opt);
-  EXPECT_EQ(first.resumed, 0);
-  // 10 scenarios at period 3: three full segments plus the tail flush.
-  EXPECT_EQ(first.segments_written, 4);
-
-  int segments = 0;
-  const std::vector<ScenarioRecord> loaded =
-      load_shard_checkpoints(spec, opt.checkpoint, opt.shard, &segments);
-  EXPECT_EQ(segments, 4);
-  EXPECT_TRUE(records_equal(first.records, loaded));
-
-  // A rerun over complete checkpoints re-enumerates nothing.
-  const ShardRunResult again = run_sweep_shard(spec, opt);
-  EXPECT_EQ(again.resumed, 10);
-  EXPECT_EQ(again.segments_written, 0);
-  EXPECT_TRUE(records_equal(first.records, again.records));
-}
-
-TEST(CheckpointTest, KillAtEveryBoundaryResumesToIdenticalBits) {
-  const SweepSpec spec = toy_spec(12);
-  const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  // Kill after every possible number of completed scenarios (stop_after
-  // abandons the run without the tail flush, exactly like a SIGKILL), then
-  // resume to completion and demand bit-identity with the straight-through
-  // run.
-  for (std::int64_t stop = 0; stop <= 12; ++stop) {
-    const ScratchDir dir("kill" + std::to_string(stop));
-    ShardRunOptions killed;
-    killed.checkpoint = dir.ckpt(/*every=*/2);
-    killed.stop_after = stop;
-    run_sweep_shard(spec, killed);
-
-    ShardRunOptions resume;
-    resume.checkpoint = killed.checkpoint;
-    const ShardRunResult done = run_sweep_shard(spec, resume);
-    EXPECT_EQ(done.resumed, (stop / 2) * 2) << stop;  // whole segments only
-    EXPECT_TRUE(records_equal(baseline, done.records)) << stop;
-
-    const MergeResult merged =
-        merge_checkpoints(spec, resume.checkpoint, 1);
-    EXPECT_TRUE(merged.counts.conserved());
-    EXPECT_EQ(merged.counts.skipped, 0) << stop;
-    EXPECT_TRUE(records_equal(baseline, merged.records)) << stop;
-  }
-}
-
-TEST(CheckpointTest, ShardedKillAndResumeMergesToBaseline) {
-  const SweepSpec spec = toy_spec(14);
-  const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  const ScratchDir dir("shardkill");
-  // Shard 1 of 2 dies mid-run; shard 0 completes. The rerun of shard 1
-  // resumes from its segments and the merge is bit-identical.
-  ShardRunOptions s0;
-  s0.shard = Shard{0, 2};
-  s0.checkpoint = dir.ckpt();
-  run_sweep_shard(spec, s0);
-  ShardRunOptions s1 = s0;
-  s1.shard = Shard{1, 2};
-  s1.stop_after = 3;
-  run_sweep_shard(spec, s1);
-  s1.stop_after = -1;
-  const ShardRunResult resumed = run_sweep_shard(spec, s1);
-  EXPECT_EQ(resumed.resumed, 2);  // one full segment of the killed run
-
-  const MergeResult merged = merge_checkpoints(spec, dir.ckpt(), 2);
-  EXPECT_TRUE(merged.counts.conserved());
-  EXPECT_EQ(merged.counts.skipped, 0);
-  EXPECT_TRUE(records_equal(baseline, merged.records));
-}
-
-// --- the validation ladder -------------------------------------------------
-
-/// Writes a complete two-segment checkpoint store for the toy spec and
-/// returns the paths of segments 0 and 1.
-struct CorruptFixture {
-  SweepSpec spec = toy_spec(8);
-  ScratchDir dir;
-  std::string seg0;
-  std::string seg1;
-
-  explicit CorruptFixture(const std::string& name) : dir(name) {
-    ShardRunOptions opt;
-    opt.checkpoint = dir.ckpt(/*every=*/4);
-    run_sweep_shard(spec, opt);
-    seg0 = checkpoint_segment_path(opt.checkpoint, opt.shard, 0);
-    seg1 = checkpoint_segment_path(opt.checkpoint, opt.shard, 1);
-    EXPECT_TRUE(fs::exists(seg0));
-    EXPECT_TRUE(fs::exists(seg1));
-  }
-
-  std::string load_error() {
-    return check_message([&] {
-      load_shard_checkpoints(spec, dir.ckpt(4), Shard{}, nullptr);
+TEST(RunScenariosTest, EveryIndexRunsExactlyOnceAtAnyThreadCount) {
+  // Each scenario writes the first draw of its own stream into its slot;
+  // the slots must match the serial run and every index must run once, on
+  // a worker index below the worker count.
+  const std::int64_t count = 23;
+  std::vector<std::uint64_t> serial(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i)
+    serial[static_cast<std::size_t>(i)] = scenario_rng(42, i).next_u64();
+  for (const int threads : {1, 2, 4, 7}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const int workers = clamp_workers(threads, count);
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(count));
+    std::vector<std::uint64_t> slots(static_cast<std::size_t>(count));
+    std::atomic<bool> worker_in_range{true};
+    run_scenarios(count, threads, [&](int worker, std::int64_t scenario) {
+      if (worker < 0 || worker >= workers) worker_in_range = false;
+      runs[static_cast<std::size_t>(scenario)].fetch_add(1);
+      slots[static_cast<std::size_t>(scenario)] =
+          scenario_rng(42, scenario).next_u64();
     });
+    EXPECT_TRUE(worker_in_range);
+    for (std::int64_t i = 0; i < count; ++i)
+      EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << i;
+    EXPECT_EQ(slots, serial);
   }
-};
-
-TEST(CheckpointDefectTest, TruncatedFileIsNamed) {
-  CorruptFixture fx("truncated");
-  const std::string text = slurp(fx.seg1);
-  spill(fx.seg1, text.substr(0, text.size() / 2));
-  EXPECT_NE(fx.load_error().find("truncated or malformed"),
-            std::string::npos);
 }
 
-TEST(CheckpointDefectTest, FlippedPayloadBitIsNamed) {
-  CorruptFixture fx("bitflip");
-  // Flip one hex digit of the first record's payload to another valid
-  // digit: the JSON stays well formed, only the checksum can notice.
-  std::string text = slurp(fx.seg0);
-  const std::size_t key = text.find("\"words\": \"");
-  ASSERT_NE(key, std::string::npos);
-  const std::size_t digit = key + std::string("\"words\": \"").size();
-  text[digit] = text[digit] == '7' ? '8' : '7';
-  spill(fx.seg0, text);
-  EXPECT_NE(fx.load_error().find("payload checksum mismatch"),
-            std::string::npos);
+TEST(RunScenariosTest, OneWorkerRunsInlineInAscendingOrder) {
+  // One thread, or one scenario on many threads: a single worker, on the
+  // calling thread, claiming indices in ascending order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [count, threads] :
+       {std::pair<std::int64_t, int>{6, 1}, std::pair<std::int64_t, int>{1, 4}}) {
+    std::vector<std::int64_t> order;
+    bool inline_worker = true;
+    run_scenarios(count, threads, [&](int worker, std::int64_t scenario) {
+      inline_worker = inline_worker && worker == 0 &&
+                      std::this_thread::get_id() == caller;
+      order.push_back(scenario);
+    });
+    EXPECT_TRUE(inline_worker) << count << " on " << threads;
+    std::vector<std::int64_t> want;
+    for (std::int64_t i = 0; i < count; ++i) want.push_back(i);
+    EXPECT_EQ(order, want);
+  }
+  // No scenarios: the body never runs.
+  bool ran = false;
+  run_scenarios(0, 4, [&](int, std::int64_t) { ran = true; });
+  EXPECT_FALSE(ran);
 }
 
-TEST(CheckpointDefectTest, WrongSchemaVersionIsNamed) {
-  CorruptFixture fx("version");
-  patch_file(fx.seg0, "\"version\": 1", "\"version\": 2");
-  EXPECT_NE(fx.load_error().find("unsupported checkpoint schema or version"),
-            std::string::npos);
-}
-
-TEST(CheckpointDefectTest, OverlappingRangesAreNamed) {
-  CorruptFixture fx("overlap");
-  // Segment 1 claims the same scenarios segment 0 already covered.
-  fs::copy_file(fx.seg0, fx.seg1, fs::copy_options::overwrite_existing);
-  EXPECT_NE(fx.load_error().find("overlapping scenario ranges"),
-            std::string::npos);
-}
-
-TEST(CheckpointDefectTest, StaleConfigIsNamed) {
-  CorruptFixture fx("stale");
-  // Same files, different sweep config (a new salt changes the digest):
-  // resuming must refuse, not silently merge results of the old config.
-  fx.spec = toy_spec(8, 3, /*salt=*/43);
-  EXPECT_NE(fx.load_error().find("config digest mismatch"),
-            std::string::npos);
-}
-
-TEST(CheckpointDefectTest, WrongShardGeometryIsNamed) {
-  CorruptFixture fx("geometry");
-  // A 1-shard segment masquerading under a 2-shard path: the embedded
-  // geometry gives it away.
-  CheckpointConfig two = fx.dir.ckpt(4);
-  fs::copy_file(fx.seg0, checkpoint_segment_path(two, Shard{0, 2}, 0),
-                fs::copy_options::overwrite_existing);
+TEST(RunScenariosTest, FirstFailureStopsClaimsAndRethrows) {
+  // At one thread, no index after the one that throws runs.
+  std::vector<std::int64_t> ran;
   const std::string message = check_message([&] {
-    load_shard_checkpoints(fx.spec, two, Shard{0, 2}, nullptr);
+    run_scenarios(10, 1, [&](int, std::int64_t scenario) {
+      ran.push_back(scenario);
+      RENOC_CHECK_MSG(scenario != 3, "scenario " << scenario << " died");
+    });
   });
-  EXPECT_NE(message.find("shard geometry or record shape mismatch"),
-            std::string::npos);
-}
-
-TEST(CheckpointDefectTest, MalformedRecordIsNamed) {
-  CorruptFixture fx("record");
-  patch_file(fx.seg0, "\"outcome\": \"completed\"",
-             "\"outcome\": \"exploded\"");
-  EXPECT_NE(fx.load_error().find("malformed checkpoint record"),
-            std::string::npos);
-}
-
-TEST(CheckpointDefectTest, OutOfRangeIntegerIsNamed) {
-  CorruptFixture fx("bigint");
-  // The parser holds numbers as doubles; 1e20 fits no long long, so the
-  // loader must reject it by name before converting it.
-  patch_file(fx.seg0, "\"scenario_min\": 0",
-             "\"scenario_min\": 99999999999999999999");
-  const std::string message = fx.load_error();
-  EXPECT_NE(message.find("integer 'scenario_min' out of range"),
-            std::string::npos)
-      << message;
-  EXPECT_NE(message.find(fx.seg0), std::string::npos) << message;
-}
-
-// --- conservation and failure capture --------------------------------------
-
-/// Toy spec whose runner throws on every third scenario.
-SweepSpec faulty_spec(std::int64_t enumerated) {
-  SweepSpec spec = toy_spec(enumerated, 2, /*salt=*/5);
-  spec.make_runner = [] {
-    return [](std::int64_t scenario, std::uint64_t* out) {
-      RENOC_CHECK_MSG(scenario % 3 != 0, "scenario " << scenario << " died");
-      Rng rng = scenario_rng(5, scenario);
-      out[0] = rng.next_u64();
-      out[1] = rng.next_u64();
-    };
-  };
-  return spec;
-}
-
-TEST(ConservationTest, CapturedFailuresCountAsFailedNotSkipped) {
-  const SweepSpec spec = faulty_spec(10);
-  ShardRunOptions opt;
-  opt.capture_failures = true;
-  const ShardRunResult run = run_sweep_shard(spec, opt);
-  const MergeResult merged = merge_shard_records(10, {run.records});
-  EXPECT_TRUE(merged.counts.conserved());
-  EXPECT_EQ(merged.counts.failed, 4);     // scenarios 0, 3, 6, 9
-  EXPECT_EQ(merged.counts.completed, 6);
-  EXPECT_EQ(merged.counts.skipped, 0);
-  EXPECT_EQ(merged.incomplete,
-            (std::vector<std::int64_t>{0, 3, 6, 9}));
-  for (const ScenarioRecord& rec : merged.records) {
-    if (rec.outcome == Outcome::kFailed) {
-      EXPECT_TRUE(rec.words.empty());
-    }
+  EXPECT_NE(message.find("scenario 3 died"), std::string::npos) << message;
+  EXPECT_EQ(ran, (std::vector<std::int64_t>{0, 1, 2, 3}));
+  // On several threads the failure still reaches the caller after the join.
+  for (const int threads : {2, 4, 7}) {
+    EXPECT_THROW(run_scenarios(50, threads,
+                               [](int, std::int64_t scenario) {
+                                 RENOC_CHECK_MSG(scenario % 3 != 0,
+                                                 "scenario " << scenario
+                                                             << " died");
+                               }),
+                 CheckError)
+        << threads;
   }
-}
-
-TEST(ConservationTest, UncapturedFailureRethrows) {
-  const SweepSpec spec = faulty_spec(10);
-  EXPECT_THROW(run_sweep_shard(spec, ShardRunOptions{}), CheckError);
-}
-
-TEST(ConservationTest, MissingShardMaterializesAsSkipped) {
-  const SweepSpec spec = toy_spec(9);
-  ShardRunOptions opt;
-  opt.shard = Shard{0, 3};
-  const ShardRunResult only = run_sweep_shard(spec, opt);
-  const MergeResult merged = merge_shard_records(9, {only.records});
-  EXPECT_TRUE(merged.counts.conserved());
-  EXPECT_EQ(merged.counts.completed, 3);  // scenarios 0, 3, 6
-  EXPECT_EQ(merged.counts.skipped, 6);
-  EXPECT_EQ(merged.incomplete,
-            (std::vector<std::int64_t>{1, 2, 4, 5, 7, 8}));
-}
-
-TEST(ConservationTest, DuplicateScenarioIsAnOverlapError) {
-  const SweepSpec spec = toy_spec(5);
-  const std::vector<ScenarioRecord> records =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  const std::string message = check_message(
-      [&] { merge_shard_records(5, {records, records}); });
-  EXPECT_NE(message.find("overlapping scenario ranges"), std::string::npos);
-}
-
-// --- atomic publication ----------------------------------------------------
-
-TEST(AtomicWriteTest, PublishesWholeFilesAndLeavesNoTemp) {
-  const ScratchDir dir("atomic");
-  fs::create_directories(dir.path);
-  const std::string path = (dir.path / "artifact.json").string();
-  write_file_atomic(path, "first");
-  EXPECT_EQ(slurp(path), "first");
-  write_file_atomic(path, "second");  // atomic replace of an existing file
-  EXPECT_EQ(slurp(path), "second");
-  int entries = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    (void)entry;
-    ++entries;
-  }
-  EXPECT_EQ(entries, 1);  // no .tmp litter
-}
-
-TEST(AtomicWriteTest, UncommittedAtomicFileLeavesTargetUntouched) {
-  const ScratchDir dir("uncommitted");
-  fs::create_directories(dir.path);
-  const std::string path = (dir.path / "artifact.json").string();
-  write_file_atomic(path, "golden");
-  {
-    AtomicFile file(path);
-    file.stream() << "half-written garbage";
-    // No commit: destructor must discard, not publish.
-  }
-  EXPECT_EQ(slurp(path), "golden");
-  AtomicFile file(path);
-  file.stream() << "replacement";
-  file.commit();
-  EXPECT_EQ(slurp(path), "replacement");
-  EXPECT_THROW(file.commit(), CheckError);  // commit is once
-}
-
-TEST(AtomicWriteTest, WriteJsonAtomicEmitsParseableDocument) {
-  const ScratchDir dir("jsonatomic");
-  fs::create_directories(dir.path);
-  const std::string path = (dir.path / "doc.json").string();
-  write_json_atomic(path, [](JsonWriter& w) {
-    w.begin_object();
-    w.key("answer").integer(42);
-    w.end_object();
-  });
-  const JsonValue doc = parse_json_file(path);
-  ASSERT_NE(doc.find("answer"), nullptr);
-  EXPECT_EQ(doc.find("answer")->num_v, 42.0);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 // ignored.
 //
 // Usage: renoc_golden_diff <golden.json> <candidate.json>
-//                          [--abs-tol X] [--rel-tol Y] [--skip KEY]...
+//                          [--abs-tol X] [--rel-tol Y]
 // A tolerance must parse completely as a finite number >= 0: "5%",
 // "banana" and "-1" are usage errors.
 // Exit codes: 0 match, 1 diverged, 2 usage/IO/parse error.
@@ -28,7 +28,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <golden.json> <candidate.json> "
-               "[--abs-tol X] [--rel-tol Y] [--skip KEY]...\n",
+               "[--abs-tol X] [--rel-tol Y]\n",
                argv0);
   return 2;
 }
@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
       if (!parse_tolerance(argv[++i], opt.abs_tol)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
       if (!parse_tolerance(argv[++i], opt.rel_tol)) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--skip") == 0 && i + 1 < argc) {
-      opt.skip_keys.emplace_back(argv[++i]);
     } else if (argv[i][0] == '-') {
       return usage(argv[0]);
     } else {

@@ -116,8 +116,8 @@ FileScope classify(std::string_view path) {
   s.engine_dir = path_in(path, "src/noc/") || path_in(path, "src/ldpc/");
   // Artifact writes must go through util/json's atomic publisher so a
   // crash never leaves a torn JSON file. util/json itself is the one home
-  // for the raw write path; tools and tests (goldens, fixtures,
-  // deliberately corrupted checkpoints) stay exempt.
+  // for the raw write path; tools and tests (goldens, fixtures) stay
+  // exempt.
   s.artifact_scope = (s.in_src || path_in(path, "bench/") ||
                       path_in(path, "examples/")) &&
                      path.find("util/json.") == std::string_view::npos;
@@ -443,8 +443,8 @@ std::vector<Finding> lint_source(std::string_view path,
         contains_word(code_line, "ofstream")) {
       emit(lineno, "atomic-artifact-write",
            "'ofstream' publishes bytes in place — a crash mid-write leaves "
-           "a torn artifact; write through util/json's AtomicFile / "
-           "write_json_atomic (temp + fsync + rename) instead");
+           "a torn artifact; write through util/json's AtomicFile "
+           "(temp + fsync + rename) instead");
     }
 
     if (scope.engine_dir && !is_allowed(lineno, "engine-unordered-map") &&
