@@ -56,9 +56,9 @@ struct ExperimentSweepConfig {
   std::vector<double> base_tile_power;
   double synthetic_tile_power_w = 2.0;
   /// Relative per-tile power jitter in [0, 1): each scenario draws factor
-  /// 1 + jitter * U(-1, 1) per tile from its own RNG stream. Zero =
-  /// deterministic maps (no RNG draws).
-  double power_jitter = 0.25;
+  /// 1 + jitter * U(-1, 1) per tile from its own RNG stream. Zero (the
+  /// default) = deterministic maps (no RNG draws).
+  double power_jitter = 0.0;
   /// Joules deposited per migration, spread uniformly over the die (zero
   /// = free migrations). Applied to every non-static scheme.
   double migration_energy_j = 0.0;
