@@ -859,14 +859,14 @@ void write_adaptive(const PaperArgs& args, std::deque<ConfigStudy>& studies) {
 //   2. the Figure-1 orbit-average reductions for rotation and X-Y shift
 //      across refinements — the scheme ordering must not change.
 //
-// The grid itself runs through the threaded engine harness
-// (run_experiment_sweep: jitter 0, scale 1, the driver's measured power
-// map), which also reports the full migrating co-simulation peak per
-// cell. An explicit RefinedThermalModel per refinement cross-checks the
-// engine's steady peaks and provides the solver timing: the model is
-// built (and its factorization warmed) outside the timed region, so
-// "Solve (ms)" times the three steady solves alone, through the cached
-// sparse path — the cost that actually recurs in a sweep.
+// The grid itself runs through the experiment sweep (run_experiment_sweep
+// on the driver's measured power map: one lockstep co-simulation batch
+// per refinement), which also reports the full migrating co-simulation
+// peak per cell. An explicit RefinedThermalModel per refinement
+// cross-checks the engine's steady peaks and provides the solver timing:
+// the model is built (and its factorization warmed) outside the timed
+// region, so "Solve (ms)" times the three steady solves alone, through
+// the cached sparse path — the cost that actually recurs in a sweep.
 // ---------------------------------------------------------------------------
 double orbit_avg_peak(const RefinedThermalModel& model,
                       const std::vector<double>& tile_power,
@@ -885,8 +885,8 @@ void write_resolution(const PaperArgs& args, const ExperimentDriver& driver) {
   const std::vector<int> refines =
       args.smoke ? std::vector<int>{1, 2, 3} : std::vector<int>{1, 2, 3, 4};
 
-  // The {scheme x refine} grid through the threaded engine harness, on
-  // the driver's calibrated workload map (deterministic: jitter 0).
+  // The {scheme x refine} grid through the experiment sweep, on the
+  // driver's calibrated workload map.
   ExperimentSweepConfig sweep;
   sweep.dim = dim;
   sweep.hotspot = params;
@@ -894,10 +894,6 @@ void write_resolution(const PaperArgs& args, const ExperimentDriver& driver) {
   sweep.periods_s = {driver.default_period_s()};
   sweep.refines = refines;
   sweep.base_tile_power = driver.base_power();
-  sweep.power_jitter = 0.0;
-  sweep.migration_energy_j = 0.0;
-  sweep.threads =
-      std::max(1u, std::thread::hardware_concurrency());
   const std::vector<ExperimentSweepPoint> points = run_experiment_sweep(sweep);
   // scenarios() order is scheme-major: rotation at each refine, then
   // X-Y shift at each refine.

@@ -6,19 +6,23 @@
 // odd-mesh fixed-point effect the paper describes (the central PE that
 // rotation and mirroring cannot cool). Run with a configuration name:
 //
-//   ./build/examples/hotspot_study        # defaults to E
-//   ./build/examples/hotspot_study A
+//   ./build/examples/example_hotspot_study        # defaults to E
+//   ./build/examples/example_hotspot_study A
 //
-// The evaluation sections run through the library's sweep machinery
+// A name outside A-E prints the usage line and exits 2 before any
+// simulation; a failed run exits 1.
+//
+// The evaluation sections run through the library's study entry points
 // rather than hand-rolled loops: the scheme comparison uses
 // ExperimentDriver::scheme_study (cached migration measurements shared
 // across periods) and the scheme x period x refinement grid uses the
-// threaded experiment sweep harness seeded with the driver's measured
-// power map.
+// experiment sweep on the driver's measured power map.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
+#include "core/chip_config.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_sweep.hpp"
 #include "core/thermal_runtime.hpp"
@@ -98,23 +102,19 @@ int run(const std::string& name) {
                 ev.throughput_penalty * 100);
   }
 
-  // Scheme x period x refinement grid over the measured workload map,
-  // spread over worker threads by the experiment sweep harness (results
-  // are thread-count-invariant; any cell can be replayed in isolation
-  // with run_experiment_scenario).
+  // Scheme x period x refinement grid over the measured workload map:
+  // the experiment sweep co-simulates every scheme of a (refinement,
+  // period) pair in one lockstep batch.
   ExperimentSweepConfig scfg;
   scfg.dim = dim;
   scfg.schemes = figure1_schemes();
   scfg.periods_s = {driver.default_period_s(), 4 * driver.default_period_s()};
   scfg.refines = {1, 2};
   scfg.base_tile_power = driver.base_power();
-  scfg.power_jitter = 0.0;  // the measured map, unperturbed
-  scfg.migration_energy_j = 0.0;
-  scfg.threads = 4;
   std::printf(
       "\nsweep: scheme x {1x, 4x} period x {1, 2} refine "
-      "(%d scenarios, %d threads)\n",
-      static_cast<int>(scfg.scenarios().size()), scfg.threads);
+      "(%d scenarios)\n",
+      static_cast<int>(scfg.scenarios().size()));
   std::printf("  %-12s %9s %7s %9s %10s %8s\n", "scheme", "period us",
               "refine", "peak C", "reduction", "ripple");
   for (const ExperimentSweepPoint& pt : run_experiment_sweep(scfg)) {
@@ -131,5 +131,17 @@ int run(const std::string& name) {
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "E";
-  return renoc::run(name);
+  bool known = false;
+  for (const renoc::ChipConfig& cfg : renoc::all_configs())
+    known = known || cfg.name == name;
+  if (argc > 2 || !known) {
+    std::fprintf(stderr, "usage: %s [A|B|C|D|E]  (default E)\n", argv[0]);
+    return 2;
+  }
+  try {
+    return renoc::run(name);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_hotspot_study: %s\n", e.what());
+    return 1;
+  }
 }

@@ -3,8 +3,9 @@
 # examples, tests), and run ctest in Debug and Release with
 # warnings-as-errors. The engine guards are ctest cases: bit-exactness
 # against the seed oracles in tests/support, steady-state allocations
-# (alloc_guard_test), thread-count invariance of every sweep, and the
-# degraded-fabric conservation law. So is the paper-records check:
+# (alloc_guard_test), thread-count invariance of every threaded
+# sweep, the degraded-fabric conservation law, and the four examples
+# run end to end. So is the paper-records check:
 # paper_goldens_test runs renoc_paper --smoke and diffs every PAPER_*.json
 # record against the pinned golden under goldens/ with renoc_golden_diff
 # (integer fields exact, temperatures tolerance-checked, *_ms timing

@@ -9,8 +9,16 @@ into build-perf-pairs/<commit>/ and runs
 alternating which side runs first. For every workload and end-to-end
 metric that BENCHMARK.json declares it then prints each side's median and
 quartiles, how many pairs the change won (ties count for neither side),
-and whether the medians differ by more than the parent's interquartile
-range: the rule a claimed gain must pass.
+whether the medians differ by more than the parent's interquartile range
+(the rule a claimed gain must pass), and a no-regression verdict against
+the metric's relative bound in BENCHMARK.json:
+
+    WORSE       the change's median is worse than the parent's by more
+                than the bound;
+    unresolved  the parent's IQR is wider than the bound, and not every
+                change run beats every parent run, so a regression
+                within the noise cannot be ruled out;
+    ok          otherwise.
 
 Each export builds its own benchmark tree once, in its .bench_build/; a
 second invocation on the same commits reuses them. perfbench's own output
@@ -78,6 +86,20 @@ def quartiles(values):
     return q1, median, q3
 
 
+def verdict(parent, change, lower, bound):
+    """WORSE, unresolved or ok for one metric (see the module docstring)."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = statistics.median(change)
+    margin = bound * abs(p_med)
+    if (c_med - p_med if lower else p_med - c_med) > margin:
+        return "WORSE"
+    all_beat = (max(change) < min(parent) if lower
+                else min(change) > max(parent))
+    if p_q3 - p_q1 > margin and not all_beat:
+        return "unresolved"
+    return "ok"
+
+
 def main():
     if len(sys.argv) not in (2, 3) or sys.argv[1].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -112,7 +134,7 @@ def main():
 
     print(f"{'workload':<9} {'metric':<30} {'parent median [q1, q3]':<34}"
           f"{'change median [q1, q3]':<34}{'delta':>7} {'wins':>6}"
-          f"  gap > parent IQR")
+          f"  gap > parent IQR  verdict")
     for workload in (w["name"] for w in bench["workloads"]):
         for metric in bench["end_to_end"]:
             key = f"{workload}/{metric['name']}"
@@ -130,7 +152,8 @@ def main():
             change_col = f"{c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]"
             print(f"{workload:<9} {label:<30} {parent_col:<34}"
                   f"{change_col:<34}{delta:>+6.1f}% {wins:>3}/{PAIRS}"
-                  f"  {'yes' if beyond else 'no'}")
+                  f"  {'yes' if beyond else 'no':<16}"
+                  f"  {verdict(parent, change, lower, metric['bound'])}")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ MigrationReport MigrationController::migrate(
   //    packet per move, run to empty. Phase boundaries are barriers —
   //    that is what keeps every phase congestion-free.
   Cycle pure_transfer = 0;
-  int phase_index = 0;
   for (const MigrationPhase& phase : phases) {
     const Cycle phase_start = fabric_->now();
     for (const MigrationMove& mv : phase.moves) {
@@ -85,50 +84,26 @@ MigrationReport MigrationController::migrate(
     }
     for (const MigrationMove& mv : phase.moves)
       fabric_->set_injection_enabled(mv.src_tile, false);
-    // Consume the state packets at their destinations. On a degraded
-    // fabric a packet may have resolved dropped or unreachable instead of
-    // delivering (the fabric still drained to idle — the delivery guard's
-    // timeouts are bounded, so a lost packet cannot wedge this loop).
-    bool phase_lost_state = false;
+    // Consume the state packets at their destinations.
     for (const MigrationMove& mv : phase.moves) {
       auto msg = fabric_->try_receive(mv.dst_tile);
-      if (!msg.has_value()) {
-        RENOC_CHECK_MSG(fabric_->degraded(),
-                        "state packet missing at destination");
-        phase_lost_state = true;
-        continue;
-      }
+      RENOC_CHECK_MSG(msg.has_value(), "state packet missing at destination");
       RENOC_CHECK_MSG(msg->tag == kMigrationTag,
                       "unexpected traffic during migration");
       fabric_->recycle(std::move(*msg));
     }
     pure_transfer += fabric_->now() - phase_start;
-    if (phase_lost_state) {
-      // Abort gracefully: no transform commit, no re-homing. The caller
-      // sees aborted=true and reschedules at the next decision point.
-      report.aborted = true;
-      report.aborted_phase = phase_index;
-      break;
-    }
-    // Phase barrier: quiesce detection for this group before the next one
-    // starts (control time, no traffic). No configuration is committed
-    // here — the transform and re-homing are applied all-or-nothing in
-    // step 4, which is what lets an abort in a later phase leave the
-    // translator and placement untouched.
+    // Phase barrier: quiesce detection and configuration commit for this
+    // group before the next group starts (control time, no traffic).
     fabric_->run(timing_.phase_barrier_cycles);
-    ++phase_index;
   }
   report.transfer_cycles = pure_transfer;
   report.phases = static_cast<int>(phases.size());
 
-  if (!report.aborted) {
-    // 4. Compose the transform into the I/O translator and re-home
-    //    clusters. An aborted migration leaves both untouched: the PEs
-    //    restart where they were and the translator keeps the old map.
-    translator_.apply(transform_);
-    for (std::size_t c = 0; c < placement.size(); ++c)
-      placement[c] = perm[static_cast<std::size_t>(placement[c])];
-  }
+  // 4. Compose the transform into the I/O translator and re-home clusters.
+  translator_.apply(transform_);
+  for (std::size_t c = 0; c < placement.size(); ++c)
+    placement[c] = perm[static_cast<std::size_t>(placement[c])];
 
   // 5. Resume: global restart handshake, then re-enable injection.
   fabric_->run(timing_.resume_sync_cycles);

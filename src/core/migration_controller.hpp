@@ -31,12 +31,6 @@ struct MigrationReport {
   int phases = 0;
   std::uint64_t state_flits = 0;  ///< flits of state moved
   int moves = 0;                   ///< PEs whose state traveled
-  /// On a degraded fabric a state packet can exhaust its retry budget (the
-  /// delivery guard counts it dropped or unreachable). The migration is
-  /// then aborted: the transform is NOT applied, placement is unchanged,
-  /// and the PEs resume at their old homes so the caller can reschedule.
-  bool aborted = false;
-  int aborted_phase = -1;  ///< phase index that lost a state packet
 };
 
 /// Control-overhead model for one migration, in cycles. These are halt
@@ -60,7 +54,8 @@ class MigrationController {
   /// updated in place; `state_words[cluster]` sizes each cluster's state
   /// packet. The fabric must contain no application traffic (callers halt
   /// the workload at a block boundary first); any residual traffic is
-  /// drained and counted into total_cycles.
+  /// drained and counted into total_cycles. A state packet that does not
+  /// arrive (a fault plan cut its path) throws CheckError.
   MigrationReport migrate(std::vector<int>& placement,
                           const std::vector<int>& state_words);
 

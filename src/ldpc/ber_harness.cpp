@@ -8,8 +8,8 @@
 namespace renoc {
 
 void BerConfig::validate() const {
-  // Axis and thread checks come from util/sweep so all three harnesses
-  // fail with the same pinned messages (sweep_test asserts on them).
+  // Axis and thread checks come from util/sweep so every sweep fails with
+  // the same pinned messages (sweep_test asserts on them).
   sweep::require_axis(!ebn0_db.empty(), "Eb/N0");
   RENOC_CHECK(blocks_per_point >= 1);
   RENOC_CHECK(iterations >= 1);

@@ -194,14 +194,6 @@ void Fabric::send(Message&& msg) {
                   "bad src " << msg.src);
   RENOC_CHECK_MSG(msg.dst >= 0 && msg.dst < node_count(),
                   "bad dst " << msg.dst);
-  // A dead source PE cannot inject; refusing here (with a drop record)
-  // keeps the conservation law exact — a queued message at a dead NI would
-  // otherwise pin idle() false forever.
-  if (degraded_ && router_up_[static_cast<std::size_t>(msg.src)] == 0) {
-    stats_.note_packet_dropped();
-    recycle(std::move(msg));
-    return;
-  }
   const std::size_t src = static_cast<std::size_t>(msg.src);
   nis_[src].send_queue.push(std::move(msg));
   if (!degraded_) ni_work_[src / 64] |= std::uint64_t{1} << (src % 64);
@@ -481,7 +473,6 @@ void Fabric::inject_phase(TileActivity* tiles) {
       // set_injection_enabled gates only the admission of NEW messages
       // (inside guard_tick), and a wormhole packet cannot be stopped
       // mid-injection without wedging its grants downstream.
-      if (router_up_[static_cast<std::size_t>(n)] == 0) continue;
       guard_tick(n, ni);
       if (inject_flit(n, ni, tiles)) ++ni.tracked_flits_in_net;
     }
@@ -595,7 +586,6 @@ void Fabric::enter_degraded_mode() {
   if (degraded_) return;
   degraded_ = true;
   const std::size_t nodes = static_cast<std::size_t>(node_count());
-  router_up_.assign(nodes, 1);
   link_up_.assign(nodes * 4, 0);
   for (std::size_t l = 0; l < nodes * 4; ++l)
     if (neighbor_node_[l] >= 0) link_up_[l] = 1;
@@ -608,9 +598,8 @@ void Fabric::install_fault_plan(const FaultPlan& plan) {
   for (const FaultEvent& e : plan.events) {
     RENOC_CHECK_MSG(e.node >= 0 && e.node < node_count(),
                     "fault event names node " << e.node);
-    if (e.kind != FaultEvent::Kind::kRouterDown)
-      RENOC_CHECK_MSG(e.port >= 0 && e.port < 4,
-                      "link fault names port " << e.port);
+    RENOC_CHECK_MSG(e.port >= 0 && e.port < 4,
+                    "link fault names port " << e.port);
   }
   fault_events_ = plan.events;
   next_fault_ = 0;
@@ -622,13 +611,6 @@ void Fabric::configure_delivery_guard(const DeliveryGuardConfig& cfg) {
   RENOC_CHECK_MSG(idle(), "configure the delivery guard on an idle fabric");
   guard_ = cfg;
   enter_degraded_mode();
-}
-
-// renoc-test-only: no public call exposes which routers a fault plan has
-// taken down; tests check the plan applied.
-bool Fabric::router_alive(int node) const {
-  RENOC_CHECK(node >= 0 && node < node_count());
-  return !degraded_ || router_up_[static_cast<std::size_t>(node)] != 0;
 }
 
 // renoc-test-only: no public call exposes which links a fault plan has
@@ -645,10 +627,6 @@ bool Fabric::link_alive(int node, int dir) const {
 bool Fabric::destination_reachable(int src, int dst) const {
   RENOC_CHECK(src >= 0 && src < node_count());
   RENOC_CHECK(dst >= 0 && dst < node_count());
-  if (!degraded_) return true;
-  if (router_up_[static_cast<std::size_t>(src)] == 0 ||
-      router_up_[static_cast<std::size_t>(dst)] == 0)
-    return false;
   if (!adaptive_active_) return true;
   const std::size_t nodes = static_cast<std::size_t>(node_count());
   return adaptive_table_[(static_cast<std::size_t>(src) * kDirectionCount +
@@ -674,29 +652,10 @@ void Fabric::apply_due_faults() {
       }
       case FaultEvent::Kind::kLinkUp: {
         const std::size_t l = n * 4 + static_cast<std::size_t>(e.port);
-        const int down = neighbor_node_[l];
-        // A flaky link never recovers past a dead endpoint.
-        if (down >= 0 && link_up_[l] == 0 && router_up_[n] != 0 &&
-            router_up_[static_cast<std::size_t>(down)] != 0) {
+        if (neighbor_node_[l] >= 0 && link_up_[l] == 0) {
           link_up_[l] = 1;
           changed = true;
         }
-        break;
-      }
-      case FaultEvent::Kind::kRouterDown: {
-        if (router_up_[n] == 0) break;
-        router_up_[n] = 0;
-        // A dead router takes all eight adjacent unidirectional links
-        // with it (its four outputs and the neighbors' links toward it).
-        for (int d = 0; d < 4; ++d) {
-          const std::size_t l = n * 4 + static_cast<std::size_t>(d);
-          link_up_[l] = 0;
-          const int m = neighbor_node_[l];
-          if (m >= 0)
-            link_up_[static_cast<std::size_t>(m) * 4 +
-                     static_cast<std::size_t>(kOppositeDir[d])] = 0;
-        }
-        changed = true;
         break;
       }
     }
@@ -707,7 +666,7 @@ void Fabric::apply_due_faults() {
   // cold-path operations, deliberately outside every renoc-hot region.
   ++route_epoch_;
   adaptive_active_ = true;
-  build_adaptive_routes(config_.dim, link_up_, router_up_, adaptive_table_);
+  build_adaptive_routes(config_.dim, link_up_, adaptive_table_);
   purge_stranded_packets();
   // Every surviving head re-routes under the new tables.
   for (std::size_t f = 0; f < req_out_.size(); ++f)
@@ -729,13 +688,11 @@ void Fabric::purge_stranded_packets() {
   const std::size_t nodes = static_cast<std::size_t>(n_nodes);
   doomed_.clear();
 
-  // Pass A: mark doomed packets — every flit buffered in a dead router,
-  // every wormhole grant crossing a dead link (the packet's remaining
-  // flits can never follow their head), every buffered head whose
-  // destination is unreachable from where it sits under the new tables,
-  // and every reassembly in progress at a dead router.
+  // Pass A: mark doomed packets — every wormhole grant crossing a dead
+  // link (the packet's remaining flits can never follow their head) and
+  // every buffered head whose destination is unreachable from where it
+  // sits under the new tables.
   for (int n = 0; n < n_nodes; ++n) {
-    const bool dead = router_up_[static_cast<std::size_t>(n)] == 0;
     for (int p = 0; p < kDirectionCount; ++p) {
       const std::size_t f = port_index(n, p);
       const std::size_t arena_base = f * static_cast<std::size_t>(depth_);
@@ -744,111 +701,68 @@ void Fabric::purge_stranded_packets() {
         const FlitHandle& fl =
             arena_[arena_base + static_cast<std::size_t>(pos)];
         if (++pos == depth_) pos = 0;
-        if (dead || (is_head(fl.type) &&
-                     adaptive_table_[f * nodes + fl.dst] == kUnreachableRoute))
+        if (is_head(fl.type) &&
+            adaptive_table_[f * nodes + fl.dst] == kUnreachableRoute)
           doom(fl.packet);
       }
-      if ((granted_[static_cast<std::size_t>(n)] >> p) & 1u) {
-        bool broken = dead;
-        if (!broken && p != kLocal) {
-          const std::size_t l =
-              static_cast<std::size_t>(n) * 4 + static_cast<std::size_t>(p);
-          const int down = neighbor_node_[l];
-          broken = link_up_[l] == 0 ||
-                   (down >= 0 && router_up_[static_cast<std::size_t>(down)] == 0);
-        }
-        if (broken) doom(owner_packet_[f]);
-      }
-    }
-    if (dead) {
-      const auto& ni = nis_[static_cast<std::size_t>(n)];
-      // The dead NI's current attempt dies with it even when every flit is
-      // in flight elsewhere on a healthy path: Pass B3 resolves the tracker
-      // (recording the drop), so letting those flits eject would count the
-      // same packet both dropped and delivered. (A record whose PacketId
-      // moved on has no flit left anywhere.)
-      if (ni.tracked_active && packets_[ni.tracked_slot].pid == ni.tracked_pid)
-        doom(ni.tracked_slot);
-      if (ni.staging()) doom(ni.packet);
+      if ((granted_[static_cast<std::size_t>(n)] >> p) & 1u &&
+          p != kLocal &&
+          link_up_[static_cast<std::size_t>(n) * 4 +
+                   static_cast<std::size_t>(p)] == 0)
+        doom(owner_packet_[f]);
     }
   }
-  for (std::size_t slot = 0; slot < packets_.size(); ++slot) {
-    const PacketRecord& p = packets_[slot];
-    if (p.pid != 0 && (p.reassembling || p.discarding) &&
-        router_up_[static_cast<std::size_t>(p.dst)] == 0)
-      doom(static_cast<std::uint32_t>(slot));
-  }
+  if (doomed_.empty()) return;
 
-  if (!doomed_.empty()) {
-    // Pass B1: drop doomed flits from the input FIFOs, compacting each
-    // ring in place and returning the freed buffer slots' credits
-    // upstream. Source trackers see their flit counts fall (a zeroed count
-    // is what arms their retransmission).
-    std::vector<FlitHandle> kept(static_cast<std::size_t>(depth_));
-    for (int n = 0; n < n_nodes; ++n) {
-      for (int p = 0; p < kDirectionCount; ++p) {
-        const std::size_t f = port_index(n, p);
-        const int sz = fifo_size_[f];
-        if (sz == 0) continue;
-        const std::size_t arena_base = f * static_cast<std::size_t>(depth_);
-        int pos = fifo_head_[f];
-        int keep = 0;
-        for (int k = 0; k < sz; ++k) {
-          const FlitHandle fl =
-              arena_[arena_base + static_cast<std::size_t>(pos)];
-          if (++pos == depth_) pos = 0;
-          if (packets_[fl.packet].doomed) {
-            note_flit_left_network(packets_[fl.packet]);
-            ++credits_[static_cast<std::size_t>(credit_return_[f])];
-            --node_buffered_[static_cast<std::size_t>(n)];
-          } else {
-            kept[static_cast<std::size_t>(keep++)] = fl;
-          }
-        }
-        if (keep != sz) {
-          for (int k = 0; k < keep; ++k)
-            arena_[arena_base + static_cast<std::size_t>(k)] =
-                kept[static_cast<std::size_t>(k)];
-          fifo_head_[f] = 0;
-          fifo_size_[f] = keep;
-        }
-      }
-      const std::size_t un = static_cast<std::size_t>(n);
-      if (node_buffered_[un] == 0) busy_[un / 64] &= ~node_bit(un);
-    }
-    // Pass B2: release wormhole grants held by doomed packets.
-    for (int n = 0; n < n_nodes; ++n)
-      for (int o = 0; o < kDirectionCount; ++o)
-        if ((granted_[static_cast<std::size_t>(n)] >> o) & 1u &&
-            packets_[owner_packet_[port_index(n, o)]].doomed)
-          granted_[static_cast<std::size_t>(n)] &=
-              static_cast<std::uint8_t>(~(1u << o));
-  }
-
-  // Pass B3: NI cleanup — always runs (a dead router may hold queued
-  // messages even when no flit of its was buffered).
+  // Pass B1: drop doomed flits from the input FIFOs, compacting each ring
+  // in place and returning the freed buffer slots' credits upstream.
+  // Source trackers see their flit counts fall (a zeroed count is what
+  // arms their retransmission).
+  std::vector<FlitHandle> kept(static_cast<std::size_t>(depth_));
   for (int n = 0; n < n_nodes; ++n) {
-    auto& ni = nis_[static_cast<std::size_t>(n)];
-    if (router_up_[static_cast<std::size_t>(n)] == 0) {
-      // Dead PE: everything queued or tracked here resolves now. A tracked
-      // message whose delivery notice is already in flight was delivered —
-      // counting it dropped would double-count.
-      ni.next_flit = ni.flits;
-      if (ni.tracked_active) {
-        if (ni.tracked_ack_at == kNoAck) stats_.note_packet_dropped();
-        resolve_tracked(ni);
+    for (int p = 0; p < kDirectionCount; ++p) {
+      const std::size_t f = port_index(n, p);
+      const int sz = fifo_size_[f];
+      if (sz == 0) continue;
+      const std::size_t arena_base = f * static_cast<std::size_t>(depth_);
+      int pos = fifo_head_[f];
+      int keep = 0;
+      for (int k = 0; k < sz; ++k) {
+        const FlitHandle fl =
+            arena_[arena_base + static_cast<std::size_t>(pos)];
+        if (++pos == depth_) pos = 0;
+        if (packets_[fl.packet].doomed) {
+          note_flit_left_network(packets_[fl.packet]);
+          ++credits_[static_cast<std::size_t>(credit_return_[f])];
+          --node_buffered_[static_cast<std::size_t>(n)];
+        } else {
+          kept[static_cast<std::size_t>(keep++)] = fl;
+        }
       }
-      while (!ni.send_queue.empty()) {
-        stats_.note_packet_dropped();
-        recycle(ni.send_queue.pop());
+      if (keep != sz) {
+        for (int k = 0; k < keep; ++k)
+          arena_[arena_base + static_cast<std::size_t>(k)] =
+              kept[static_cast<std::size_t>(k)];
+        fifo_head_[f] = 0;
+        fifo_size_[f] = keep;
       }
-    } else if (ni.staging() && packets_[ni.packet].doomed) {
-      // The partially injected attempt was purged from the fabric; discard
-      // its remaining staged flits so the tracker can retransmit the whole
-      // message cleanly.
-      ni.next_flit = ni.flits;
     }
+    const std::size_t un = static_cast<std::size_t>(n);
+    if (node_buffered_[un] == 0) busy_[un / 64] &= ~node_bit(un);
   }
+  // Pass B2: release wormhole grants held by doomed packets.
+  for (int n = 0; n < n_nodes; ++n)
+    for (int o = 0; o < kDirectionCount; ++o)
+      if ((granted_[static_cast<std::size_t>(n)] >> o) & 1u &&
+          packets_[owner_packet_[port_index(n, o)]].doomed)
+        granted_[static_cast<std::size_t>(n)] &=
+            static_cast<std::uint8_t>(~(1u << o));
+
+  // Pass B3: a partially injected attempt that was purged from the fabric
+  // discards its remaining staged flits, so the tracker can retransmit the
+  // whole message cleanly.
+  for (auto& ni : nis_)
+    if (ni.staging() && packets_[ni.packet].doomed) ni.next_flit = ni.flits;
 
   // Every pass above reads the doomed marks, so the records are freed
   // last, ending any reassembly in progress. No drop is recorded here — the

@@ -101,13 +101,13 @@
 // timers).
 //
 // Degraded-mode semantics:
-//   - Fault events (noc/fault_model.hpp) apply at the start of their
-//     cycle; each change bumps the route epoch, rebuilds the adaptive
-//     west-first tables (noc/routing.hpp) outside the hot regions, and
-//     purges packets the change strands (flits in dead routers, wormhole
-//     grants crossing dead links, heads whose destination became
-//     unreachable). Purged packets are never silently lost: their source
-//     tracker retransmits or accounts them dropped/unreachable.
+//   - Fault events (noc/fault_model.hpp) kill or restore mesh links at the
+//     start of their cycle; each change bumps the route epoch, rebuilds
+//     the adaptive west-first tables (noc/routing.hpp) outside the hot
+//     regions, and purges packets the change strands (wormhole grants
+//     crossing dead links, heads whose destination became unreachable).
+//     Purged packets are never silently lost: their source tracker
+//     retransmits or accounts them dropped/unreachable.
 //   - The NI layer runs stop-and-wait per source: one tracked message
 //     outstanding, a per-packet timeout with deterministic exponential
 //     backoff, bounded retransmissions (DeliveryGuardConfig::retry_budget),
@@ -234,11 +234,9 @@ class Fabric {
   /// Installing a fault plan without calling this uses the defaults.
   void configure_delivery_guard(const DeliveryGuardConfig& cfg);
 
-  bool degraded() const { return degraded_; }
   /// Topology-change epoch counter: bumps once per applied fault-event
   /// batch; the adaptive tables are rebuilt exactly once per epoch.
   int route_epoch() const { return route_epoch_; }
-  bool router_alive(int node) const;
   bool link_alive(int node, int dir) const;
   /// True if a fresh injection at `src` can reach `dst` under the current
   /// tables (always true outside degraded mode).
@@ -415,8 +413,7 @@ class Fabric {
   DeliveryGuardConfig guard_;
   std::vector<FaultEvent> fault_events_;  ///< sorted; consumed by cursor
   std::size_t next_fault_ = 0;
-  std::vector<std::uint8_t> link_up_;    ///< [N*4], 0 = dead or mesh edge
-  std::vector<std::uint8_t> router_up_;  ///< [N]
+  std::vector<std::uint8_t> link_up_;  ///< [N*4], 0 = dead or mesh edge
   /// West-first next hops, [(node*kDirectionCount + in_port)*N + dst];
   /// rebuilt by build_adaptive_routes once per route epoch.
   std::vector<std::uint8_t> adaptive_table_;

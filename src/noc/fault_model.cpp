@@ -55,19 +55,14 @@ Cycle draw_cycle(Cycle lo, Cycle hi, Rng& rng) {
 void FaultSpec::validate(const GridDim& dim) const {
   RENOC_CHECK_MSG(count >= 0, "fault count must be >= 0, got " << count);
   RENOC_CHECK(onset_min <= onset_max);
-  // The flake window only exists for flaky links; dead-link/router specs
-  // may leave the unused fields zeroed.
+  // The flake window only exists for flaky links; dead-link specs may
+  // leave the unused fields zeroed.
   if (kind == FaultKind::kLinkFlaky)
     RENOC_CHECK(flake_min >= 1 && flake_min <= flake_max);
-  if (kind == FaultKind::kRouterDead) {
-    RENOC_CHECK_MSG(count < dim.node_count(),
-                    "cannot kill all " << dim.node_count() << " routers");
-  } else {
-    const std::size_t links = enumerate_links(dim).size();
-    RENOC_CHECK_MSG(static_cast<std::size_t>(count) <= links,
-                    "mesh has only " << links << " links, requested "
-                                     << count << " link faults");
-  }
+  const std::size_t links = enumerate_links(dim).size();
+  RENOC_CHECK_MSG(static_cast<std::size_t>(count) <= links,
+                  "mesh has only " << links << " links, requested " << count
+                                   << " link faults");
 }
 
 FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng) {
@@ -76,32 +71,19 @@ FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng) {
   if (spec.count == 0) return plan;
   const std::size_t count = static_cast<std::size_t>(spec.count);
 
-  if (spec.kind == FaultKind::kRouterDead) {
-    const std::vector<std::size_t> victims = sample_without_replacement(
-        static_cast<std::size_t>(dim.node_count()), count, rng);
-    for (const std::size_t v : victims) {
-      FaultEvent e;
-      e.kind = FaultEvent::Kind::kRouterDown;
-      e.node = static_cast<int>(v);
-      e.cycle = draw_cycle(spec.onset_min, spec.onset_max, rng);
-      plan.events.push_back(e);
-    }
-  } else {
-    const std::vector<FaultEvent> links = enumerate_links(dim);
-    const std::vector<std::size_t> victims =
-        sample_without_replacement(links.size(), count, rng);
-    for (const std::size_t v : victims) {
-      FaultEvent down = links[v];
-      down.kind = FaultEvent::Kind::kLinkDown;
-      down.cycle = draw_cycle(spec.onset_min, spec.onset_max, rng);
-      plan.events.push_back(down);
-      if (spec.kind == FaultKind::kLinkFlaky) {
-        FaultEvent up = down;
-        up.kind = FaultEvent::Kind::kLinkUp;
-        up.cycle =
-            down.cycle + draw_cycle(spec.flake_min, spec.flake_max, rng);
-        plan.events.push_back(up);
-      }
+  const std::vector<FaultEvent> links = enumerate_links(dim);
+  const std::vector<std::size_t> victims =
+      sample_without_replacement(links.size(), count, rng);
+  for (const std::size_t v : victims) {
+    FaultEvent down = links[v];
+    down.kind = FaultEvent::Kind::kLinkDown;
+    down.cycle = draw_cycle(spec.onset_min, spec.onset_max, rng);
+    plan.events.push_back(down);
+    if (spec.kind == FaultKind::kLinkFlaky) {
+      FaultEvent up = down;
+      up.kind = FaultEvent::Kind::kLinkUp;
+      up.cycle = down.cycle + draw_cycle(spec.flake_min, spec.flake_max, rng);
+      plan.events.push_back(up);
     }
   }
 

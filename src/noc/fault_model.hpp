@@ -1,11 +1,11 @@
 // Deterministic fault plans for degraded-fabric NoC runs.
 //
 // A FaultPlan is a fixed, replayable schedule of topology changes: mesh
-// links or whole routers killed at given cycles, plus transient "flaky
-// link" windows (a link goes down at one cycle and recovers at a later
-// one). Plans are generated statelessly from a seed — the same
-// (seed, scenario) pair always yields the same plan, on any thread, in any
-// order — which is what lets the fault axes of noc/sweep_harness keep the
+// links killed at given cycles, plus transient "flaky link" windows (a
+// link goes down at one cycle and recovers at a later one). Plans are
+// generated statelessly from a seed — the same (seed, scenario) pair
+// always yields the same plan, on any thread, in any order — which is
+// what lets the fault axes of noc/sweep_harness keep the
 // bit-identical-for-any-thread-count and O(1) single-scenario replay
 // contracts of the zero-fault sweep.
 //
@@ -24,21 +24,21 @@
 
 namespace renoc {
 
-/// Fault families a plan can inject (the sweep's fault_kind axis).
+/// Fault families a plan can inject (the sweep's fault_kind axis). A dead
+/// link is a flaky link without its recovery.
 enum class FaultKind : std::uint8_t {
-  kLinkDead = 0,    ///< unidirectional mesh links killed permanently
-  kRouterDead = 1,  ///< whole routers (and all their links) killed
-  kLinkFlaky = 2,   ///< links down for a bounded window, then recovered
+  kLinkDead = 0,   ///< unidirectional mesh links killed permanently
+  kLinkFlaky = 1,  ///< links down for a bounded window, then recovered
 };
 
 /// One atomic topology change. Flaky-link faults expand into a kLinkDown /
 /// kLinkUp pair so the fabric only ever sees monotone per-event changes.
 struct FaultEvent {
-  enum class Kind : std::uint8_t { kLinkDown = 0, kLinkUp = 1, kRouterDown = 2 };
+  enum class Kind : std::uint8_t { kLinkDown = 0, kLinkUp = 1 };
   Kind kind = Kind::kLinkDown;
   Cycle cycle = 0;  ///< applied at the start of this cycle
-  int node = 0;     ///< link source node, or the dying router
-  int port = 0;     ///< mesh output direction 0..3 (unused for routers)
+  int node = 0;     ///< link source node
+  int port = 0;     ///< mesh output direction 0..3
 };
 
 /// Generation parameters for make_fault_plan.
@@ -63,8 +63,7 @@ struct FaultPlan {
 
 /// Generates the plan for `spec` on a `dim` mesh by drawing victims and
 /// cycles from `rng`. Victims are sampled without replacement over the
-/// unidirectional mesh links (or routers); a given link/router appears in
-/// at most one fault.
+/// unidirectional mesh links; a given link appears in at most one fault.
 FaultPlan make_fault_plan(const GridDim& dim, const FaultSpec& spec, Rng rng);
 
 /// The RNG stream a sweep scenario's fault plan draws from. Salted so the

@@ -61,12 +61,10 @@ bool turn_allowed(Direction moving, Direction out) {
 
 void build_adaptive_routes(const GridDim& dim,
                            const std::vector<std::uint8_t>& link_up,
-                           const std::vector<std::uint8_t>& router_up,
                            std::vector<std::uint8_t>& table) {
   const int n = dim.node_count();
   const std::size_t nodes = static_cast<std::size_t>(n);
   RENOC_CHECK(link_up.size() == nodes * 4);
-  RENOC_CHECK(router_up.size() == nodes);
   table.assign(nodes * kDirectionCount * nodes, kUnreachableRoute);
 
   // Per destination: backward BFS over the state graph (node, moving
@@ -90,13 +88,11 @@ void build_adaptive_routes(const GridDim& dim,
     std::fill(next_hop.begin(), next_hop.end(), kUnreachableRoute);
     std::fill(visited.begin(), visited.end(), std::uint8_t{0});
     queue.clear();
-    if (router_up[static_cast<std::size_t>(dst)] != 0) {
-      for (int md = 0; md < kDirectionCount; ++md) {
-        const std::size_t s = state_of(dst, md);
-        next_hop[s] = static_cast<std::uint8_t>(Direction::kLocal);
-        visited[s] = 1;
-        queue.push_back(static_cast<std::uint32_t>(s));
-      }
+    for (int md = 0; md < kDirectionCount; ++md) {
+      const std::size_t s = state_of(dst, md);
+      next_hop[s] = static_cast<std::uint8_t>(Direction::kLocal);
+      visited[s] = 1;
+      queue.push_back(static_cast<std::uint32_t>(s));
     }
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       const std::size_t s = queue[qi];
@@ -111,7 +107,6 @@ void build_adaptive_routes(const GridDim& dim,
           neighbor(index_to_coord(v, dim), opposite(move));
       if (!in_bounds(from, dim)) continue;
       const int u = coord_to_index(from, dim);
-      if (router_up[static_cast<std::size_t>(u)] == 0) continue;
       if (link_up[static_cast<std::size_t>(u) * 4 +
                   static_cast<std::size_t>(md)] == 0)
         continue;

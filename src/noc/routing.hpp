@@ -6,7 +6,7 @@
 // deadlock-free (no turn from Y back to X exists), which is why the paper's
 // platform — like most NoC prototypes of the era — uses it.
 //
-// When links or routers die, XY's fixed paths break. build_adaptive_routes
+// When links die, XY's fixed paths break. build_adaptive_routes
 // computes per-node next-hop tables by BFS over the *live-link* graph under
 // the west-first turn restriction (Glass & Ni): a packet takes all of its
 // westward hops first, so the two turns into west (north->west,
@@ -65,8 +65,8 @@ bool turn_allowed(Direction moving, Direction out);
 
 /// Rebuilds the adaptive next-hop table for the live topology.
 ///
-/// `link_up[node*4 + dir]` (nonzero = up) and `router_up[node]` describe
-/// the surviving mesh. The table is indexed
+/// `link_up[node*4 + dir]` (nonzero = up) describes the surviving mesh.
+/// The table is indexed
 ///   table[(node * kDirectionCount + in_port) * node_count + dst]
 /// where in_port is the input FIFO holding the flit (kLocal = freshly
 /// injected); entries are the output Direction, or kUnreachableRoute. The
@@ -80,7 +80,6 @@ bool turn_allowed(Direction moving, Direction out);
 /// (rule route-rebuild).
 void build_adaptive_routes(const GridDim& dim,
                            const std::vector<std::uint8_t>& link_up,
-                           const std::vector<std::uint8_t>& router_up,
                            std::vector<std::uint8_t>& table);
 
 }  // namespace renoc

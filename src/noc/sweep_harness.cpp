@@ -4,21 +4,27 @@
 #include "util/sweep.hpp"
 
 namespace renoc {
+namespace {
+
+// Every scenario's message length and hotspot target, and the drain
+// bound after its measure window.
+constexpr int kMessageWords = 4;
+constexpr int kHotspotNode = 0;
+constexpr int kDrainMaxCycles = 2'000'000;
+
+}  // namespace
 
 void SweepConfig::validate() const {
-  // Axis and thread checks come from util/sweep so all three harnesses
-  // fail with the same pinned messages (sweep_test asserts on them).
+  // Axis and thread checks come from util/sweep so every sweep fails with
+  // the same pinned messages (sweep_test asserts on them).
   sweep::require_axis(!patterns.empty(), "pattern");
   sweep::require_axis(!mesh_sides.empty(), "mesh side");
   sweep::require_axis(!injection_rates.empty(), "injection rate");
-  sweep::require_axis(!message_words.empty(), "message length");
   for (int side : mesh_sides)
     RENOC_CHECK_MSG(side >= 2, "mesh side must be >= 2, got " << side);
   for (double rate : injection_rates)
     RENOC_CHECK_MSG(rate > 0.0 && rate <= 1.0,
                     "injection rate must be in (0, 1], got " << rate);
-  for (int words : message_words)
-    RENOC_CHECK_MSG(words >= 1, "message length must be >= 1");
   sweep::require_axis(!fault_counts.empty(), "fault count");
   sweep::require_axis(!fault_kinds.empty(), "fault kind");
   sweep::require_axis(!retry_budgets.empty(), "retry budget");
@@ -37,21 +43,9 @@ void SweepConfig::validate() const {
         spec.count = count;
         spec.validate(GridDim{side, side});
       }
-  RENOC_CHECK(buffer_depth >= 1);
   RENOC_CHECK(warmup_cycles >= 0);
   RENOC_CHECK(measure_cycles >= 1);
-  RENOC_CHECK(drain_max_cycles >= 1);
   sweep::require_threads(threads);
-  burst.validate();
-  // TrafficGenerator's own precondition, hoisted here so an infeasible
-  // burst/rate combination fails up front instead of inside a worker.
-  for (double rate : injection_rates)
-    for (int words : message_words)
-      RENOC_CHECK_MSG(
-          rate / words / burst.duty_cycle() <= 1.0,
-          "on-state injection probability exceeds 1 for rate "
-              << rate << ", " << words
-              << "-word messages — raise the burst duty cycle");
 }
 
 std::vector<SweepScenario> SweepConfig::scenarios() const {
@@ -63,7 +57,6 @@ std::vector<SweepScenario> SweepConfig::scenarios() const {
       static_cast<std::int64_t>(patterns.size()),
       static_cast<std::int64_t>(mesh_sides.size()),
       static_cast<std::int64_t>(injection_rates.size()),
-      static_cast<std::int64_t>(message_words.size()),
       static_cast<std::int64_t>(fault_counts.size()),
       static_cast<std::int64_t>(fault_kinds.size()),
       static_cast<std::int64_t>(retry_budgets.size())};
@@ -78,11 +71,9 @@ std::vector<SweepScenario> SweepConfig::scenarios() const {
     const int side = mesh_sides[static_cast<std::size_t>(d[1])];
     sc.dim = GridDim{side, side};
     sc.injection_rate = injection_rates[static_cast<std::size_t>(d[2])];
-    sc.message_words = message_words[static_cast<std::size_t>(d[3])];
-    sc.burst = burst;
-    sc.fault_count = fault_counts[static_cast<std::size_t>(d[4])];
-    sc.fault_kind = fault_kinds[static_cast<std::size_t>(d[5])];
-    sc.retry_budget = retry_budgets[static_cast<std::size_t>(d[6])];
+    sc.fault_count = fault_counts[static_cast<std::size_t>(d[3])];
+    sc.fault_kind = fault_kinds[static_cast<std::size_t>(d[4])];
+    sc.retry_budget = retry_budgets[static_cast<std::size_t>(d[5])];
     out.push_back(sc);
   }
   return out;
@@ -92,7 +83,6 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
                             const SweepConfig& cfg, int scenario_index) {
   NocConfig ncfg;
   ncfg.dim = scenario.dim;
-  ncfg.buffer_depth = cfg.buffer_depth;
   Fabric fabric(ncfg);
   // Degraded-fabric setup happens before the first step, while the fabric
   // is idle. The fault plan's stream is salted separately from the traffic
@@ -117,9 +107,9 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
                         fault_scenario_rng(cfg.seed, scenario_index)));
   }
   TrafficGenerator gen(fabric, scenario.pattern, scenario.injection_rate,
-                       scenario.message_words,
+                       kMessageWords,
                        sweep::scenario_rng(cfg.seed, scenario_index),
-                       scenario.hotspot, scenario.burst);
+                       kHotspotNode);
 
   gen.run(cfg.warmup_cycles);
   // Measure from a clean slate: warm-up packets drop out of the stats, and
@@ -156,8 +146,8 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
         ++drain_received;
         fabric.recycle(std::move(*msg));
       }
-    RENOC_CHECK_MSG(++drained <= cfg.drain_max_cycles,
-                    "scenario failed to drain in " << cfg.drain_max_cycles
+    RENOC_CHECK_MSG(++drained <= kDrainMaxCycles,
+                    "scenario failed to drain in " << kDrainMaxCycles
                                                    << " cycles");
   }
   point.messages_received =
@@ -180,10 +170,9 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
       static_cast<double>(cfg.measure_cycles);
   point.offered_flit_rate =
       static_cast<double>(point.messages_sent + point.messages_skipped) *
-      scenario.message_words / node_cycles;
+      kMessageWords / node_cycles;
   point.injected_flit_rate =
-      static_cast<double>(point.messages_sent) * scenario.message_words /
-      node_cycles;
+      static_cast<double>(point.messages_sent) * kMessageWords / node_cycles;
   point.accepted_flit_rate =
       static_cast<double>(flits_in_window) / node_cycles;
   return point;

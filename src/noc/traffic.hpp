@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "noc/fabric.hpp"
 #include "util/rng.hpp"
@@ -21,47 +20,23 @@ enum class TrafficPattern {
   kBitComplement,  ///< index -> node_count-1-index
   kHotspot,        ///< all nodes send to one hotspot node
   kNeighbor,       ///< (x, y) -> east neighbor (wraps)
-  kBitReverse,     ///< index bit-reversed within ceil(log2 n) address bits
-  kShuffle,        ///< index rotated left one bit (perfect shuffle)
 };
 
 const char* to_string(TrafficPattern p);
 
-/// Markov on/off modulation of the injection process (bursty traffic).
-///
-/// Each node carries a two-state Markov chain stepped once per cycle; a
-/// node draws injections only while "on". The on-state injection
-/// probability is scaled by 1/duty_cycle so the *long-run offered load
-/// still equals the configured injection rate* — bursts change the arrival
-/// process (clumped packets, heavier queue tails), not the mean.
-struct BurstParams {
-  bool enabled = false;
-  double p_on_to_off = 0.05;  ///< per-cycle chance an "on" node turns off
-  double p_off_to_on = 0.05;  ///< per-cycle chance an "off" node turns on
-
-  /// Long-run fraction of cycles a node spends "on".
-  double duty_cycle() const {
-    return enabled ? p_off_to_on / (p_on_to_off + p_off_to_on) : 1.0;
-  }
-  void validate() const;
-};
-
-/// Bernoulli-injection synthetic traffic driver (optionally burst-modulated).
+/// Bernoulli-injection synthetic traffic driver.
 class TrafficGenerator {
  public:
   /// `injection_rate` is flits/node/cycle (0, 1]; messages are
   /// `message_words` words long; `hotspot` names the target node for
-  /// kHotspot. With `burst.enabled`, injection draws happen only in the
-  /// "on" state at rate/duty_cycle (which must still be a probability —
-  /// validated).
+  /// kHotspot.
   TrafficGenerator(Fabric& fabric, TrafficPattern pattern,
                    double injection_rate, int message_words, Rng rng,
-                   int hotspot = 0, BurstParams burst = {});
+                   int hotspot = 0);
 
   /// Destination for a source under the configured pattern. May equal
   /// `src` for patterns with fixed points (transpose diagonal, the hotspot
-  /// node itself, out-of-range bit-reverse/shuffle images on non-power-of-
-  /// two meshes); step() counts such draws in messages_skipped() instead
+  /// node itself); step() counts such draws in messages_skipped() instead
   /// of silently dropping them, so offered load stays measurable.
   int destination(int src);
 
@@ -87,8 +62,6 @@ class TrafficGenerator {
   int message_words_;
   Rng rng_;
   int hotspot_;
-  BurstParams burst_;
-  std::vector<std::uint8_t> node_on_;  ///< Markov state per node (bursty)
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_received_ = 0;
   std::uint64_t messages_skipped_ = 0;

@@ -1,11 +1,13 @@
-// The one in-process scenario loop behind the repo's three Monte-Carlo/
-// scenario harnesses (ldpc/ber_harness, noc/sweep_harness,
-// core/experiment_sweep). Each harness sizes a typed result vector, and
-// run_scenarios() runs one scenario per index into its slot. The contract:
+// The one in-process scenario loop behind the repo's two threaded
+// Monte-Carlo/scenario harnesses (ldpc/ber_harness, noc/sweep_harness).
+// Each harness sizes a typed result vector, and run_scenarios() runs one
+// scenario per index into its slot. core/experiment_sweep, which runs
+// its grid as lockstep co-simulation batches, shares only the axis
+// checks. The contract:
 //
 //   * scenario indexing — decode_scenario_index maps a flat index to
 //     row-major axis digits (outermost axis first, last axis fastest), the
-//     exact order every harness's nested loops enumerate; any cell is
+//     exact order the NoC harness's nested loops enumerate; any cell is
 //     reachable in O(1) without walking the grid before it;
 //   * stateless RNG — scenario_rng(seed, i) is the shared
 //     derive_stream_seed idiom, so a scenario's stream never depends on
@@ -45,7 +47,7 @@ void decode_scenario_index(std::int64_t index,
 // ---------------------------------------------------------------------------
 
 /// The RNG stream scenario `scenario_index` uses: a stateless SplitMix64
-/// derivation from (seed, index), shared by all three harnesses. O(1), so
+/// derivation from (seed, index), shared by both harnesses. O(1), so
 /// any scenario replays in isolation. Chain derive_stream_seed to fold
 /// more coordinates (ber_block_rng folds point then block).
 Rng scenario_rng(std::uint64_t seed, std::int64_t scenario_index);

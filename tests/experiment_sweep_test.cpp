@@ -1,159 +1,146 @@
-// Tests for the threaded experiment sweep harness: thread-count
-// bit-invariance, the O(1) single-scenario replay contract, scenario
-// enumeration, bookkeeping, config validation, and the full-scale
-// resolution study renoc_paper runs, pinned bit for bit.
+// Tests for the experiment sweep: scenario enumeration, every cell against
+// a lone co-simulation on the same refined network, bookkeeping, config
+// validation, and the full-scale resolution study renoc_paper runs, pinned
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/chip_config.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_sweep.hpp"
+#include "core/thermal_runtime.hpp"
 #include "core/transform.hpp"
+#include "floorplan/floorplan.hpp"
+#include "thermal/grid_refine.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
 namespace {
 
-/// Small but representative grid: two schemes (one with a fixed point on
-/// odd meshes, one without), two periods, two scales, two refinements.
+/// Small but representative grid: the static scheme plus two migrating
+/// ones (rotation has a fixed point on odd meshes, X-Y shift none), two
+/// periods, two refinements, on a non-uniform power map.
 ExperimentSweepConfig small_config() {
   ExperimentSweepConfig cfg;
   cfg.dim = GridDim{4, 4};
   cfg.schemes = {MigrationScheme::kNone, MigrationScheme::kRotation,
                  MigrationScheme::kShiftXY};
   cfg.periods_s = {54.65e-6, 109.3e-6};
-  cfg.power_scales = {1.0, 1.4};
   cfg.refines = {1, 2};
-  cfg.power_jitter = 0.3;
-  cfg.migration_energy_j = 40e-6;
-  cfg.seed = 77;
-  // Keep runs short: the determinism contract does not depend on how far
-  // the orbit iteration converges.
-  cfg.thermal.min_orbits = 1;
-  cfg.thermal.max_orbits = 3;
-  cfg.thermal.tol_c = 0.5;
+  for (int t = 0; t < cfg.dim.node_count(); ++t)
+    cfg.base_tile_power.push_back(t < 4 ? 3.5 : 1.0 + 0.125 * t);
   return cfg;
 }
 
-bool points_identical(const ExperimentSweepPoint& a,
-                      const ExperimentSweepPoint& b) {
-  return a.scenario_index == b.scenario_index &&
-         a.scenario.scheme == b.scenario.scheme &&
-         a.scenario.period_s == b.scenario.period_s &&
-         a.scenario.power_scale == b.scenario.power_scale &&
-         a.scenario.refine == b.scenario.refine &&
-         a.orbit_length == b.orbit_length && a.fine_nodes == b.fine_nodes &&
-         a.static_peak_c == b.static_peak_c &&
-         a.peak_temp_c == b.peak_temp_c &&
-         a.reduction_c == b.reduction_c &&
-         a.mean_temp_c == b.mean_temp_c && a.ripple_c == b.ripple_c &&
-         a.steady_peak_of_avg_c == b.steady_peak_of_avg_c &&
-         a.orbits_run == b.orbits_run && a.converged == b.converged;
+/// `tile_perm` lifted to the refine-subdivided grid: a sub-block keeps its
+/// offset inside its tile while the tile moves.
+std::vector<int> lifted(const std::vector<int>& tile_perm, const GridDim& dim,
+                        int refine) {
+  const int fine_width = dim.width * refine;
+  std::vector<int> out(tile_perm.size() *
+                       static_cast<std::size_t>(refine * refine));
+  for (std::size_t f = 0; f < out.size(); ++f) {
+    const int fx = static_cast<int>(f) % fine_width;
+    const int fy = static_cast<int>(f) / fine_width;
+    const int dst = tile_perm[static_cast<std::size_t>(
+        (fy / refine) * dim.width + fx / refine)];
+    out[f] = ((dst / dim.width) * refine + fy % refine) * fine_width +
+             (dst % dim.width) * refine + fx % refine;
+  }
+  return out;
 }
 
 TEST(ExperimentSweepTest, ScenarioEnumerationOrder) {
-  ExperimentSweepConfig cfg = small_config();
+  const ExperimentSweepConfig cfg = small_config();
   const auto grid = cfg.scenarios();
-  ASSERT_EQ(grid.size(), 3u * 2u * 2u * 2u);
-  // Scheme-major, then period, power scale, refinement.
+  ASSERT_EQ(grid.size(), 3u * 2u * 2u);
+  // Scheme-major, then period, then refinement.
   EXPECT_EQ(grid[0].scheme, MigrationScheme::kNone);
   EXPECT_EQ(grid[0].refine, 1);
   EXPECT_EQ(grid[1].refine, 2);
-  EXPECT_EQ(grid[2].power_scale, 1.4);
-  EXPECT_DOUBLE_EQ(grid[4].period_s, 109.3e-6);
-  EXPECT_EQ(grid[8].scheme, MigrationScheme::kRotation);
+  EXPECT_EQ(grid[1].period_s, 54.65e-6);
+  EXPECT_EQ(grid[2].period_s, 109.3e-6);
+  EXPECT_EQ(grid[2].refine, 1);
+  EXPECT_EQ(grid[4].scheme, MigrationScheme::kRotation);
+  EXPECT_EQ(grid[11].scheme, MigrationScheme::kShiftXY);
 }
 
-TEST(ExperimentSweepTest, ThreadCountInvariance) {
-  // 1/2/4/7 workers must produce bit-identical result vectors: RNG
-  // streams are derived from (seed, scenario), never from workers.
-  ExperimentSweepConfig cfg = small_config();
-  cfg.threads = 1;
-  const auto baseline = run_experiment_sweep(cfg);
-  ASSERT_EQ(baseline.size(), cfg.scenarios().size());
-  for (const int threads : {2, 4, 7}) {
-    cfg.threads = threads;
-    const auto pts = run_experiment_sweep(cfg);
-    ASSERT_EQ(pts.size(), baseline.size()) << threads << " threads";
-    for (std::size_t i = 0; i < pts.size(); ++i)
-      EXPECT_TRUE(points_identical(baseline[i], pts[i]))
-          << threads << " threads, scenario " << i;
-  }
-}
-
-TEST(ExperimentSweepTest, ReplayContractReproducesAnyCell) {
-  ExperimentSweepConfig cfg = small_config();
-  cfg.threads = 2;
-  const auto pts = run_experiment_sweep(cfg);
+TEST(ExperimentSweepTest, EveryCellEqualsALoneRunOnItsRefinedNetwork) {
+  // The sweep co-simulates each (refinement, period) pair's schemes and
+  // static baseline as one lockstep batch; every field of every cell must
+  // equal a lone run() of that cell, bit for bit.
+  const ExperimentSweepConfig cfg = small_config();
+  const std::vector<ExperimentSweepPoint> points = run_experiment_sweep(cfg);
   const auto grid = cfg.scenarios();
-  // O(1) replay: every probed cell reproduces its sweep point without
-  // running the grid before it.
-  for (const std::size_t i :
-       {std::size_t{0}, grid.size() / 2, grid.size() - 1}) {
-    const ExperimentSweepPoint replayed =
-        run_experiment_scenario(grid[i], cfg, static_cast<int>(i));
-    EXPECT_TRUE(points_identical(pts[i], replayed)) << "cell " << i;
+  ASSERT_EQ(points.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    const ExperimentScenario& sc = grid[i];
+    const ExperimentSweepPoint& p = points[i];
+    EXPECT_EQ(p.scenario.scheme, sc.scheme);
+    EXPECT_EQ(p.scenario.period_s, sc.period_s);
+    EXPECT_EQ(p.scenario.refine, sc.refine);
+
+    const RefinedThermalModel model(cfg.dim, date05_tile_area(), cfg.hotspot,
+                                    sc.refine);
+    const std::vector<double> power = model.refine_power(cfg.base_tile_power);
+    std::vector<std::vector<int>> orbit;
+    for (const auto& perm :
+         orbit_permutations(transform_of(sc.scheme), cfg.dim))
+      orbit.push_back(lifted(perm, cfg.dim, sc.refine));
+    ThermalRunOptions options;
+    options.period_s = sc.period_s;
+    const MigrationThermalRuntime runtime(model.network(), options);
+    const ThermalRunResult lone = runtime.run(power, orbit, {});
+    const ThermalRunResult stat = runtime.run(
+        power, {identity_permutation(model.fine_dim().node_count())}, {});
+
+    EXPECT_EQ(p.orbit_length, static_cast<int>(orbit.size()));
+    EXPECT_EQ(p.fine_nodes, model.fine_dim().node_count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.static_peak_c),
+              std::bit_cast<std::uint64_t>(stat.peak_temp_c));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.peak_temp_c),
+              std::bit_cast<std::uint64_t>(lone.peak_temp_c));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.reduction_c),
+              std::bit_cast<std::uint64_t>(stat.peak_temp_c -
+                                           lone.peak_temp_c));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.mean_temp_c),
+              std::bit_cast<std::uint64_t>(lone.mean_temp_c));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.ripple_c),
+              std::bit_cast<std::uint64_t>(lone.ripple_c));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.steady_peak_of_avg_c),
+              std::bit_cast<std::uint64_t>(lone.steady_peak_of_avg_c));
+    EXPECT_EQ(p.orbits_run, lone.orbits_run);
+    EXPECT_EQ(p.converged, lone.converged);
   }
-  // And the power-map replay helper regenerates the exact map.
-  const auto map_a = experiment_scenario_power(cfg, grid[3], 3);
-  const auto map_b = experiment_scenario_power(cfg, grid[3], 3);
-  EXPECT_EQ(map_a, map_b);
-  // Different scenarios draw different jitter.
-  const auto map_c = experiment_scenario_power(cfg, grid[5], 5);
-  EXPECT_NE(map_a, map_c);
 }
 
 TEST(ExperimentSweepTest, BookkeepingInvariants) {
-  ExperimentSweepConfig cfg = small_config();
-  cfg.threads = 2;
-  const auto pts = run_experiment_sweep(cfg);
-  for (const ExperimentSweepPoint& pt : pts) {
+  const ExperimentSweepConfig cfg = small_config();
+  for (const ExperimentSweepPoint& pt : run_experiment_sweep(cfg)) {
     EXPECT_EQ(pt.fine_nodes,
               16 * pt.scenario.refine * pt.scenario.refine);
     EXPECT_NEAR(pt.reduction_c, pt.static_peak_c - pt.peak_temp_c, 1e-12);
     EXPECT_TRUE(std::isfinite(pt.peak_temp_c));
+    EXPECT_GT(pt.static_peak_c, cfg.hotspot.ambient);
     if (pt.scenario.scheme == MigrationScheme::kNone) {
       // Static scenarios: the migrating run is the static run.
       EXPECT_EQ(pt.orbit_length, 1);
       EXPECT_DOUBLE_EQ(pt.reduction_c, 0.0);
       EXPECT_EQ(pt.orbits_run, 0);
     } else {
+      // The hot row moves, so migration cools the peak.
       EXPECT_GT(pt.orbit_length, 1);
       EXPECT_GT(pt.orbits_run, 0);
+      EXPECT_GT(pt.reduction_c, 0.0);
     }
   }
-  // Scaling power up scales peaks up (same scheme/period/refine).
-  const auto grid = cfg.scenarios();
-  for (std::size_t i = 0; i + 2 < grid.size(); ++i) {
-    if (grid[i].scheme == grid[i + 2].scheme &&
-        grid[i].period_s == grid[i + 2].period_s &&
-        grid[i].refine == grid[i + 2].refine &&
-        grid[i].power_scale < grid[i + 2].power_scale) {
-      EXPECT_LT(pts[i].peak_temp_c, pts[i + 2].peak_temp_c)
-          << "scenario " << i;
-    }
-  }
-}
-
-TEST(ExperimentSweepTest, BaseMapOverridesSynthetic) {
-  ExperimentSweepConfig cfg = small_config();
-  cfg.schemes = {MigrationScheme::kNone};
-  cfg.periods_s = {109.3e-6};
-  cfg.power_scales = {1.0};
-  cfg.refines = {1};
-  cfg.power_jitter = 0.0;  // deterministic map: exactly the base map
-  cfg.base_tile_power.assign(16, 1.0);
-  cfg.base_tile_power[5] = 9.0;
-  const auto power = experiment_scenario_power(cfg, cfg.scenarios()[0], 0);
-  EXPECT_EQ(power, cfg.base_tile_power);
-  const auto pts = run_experiment_sweep(cfg);
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_GT(pts[0].peak_temp_c, cfg.hotspot.ambient);
 }
 
 TEST(ExperimentSweepTest, ConfigValidation) {
@@ -168,16 +155,12 @@ TEST(ExperimentSweepTest, ConfigValidation) {
   {
     ExperimentSweepConfig cfg = small_config();
     cfg.dim = GridDim{4, 3};  // rotation not closed on non-square meshes
+    cfg.base_tile_power.assign(12, 1.0);
     expect_invalid(cfg);
   }
   {
     ExperimentSweepConfig cfg = small_config();
-    cfg.periods_s = {1e-6};  // below thermal.dt_s
-    expect_invalid(cfg);
-  }
-  {
-    ExperimentSweepConfig cfg = small_config();
-    cfg.power_scales = {0.0};
+    cfg.periods_s = {1e-6};  // below the 2 us transient step
     expect_invalid(cfg);
   }
   {
@@ -187,7 +170,7 @@ TEST(ExperimentSweepTest, ConfigValidation) {
   }
   {
     ExperimentSweepConfig cfg = small_config();
-    cfg.power_jitter = 1.0;
+    cfg.base_tile_power.clear();  // the workload map is required
     expect_invalid(cfg);
   }
   {
@@ -197,7 +180,7 @@ TEST(ExperimentSweepTest, ConfigValidation) {
   }
   {
     ExperimentSweepConfig cfg = small_config();
-    cfg.threads = 0;
+    cfg.base_tile_power[3] = -1.0;
     expect_invalid(cfg);
   }
   EXPECT_NO_THROW(small_config().validate());

@@ -1,9 +1,9 @@
 // Tests for the degraded-fabric NoC: deterministic fault plans, the
 // west-first adaptive route tables, the NI delivery guarantees (timeout +
-// bounded retry, duplicate suppression, unreachable refusal), graceful
-// migration abort, and the fault axes of the sweep harness (thread-count
-// invariance, O(1) replay, and the drain of the benchmark's degraded
-// scenarios).
+// bounded retry, duplicate suppression, unreachable refusal), a migration
+// that loses a state packet, and the fault axes of the sweep harness
+// (thread-count invariance, O(1) replay, and the drain of the benchmark's
+// degraded scenarios).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,10 +109,8 @@ TEST(FaultPlanTest, FlakyLinksExpandIntoDownUpPairs) {
   ASSERT_EQ(plan.events.size(), 6u);
   std::vector<FaultEvent> downs;
   std::vector<FaultEvent> ups;
-  for (const FaultEvent& ev : plan.events) {
-    ASSERT_NE(ev.kind, FaultEvent::Kind::kRouterDown);
+  for (const FaultEvent& ev : plan.events)
     (ev.kind == FaultEvent::Kind::kLinkDown ? downs : ups).push_back(ev);
-  }
   ASSERT_EQ(downs.size(), 3u);
   ASSERT_EQ(ups.size(), 3u);
   for (const FaultEvent& down : downs) {
@@ -127,23 +125,6 @@ TEST(FaultPlanTest, FlakyLinksExpandIntoDownUpPairs) {
   }
 }
 
-TEST(FaultPlanTest, RouterPlanKillsDistinctRouters) {
-  const GridDim dim{4, 4};
-  FaultSpec spec;
-  spec.kind = FaultKind::kRouterDead;
-  spec.count = 3;
-  const FaultPlan plan =
-      make_fault_plan(dim, spec, fault_scenario_rng(23, 1));
-  ASSERT_EQ(plan.events.size(), 3u);
-  std::set<int> victims;
-  for (const FaultEvent& ev : plan.events) {
-    EXPECT_EQ(ev.kind, FaultEvent::Kind::kRouterDown);
-    EXPECT_GE(ev.node, 0);
-    EXPECT_LT(ev.node, dim.node_count());
-    EXPECT_TRUE(victims.insert(ev.node).second);
-  }
-}
-
 TEST(FaultPlanTest, FaultStreamIsSaltedAwayFromTrafficStream) {
   // The fault plan and the traffic of one sweep scenario derive from the
   // same (seed, index) pair; the salt keeps the streams distinct.
@@ -155,16 +136,14 @@ TEST(FaultPlanTest, FaultStreamIsSaltedAwayFromTrafficStream) {
 }
 
 TEST(FaultPlanTest, ValidateIgnoresFlakeWindowForNonFlakyKinds) {
-  // Dead-link/router specs may leave the (unused) flake fields zeroed;
-  // only a flaky spec owns the flake-window invariant.
+  // Dead-link specs may leave the (unused) flake fields zeroed; only a
+  // flaky spec owns the flake-window invariant.
   const GridDim dim{4, 4};
   FaultSpec spec;
   spec.kind = FaultKind::kLinkDead;
   spec.count = 2;
   spec.flake_min = 0;
   spec.flake_max = 0;
-  EXPECT_NO_THROW(spec.validate(dim));
-  spec.kind = FaultKind::kRouterDead;
   EXPECT_NO_THROW(spec.validate(dim));
   spec.kind = FaultKind::kLinkFlaky;
   EXPECT_THROW(spec.validate(dim), CheckError);
@@ -195,14 +174,12 @@ TEST(WestFirstTest, TurnRules) {
 
 struct Topology {
   std::vector<std::uint8_t> link_up;
-  std::vector<std::uint8_t> router_up;
 };
 
 Topology live_mesh(const GridDim& dim) {
   const int n = dim.node_count();
   Topology t;
   t.link_up.assign(static_cast<std::size_t>(n) * 4, 0);
-  t.router_up.assign(static_cast<std::size_t>(n), 1);
   for (int i = 0; i < n; ++i) {
     const GridCoord c = index_to_coord(i, dim);
     for (int d = 0; d < 4; ++d) {
@@ -213,24 +190,6 @@ Topology live_mesh(const GridDim& dim) {
     }
   }
   return t;
-}
-
-// Kills a router the way the fabric does: the node plus all eight adjacent
-// unidirectional links (its own outputs and its neighbors' links toward it).
-void kill_router(Topology& t, const GridDim& dim, int node) {
-  t.router_up[static_cast<std::size_t>(node)] = 0;
-  const GridCoord c = index_to_coord(node, dim);
-  for (int d = 0; d < 4; ++d) {
-    t.link_up[static_cast<std::size_t>(node) * 4 +
-              static_cast<std::size_t>(d)] = 0;
-    const GridCoord nb = neighbor(c, static_cast<Direction>(d));
-    if (nb.x >= 0 && nb.x < dim.width && nb.y >= 0 && nb.y < dim.height) {
-      const int u = coord_to_index(nb, dim);
-      t.link_up[static_cast<std::size_t>(u) * 4 +
-                static_cast<std::size_t>(static_cast<int>(
-                    opposite(static_cast<Direction>(d))))] = 0;
-    }
-  }
 }
 
 // Follows the table from src to dst, asserting every step is a live,
@@ -261,8 +220,6 @@ int walk_route(const GridDim& dim, const std::vector<std::uint8_t>& table,
               0)
         << "route crosses dead link " << node << " dir " << int(out);
     node = coord_to_index(neighbor(index_to_coord(node, dim), od), dim);
-    EXPECT_NE(topo.router_up[static_cast<std::size_t>(node)], 0)
-        << "route enters dead router " << node;
     moving = od;
   }
   ADD_FAILURE() << "route " << src << "->" << dst << " loops";
@@ -273,7 +230,7 @@ TEST(AdaptiveRouteTest, FullyLiveMeshRoutesEveryPairMinimally) {
   for (const GridDim dim : {GridDim{4, 4}, GridDim{3, 5}, GridDim{5, 3}}) {
     const Topology topo = live_mesh(dim);
     std::vector<std::uint8_t> table;
-    build_adaptive_routes(dim, topo.link_up, topo.router_up, table);
+    build_adaptive_routes(dim, topo.link_up, table);
     for (int src = 0; src < dim.node_count(); ++src)
       for (int dst = 0; dst < dim.node_count(); ++dst) {
         const GridCoord a = index_to_coord(src, dim);
@@ -296,7 +253,7 @@ TEST(AdaptiveRouteTest, RoutesAroundADeadEastLink) {
                static_cast<std::size_t>(static_cast<int>(
                    Direction::kEast))] = 0;
   std::vector<std::uint8_t> table;
-  build_adaptive_routes(dim, topo.link_up, topo.router_up, table);
+  build_adaptive_routes(dim, topo.link_up, table);
   // Detours around a dead *east* link only need north/south-then-east
   // turns, all west-first-legal: every pair stays reachable, and
   // walk_route asserts no path crosses the dead link.
@@ -317,7 +274,7 @@ TEST(AdaptiveRouteTest, WestCutIsMarkedUnreachableNotLooped) {
                static_cast<std::size_t>(static_cast<int>(
                    Direction::kWest))] = 0;
   std::vector<std::uint8_t> table;
-  build_adaptive_routes(dim, topo.link_up, topo.router_up, table);
+  build_adaptive_routes(dim, topo.link_up, table);
   for (int y = 0; y < dim.height; ++y)
     EXPECT_EQ(walk_route(dim, table, topo, src,
                          coord_to_index({0, y}, dim)),
@@ -330,44 +287,6 @@ TEST(AdaptiveRouteTest, WestCutIsMarkedUnreachableNotLooped) {
   // And (1,0) still reaches everything in its own column and eastward.
   EXPECT_GE(walk_route(dim, table, topo, src, coord_to_index({3, 3}, dim)),
             0);
-}
-
-TEST(AdaptiveRouteTest, DeadRouterIsUnreachableAndUnroutableThrough) {
-  const GridDim dim{4, 4};
-  Topology topo = live_mesh(dim);
-  const int dead = coord_to_index({1, 1}, dim);
-  kill_router(topo, dim, dead);
-  std::vector<std::uint8_t> table;
-  build_adaptive_routes(dim, topo.link_up, topo.router_up, table);
-  const int n = dim.node_count();
-  for (int src = 0; src < n; ++src) {
-    if (src == dead) continue;
-    EXPECT_EQ(walk_route(dim, table, topo, src, dead), -1);
-    // Rows seeded from a dead router never join the BFS: nothing routes
-    // *from* it either.
-    EXPECT_EQ(table[static_cast<std::size_t>(
-                  (dead * kDirectionCount +
-                   static_cast<int>(Direction::kLocal)) *
-                      n +
-                  src)],
-              kUnreachableRoute);
-  }
-  // Every remaining pair either routes legally around the hole or is
-  // honestly marked unreachable — walk_route fails the test on anything
-  // else (loops, dead-link crossings, misrouted ejection).
-  int reachable = 0;
-  for (int src = 0; src < n; ++src)
-    for (int dst = 0; dst < n; ++dst) {
-      if (src == dead || dst == dead) continue;
-      if (walk_route(dim, table, topo, src, dst) >= 0) ++reachable;
-    }
-  // Paths that would need a west hop past the hole are lost to the turn
-  // restriction (e.g. (2,1)->(0,1)), but the bulk of the mesh survives.
-  EXPECT_EQ(walk_route(dim, table, topo, coord_to_index({2, 1}, dim),
-                       coord_to_index({0, 1}, dim)),
-            -1);
-  EXPECT_GE(walk_route(dim, table, topo, 0, n - 1), 0);
-  EXPECT_GT(reachable, (n - 1) * (n - 1) * 3 / 4);
 }
 
 // --- Delivery guarantees on a live fabric ----------------------------------
@@ -440,82 +359,35 @@ TEST(DegradedFabricTest, RetransmitAckRaceIsSuppressedAsDuplicate) {
       << "duplicate reached the workload";
 }
 
-TEST(DegradedFabricTest, UnreachableRefusedAndDeadSourceDropped) {
+TEST(DegradedFabricTest, UnreachableDestinationRefusedAtAdmission) {
+  // With its only west exit cut, (1,3) cannot reach column 0 under the
+  // west-first restriction.
   Fabric fabric(mesh(4));
+  const int src = coord_to_index({1, 3}, fabric.config().dim);
   FaultPlan plan;
-  plan.events.push_back({FaultEvent::Kind::kRouterDown, 1, 5, 0});
+  plan.events.push_back({FaultEvent::Kind::kLinkDown, 1, src,
+                         static_cast<int>(Direction::kWest)});
   fabric.install_fault_plan(plan);
   fabric.run(4);
 
   EXPECT_EQ(fabric.route_epoch(), 1);
-  EXPECT_FALSE(fabric.router_alive(5));
-  EXPECT_FALSE(fabric.destination_reachable(0, 5));
-  EXPECT_TRUE(fabric.destination_reachable(0, 15));
+  EXPECT_FALSE(fabric.destination_reachable(src, 0));
+  EXPECT_TRUE(fabric.destination_reachable(src, 15));
 
-  // To a dead destination: accepted, then refused at admission and
-  // reported unreachable — not spun on until the retry budget burns out.
-  Message to_dead;
-  to_dead.src = 0;
-  to_dead.dst = 5;
-  to_dead.payload = {1};
-  fabric.send(to_dead);
+  // Accepted, then refused at admission and reported unreachable — not
+  // spun on until the retry budget burns out.
+  Message m;
+  m.src = src;
+  m.dst = 0;
+  m.payload = {1};
+  fabric.send(m);
   fabric.drain();
   const NetworkStats& st = fabric.stats();
   EXPECT_EQ(st.packets_unreachable(), 1u);
   EXPECT_EQ(st.packets_retried(), 0u);
-
-  // From a dead source: refused outright with a drop record.
-  Message from_dead;
-  from_dead.src = 5;
-  from_dead.dst = 0;
-  from_dead.payload = {2};
-  fabric.send(from_dead);
-  EXPECT_EQ(st.packets_dropped(), 1u);
-  fabric.drain();
-
-  // Conservation: two sends, zero delivered, one drop, one unreachable.
+  EXPECT_EQ(st.packets_dropped(), 0u);
   EXPECT_EQ(st.packets_delivered(), 0u);
   EXPECT_FALSE(fabric.try_receive(0).has_value());
-  EXPECT_FALSE(fabric.try_receive(5).has_value());
-}
-
-TEST(DegradedFabricTest, SourceDeathAtAnyCycleConservesAccounting) {
-  // Regression for a conservation-law double count: kill the source
-  // router at every cycle offset around a single corner-to-corner send.
-  // The hazardous window is the one where every flit of the tracked
-  // attempt is in flight beyond the source — the purge resolves the dead
-  // NI's tracker as dropped, so it must also doom those in-flight flits,
-  // or the packet would ALSO eject at the destination and count
-  // delivered, making delivered+dropped+unreachable exceed the one
-  // accepted send.
-  for (Cycle kill = 1; kill <= 48; ++kill) {
-    Fabric fabric(mesh(4));
-    DeliveryGuardConfig guard;
-    guard.timeout_cycles = 32;
-    guard.ack_latency_cycles = 4;
-    fabric.configure_delivery_guard(guard);
-    FaultPlan plan;
-    plan.events.push_back({FaultEvent::Kind::kRouterDown, kill, 0, 0});
-    fabric.install_fault_plan(plan);
-
-    Message m;
-    m.src = 0;
-    m.dst = 15;
-    m.tag = 3;
-    m.payload.assign(6, 0xC0DE);
-    fabric.send(m);
-    fabric.drain();
-
-    const NetworkStats& st = fabric.stats();
-    EXPECT_EQ(st.packets_delivered() + st.packets_dropped() +
-                  st.packets_unreachable(),
-              1u)
-        << "conservation violated with source killed at cycle " << kill;
-    const bool received = fabric.try_receive(15).has_value();
-    EXPECT_EQ(received, st.packets_delivered() == 1u)
-        << "delivered counter disagrees with receipt at kill cycle "
-        << kill;
-  }
 }
 
 TEST(DegradedFabricTest, FlakyLinkRecoversWithItsOwnRouteEpoch) {
@@ -790,45 +662,6 @@ DegradedPin run_noc_load_cell(TrafficPattern pattern, int scenario_index,
   return driver.observe(name);
 }
 
-/// 4x4 uniform traffic of 0..6-word messages (an empty payload travels as
-/// one flit) while two routers die mid-run, with a tight retry budget.
-DegradedPin run_dead_routers() {
-  Fabric fabric(mesh(4));
-  DeliveryGuardConfig guard;
-  guard.retry_budget = 2;
-  guard.timeout_cycles = 64;
-  guard.ack_latency_cycles = 8;
-  fabric.configure_delivery_guard(guard);
-  FaultSpec spec;
-  spec.kind = FaultKind::kRouterDead;
-  spec.count = 2;
-  spec.onset_min = 40;
-  spec.onset_max = 300;
-  fabric.install_fault_plan(
-      make_fault_plan(fabric.config().dim, spec, fault_scenario_rng(7, 3)));
-  Rng rng(0x5eed);
-  PinDriver driver(fabric);
-  std::uint64_t tag = 0;
-  for (int c = 0; c < 600; ++c) {
-    for (int src = 0; src < fabric.node_count(); ++src) {
-      if (!rng.next_bool(0.06)) continue;
-      int dst = static_cast<int>(rng.next_below(15));
-      if (dst >= src) ++dst;
-      Message m = fabric.acquire_message();
-      m.src = src;
-      m.dst = dst;
-      m.tag = ++tag;
-      const std::size_t words = rng.next_below(7);
-      for (std::size_t i = 0; i < words; ++i)
-        m.payload.push_back(payload_word(m.tag, i));
-      fabric.send(std::move(m));
-    }
-    driver.step();
-  }
-  driver.drain();
-  return driver.observe("4x4 two dead routers");
-}
-
 /// RetryRedeliversAfterAMidFlightLinkKill's setup.
 DegradedPin run_link_kill() {
   Fabric fabric(mesh(4));
@@ -901,11 +734,6 @@ TEST(DegradedFabricTest, DrainedRunsMatchParentEngine) {
        0xd8dd2e7c9d95aeedu, 9425, 1, 0, 59, 0, 9425,
        0x4024678a719735b2u, 0x4014000000000000u, 0x403d000000000000u,
        0x757d291b1df5146au},
-      {"4x4 two dead routers", 653, 2,
-       {4325, 4322, 4322, 1385, 3148, 1177, 1174, 0, 0},
-       0x5e6d1fa1d591218bu, 379, 0, 52, 130, 0, 379,
-       0x401a0c288717a41fu, 0x4000000000000000u, 0x4036000000000000u,
-       0xc0345b79230f09f1u},
       {"mid-flight link kill", 50, 1,
        {51, 49, 49, 7, 41, 10, 8, 0, 0},
        0x840ce6d8cf746ceeu, 1, 1, 0, 0, 0, 1,
@@ -922,7 +750,6 @@ TEST(DegradedFabricTest, DrainedRunsMatchParentEngine) {
       run_noc_load_cell(TrafficPattern::kTranspose, 9, "8x8 flaky transpose"),
       run_noc_load_cell(TrafficPattern::kUniformRandom, 17,
                         "8x8 flaky uniform"),
-      run_dead_routers(),
       run_link_kill(),
       run_ack_race(),
   };
@@ -950,40 +777,26 @@ TEST(DegradedFabricTest, DrainedRunsMatchParentEngine) {
   }
 }
 
-// --- Migration abort -------------------------------------------------------
+// --- Migration on a cut fabric ----------------------------------------------
 
-TEST(MigrationAbortTest, LostStatePacketAbortsWithoutCommitting) {
+TEST(MigrationOnCutFabricTest, LostStatePacketThrows) {
+  // Rotation moves (1,3)'s state to (0,1), which a cut west link at (1,3)
+  // makes unreachable: the packet is refused, and the migration fails
+  // instead of resuming on a state it never received.
   Fabric fabric(mesh(4));
   FaultPlan plan;
-  plan.events.push_back({FaultEvent::Kind::kRouterDown, 1, 6, 0});
+  plan.events.push_back({FaultEvent::Kind::kLinkDown, 1,
+                         coord_to_index({1, 3}, fabric.config().dim),
+                         static_cast<int>(Direction::kWest)});
   fabric.install_fault_plan(plan);
   fabric.run(3);
-  ASSERT_FALSE(fabric.router_alive(6));
 
   MigrationController controller(fabric,
                                  Transform{TransformKind::kRotation, 0});
   std::vector<int> placement = identity_permutation(16);
-  const std::vector<int> before = placement;
-  const std::vector<int> words(16, 8);
-  const MigrationReport rep = controller.migrate(placement, words);
-
-  EXPECT_TRUE(rep.aborted);
-  EXPECT_GE(rep.aborted_phase, 0);
-  // No commit: placement and the I/O translator keep the old map.
-  EXPECT_EQ(placement, before);
-  EXPECT_EQ(controller.migrations(), 0);
-  for (int i = 0; i < 16; ++i)
-    EXPECT_EQ(controller.translator().logical_to_physical(i), i);
-  // The fabric is drained and the workload can resume.
-  EXPECT_TRUE(fabric.idle());
-  for (int nidx = 0; nidx < 16; ++nidx)
-    EXPECT_TRUE(fabric.injection_enabled(nidx));
-
-  // Rescheduling is the caller's move; a second attempt must again abort
-  // cleanly (the router is permanently dead), not throw or wedge.
-  const MigrationReport rep2 = controller.migrate(placement, words);
-  EXPECT_TRUE(rep2.aborted);
-  EXPECT_EQ(placement, before);
+  EXPECT_THROW(controller.migrate(placement, std::vector<int>(16, 8)),
+               CheckError);
+  EXPECT_EQ(fabric.stats().packets_unreachable(), 1u);
 }
 
 // --- Sweep fault axes ------------------------------------------------------
@@ -993,9 +806,8 @@ SweepConfig fault_sweep_config() {
   cfg.patterns = {TrafficPattern::kUniformRandom};
   cfg.mesh_sides = {4};
   cfg.injection_rates = {0.05};
-  cfg.message_words = {4};
   cfg.fault_counts = {0, 2};
-  cfg.fault_kinds = {FaultKind::kLinkDead, FaultKind::kRouterDead};
+  cfg.fault_kinds = {FaultKind::kLinkDead, FaultKind::kLinkFlaky};
   cfg.retry_budgets = {kGuardDisabled, 2};
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 400;
@@ -1091,8 +903,8 @@ TEST(FaultSweepTest, DefaultAxesKeepTheLegacyGrid) {
 
 TEST(FaultSweepTest, ValidateRejectsOversubscribedFaultAxis) {
   SweepConfig cfg = fault_sweep_config();
-  cfg.fault_kinds = {FaultKind::kRouterDead};
-  cfg.fault_counts = {0, 100};  // more routers than a 4x4 mesh has
+  cfg.fault_kinds = {FaultKind::kLinkDead};
+  cfg.fault_counts = {0, 100};  // more links than a 4x4 mesh's 48
   EXPECT_THROW(cfg.validate(), CheckError);
   cfg.fault_counts = {0, 2};
   EXPECT_NO_THROW(cfg.validate());

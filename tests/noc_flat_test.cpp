@@ -5,8 +5,7 @@
 //     buffer depths, and wormhole-contention scenarios;
 //   * the scenario-sweep harness: thread-count invariance and single-
 //     scenario replay (mirroring ber_harness_test);
-//   * the new traffic patterns (bit-reverse, shuffle), fixed-point skip
-//     accounting, and bursty Markov on/off modulation;
+//   * traffic fixed-point skip accounting;
 //   * idle time advance: advance_idle(n) and run(n) against n step() calls.
 #include <gtest/gtest.h>
 
@@ -181,8 +180,7 @@ TEST(FlatVsReference, AllTrafficPatterns) {
   for (TrafficPattern p :
        {TrafficPattern::kUniformRandom, TrafficPattern::kTranspose,
         TrafficPattern::kBitComplement, TrafficPattern::kHotspot,
-        TrafficPattern::kNeighbor, TrafficPattern::kBitReverse,
-        TrafficPattern::kShuffle}) {
+        TrafficPattern::kNeighbor}) {
     SCOPED_TRACE(to_string(p));
     expect_engines_agree(cfg, pattern_schedule(cfg, p, 300, 0.25, 3, 17));
   }
@@ -400,43 +398,8 @@ TEST(FabricRecycling, AcquireSendReceiveRecycleRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// New traffic patterns and skip accounting
+// Skip accounting
 // ---------------------------------------------------------------------------
-
-TEST(TrafficPatterns, BitReverseAndShuffleOn4x4) {
-  Fabric fabric(make_config({4, 4}));  // 16 nodes -> 4 address bits
-  TrafficGenerator rev(fabric, TrafficPattern::kBitReverse, 0.1, 2, Rng(1));
-  EXPECT_EQ(rev.destination(1), 8);    // 0001 -> 1000
-  EXPECT_EQ(rev.destination(3), 12);   // 0011 -> 1100
-  EXPECT_EQ(rev.destination(8), 1);
-  EXPECT_EQ(rev.destination(0), 0);    // palindrome: fixed point
-  EXPECT_EQ(rev.destination(6), 6);    // 0110 is a palindrome too
-  TrafficGenerator shf(fabric, TrafficPattern::kShuffle, 0.1, 2, Rng(1));
-  EXPECT_EQ(shf.destination(5), 10);   // 0101 -> 1010
-  EXPECT_EQ(shf.destination(8), 1);    // 1000 -> 0001
-  EXPECT_EQ(shf.destination(3), 6);    // 0011 -> 0110
-  EXPECT_EQ(shf.destination(0), 0);    // fixed point
-}
-
-TEST(TrafficPatterns, OutOfRangeImagesAreFixedPointsOn3x3) {
-  Fabric fabric(make_config({3, 3}));  // 9 nodes -> 4 address bits
-  TrafficGenerator rev(fabric, TrafficPattern::kBitReverse, 0.1, 2, Rng(1));
-  EXPECT_EQ(rev.destination(1), 8);    // 0001 -> 1000 = 8, in range
-  EXPECT_EQ(rev.destination(3), 3);    // 0011 -> 1100 = 12, out of range
-  TrafficGenerator shf(fabric, TrafficPattern::kShuffle, 0.1, 2, Rng(1));
-  EXPECT_EQ(shf.destination(4), 8);    // 0100 -> 1000
-  EXPECT_EQ(shf.destination(5), 5);    // 0101 -> 1010 = 10, out of range
-  // Every destination stays a valid node on every pattern.
-  for (TrafficPattern p :
-       {TrafficPattern::kBitReverse, TrafficPattern::kShuffle}) {
-    TrafficGenerator gen(fabric, p, 0.1, 2, Rng(2));
-    for (int src = 0; src < 9; ++src) {
-      const int dst = gen.destination(src);
-      EXPECT_GE(dst, 0);
-      EXPECT_LT(dst, 9);
-    }
-  }
-}
 
 /// Offered load in flits/node/cycle, fixed-point skips included: every
 /// injection draw, whether it sent a message or hit a fixed point.
@@ -478,55 +441,15 @@ TEST(TrafficSkips, HotspotNodeSkipsItsOwnDraws) {
 }
 
 // ---------------------------------------------------------------------------
-// Bursty (Markov on/off) injection
-// ---------------------------------------------------------------------------
-
-TEST(BurstyTraffic, LongRunOfferedLoadMatchesConfiguredRate) {
-  Fabric fabric(make_config({4, 4}));
-  BurstParams burst;
-  burst.enabled = true;
-  burst.p_on_to_off = 0.10;
-  burst.p_off_to_on = 0.10;  // duty cycle 0.5 -> on-state rate doubles
-  TrafficGenerator gen(fabric, TrafficPattern::kUniformRandom, 0.10, 2,
-                       Rng(9), 0, burst);
-  gen.run(8000);
-  EXPECT_NEAR(offered_flit_rate(gen, 2, 16, 8000), 0.10, 0.02);
-  // Conservation: everything sent is eventually delivered.
-  fabric.drain(2'000'000);
-  for (int n = 0; n < fabric.node_count(); ++n)
-    while (fabric.try_receive(n)) {
-    }
-  EXPECT_EQ(fabric.stats().packets_delivered(), gen.messages_sent());
-}
-
-TEST(BurstyTraffic, ValidatesParameters) {
-  Fabric fabric(make_config({4, 4}));
-  BurstParams bad;
-  bad.enabled = true;
-  bad.p_on_to_off = 0.0;  // no exit from bursts
-  EXPECT_THROW(TrafficGenerator(fabric, TrafficPattern::kUniformRandom, 0.1,
-                                2, Rng(1), 0, bad),
-               CheckError);
-  BurstParams low_duty;  // duty 1/11 -> on-state probability would exceed 1
-  low_duty.enabled = true;
-  low_duty.p_on_to_off = 0.5;
-  low_duty.p_off_to_on = 0.05;
-  EXPECT_THROW(TrafficGenerator(fabric, TrafficPattern::kUniformRandom, 0.5,
-                                2, Rng(1), 0, low_duty),
-               CheckError);
-}
-
-// ---------------------------------------------------------------------------
 // Scenario-sweep harness
 // ---------------------------------------------------------------------------
 
 SweepConfig small_sweep() {
   SweepConfig cfg;
   cfg.patterns = {TrafficPattern::kUniformRandom, TrafficPattern::kTranspose,
-                  TrafficPattern::kBitReverse};
-  cfg.mesh_sides = {4};
+                  TrafficPattern::kBitComplement};
+  cfg.mesh_sides = {4, 5};
   cfg.injection_rates = {0.05, 0.20};
-  cfg.message_words = {2, 4};
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 400;
   cfg.seed = 77;
@@ -565,22 +488,22 @@ TEST(SweepHarness, SingleScenarioReplayMatchesSweep) {
 TEST(SweepHarness, ScenarioGridOrderIsStable) {
   const SweepConfig cfg = small_sweep();
   const std::vector<SweepScenario> grid = cfg.scenarios();
-  ASSERT_EQ(grid.size(), 3u * 1u * 2u * 2u);
-  // Pattern-major, then mesh side, rate, words.
+  ASSERT_EQ(grid.size(), 3u * 2u * 2u);
+  // Pattern-major, then mesh side, then rate.
   EXPECT_EQ(grid[0].pattern, TrafficPattern::kUniformRandom);
+  EXPECT_EQ(grid[0].dim.width, 4);
   EXPECT_EQ(grid[0].injection_rate, 0.05);
-  EXPECT_EQ(grid[0].message_words, 2);
-  EXPECT_EQ(grid[1].message_words, 4);
-  EXPECT_EQ(grid[2].injection_rate, 0.20);
+  EXPECT_EQ(grid[1].injection_rate, 0.20);
+  EXPECT_EQ(grid[2].dim.width, 5);
   EXPECT_EQ(grid[4].pattern, TrafficPattern::kTranspose);
-  EXPECT_EQ(grid[8].pattern, TrafficPattern::kBitReverse);
+  EXPECT_EQ(grid[8].pattern, TrafficPattern::kBitComplement);
 }
 
 TEST(SweepHarness, ReportsOfferedAndInjectedLoadSeparately) {
   SweepConfig cfg = small_sweep();
   cfg.patterns = {TrafficPattern::kTranspose};  // diagonal fixed points
+  cfg.mesh_sides = {4};
   cfg.injection_rates = {0.2};
-  cfg.message_words = {2};
   const std::vector<SweepPoint> pts = run_noc_sweep(cfg);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_GT(pts[0].messages_skipped, 0u);
@@ -595,8 +518,8 @@ TEST(SweepHarness, SaturatedHotspotShowsAcceptedBelowOffered) {
   // make every scenario look unsaturated.)
   SweepConfig cfg = small_sweep();
   cfg.patterns = {TrafficPattern::kHotspot};
+  cfg.mesh_sides = {4};
   cfg.injection_rates = {0.5};
-  cfg.message_words = {4};
   cfg.measure_cycles = 600;
   const std::vector<SweepPoint> pts = run_noc_sweep(cfg);
   ASSERT_EQ(pts.size(), 1u);
@@ -616,15 +539,6 @@ TEST(SweepHarness, ValidatesConfig) {
   EXPECT_THROW(run_noc_sweep(cfg), CheckError);
   cfg = small_sweep();
   cfg.injection_rates = {1.5};
-  EXPECT_THROW(run_noc_sweep(cfg), CheckError);
-  // Infeasible burst/rate combination is rejected up front (not inside a
-  // worker thread, where a throw would terminate the process).
-  cfg = small_sweep();
-  cfg.injection_rates = {0.5};
-  cfg.message_words = {1};
-  cfg.burst.enabled = true;
-  cfg.burst.p_on_to_off = 0.5;
-  cfg.burst.p_off_to_on = 0.05;  // duty 1/11 -> on-state probability > 1
   EXPECT_THROW(run_noc_sweep(cfg), CheckError);
 }
 

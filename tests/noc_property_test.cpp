@@ -147,7 +147,8 @@ TEST_P(MeshSweep, DegradedDeliveryAccountingIsConserved) {
   guard.retry_budget = 2;
   fabric.configure_delivery_guard(guard);
   FaultSpec spec;
-  spec.kind = static_cast<FaultKind>((dim.width + dim.height) % 3);
+  spec.kind =
+      dim.width % 2 == 0 ? FaultKind::kLinkDead : FaultKind::kLinkFlaky;
   spec.count = 2;
   spec.onset_min = 50;
   spec.onset_max = 600;

@@ -113,9 +113,6 @@ TEST(PaperResultsTest, ResolutionAblationPreservesSchemeOrdering) {
   sweep.periods_s = {driver.default_period_s()};
   sweep.refines = {1, 2, 3};
   sweep.base_tile_power = driver.base_power();
-  sweep.power_jitter = 0.0;
-  sweep.migration_energy_j = 0.0;
-  sweep.threads = 2;
   const std::vector<ExperimentSweepPoint> points = run_experiment_sweep(sweep);
   ASSERT_EQ(points.size(), 6u);
 

@@ -277,10 +277,10 @@ TEST(AtomicArtifactWriteTest, SuppressibleWithJustification) {
 TEST(RouteRebuildTest, FiresOnTableRebuildInsideHotRegions) {
   const std::string src = R"cpp(void step() {
   // renoc-hot-begin
-  build_adaptive_routes(dim, link_up, router_up, table);
+  build_adaptive_routes(dim, link_up, table);
   purge_stranded_packets();
   // renoc-hot-end
-  build_adaptive_routes(dim, link_up, router_up, table);
+  build_adaptive_routes(dim, link_up, table);
 }
 )cpp";
   const auto findings = lint_source("src/noc/fabric2.cpp", src);
@@ -310,7 +310,7 @@ TEST(RouteRebuildTest, SuppressibleWithJustification) {
   const std::string src = R"cpp(void step() {
   // renoc-hot-begin
   // renoc-lint-allow(route-rebuild): one-shot rebuild measured cold
-  build_adaptive_routes(dim, link_up, router_up, table);
+  build_adaptive_routes(dim, link_up, table);
   // renoc-hot-end
 }
 )cpp";

@@ -58,12 +58,6 @@ std::string sweep_point_diff(const SweepPoint& a, const SweepPoint& b) {
   field(sa.pattern == sb.pattern, "scenario.pattern");
   field(sa.dim == sb.dim, "scenario.dim");
   field(sa.injection_rate == sb.injection_rate, "scenario.injection_rate");
-  field(sa.message_words == sb.message_words, "scenario.message_words");
-  field(sa.burst.enabled == sb.burst.enabled &&
-            sa.burst.p_on_to_off == sb.burst.p_on_to_off &&
-            sa.burst.p_off_to_on == sb.burst.p_off_to_on,
-        "scenario.burst");
-  field(sa.hotspot == sb.hotspot, "scenario.hotspot");
   field(sa.fault_count == sb.fault_count, "scenario.fault_count");
   field(sa.fault_kind == sb.fault_kind, "scenario.fault_kind");
   field(sa.retry_budget == sb.retry_budget, "scenario.retry_budget");

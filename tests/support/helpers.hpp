@@ -35,9 +35,9 @@ bool phase_is_link_disjoint(const MigrationPhase& phase, const GridDim& dim);
 
 /// Names of the fields in which two sweep points differ, comma-separated
 /// in declaration order, or "" when they agree in every field: every
-/// SweepScenario field (the burst parameters included), the scenario
-/// index, every count, rate and latency, and every delivery-guard
-/// counter. Reals compare exactly, so "" means bit-identical results.
+/// SweepScenario field, the scenario index, every count, rate and
+/// latency, and every delivery-guard counter. Reals compare exactly, so
+/// "" means bit-identical results.
 std::string sweep_point_diff(const SweepPoint& a, const SweepPoint& b);
 
 namespace sweep {

@@ -2,15 +2,15 @@
 //
 // Two clusters:
 //   * indexing/RNG/boilerplate — decode/encode round trips on every
-//     harness's axis shape, enumeration-order equality with nested loops,
-//     the stateless per-scenario stream every harness draws from, and the
-//     pinned shared validation messages all three harnesses emit;
+//     sweep's axis shape, enumeration-order equality with nested loops,
+//     the stateless per-scenario stream the two threaded harnesses draw
+//     from, and the pinned shared validation messages every sweep emits;
 //   * the scenario loop — run_scenarios runs every index exactly once on
 //     any thread count, hands each worker an index into per-worker state,
 //     runs inline on one worker, and stops claiming after the first
 //     failure, which it rethrows. The harnesses' 1/2/4/7-thread invariance
-//     suites (ber_harness_test, noc_flat_test, noc_fault_test,
-//     experiment_sweep_test) hold their typed results to the same loop.
+//     suites (ber_harness_test, noc_flat_test, noc_fault_test) hold their
+//     typed results to the same loop.
 #include "util/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -50,8 +50,8 @@ std::string check_message(Fn&& fn) {
 TEST(ScenarioIndexTest, RoundTripsOnEveryHarnessShape) {
   const std::vector<std::vector<std::int64_t>> shapes = {
       {3, 7},                    // ber: points x blocks
-      {2, 2, 3, 1, 2, 1, 2},     // noc: 7 axes
-      {4, 2, 3, 2},              // experiment: 4 axes
+      {2, 2, 3, 2, 1, 2},        // noc: 6 axes
+      {4, 2, 3},                 // experiment: 3 axes
       {1},
       {1, 1, 1},
       {5},
@@ -96,18 +96,17 @@ TEST(ScenarioIndexTest, RejectsOutOfRangeIndexAndDigits) {
 }
 
 TEST(ScenarioIndexTest, HarnessGridsEnumerateInIndexOrder) {
-  // noc: scenarios()[i] must be the decode of i over the 7-axis shape, in
+  // noc: scenarios()[i] must be the decode of i over the 6-axis shape, in
   // the documented axis order.
   SweepConfig noc;
   noc.patterns = {TrafficPattern::kUniformRandom, TrafficPattern::kTranspose};
   noc.mesh_sides = {4, 8};
   noc.injection_rates = {0.05, 0.1, 0.2};
-  noc.message_words = {2, 4};
   noc.fault_counts = {0, 2};
-  noc.fault_kinds = {FaultKind::kLinkDead, FaultKind::kRouterDead};
+  noc.fault_kinds = {FaultKind::kLinkDead, FaultKind::kLinkFlaky};
   noc.retry_budgets = {kGuardDisabled, 3};
   const std::vector<SweepScenario> grid = noc.scenarios();
-  const std::vector<std::int64_t> shape = {2, 2, 3, 2, 2, 2, 2};
+  const std::vector<std::int64_t> shape = {2, 2, 3, 2, 2, 2};
   ASSERT_EQ(static_cast<std::int64_t>(grid.size()), axis_product(shape));
   std::vector<std::int64_t> d;
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -117,40 +116,35 @@ TEST(ScenarioIndexTest, HarnessGridsEnumerateInIndexOrder) {
               noc.mesh_sides[static_cast<std::size_t>(d[1])]);
     EXPECT_EQ(grid[i].injection_rate,
               noc.injection_rates[static_cast<std::size_t>(d[2])]);
-    EXPECT_EQ(grid[i].message_words,
-              noc.message_words[static_cast<std::size_t>(d[3])]);
     EXPECT_EQ(grid[i].fault_count,
-              noc.fault_counts[static_cast<std::size_t>(d[4])]);
+              noc.fault_counts[static_cast<std::size_t>(d[3])]);
     EXPECT_EQ(grid[i].fault_kind,
-              noc.fault_kinds[static_cast<std::size_t>(d[5])]);
+              noc.fault_kinds[static_cast<std::size_t>(d[4])]);
     EXPECT_EQ(grid[i].retry_budget,
-              noc.retry_budgets[static_cast<std::size_t>(d[6])]);
+              noc.retry_budgets[static_cast<std::size_t>(d[5])]);
   }
 
-  // experiment: same check over its 4-axis shape.
+  // experiment: same check over its 3-axis shape.
   ExperimentSweepConfig exp;
   exp.schemes = {MigrationScheme::kNone, MigrationScheme::kRotation};
-  exp.periods_s = {54.65e-6, 109.3e-6};
-  exp.power_scales = {1.0, 1.5};
+  exp.periods_s = {54.65e-6, 109.3e-6, 218.6e-6};
   exp.refines = {1, 2};
   const std::vector<ExperimentScenario> egrid = exp.scenarios();
-  const std::vector<std::int64_t> eshape = {2, 2, 2, 2};
+  const std::vector<std::int64_t> eshape = {2, 3, 2};
   ASSERT_EQ(static_cast<std::int64_t>(egrid.size()), axis_product(eshape));
   for (std::size_t i = 0; i < egrid.size(); ++i) {
     decode_scenario_index(static_cast<std::int64_t>(i), eshape, d);
     EXPECT_EQ(egrid[i].scheme, exp.schemes[static_cast<std::size_t>(d[0])]);
     EXPECT_EQ(egrid[i].period_s,
               exp.periods_s[static_cast<std::size_t>(d[1])]);
-    EXPECT_EQ(egrid[i].power_scale,
-              exp.power_scales[static_cast<std::size_t>(d[2])]);
-    EXPECT_EQ(egrid[i].refine, exp.refines[static_cast<std::size_t>(d[3])]);
+    EXPECT_EQ(egrid[i].refine, exp.refines[static_cast<std::size_t>(d[2])]);
   }
 }
 
 // --- RNG streams -----------------------------------------------------------
 
 TEST(ScenarioRngTest, StatelessDerivationPerSeedAndIndex) {
-  // The one per-scenario stream all three harnesses draw from: the same
+  // The one per-scenario stream both threaded harnesses draw from: the same
   // (seed, index) replays the same stream, and a different index or seed
   // gives a different one (the O(1) replay property's foundation).
   for (const std::uint64_t seed : {1ULL, 9ULL, 42ULL, 0xDEADBEEFULL}) {
@@ -176,7 +170,7 @@ TEST(ScenarioRngTest, StatelessDerivationPerSeedAndIndex) {
 // --- shared validation boilerplate ----------------------------------------
 
 TEST(ValidationTest, PinnedAxisMessagesAreIdenticalAcrossHarnesses) {
-  // The hoisted helper gives all three harnesses the same message shape;
+  // The hoisted helper gives every sweep the same message shape;
   // these strings are pinned — scripts may grep for them.
   BerConfig ber;
   ber.ebn0_db.clear();
@@ -196,7 +190,8 @@ TEST(ValidationTest, PinnedAxisMessagesAreIdenticalAcrossHarnesses) {
                 .find("sweep needs at least one scheme"),
             std::string::npos);
 
-  // Thread clamp: same message, same value formatting, in all three.
+  // Thread clamp: same message, same value formatting, in both threaded
+  // harnesses.
   const std::string want = "sweep threads must be >= 1, got 0";
   BerConfig ber2;
   ber2.ebn0_db = {1.0};
@@ -206,10 +201,6 @@ TEST(ValidationTest, PinnedAxisMessagesAreIdenticalAcrossHarnesses) {
   SweepConfig noc2;
   noc2.threads = 0;
   EXPECT_NE(check_message([&] { noc2.validate(); }).find(want),
-            std::string::npos);
-  ExperimentSweepConfig exp2;
-  exp2.threads = 0;
-  EXPECT_NE(check_message([&] { exp2.validate(); }).find(want),
             std::string::npos);
 }
 
