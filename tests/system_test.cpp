@@ -20,6 +20,7 @@
 #include "core/dtm_baselines.hpp"
 #include "core/experiment.hpp"
 #include "core/reconfigurable_system.hpp"
+#include "ldpc/decoder.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
@@ -264,32 +265,56 @@ std::uint64_t llr_digest(const std::vector<std::int16_t>& llrs) {
   return h;
 }
 
+/// FNV-1a over the golden decode of a block: one byte per hard bit, then
+/// one for syndrome_ok.
+std::uint64_t decode_digest(const DecodeResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t bit : result.hard_bits) {
+    h ^= bit;
+    h *= 0x100000001b3ULL;
+  }
+  h ^= result.syndrome_ok ? 1u : 0u;
+  h *= 0x100000001b3ULL;
+  return h;
+}
+
 TEST(ChipBuildTest, ChannelLlrsMatchParent) {
   // NoC cycles and activity counts do not depend on the data values, so no
   // golden or perfbench count notices if build_chip encodes a different
   // (still valid) codeword. These digests of the encoded, noisy block were
   // recorded from the Gauss-Jordan encoder; any encoder must reproduce its
-  // codewords exactly.
+  // codewords exactly. The second digest is the golden min-sum decode of
+  // that block at the configuration's iteration budget (21-33 iterations on
+  // n = 2046/2400 at full scale), the result run_stream holds every NoC
+  // decode to; any decoder layout must reproduce it exactly.
   struct Pin {
     const char* config;
     bool smoke;
     std::uint64_t digest;
+    std::uint64_t decoded;
   };
   const Pin pins[] = {
-      {"A", false, 0x6167f5e03445b2f0ULL},
-      {"B", false, 0xf2ec7510b7c47faaULL},
-      {"C", false, 0x7e3ad8c492eedbebULL},
-      {"D", false, 0x75252dd33fe8546fULL},
-      {"E", false, 0x8ca83f484ddde380ULL},
-      {"A", true, 0x314406d5a1b05f8bULL},
-      {"C", true, 0xdf4376c4e470a3beULL},
+      {"A", false, 0x6167f5e03445b2f0ULL, 0xa5feeeedcd8eff8aULL},
+      {"B", false, 0xf2ec7510b7c47faaULL, 0xd9c59a71f98d2c3aULL},
+      {"C", false, 0x7e3ad8c492eedbebULL, 0x9d4f39e36938a720ULL},
+      {"D", false, 0x75252dd33fe8546fULL, 0x17ac16324a19457cULL},
+      {"E", false, 0x8ca83f484ddde380ULL, 0x1050e945a82cf774ULL},
+      {"A", true, 0x314406d5a1b05f8bULL, 0xcfa43c43624133a2ULL},
+      {"C", true, 0xdf4376c4e470a3beULL, 0xeea1b3a5d6d684f0ULL},
   };
   for (const Pin& pin : pins) {
     const ChipConfig base = config_by_name(pin.config);
-    const BuiltChip built = build_chip(pin.smoke ? smoke_scaled(base) : base);
+    const ChipConfig cfg = pin.smoke ? smoke_scaled(base) : base;
+    const BuiltChip built = build_chip(cfg);
     const std::uint64_t got = llr_digest(built.channel_llrs);
     EXPECT_EQ(got, pin.digest) << pin.config << (pin.smoke ? " (smoke)" : "")
                                << ": got 0x" << std::hex << got;
+    const std::uint64_t decoded = decode_digest(
+        MinSumDecoder(built.code, cfg.ldpc_params.iterations)
+            .decode(built.channel_llrs));
+    EXPECT_EQ(decoded, pin.decoded)
+        << pin.config << (pin.smoke ? " (smoke)" : "") << ": decoded 0x"
+        << std::hex << decoded;
   }
 }
 
