@@ -37,9 +37,6 @@ int run() {
   cfg.ebn0_db = {0.0, 1.0, 2.0, 3.0, 4.0};
   cfg.blocks_per_point = 6;
   cfg.iterations = params.iterations;
-  // The NoC decoder always runs the full iteration budget, so the golden
-  // sweep must too for the per-block comparison below to be exact.
-  cfg.early_exit = false;
   cfg.threads = 4;
   cfg.seed = 2026;
   const std::vector<BerPoint> sweep = run_ber_sweep(code, encoder, cfg);

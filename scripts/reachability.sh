@@ -9,8 +9,10 @@
 # benchmark's own CMake project (perfbench/, which it only reads) the same
 # way. Both build under build-reachability/. Lists every global text ("T")
 # symbol of librenoc.a that no built executable defines, with its source
-# line, and exits 1 naming each one whose definition lacks the marker. A
-# build failure exits 2.
+# line, and exits 1 naming each one whose definition lacks the marker. It
+# also exits 1 naming each marked function that an executable does link:
+# a production caller makes the marker's reason stale. A build failure
+# exits 2.
 # Usage: scripts/reachability.sh
 set -euo pipefail
 
@@ -52,6 +54,7 @@ done < <(find "${work}/tree" "${work}/perfbench" -name CMakeFiles -prune \
            -o -type f -perm -u+x -print | sort)
 sort -u -o "${work}/linked.txt" "${work}/linked.txt"
 comm -23 "${work}/library.txt" "${work}/linked.txt" > "${work}/unreached.txt"
+comm -12 "${work}/library.txt" "${work}/linked.txt" > "${work}/reached.txt"
 
 # Definition lines from the debug info: "<addr> T <symbol>\t<file>:<line>".
 nm -l --defined-only "${library}" \
@@ -97,15 +100,43 @@ while IFS= read -r symbol; do
   rows+=("  ${status} ${where#"${repo_root}"/}  ${name}")
 done < "${work}/unreached.txt"
 
+# A marker on a function some executable links is stale.
+declare -A seen_reached=()
+stale=()
+while IFS= read -r symbol; do
+  name=$(c++filt "${symbol}")
+  [[ -n "${seen_reached[${name}]+x}" ]] && continue
+  seen_reached[${name}]=1
+  where=$(awk -v s="${symbol}" '$1 == s { print $2; exit }' "${work}/lines.txt")
+  if [[ -n "${where}" && -f "${where%:*}" ]] &&
+     has_marker "${where%:*}" "${where##*:}"; then
+    stale+=("  STALE    ${where#"${repo_root}"/}  ${name}")
+  fi
+done < "${work}/reached.txt"
+
 echo "reachability: ${executables} executables, ${total} library functions," \
   "${#rows[@]} reached by none"
 if ((${#rows[@]} > 0)); then
   printf '%s\n' "${rows[@]}" | sort -k2b,2V
 fi
+if ((${#stale[@]} > 0)); then
+  printf '%s\n' "${stale[@]}" | sort -k2b,2V
+fi
+status=0
 if ((unmarked > 0)); then
   echo "reachability: ${unmarked} library function(s) no production binary" \
     "links lack a '// renoc-test-only: <reason>' comment; delete them, move" \
     "them to tests/support, or mark them" >&2
-  exit 1
+  status=1
 fi
-echo "reachability: every unreached library function is marked test-only"
+if ((${#stale[@]} > 0)); then
+  echo "reachability: ${#stale[@]} function(s) marked" \
+    "'// renoc-test-only:' are linked by a production binary; remove the" \
+    "marker" >&2
+  status=1
+fi
+if ((status == 0)); then
+  echo "reachability: every unreached library function is marked test-only," \
+    "and no marked function is reached"
+fi
+exit "${status}"

@@ -33,19 +33,10 @@ struct MigrationReport {
   int moves = 0;                   ///< PEs whose state traveled
 };
 
-/// Control-overhead model for one migration, in cycles. These are halt
-/// time without switching energy: quiescing the phase group, committing
-/// the transformed configuration, and the global restart handshake.
-struct MigrationTiming {
-  int phase_barrier_cycles = 70;  ///< per phase: quiesce + commit
-  int resume_sync_cycles = 100;    ///< once: global resume handshake
-};
-
 class MigrationController {
  public:
   /// The controller owns the address translator for its fabric.
-  MigrationController(Fabric& fabric, Transform transform,
-                      MigrationTiming timing = {});
+  MigrationController(Fabric& fabric, Transform transform);
 
   const Transform& transform() const { return transform_; }
   const AddressTranslator& translator() const { return translator_; }
@@ -55,7 +46,10 @@ class MigrationController {
   /// packet. The fabric must contain no application traffic (callers halt
   /// the workload at a block boundary first); any residual traffic is
   /// drained and counted into total_cycles. A state packet that does not
-  /// arrive (a fault plan cut its path) throws CheckError.
+  /// arrive (a fault plan cut its path) throws CheckError after the PEs
+  /// resume where they were: the packets that did arrive are consumed,
+  /// injection is enabled at every node, and neither `placement` nor the
+  /// translator changes.
   MigrationReport migrate(std::vector<int>& placement,
                           const std::vector<int>& state_words);
 
@@ -65,7 +59,6 @@ class MigrationController {
  private:
   Fabric* fabric_;
   Transform transform_;
-  MigrationTiming timing_;
   AddressTranslator translator_;
 };
 

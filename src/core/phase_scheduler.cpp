@@ -57,8 +57,9 @@ std::vector<MigrationPhase> schedule_phases(
   return phases;
 }
 
-int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim,
-                          int pipeline_constant) {
+int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim) {
+  // Fixed per-packet cycles on top of the hop and flit terms.
+  constexpr int kPipelineCycles = 4;
   int worst = 0;
   for (const MigrationMove& mv : phase.moves) {
     const int hops = manhattan(index_to_coord(mv.src_tile, dim),
@@ -66,7 +67,7 @@ int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim,
     // Head needs `hops` link traversals plus per-hop switch allocation;
     // the remaining flits stream behind at one per cycle.
     const int flits = std::max(1, mv.state_words);
-    worst = std::max(worst, 2 * hops + flits + pipeline_constant);
+    worst = std::max(worst, 2 * hops + flits + kPipelineCycles);
   }
   return worst;
 }

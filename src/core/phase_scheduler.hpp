@@ -44,7 +44,6 @@ std::vector<MigrationPhase> schedule_phases(
 /// behind. Link-disjointness makes this a valid per-phase bound, which is
 /// what makes the total migration time deterministic; tests verify the
 /// simulated duration never exceeds it and is run-to-run identical.
-int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim,
-                          int pipeline_constant = 4);
+int phase_duration_cycles(const MigrationPhase& phase, const GridDim& dim);
 
 }  // namespace renoc

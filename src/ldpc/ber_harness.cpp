@@ -34,7 +34,6 @@ struct BlockCounts {
   std::int64_t bits = 0;
   std::int64_t bit_errors = 0;
   std::int64_t block_error = 0;
-  std::int64_t iterations_run = 0;
 };
 
 /// One worker's decoder (decoder workspaces are single-threaded), decode
@@ -48,7 +47,7 @@ struct BlockWorker {
 
   BlockWorker(const LdpcCode& code, const LdpcEncoder& encoder,
               const BerConfig& cfg)
-      : decoder(code, cfg.iterations, cfg.early_exit),
+      : decoder(code, cfg.iterations),
         data(static_cast<std::size_t>(encoder.k())) {}
 };
 
@@ -91,7 +90,6 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
     counts.bits = code.n();
     counts.bit_errors = errs;
     counts.block_error = errs > 0 ? 1 : 0;
-    counts.iterations_run = ws.result.iterations_run;
   });
 
   std::vector<BerPoint> out(static_cast<std::size_t>(points));
@@ -102,7 +100,6 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
     pt.bits += counts.bits;
     pt.bit_errors += counts.bit_errors;
     pt.block_errors += counts.block_error;
-    pt.iterations_total += counts.iterations_run;
   }
   for (std::int64_t p = 0; p < points; ++p)
     out[static_cast<std::size_t>(p)].ebn0_db =

@@ -9,11 +9,11 @@
 //   - every block of every sweep point gets its own RNG stream, derived
 //     statelessly from (config seed, point index, block index) by a
 //     SplitMix64 chain — never from the worker that happens to run it;
-//   - each block's four counts land in their own slot, and the fold is a
+//   - each block's three counts land in their own slot, and the fold is a
 //     plain per-point sum over the slots, so no schedule can change it.
 //
 // Result: the counts are bit-identical for any thread count. The price is
-// memory: a run holds four counts per block until the fold, not one
+// memory: a run holds three counts per block until the fold, not one
 // accumulator per point.
 //
 // Each worker owns a private MinSumDecoder (decoder workspaces are not
@@ -34,7 +34,6 @@ struct BerConfig {
   std::vector<double> ebn0_db;  ///< sweep points (one BerPoint per entry)
   int blocks_per_point = 100;
   int iterations = 10;       ///< decoder iterations per block
-  bool early_exit = true;    ///< stop a block on zero syndrome
   int threads = 1;           ///< worker thread count (>= 1)
   std::uint64_t seed = 1;    ///< master seed for all per-block streams
 
@@ -47,7 +46,6 @@ struct BerPoint {
   std::int64_t bits = 0;              ///< total codeword bits transmitted
   std::int64_t bit_errors = 0;
   std::int64_t block_errors = 0;      ///< blocks with any bit error
-  std::int64_t iterations_total = 0;  ///< sum of iterations_run
 
   double ber() const {
     return bits > 0 ? static_cast<double>(bit_errors) /
@@ -56,11 +54,6 @@ struct BerPoint {
   }
   double bler() const {
     return blocks > 0 ? static_cast<double>(block_errors) /
-                            static_cast<double>(blocks)
-                      : 0.0;
-  }
-  double avg_iterations() const {
-    return blocks > 0 ? static_cast<double>(iterations_total) /
                             static_cast<double>(blocks)
                       : 0.0;
   }

@@ -52,33 +52,6 @@ void LdpcCode::finalize() {
     check_neighbors_[static_cast<std::size_t>(cs)] = v;
   }
 
-  // Check-side gather map into var-major message storage: invert
-  // var_edge_ids_ (slot -> edge) then compose with check_edge_ids_.
-  std::vector<int> slot_of_edge(static_cast<std::size_t>(edges_));
-  for (int s = 0; s < edges_; ++s)
-    slot_of_edge[static_cast<std::size_t>(
-        var_edge_ids_[static_cast<std::size_t>(s)])] = s;
-  check_var_slots_.resize(static_cast<std::size_t>(edges_));
-  for (int p = 0; p < edges_; ++p)
-    check_var_slots_[static_cast<std::size_t>(p)] =
-        slot_of_edge[static_cast<std::size_t>(
-            check_edge_ids_[static_cast<std::size_t>(p)])];
-
-  if (edges_ <= 65536) {
-    check_var_slots16_.resize(static_cast<std::size_t>(edges_));
-    for (int p = 0; p < edges_; ++p)
-      check_var_slots16_[static_cast<std::size_t>(p)] =
-          static_cast<std::uint16_t>(check_var_slots_[
-              static_cast<std::size_t>(p)]);
-  }
-
-  uniform_var_degree_ = n_ > 0 ? var_degree(0) : 0;
-  for (int v = 1; v < n_ && uniform_var_degree_ != 0; ++v)
-    if (var_degree(v) != uniform_var_degree_) uniform_var_degree_ = 0;
-  uniform_check_degree_ = m_ > 0 ? check_degree(0) : 0;
-  for (int c = 1; c < m_ && uniform_check_degree_ != 0; ++c)
-    if (check_degree(c) != uniform_check_degree_) uniform_check_degree_ = 0;
-
   edge_check_.clear();
   edge_check_.shrink_to_fit();
   edge_var_.clear();
@@ -127,8 +100,8 @@ LdpcCode LdpcCode::make_regular(int n, int wc, int wr, Rng& rng) {
   return code;
 }
 
-// renoc-test-only: needs private access to build the graph, and tests
-// reach the decoders' non-uniform-degree paths through it.
+// renoc-test-only: needs private access to build the graph; irregular codes
+// exercise variable degrees and degree-1 checks on the one decode path.
 LdpcCode LdpcCode::make_irregular(const std::vector<int>& var_degrees,
                                   int wr, Rng& rng) {
   const int n = static_cast<int>(var_degrees.size());

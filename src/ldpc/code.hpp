@@ -7,7 +7,7 @@
 // permutations of the first. This yields exactly wr ones per row and wc
 // per column, the structure the hardware decoders of that generation used.
 //
-// The Tanner graph is stored flat in CSR form: four contiguous arrays per
+// The Tanner graph is stored flat in CSR form: three contiguous arrays per
 // side (offsets, neighbor node ids, global edge ids), built once at
 // construction. Decode kernels stream through these arrays with zero
 // pointer chasing; the classic per-node view survives as EdgeView, a
@@ -132,29 +132,6 @@ class LdpcCode {
   const std::vector<int>& check_edge_ids() const { return check_edge_ids_; }
   const std::vector<int>& check_neighbors() const { return check_neighbors_; }
 
-  /// Check-side positions mapped into var-major message storage: entry p of
-  /// the check-major traversal (check c owns [check_offsets()[c],
-  /// check_offsets()[c+1])) names the slot of that edge in a message array
-  /// laid out variable-by-variable. The golden decoders store q/r var-major
-  /// (variable phase and posteriors stream contiguously) and let the check
-  /// phase gather through this map.
-  const std::vector<int>& check_var_slots() const { return check_var_slots_; }
-
-  /// check_var_slots() narrowed to uint16_t when every slot fits (any code
-  /// with at most 65536 edges — all hardware-scale codes here). Half the
-  /// index bytes keeps the check-phase gather streams L1-resident roughly
-  /// twice as long; empty for larger graphs, so callers must fall back to
-  /// check_var_slots().
-  const std::vector<std::uint16_t>& check_var_slots16() const {
-    return check_var_slots16_;
-  }
-
-  /// Uniform variable degree, or 0 if degrees differ (regular codes report
-  /// wc). Lets decode loops pick fixed-stride fast paths.
-  int uniform_var_degree() const { return uniform_var_degree_; }
-  /// Uniform check degree, or 0 if degrees differ.
-  int uniform_check_degree() const { return uniform_check_degree_; }
-
   /// True if `bits` (size n, 0/1) satisfies every parity check.
   bool is_codeword(const std::vector<std::uint8_t>& bits) const;
 
@@ -183,10 +160,6 @@ class LdpcCode {
   std::vector<int> check_offsets_;    // size m+1
   std::vector<int> check_edge_ids_;   // size E
   std::vector<int> check_neighbors_;  // size E (variable ids)
-  std::vector<int> check_var_slots_;  // size E (see check_var_slots())
-  std::vector<std::uint16_t> check_var_slots16_;  // size E or empty
-  int uniform_var_degree_ = 0;
-  int uniform_check_degree_ = 0;
 };
 
 }  // namespace renoc

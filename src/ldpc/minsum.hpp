@@ -9,21 +9,17 @@
 // Check updates use normalized min-sum with factor 3/4 (exact in fixed
 // point: (3*m) >> 2), the standard hardware-friendly normalization.
 //
-// Two kernel flavors share one implementation:
-//   - contiguous: operate on a dense span of `degree` messages (the
-//     variable-node sweeps, whose messages are node-major);
-//   - edge-indexed: gather/scatter through `edge_ids` into the global
-//     edge-indexed q/r arrays in place — no copy-in/out, no allocation.
-// The edge-indexed flavor is what the flat decoders stream through: a
-// node's slice of LdpcCode's CSR arrays names exactly the slots to touch,
-// in construction order, so results stay bit-identical to the seed loops.
-// Kernels are defined inline here so the per-node calls in the decode loops
-// melt into the loops themselves; the check kernel tracks its two minima
-// branchlessly and normalizes once per magnitude instead of once per edge
-// (a check emits only two distinct output magnitudes).
+// Each kernel has one edge-indexed implementation: it gathers and scatters
+// through `edge_ids` into the global edge-indexed q/r arrays in place — no
+// copy-in/out, no allocation. A node's slice of LdpcCode's CSR arrays
+// names exactly the slots to touch, in construction order, so results stay
+// bit-identical to the seed loops. Kernels are defined inline here so the
+// per-node calls in the decode loops melt into the loops themselves; the
+// check kernel tracks its two minima branchlessly and normalizes once per
+// magnitude instead of once per edge (a check emits only two distinct
+// output magnitudes).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace renoc::minsum {
@@ -50,62 +46,60 @@ inline std::int16_t normalize(std::int16_t magnitude) {
   return static_cast<std::int16_t>(neg ? -scaled : scaled);
 }
 
-namespace detail {
+// --- Edge-indexed kernels --------------------------------------------------
+// `r`/`q` are the global edge-indexed message arrays; `edge_ids` is the
+// node's CSR slice (degree entries), read in construction order.
 
-// One implementation per kernel, parameterized over the slot map: the
-// contiguous flavor uses the identity, the edge-indexed flavor maps
-// position i to edge_ids[i]. Both therefore share arithmetic and operand
-// order exactly, which is what keeps every decoder bit-identical.
-struct IdentitySlots {
-  std::size_t operator()(int i) const { return static_cast<std::size_t>(i); }
-};
-struct EdgeSlots {
-  const int* edge_ids;
-  std::size_t operator()(int i) const {
-    return static_cast<std::size_t>(edge_ids[i]);
-  }
-};
+// renoc-hot-begin (per-node message kernels: the decoders' innermost code)
 
-// renoc-hot-begin (per-node message kernels: the BER-sweep innermost code)
-template <typename Slots>
-void var_update_impl(std::int16_t channel_llr, const std::int16_t* r_in,
-                     std::int16_t* q_out, int degree, Slots slots) {
-  // Wide accumulation first (order-independent), then per-edge extrinsic
-  // subtraction with a single saturation — the canonical ordering.
+/// Variable-node update for one variable:
+/// q_e = sat( llr + sum_{e'} r_{e'} - r_e ) for each incident edge e.
+/// Wide accumulation first (order-independent), then per-edge extrinsic
+/// subtraction with a single saturation — the canonical ordering.
+inline void var_update_edges(std::int16_t channel_llr, const std::int16_t* r,
+                             std::int16_t* q, const int* edge_ids,
+                             int degree) {
   std::int32_t total = channel_llr;
-  for (int i = 0; i < degree; ++i) total += r_in[slots(i)];
+  for (int i = 0; i < degree; ++i) total += r[edge_ids[i]];
   for (int i = 0; i < degree; ++i)
-    q_out[slots(i)] = saturate(total - r_in[slots(i)]);
+    q[edge_ids[i]] = saturate(total - r[edge_ids[i]]);
 }
 
-template <typename Slots>
-std::int32_t var_posterior_impl(std::int16_t channel_llr,
-                                const std::int16_t* r_in, int degree,
-                                Slots slots) {
+/// Posterior (APP) value for hard decision: llr + sum of all incoming r.
+inline std::int32_t var_posterior_edges(std::int16_t channel_llr,
+                                        const std::int16_t* r,
+                                        const int* edge_ids, int degree) {
   std::int32_t total = channel_llr;
-  for (int i = 0; i < degree; ++i) total += r_in[slots(i)];
+  for (int i = 0; i < degree; ++i) total += r[edge_ids[i]];
   return total;
 }
 
-template <typename Slots>
-void check_update_impl(const std::int16_t* q_in, std::int16_t* r_out,
-                       int degree, Slots slots) {
+/// Check-node update for one check:
+/// r_e = norm( prod_{e'!=e} sign(q_{e'}) * min_{e'!=e} |q_{e'}| ).
+/// Zero inputs are treated as positive sign with magnitude 0 (hardware
+/// convention). `q` and `r` must be distinct arrays (the output pass
+/// re-reads the inputs).
+inline void check_update_edges(const std::int16_t* q, std::int16_t* r,
+                               const int* edge_ids, int degree) {
   if (degree == 0) return;
   if (degree == 1) {
     // Degenerate check: the extrinsic min over an empty set saturates.
-    r_out[slots(0)] = normalize(kMsgMax);
+    r[edge_ids[0]] = normalize(kMsgMax);
     return;
   }
   // Two smallest magnitudes + parity of negative signs in one branch-free
   // pass: `hi = max(mag, min1)` is the value min2 must absorb whichever way
-  // the min1 update goes, so no select nests inside another (nested
-  // ternaries come out as real branches under gcc -O3, and min-sum inputs
-  // are noise — see check_update_edges_fixed for the full story).
+  // the min1 update goes (the displaced min1 when mag takes over, and mag
+  // itself otherwise). Min-sum inputs are noise, so every select here must
+  // compile to a conditional move — a branch on message data mispredicts
+  // until the block converges. Nested ternaries and a plain
+  // `(i == min1_pos)` select both came out as branches under gcc -O3; the
+  // min/max idioms and the mask arithmetic below stay branch-free.
   std::int32_t min1 = kMsgMax + 1, min2 = kMsgMax + 1;
   std::int32_t min1_pos = 0;
   std::uint32_t neg_parity = 0;
   for (int i = 0; i < degree; ++i) {
-    const std::int32_t v = q_in[slots(i)];
+    const std::int32_t v = q[edge_ids[i]];
     const std::int32_t mag = v < 0 ? -v : v;
     neg_parity ^= static_cast<std::uint32_t>(v < 0);
     const std::int32_t hi = mag > min1 ? mag : min1;
@@ -124,119 +118,10 @@ void check_update_impl(const std::int16_t* q_in, std::int16_t* r_out,
     // Sign excluding edge i: parity of all negative inputs minus this
     // edge's sign (zero treated as positive).
     const std::int32_t neg = -static_cast<std::int32_t>(
-        neg_parity ^ static_cast<std::uint32_t>(q_in[slots(i)] < 0));
+        neg_parity ^ static_cast<std::uint32_t>(q[edge_ids[i]] < 0));
     const std::int32_t sel = -static_cast<std::int32_t>(i == min1_pos);
     const std::int32_t mag = (norm1 & ~sel) | (norm2 & sel);
-    r_out[slots(i)] = static_cast<std::int16_t>((mag ^ neg) - neg);
-  }
-}
-// renoc-hot-end
-
-}  // namespace detail
-
-// --- Contiguous kernels ----------------------------------------------------
-
-/// Variable-node update for one variable:
-/// q_e = sat( llr + sum_{e'} r_{e'} - r_e ) for each incident edge e.
-/// `r_in` holds the r values in the variable's edge order; the q values are
-/// written to `q_out` in the same order (in-place r_in == q_out is fine).
-inline void var_update(std::int16_t channel_llr, const std::int16_t* r_in,
-                       std::int16_t* q_out, int degree) {
-  detail::var_update_impl(channel_llr, r_in, q_out, degree,
-                          detail::IdentitySlots{});
-}
-
-/// Posterior (APP) value for hard decision: llr + sum of all incoming r.
-inline std::int32_t var_posterior(std::int16_t channel_llr,
-                                  const std::int16_t* r_in, int degree) {
-  return detail::var_posterior_impl(channel_llr, r_in, degree,
-                                    detail::IdentitySlots{});
-}
-
-/// Check-node update for one check:
-/// r_e = norm( prod_{e'!=e} sign(q_{e'}) * min_{e'!=e} |q_{e'}| ).
-/// Zero inputs are treated as positive sign with magnitude 0 (hardware
-/// convention). Input and output share the check's edge order; `q_in` and
-/// `r_out` must not alias (the output pass re-reads the inputs).
-inline void check_update(const std::int16_t* q_in, std::int16_t* r_out,
-                         int degree) {
-  detail::check_update_impl(q_in, r_out, degree, detail::IdentitySlots{});
-}
-
-// --- Edge-indexed kernels --------------------------------------------------
-// `r`/`q` are the global edge-indexed message arrays; `edge_ids` is the
-// node's CSR slice (degree entries). Reads r[edge_ids[i]], writes
-// q[edge_ids[i]] — same arithmetic and order as the contiguous kernels.
-
-inline void var_update_edges(std::int16_t channel_llr, const std::int16_t* r,
-                             std::int16_t* q, const int* edge_ids,
-                             int degree) {
-  detail::var_update_impl(channel_llr, r, q, degree,
-                          detail::EdgeSlots{edge_ids});
-}
-
-inline std::int32_t var_posterior_edges(std::int16_t channel_llr,
-                                        const std::int16_t* r,
-                                        const int* edge_ids, int degree) {
-  return detail::var_posterior_impl(channel_llr, r, degree,
-                                    detail::EdgeSlots{edge_ids});
-}
-
-/// `q` and `r` must be distinct arrays (see check_update).
-inline void check_update_edges(const std::int16_t* q, std::int16_t* r,
-                               const int* edge_ids, int degree) {
-  detail::check_update_impl(q, r, degree, detail::EdgeSlots{edge_ids});
-}
-
-/// Fixed-degree check update: gathers the DEG inputs (and their slots) into
-/// locals once, so each edge costs one indirect load and one indirect store
-/// per iteration instead of two loads and a store — the compiler cannot do
-/// this itself because it must assume `q` and `r` may alias. SlotT is the
-/// slot-index type (int, or uint16_t via LdpcCode::check_var_slots16() to
-/// halve the index-stream bytes). Bit-identical to check_update_edges for
-/// degree == DEG >= 2.
-// renoc-hot-begin (fixed-degree check kernel: dominant decode cost)
-template <int DEG, typename SlotT>
-inline void check_update_edges_fixed(const std::int16_t* q, std::int16_t* r,
-                                     const SlotT* edge_ids) {
-  static_assert(DEG >= 2, "degenerate degrees take the generic kernel");
-  int slots[DEG];
-  std::int32_t vals[DEG];
-  for (int i = 0; i < DEG; ++i) slots[i] = edge_ids[i];
-  for (int i = 0; i < DEG; ++i) vals[i] = q[slots[i]];
-  // Two-min tracking without nested selects: `hi = max(mag, min1)` is the
-  // value min2 must absorb whichever way the min1 update goes (it equals
-  // the displaced min1 when mag takes over, and mag itself otherwise).
-  // Min-sum inputs are noise, so every select here MUST compile to a
-  // conditional move — a branch on message data mispredicts until the
-  // block converges, which once cost ~3x on large blocks. The nested
-  // ternary this replaces, and a plain `(i == min1_pos)` select in the
-  // output loop, both came out as branches under gcc -O3; the min/max
-  // idioms and the mask arithmetic below reliably stay branch-free.
-  std::int32_t min1 = kMsgMax + 1, min2 = kMsgMax + 1;
-  std::int32_t min1_pos = 0;
-  std::uint32_t neg_parity = 0;
-  for (int i = 0; i < DEG; ++i) {
-    const std::int32_t v = vals[i];
-    const std::int32_t mag = v < 0 ? -v : v;
-    neg_parity ^= static_cast<std::uint32_t>(v < 0);
-    const std::int32_t hi = mag > min1 ? mag : min1;
-    const std::int32_t take = -static_cast<std::int32_t>(mag < min1);
-    min1_pos = (min1_pos & ~take) | (i & take);
-    min1 = mag < min1 ? mag : min1;
-    min2 = hi < min2 ? hi : min2;
-  }
-  const std::int32_t norm1 =
-      (3 * (min1 > kMsgMax ? static_cast<std::int32_t>(kMsgMax) : min1)) >> 2;
-  const std::int32_t norm2 =
-      (3 * (min2 > kMsgMax ? static_cast<std::int32_t>(kMsgMax) : min2)) >> 2;
-  for (int i = 0; i < DEG; ++i) {
-    const std::int32_t neg =
-        -static_cast<std::int32_t>(
-            neg_parity ^ static_cast<std::uint32_t>(vals[i] < 0));
-    const std::int32_t sel = -static_cast<std::int32_t>(i == min1_pos);
-    const std::int32_t mag = (norm1 & ~sel) | (norm2 & sel);
-    r[slots[i]] = static_cast<std::int16_t>((mag ^ neg) - neg);
+    r[edge_ids[i]] = static_cast<std::int16_t>((mag ^ neg) - neg);
   }
 }
 // renoc-hot-end

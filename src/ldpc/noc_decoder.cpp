@@ -22,7 +22,6 @@ int tag_src(std::uint64_t tag) {
 
 void LdpcNocParams::validate() const {
   RENOC_CHECK(iterations >= 1);
-  RENOC_CHECK(values_per_word >= 1 && values_per_word <= 4);
   RENOC_CHECK(vn_cycles_per_edge >= 0 && cn_cycles_per_edge >= 0);
   RENOC_CHECK(phase_overhead_cycles >= 0);
   RENOC_CHECK(max_cycles_per_block > 0);
@@ -107,7 +106,7 @@ void NocLdpcDecoder::build_static_tables() {
   expected_vn_inputs_.assign(static_cast<std::size_t>(k), 0);
   expected_cn_inputs_.assign(static_cast<std::size_t>(k), 0);
   max_message_words_ = 0;
-  const std::size_t vpw = static_cast<std::size_t>(params_.values_per_word);
+  constexpr std::size_t vpw = kValuesPerWord;
   for (int s = 0; s < k; ++s) {
     for (int d = 0; d < k; ++d) {
       auto& edges = vn_to_cn[static_cast<std::size_t>(s)][
@@ -138,8 +137,8 @@ int NocLdpcDecoder::migration_state_words(int cluster) const {
   std::int64_t values = 0;
   for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
     values += 1 + code_->var_degree(v);
-  const int vpw = params_.values_per_word;
-  return static_cast<int>((values + vpw - 1) / vpw) + kConfigWords;
+  return static_cast<int>((values + kValuesPerWord - 1) / kValuesPerWord) +
+         kConfigWords;
 }
 
 bool NocLdpcDecoder::inputs_ready(int cluster, int phase) const {
@@ -213,10 +212,9 @@ void NocLdpcDecoder::unpack_message(const Message& msg) {
                                      << pair->edges.size() << " edges need "
                                      << pair->words);
 
-  // Word by word, values_per_word 16-bit lanes each (no per-value divide).
+  // Word by word, kValuesPerWord 16-bit lanes each (no per-value divide).
   auto& target = carries_q ? q_ : r_;
-  const unsigned word_bits =
-      16u * static_cast<unsigned>(params_.values_per_word);
+  constexpr unsigned word_bits = 16u * kValuesPerWord;
   const std::uint64_t* word = msg.payload.data();
   unsigned shift = 0;
   for (const int e : pair->edges) {
@@ -242,8 +240,7 @@ void NocLdpcDecoder::send_phase_messages(int cluster, int phase) {
                           ? cn_pairs_[static_cast<std::size_t>(cluster)]
                           : vn_pairs_[static_cast<std::size_t>(cluster)];
   const auto& source = is_cn_phase ? r_ : q_;
-  const unsigned word_bits =
-      16u * static_cast<unsigned>(params_.values_per_word);
+  constexpr unsigned word_bits = 16u * kValuesPerWord;
   for (const PairTraffic& pt : pairs) {
     // Pool-backed message: the payload buffer circulates through the
     // fabric's recycling pool. A pooled buffer too short for this message
@@ -256,7 +253,7 @@ void NocLdpcDecoder::send_phase_messages(int cluster, int phase) {
     msg.dst = placement_[static_cast<std::size_t>(pt.dst)];
     msg.tag = make_tag(phase, cluster);
     msg.payload.assign(static_cast<std::size_t>(pt.words), 0);
-    // Word by word, values_per_word 16-bit lanes each (no per-value divide).
+    // Word by word, kValuesPerWord 16-bit lanes each (no per-value divide).
     std::uint64_t* word = msg.payload.data();
     unsigned shift = 0;
     for (const int e : pt.edges) {

@@ -44,7 +44,6 @@ namespace renoc {
 
 struct LdpcNocParams {
   int iterations = 10;
-  int values_per_word = 4;       ///< int16 values packed per flit word
   int vn_cycles_per_edge = 1;    ///< PE cycles per edge in a VN update
   int cn_cycles_per_edge = 1;    ///< PE cycles per edge in a CN update
   int phase_overhead_cycles = 8; ///< fixed sequencing cost per phase
@@ -61,6 +60,9 @@ struct NocDecodeResult {
 
 class NocLdpcDecoder {
  public:
+  /// int16 message values packed per 64-bit flit word (16-bit lanes).
+  static constexpr int kValuesPerWord = 4;
+
   /// `placement[cluster]` is the tile hosting that cluster; it must be an
   /// injective map into the fabric's nodes. Cluster count must not exceed
   /// the node count.
@@ -106,7 +108,7 @@ class NocLdpcDecoder {
     int src = 0;
     int dst = 0;
     std::vector<int> edges;
-    int words = 0;  ///< payload words: ceil(edges / values_per_word)
+    int words = 0;  ///< payload words: ceil(edges / kValuesPerWord)
   };
 
   void build_static_tables();

@@ -153,16 +153,13 @@ TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {
   AwgnChannel channel(2.5, 0.5, rng.split());
   const auto llrs = quantize_llrs(channel.transmit(encoder.encode(data)));
 
-  for (const bool early_exit : {false, true}) {
-    const MinSumDecoder decoder(code, 10, early_exit);
-    DecodeResult result;
-    decoder.decode_into(llrs, result);  // warm-up sizes hard_bits
-    const AllocGuard guard;
-    for (int i = 0; i < 8; ++i) decoder.decode_into(llrs, result);
-    guard.check_zero(early_exit ? "warmed decode_into (early exit)"
-                                : "warmed decode_into");
-    EXPECT_EQ(guard.count(), 0);
-  }
+  const MinSumDecoder decoder(code, 10);
+  DecodeResult result;
+  decoder.decode_into(llrs, result);  // warm-up sizes hard_bits
+  const AllocGuard guard;
+  for (int i = 0; i < 8; ++i) decoder.decode_into(llrs, result);
+  guard.check_zero("warmed decode_into");
+  EXPECT_EQ(guard.count(), 0);
 }
 
 /// 4x4-tile die subdivided refine x refine (as RefinedThermalModel builds

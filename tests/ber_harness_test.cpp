@@ -39,7 +39,6 @@ BerConfig small_config() {
   cfg.ebn0_db = {1.0, 3.0};
   cfg.blocks_per_point = 10;
   cfg.iterations = 6;
-  cfg.early_exit = true;
   cfg.seed = 77;
   return cfg;
 }
@@ -52,7 +51,6 @@ void expect_points_equal(const std::vector<BerPoint>& a,
     EXPECT_EQ(a[i].bits, b[i].bits);
     EXPECT_EQ(a[i].bit_errors, b[i].bit_errors);
     EXPECT_EQ(a[i].block_errors, b[i].block_errors);
-    EXPECT_EQ(a[i].iterations_total, b[i].iterations_total);
   }
 }
 
@@ -80,10 +78,6 @@ TEST(BerHarnessTest, PointBookkeepingIsExact) {
               static_cast<std::int64_t>(cfg.blocks_per_point) * f.code.n());
     EXPECT_LE(points[p].block_errors, points[p].blocks);
     EXPECT_LE(points[p].bit_errors, points[p].bits);
-    EXPECT_GE(points[p].iterations_total, points[p].blocks);
-    EXPECT_LE(points[p].iterations_total,
-              static_cast<std::int64_t>(cfg.blocks_per_point) *
-                  cfg.iterations);
   }
   // More noise cannot give fewer errors on this spread (1 dB vs 3 dB).
   EXPECT_GE(points[0].bit_errors, points[1].bit_errors);
@@ -104,7 +98,7 @@ TEST(BerHarnessTest, BlockRngReplaysSweepBlocks) {
                       static_cast<double>(f.encoder.n());
   std::vector<BerPoint> replay(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
-    const MinSumDecoder decoder(f.code, cfg.iterations, cfg.early_exit);
+    const MinSumDecoder decoder(f.code, cfg.iterations);
     BerPoint& want = replay[p];
     for (int b = 0; b < cfg.blocks_per_point; ++b) {
       Rng rng = ber_block_rng(cfg.seed, static_cast<int>(p), b);
@@ -122,7 +116,6 @@ TEST(BerHarnessTest, BlockRngReplaysSweepBlocks) {
       want.bits += static_cast<std::int64_t>(cw.size());
       want.bit_errors += errs;
       want.block_errors += errs > 0;
-      want.iterations_total += result.iterations_run;
     }
   }
   // The 1 dB point must see block errors, or a zeroed block-error count

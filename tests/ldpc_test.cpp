@@ -207,42 +207,56 @@ TEST(MinSumTest, NormalizeThreeQuarters) {
   EXPECT_EQ(minsum::normalize(1), 0);  // (3*1)>>2 = 0
 }
 
+// The kernel cases place a node's operands at permuted global edge ids,
+// with a foreign edge in between, so the kernels must gather and scatter
+// through `edge_ids` in slice order rather than read the arrays in order.
+
 TEST(MinSumTest, VarUpdateExtrinsic) {
-  const std::int16_t r[] = {5, -3, 2};
-  std::int16_t out[3];
-  minsum::var_update(10, r, out, 3);
+  // Slice order: edge 2 (r=5), edge 0 (r=-3), edge 3 (r=2); edge 1 is
+  // another node's.
+  const int edges[] = {2, 0, 3};
+  const std::int16_t r[] = {-3, 99, 5, 2};
+  std::int16_t q[] = {0, 55, 0, 0};
+  minsum::var_update_edges(10, r, q, edges, 3);
   // total = 14; q_e = total - r_e
-  EXPECT_EQ(out[0], 9);
-  EXPECT_EQ(out[1], 17);
-  EXPECT_EQ(out[2], 12);
+  EXPECT_EQ(q[2], 9);
+  EXPECT_EQ(q[0], 17);
+  EXPECT_EQ(q[3], 12);
+  EXPECT_EQ(q[1], 55);  // not this node's edge
 }
 
 TEST(MinSumTest, CheckUpdateSignsAndMins) {
-  const std::int16_t q[] = {10, -6, 4};
-  std::int16_t out[3];
-  minsum::check_update(q, out, 3);
-  // overall sign = -, magnitudes: min1=4 (idx 2), min2=6
-  // r_0 = norm(sign(-/+)=- * 4) = -3
-  EXPECT_EQ(out[0], -3);
+  // Slice order: edge 3 (q=10), edge 1 (q=-6), edge 0 (q=4); edge 2 would
+  // change both the minimum and the sign parity if it were read.
+  const int edges[] = {3, 1, 0};
+  const std::int16_t q[] = {4, -6, -1, 10};
+  std::int16_t r[] = {0, 0, 77, 0};
+  minsum::check_update_edges(q, r, edges, 3);
+  // overall sign = -, magnitudes: min1=4 (edge 0), min2=6
+  // r_3 = norm(sign(-/+)=- * 4) = -3
+  EXPECT_EQ(r[3], -3);
   // r_1 = norm(sign(-/-)=+ * 4) = +3
-  EXPECT_EQ(out[1], 3);
-  // r_2 = norm(sign(-/+)=- * min2=6) = -4
-  EXPECT_EQ(out[2], -4);
+  EXPECT_EQ(r[1], 3);
+  // r_0 = norm(sign(-/+)=- * min2=6) = -4
+  EXPECT_EQ(r[0], -4);
+  EXPECT_EQ(r[2], 77);  // not this check's edge
 }
 
 TEST(MinSumTest, CheckUpdateAllPositive) {
-  const std::int16_t q[] = {7, 9, 9};
-  std::int16_t out[3];
-  minsum::check_update(q, out, 3);
-  EXPECT_EQ(out[0], minsum::normalize(9));
-  EXPECT_EQ(out[1], minsum::normalize(7));
-  EXPECT_EQ(out[2], minsum::normalize(7));
+  const int edges[] = {1, 2, 0};
+  const std::int16_t q[] = {9, 7, 9};
+  std::int16_t r[3];
+  minsum::check_update_edges(q, r, edges, 3);
+  EXPECT_EQ(r[1], minsum::normalize(9));
+  EXPECT_EQ(r[2], minsum::normalize(7));
+  EXPECT_EQ(r[0], minsum::normalize(7));
 }
 
 TEST(MinSumTest, PosteriorSums) {
-  const std::int16_t r[] = {1, -2, 3};
-  EXPECT_EQ(minsum::var_posterior(5, r, 3), 7);
-  EXPECT_EQ(minsum::var_posterior(-5, r, 0), -5);
+  const int edges[] = {3, 0, 2};
+  const std::int16_t r[] = {-2, 100, 3, 1};
+  EXPECT_EQ(minsum::var_posterior_edges(5, r, edges, 3), 7);
+  EXPECT_EQ(minsum::var_posterior_edges(-5, r, edges, 0), -5);
 }
 
 TEST(DecoderTest, NoiselessDecodesExactly) {
@@ -302,19 +316,6 @@ TEST(DecoderTest, BerImprovesWithSnr) {
   const int high_snr = bit_errors_at(5.0);
   EXPECT_LT(high_snr, low_snr);
   EXPECT_EQ(high_snr, 0);
-}
-
-TEST(DecoderTest, EarlyExitStopsSooner) {
-  const LdpcCode code = small_code();
-  const LdpcEncoder encoder(code);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()), 0);
-  const auto cw = encoder.encode(data);
-  AwgnChannel channel(8.0, 0.5, Rng(41));
-  const auto llrs = quantize_llrs(channel.transmit(cw));
-  const MinSumDecoder eager(code, 30, /*early_exit=*/true);
-  const DecodeResult res = eager.decode(llrs);
-  EXPECT_TRUE(res.syndrome_ok);
-  EXPECT_LT(res.iterations_run, 30);
 }
 
 TEST(IrregularCodeTest, DegreesMatchRequest) {

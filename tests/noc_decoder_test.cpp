@@ -433,8 +433,8 @@ TEST(NocDecoderTest, RejectsMalformedMessages) {
   const int src = static_cast<int>(widest - pair_edges.begin()) / clusters;
   const int dst = static_cast<int>(widest - pair_edges.begin()) % clusters;
   const LdpcNocParams params;
-  const int words = (*widest + params.values_per_word - 1) /
-                    params.values_per_word;
+  const int words = (*widest + NocLdpcDecoder::kValuesPerWord - 1) /
+                    NocLdpcDecoder::kValuesPerWord;
   ASSERT_GE(words, 2);
 
   // A message parked at a decoder tile before the block starts is the

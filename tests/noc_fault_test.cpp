@@ -782,21 +782,36 @@ TEST(DegradedFabricTest, DrainedRunsMatchParentEngine) {
 TEST(MigrationOnCutFabricTest, LostStatePacketThrows) {
   // Rotation moves (1,3)'s state to (0,1), which a cut west link at (1,3)
   // makes unreachable: the packet is refused, and the migration fails
-  // instead of resuming on a state it never received.
-  Fabric fabric(mesh(4));
-  FaultPlan plan;
-  plan.events.push_back({FaultEvent::Kind::kLinkDown, 1,
-                         coord_to_index({1, 3}, fabric.config().dim),
-                         static_cast<int>(Direction::kWest)});
-  fabric.install_fault_plan(plan);
-  fabric.run(3);
+  // instead of resuming on a state it never received. It fails with the
+  // PEs resumed where they were: every NI injects again, the phase's
+  // delivered state packets are consumed, and nothing is committed. A cut
+  // west link at (3,1) loses (3,1)'s state, which its phase sends ahead of
+  // three state packets that do arrive.
+  for (const GridCoord cut : {GridCoord{1, 3}, GridCoord{3, 1}}) {
+    SCOPED_TRACE("west link cut at (" + std::to_string(cut.x) + "," +
+                 std::to_string(cut.y) + ")");
+    Fabric fabric(mesh(4));
+    FaultPlan plan;
+    plan.events.push_back({FaultEvent::Kind::kLinkDown, 1,
+                           coord_to_index(cut, fabric.config().dim),
+                           static_cast<int>(Direction::kWest)});
+    fabric.install_fault_plan(plan);
+    fabric.run(3);
 
-  MigrationController controller(fabric,
-                                 Transform{TransformKind::kRotation, 0});
-  std::vector<int> placement = identity_permutation(16);
-  EXPECT_THROW(controller.migrate(placement, std::vector<int>(16, 8)),
-               CheckError);
-  EXPECT_EQ(fabric.stats().packets_unreachable(), 1u);
+    MigrationController controller(fabric,
+                                   Transform{TransformKind::kRotation, 0});
+    std::vector<int> placement = identity_permutation(16);
+    EXPECT_THROW(controller.migrate(placement, std::vector<int>(16, 8)),
+                 CheckError);
+    EXPECT_EQ(fabric.stats().packets_unreachable(), 1u);
+    int enabled = 0;
+    for (int n = 0; n < fabric.node_count(); ++n)
+      enabled += fabric.injection_enabled(n) ? 1 : 0;
+    EXPECT_EQ(enabled, 16);
+    EXPECT_EQ(fabric.unread_deliveries(), 0);
+    EXPECT_EQ(placement, identity_permutation(16));
+    EXPECT_EQ(controller.migrations(), 0);
+  }
 }
 
 // --- Sweep fault axes ------------------------------------------------------
