@@ -8,19 +8,26 @@
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive_policy.hpp"
 #include "core/chip_config.hpp"
 #include "core/dtm_baselines.hpp"
 #include "core/experiment.hpp"
+#include "core/migration_controller.hpp"
 #include "core/reconfigurable_system.hpp"
+#include "core/transform.hpp"
 #include "ldpc/decoder.hpp"
+#include "ldpc/noc_decoder.hpp"
+#include "noc/fabric.hpp"
 #include "util/check.hpp"
 
 namespace renoc {
@@ -444,6 +451,208 @@ TEST(ExperimentDriverTest, PaperScaleAdaptiveAndDtmMatchParent) {
                        << got.adaptive[0] << ", " << got.adaptive[1] << ", "
                        << got.adaptive[2] << "}}, " << got.stop_go << ", "
                        << got.dvfs << "}";
+  }
+}
+
+/// FNV-1a step over the eight little-endian bytes of `v`.
+void fnv_word(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+// One block stream as perfbench's `stream` workload and the period record
+// run it: orbit_length + 1 blocks from the identity placement, with a
+// migration after each block but the last. Reals as bit patterns, counts
+// exact, printable as the literal rows below so a failure shows the row
+// it got.
+struct StreamBlockPin {
+  Cycle cycles = 0;
+  std::uint64_t bits = 0;  ///< FNV-1a of the hard bits, then syndrome_ok
+  bool operator==(const StreamBlockPin&) const = default;
+};
+
+struct StreamPin {
+  const char* config = "";
+  bool smoke = false;
+  MigrationScheme scheme = MigrationScheme::kShiftXY;
+  std::vector<StreamBlockPin> blocks;
+  // Migration totals over the stream: total cycles, transfer cycles,
+  // phases, state flits, moves.
+  std::array<std::uint64_t, 5> migrations{};
+  // The fabric after the stream: FNV-1a over every tile's nine counters,
+  // packets and flits delivered, the latency count and the bit patterns of
+  // its mean, min and max, and now().
+  std::uint64_t tiles = 0;
+  std::array<std::uint64_t, 7> fabric{};
+
+  bool same_run(const StreamPin& o) const {
+    return blocks == o.blocks && migrations == o.migrations &&
+           tiles == o.tiles && fabric == o.fabric;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const StreamPin& p) {
+  os << "{\"" << p.config << "\", " << (p.smoke ? "true" : "false")
+     << ", MigrationScheme::"
+     << (p.scheme == MigrationScheme::kRotation ? "kRotation" : "kShiftXY")
+     << ",\n {";
+  for (std::size_t b = 0; b < p.blocks.size(); ++b)
+    os << (b == 0 ? "" : b % 2 ? ", " : ",\n  ") << "{" << std::dec
+       << p.blocks[b].cycles << ", 0x" << std::hex << p.blocks[b].bits << "}";
+  os << std::dec << "},\n {";
+  for (std::size_t i = 0; i < p.migrations.size(); ++i)
+    os << (i ? ", " : "") << p.migrations[i];
+  os << "},\n 0x" << std::hex << p.tiles << ",\n {" << std::dec
+     << p.fabric[0] << ", " << p.fabric[1] << ", " << p.fabric[2] << ", 0x"
+     << std::hex << p.fabric[3] << ", 0x" << p.fabric[4] << ",\n  0x"
+     << p.fabric[5] << ", " << std::dec << p.fabric[6] << "}}";
+  return os;
+}
+
+StreamPin run_pinned_stream(const char* name, bool smoke,
+                            MigrationScheme scheme) {
+  const ChipConfig cfg =
+      smoke ? smoke_scaled(config_by_name(name)) : config_by_name(name);
+  const BuiltChip built = build_chip(cfg);
+  Fabric fabric(cfg.noc);
+  std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+  placement.resize(static_cast<std::size_t>(built.partition.cluster_count));
+  NocLdpcDecoder decoder(fabric, built.code, built.partition, placement,
+                         cfg.ldpc_params);
+  MigrationController controller(fabric, transform_of(scheme));
+  std::vector<int> state_words;
+  for (int c = 0; c < decoder.cluster_count(); ++c)
+    state_words.push_back(decoder.migration_state_words(c));
+
+  StreamPin got{name, smoke, scheme, {}, {}, 0, {}};
+  const int blocks = orbit_length(transform_of(scheme), cfg.dim) + 1;
+  for (int b = 0; b < blocks; ++b) {
+    const NocDecodeResult res = decoder.decode_block(built.channel_llrs);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t bit : res.hard_bits) {
+      h ^= bit;
+      h *= 0x100000001b3ULL;
+    }
+    h ^= res.syndrome_ok ? 1u : 0u;
+    h *= 0x100000001b3ULL;
+    got.blocks.push_back({res.cycles, h});
+    if (b + 1 == blocks) break;
+    const MigrationReport rep = controller.migrate(placement, state_words);
+    decoder.set_placement(placement);
+    got.migrations[0] += rep.total_cycles;
+    got.migrations[1] += rep.transfer_cycles;
+    got.migrations[2] += static_cast<std::uint64_t>(rep.phases);
+    got.migrations[3] += rep.state_flits;
+    got.migrations[4] += static_cast<std::uint64_t>(rep.moves);
+  }
+
+  const NetworkStats& st = fabric.stats();
+  got.tiles = 0xcbf29ce484222325ULL;
+  for (int t = 0; t < st.node_count(); ++t) {
+    const TileActivity& a = st.tile(t);
+    for (const std::uint64_t v :
+         {a.buffer_writes, a.buffer_reads, a.crossbar_traversals,
+          a.arbitrations, a.link_flits, a.injected_flits, a.ejected_flits,
+          a.pe_compute_ops, a.pe_state_words})
+      fnv_word(got.tiles, v);
+  }
+  const RunningStats& lat = st.packet_latency();
+  got.fabric = {st.packets_delivered(),
+                st.flits_delivered(),
+                lat.count(),
+                std::bit_cast<std::uint64_t>(lat.mean()),
+                std::bit_cast<std::uint64_t>(lat.min()),
+                std::bit_cast<std::uint64_t>(lat.max()),
+                fabric.now()};
+  return got;
+}
+
+TEST(StreamTest, PaperScaleStreamsMatchParent) {
+  // The NoC decode's cycles, activity counters and latency accumulator
+  // feed every power map and penalty, but the goldens see them only at
+  // smoke scale, where a block runs 4 iterations. Here full-scale A-E
+  // stream one X-Y Shift orbit each and A and B one rotation orbit (21-33
+  // iterations per block), plus smoke A and C; a change to how a block is
+  // simulated may make it faster, never different.
+  const std::vector<StreamPin> pins = {
+      {"A", false, MigrationScheme::kShiftXY,
+       {{54103, 0xa5feeeedcd8eff8a}, {53859, 0xa5feeeedcd8eff8a},
+        {53758, 0xa5feeeedcd8eff8a}, {54002, 0xa5feeeedcd8eff8a},
+        {54103, 0xa5feeeedcd8eff8a}},
+       {1516, 836, 4, 10232, 64},
+       0x3ea2116acb08ab2f,
+       {37444, 341192, 37444, 0x40345a3bac190cf6, 0x4000000000000000,
+        0x4078b00000000000, 271341}},
+      {"B", false, MigrationScheme::kShiftXY,
+       {{56947, 0xd9c59a71f98d2c3a}, {56046, 0xd9c59a71f98d2c3a},
+        {56640, 0xd9c59a71f98d2c3a}, {55706, 0xd9c59a71f98d2c3a},
+        {56947, 0xd9c59a71f98d2c3a}},
+       {1517, 837, 4, 10232, 64},
+       0x2c51319081d18071,
+       {15424, 364952, 15424, 0x4043dd5e8a175e79, 0x4018000000000000,
+        0x4074800000000000, 283803}},
+      {"C", false, MigrationScheme::kShiftXY,
+       {{53870, 0x9d4f39e36938a720}, {54414, 0x9d4f39e36938a720},
+        {53474, 0x9d4f39e36938a720}, {54595, 0x9d4f39e36938a720},
+        {53126, 0x9d4f39e36938a720}, {53870, 0x9d4f39e36938a720}},
+       {1652, 802, 5, 16000, 125},
+       0xf285935028dc5372,
+       {116561, 705316, 116561, 0x40354e4ca5462a4a, 0x4008000000000000,
+        0x406e000000000000, 325001}},
+      {"D", false, MigrationScheme::kShiftXY,
+       {{53622, 0x17ac16324a19457c}, {54483, 0x17ac16324a19457c},
+        {54843, 0x17ac16324a19457c}, {54303, 0x17ac16324a19457c},
+        {55375, 0x17ac16324a19457c}, {53622, 0x17ac16324a19457c}},
+       {1734, 884, 5, 16000, 125},
+       0xabe270cf91799de4,
+       {124469, 722068, 124469, 0x4034d84e12e071c7, 0x4008000000000000,
+        0x4072300000000000, 327982}},
+      {"E", false, MigrationScheme::kShiftXY,
+       {{55780, 0x1050e945a82cf774}, {58864, 0x1050e945a82cf774},
+        {57702, 0x1050e945a82cf774}, {56762, 0x1050e945a82cf774},
+        {56096, 0x1050e945a82cf774}, {55780, 0x1050e945a82cf774}},
+       {1652, 802, 5, 16000, 125},
+       0x53b5813dcd799c3c,
+       {114173, 717568, 114173, 0x403611d883c0998c, 0x4000000000000000,
+        0x4069e00000000000, 342636}},
+      {"A", true, MigrationScheme::kShiftXY,
+       {{2865, 0xcfa43c43624133a2}, {2851, 0xcfa43c43624133a2},
+        {2845, 0xcfa43c43624133a2}, {2869, 0xcfa43c43624133a2},
+        {2865, 0xcfa43c43624133a2}},
+       {1004, 324, 4, 4088, 64},
+       0x78c466d0c31c5251,
+       {5984, 22128, 5984, 0x4025e0836c2654e1, 0x4000000000000000,
+        0x405a800000000000, 15299}},
+      {"C", true, MigrationScheme::kShiftXY,
+       {{1930, 0xeea1b3a5d6d684f0}, {1944, 0xeea1b3a5d6d684f0},
+        {1944, 0xeea1b3a5d6d684f0}, {1973, 0xeea1b3a5d6d684f0},
+        {1924, 0xeea1b3a5d6d684f0}, {1930, 0xeea1b3a5d6d684f0}},
+       {1202, 352, 5, 7000, 125},
+       0x78261b86db9ff3ca,
+       {14093, 33544, 14093, 0x402a8a7d853d990b, 0x4000000000000000,
+        0x4053800000000000, 12847}},
+      {"A", false, MigrationScheme::kRotation,
+       {{54103, 0xa5feeeedcd8eff8a}, {54176, 0xa5feeeedcd8eff8a},
+        {54104, 0xa5feeeedcd8eff8a}, {54313, 0xa5feeeedcd8eff8a},
+        {54103, 0xa5feeeedcd8eff8a}},
+       {3720, 2480, 12, 10232, 64},
+       0x34c4a24c040cbe9e,
+       {37444, 341192, 37444, 0x40333ee476082650, 0x4000000000000000,
+        0x4080500000000000, 274519}},
+      {"B", false, MigrationScheme::kRotation,
+       {{56947, 0xd9c59a71f98d2c3a}, {56742, 0xd9c59a71f98d2c3a},
+        {56947, 0xd9c59a71f98d2c3a}, {55785, 0xd9c59a71f98d2c3a},
+        {56947, 0xd9c59a71f98d2c3a}},
+       {3722, 2482, 12, 10232, 64},
+       0x2588159ea9b23bd4,
+       {15424, 364952, 15424, 0x4044d1362c9d3639, 0x4018000000000000,
+        0x4079200000000000, 287090}}};
+  for (const StreamPin& want : pins) {
+    const StreamPin got = run_pinned_stream(want.config, want.smoke,
+                                            want.scheme);
+    EXPECT_TRUE(got.same_run(want)) << "got\n" << got;
   }
 }
 
