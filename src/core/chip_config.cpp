@@ -17,8 +17,6 @@ ChipConfig base_config(const std::string& name, int side) {
   cfg.noc.buffer_depth = 4;
   cfg.noc.clock_hz = 500e6;
   cfg.ldpc_params.iterations = 20;
-  cfg.ldpc_params.vn_cycles_per_edge = 1;
-  cfg.ldpc_params.cn_cycles_per_edge = 1;
   cfg.ldpc_params.phase_overhead_cycles = 8;
   cfg.hotspot = date05_hotspot_params();
   cfg.placer.iterations = 20000;

@@ -35,10 +35,18 @@ MigrationReport MigrationController::migrate(
     fabric_->set_injection_enabled(n, false);
   while (!fabric_->idle()) {
     fabric_->step();
-    // Drain any messages the workload has not collected; the workload is
-    // halted, so deliveries just wait in the NI — idle() tolerates that.
     RENOC_CHECK_MSG(fabric_->now() - start < 10'000'000,
                     "fabric failed to drain before migration");
+  }
+  // A delivery the workload has not collected would meet the state packets
+  // at their destinations. Fail before any state moves, with the PEs
+  // resumed where they were and the delivery left for the workload.
+  if (fabric_->unread_deliveries() > 0) {
+    for (int n = 0; n < fabric_->node_count(); ++n)
+      fabric_->set_injection_enabled(n, true);
+    RENOC_FAIL("unexpected traffic during migration ("
+               << fabric_->unread_deliveries()
+               << " unread deliveries after the halt)");
   }
 
   // 2. Build the move set: every cluster's state goes from its tile to the

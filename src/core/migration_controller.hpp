@@ -45,7 +45,10 @@ class MigrationController {
   /// updated in place; `state_words[cluster]` sizes each cluster's state
   /// packet. The fabric must contain no application traffic (callers halt
   /// the workload at a block boundary first); any residual traffic is
-  /// drained and counted into total_cycles. A state packet that does not
+  /// drained and counted into total_cycles. A delivery still unread after
+  /// that drain throws CheckError before any state packet is sent: it
+  /// stays unread, injection is enabled at every node, and neither
+  /// `placement` nor the translator changes. A state packet that does not
   /// arrive (a fault plan cut its path) throws CheckError after the PEs
   /// resume where they were: the packets that did arrive are consumed,
   /// injection is enabled at every node, and neither `placement` nor the

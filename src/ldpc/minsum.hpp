@@ -32,11 +32,6 @@ inline std::int16_t saturate(std::int32_t v) {
   return static_cast<std::int16_t>(lo > kMsgMax ? kMsgMax : lo);
 }
 
-/// Saturating addition in the message domain.
-inline std::int16_t sat_add(std::int16_t a, std::int16_t b) {
-  return saturate(static_cast<std::int32_t>(a) + b);
-}
-
 /// Normalization by 3/4, preserving sign, exact in integer arithmetic.
 inline std::int16_t normalize(std::int16_t magnitude) {
   const bool neg = magnitude < 0;

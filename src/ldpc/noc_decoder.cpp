@@ -4,6 +4,7 @@
 
 #include "ldpc/minsum.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace renoc {
 namespace {
@@ -22,7 +23,6 @@ int tag_src(std::uint64_t tag) {
 
 void LdpcNocParams::validate() const {
   RENOC_CHECK(iterations >= 1);
-  RENOC_CHECK(vn_cycles_per_edge >= 0 && cn_cycles_per_edge >= 0);
   RENOC_CHECK(phase_overhead_cycles >= 0);
   RENOC_CHECK(max_cycles_per_block > 0);
 }
@@ -82,7 +82,18 @@ void NocLdpcDecoder::build_static_tables() {
                      partition_.cn_owner[static_cast<std::size_t>(c)])]
         .push_back(c);
 
-  cluster_ops_ = cluster_edge_ops(code, partition_);
+  // Edge ops of one VN (or final) phase and of one CN phase, per cluster.
+  vn_ops_.assign(static_cast<std::size_t>(k), 0);
+  cn_ops_.assign(static_cast<std::size_t>(k), 0);
+  cluster_ops_.assign(static_cast<std::size_t>(k), 0);
+  for (int cl = 0; cl < k; ++cl) {
+    const std::size_t c = static_cast<std::size_t>(cl);
+    for (int v : cluster_vns_[c])
+      vn_ops_[c] += static_cast<std::uint64_t>(code.var_degree(v));
+    for (int ch : cluster_cns_[c])
+      cn_ops_[c] += static_cast<std::uint64_t>(code.check_degree(ch));
+    cluster_ops_[c] = vn_ops_[c] + cn_ops_[c];
+  }
 
   // Cross-cluster edge lists, canonical ascending-edge-id order. Walking
   // checks in index order and their edges in construction order gives
@@ -153,32 +164,14 @@ bool NocLdpcDecoder::inputs_ready(int cluster, int phase) const {
   return rt.received[static_cast<std::size_t>(phase)] >= expected;
 }
 
-Cycle NocLdpcDecoder::phase_cost(int cluster, int phase) const {
-  const bool is_cn_phase = (phase < 2 * params_.iterations) && (phase % 2 == 1);
-  std::uint64_t edge_ops = 0;
-  if (is_cn_phase) {
-    for (int c : cluster_cns_[static_cast<std::size_t>(cluster)])
-      edge_ops += static_cast<std::uint64_t>(code_->check_degree(c));
-    return params_.phase_overhead_cycles +
-           edge_ops * static_cast<std::uint64_t>(params_.cn_cycles_per_edge);
-  }
-  for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
-    edge_ops += static_cast<std::uint64_t>(code_->var_degree(v));
-  return params_.phase_overhead_cycles +
-         edge_ops * static_cast<std::uint64_t>(params_.vn_cycles_per_edge);
-}
-
 std::uint64_t NocLdpcDecoder::phase_ops(int cluster, int phase) const {
   const bool is_cn_phase = (phase < 2 * params_.iterations) && (phase % 2 == 1);
-  std::uint64_t ops = 0;
-  if (is_cn_phase) {
-    for (int c : cluster_cns_[static_cast<std::size_t>(cluster)])
-      ops += static_cast<std::uint64_t>(code_->check_degree(c));
-  } else {
-    for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
-      ops += static_cast<std::uint64_t>(code_->var_degree(v));
-  }
-  return ops;
+  return (is_cn_phase ? cn_ops_ : vn_ops_)[static_cast<std::size_t>(cluster)];
+}
+
+Cycle NocLdpcDecoder::phase_cost(int cluster, int phase) const {
+  return static_cast<Cycle>(params_.phase_overhead_cycles) +
+         phase_ops(cluster, phase);
 }
 
 void NocLdpcDecoder::unpack_message(const Message& msg) {
@@ -278,36 +271,14 @@ void NocLdpcDecoder::start_phase_if_ready(int cluster) {
   rt.busy_until = fabric_->now() + phase_cost(cluster, rt.phase);
 }
 
-void NocLdpcDecoder::finish_compute(int cluster) {
-  auto& rt = runtime_[static_cast<std::size_t>(cluster)];
-  const int phase = rt.phase;
-  const LdpcCode& code = *code_;
-
-  // Account the compute activity on the hosting tile.
-  fabric_->stats()
-      .tile(placement_[static_cast<std::size_t>(cluster)])
-      .pe_compute_ops += phase_ops(cluster, phase);
-
+void NocLdpcDecoder::run_phase_kernels(int cluster, int phase) {
   // The PE compute loops stream straight through the flat CSR arrays and
   // the global edge-indexed q_/r_ state with the edge-indexed kernels — the
   // same kernels (and operand order) the golden decoder uses, so the
   // distributed result stays bit-identical with zero per-node scratch.
+  const LdpcCode& code = *code_;
   const int* var_off = code.var_offsets().data();
   const int* var_ids = code.var_edge_ids().data();
-
-  if (phase == 2 * params_.iterations) {
-    // Final hard-decision phase.
-    for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
-      hard_bits_[static_cast<std::size_t>(v)] =
-          minsum::var_posterior_edges(llr_[static_cast<std::size_t>(v)],
-                                      r_.data(), var_ids + var_off[v],
-                                      var_off[v + 1] - var_off[v]) < 0
-              ? 1
-              : 0;
-    rt.state = PeState::kDone;
-    return;
-  }
-
   if (phase % 2 == 0) {
     // VN phase: q = f(llr, r) for every owned variable.
     for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
@@ -323,12 +294,123 @@ void NocLdpcDecoder::finish_compute(int cluster) {
                                  check_ids + check_off[c],
                                  check_off[c + 1] - check_off[c]);
   }
+}
 
+void NocLdpcDecoder::finish_compute(int cluster) {
+  auto& rt = runtime_[static_cast<std::size_t>(cluster)];
+  const int phase = rt.phase;
+
+  // Account the compute activity on the hosting tile.
+  fabric_->stats()
+      .tile(placement_[static_cast<std::size_t>(cluster)])
+      .pe_compute_ops += phase_ops(cluster, phase);
+
+  if (phase == 2 * params_.iterations) {
+    // Final hard-decision phase.
+    const int* var_off = code_->var_offsets().data();
+    const int* var_ids = code_->var_edge_ids().data();
+    for (int v : cluster_vns_[static_cast<std::size_t>(cluster)])
+      hard_bits_[static_cast<std::size_t>(v)] =
+          minsum::var_posterior_edges(llr_[static_cast<std::size_t>(v)],
+                                      r_.data(), var_ids + var_off[v],
+                                      var_off[v + 1] - var_off[v]) < 0
+              ? 1
+              : 0;
+    rt.state = PeState::kDone;
+    return;
+  }
+
+  run_phase_kernels(cluster, phase);
   send_phase_messages(cluster, phase);
   // Same-cluster values were written directly into q_/r_ above, so the
   // only bookkeeping needed is advancing to the next phase.
   rt.phase = phase + 1;
   rt.state = PeState::kWaiting;
+}
+
+Cycle NocLdpcDecoder::fast_forward(Cycle deadline) {
+  const int final_phase = 2 * params_.iterations;
+  int lo = final_phase;
+  int hi = 0;
+  for (const ClusterRuntime& rt : runtime_) {
+    if (rt.state == PeState::kDone) return 0;
+    lo = std::min(lo, rt.phase);
+    hi = std::max(hi, rt.phase);
+  }
+  // An anchor below base 2 may precede a phase 0, which starts without
+  // input; above 2 * iterations - 2 not even one iteration fits a jump.
+  const int base = lo & ~1;
+  if (base < 2 || hi + 2 > final_phase) return 0;
+
+  // The key: per cluster its phase above base and its remaining compute
+  // time (0 while waiting), then its received counts from its phase to
+  // the highest phase (no message names a later one).
+  const Cycle now = fabric_->now();
+  key_.clear();
+  for (const ClusterRuntime& rt : runtime_) {
+    key_.push_back(static_cast<std::uint64_t>(rt.phase - base));
+    key_.push_back(rt.state == PeState::kComputing ? rt.busy_until - now : 0);
+  }
+  for (const ClusterRuntime& rt : runtime_)
+    for (int p = rt.phase; p <= hi; ++p)
+      key_.push_back(static_cast<std::uint64_t>(
+          rt.received[static_cast<std::size_t>(p)]));
+  std::uint64_t hash = 0;
+  for (const std::uint64_t w : key_) hash = mix64(hash ^ w);
+
+  // Newest first: the latest equal anchor gives the shortest period.
+  for (std::size_t i = anchors_.size(); i-- > 0;) {
+    const Anchor& then = anchors_[i];
+    if (then.hash != hash || then.base >= base ||
+        then.key_size != key_.size() ||
+        !std::equal(key_.begin(), key_.end(),
+                    anchor_keys_.begin() +
+                        static_cast<std::ptrdiff_t>(then.key_begin)))
+      continue;
+    // Whole periods of 2m phases that leave the final phase unfinished
+    // and stop short of the deadlock guard's cycle.
+    const int period_phases = base - then.base;
+    const Cycle period = now - then.now;
+    const Cycle periods =
+        std::min(static_cast<Cycle>((final_phase - hi) / period_phases),
+                 (deadline - 1 - now) / period);
+    if (periods == 0 || !fabric_->repeat(then.mark, periods)) continue;
+    replay_phases(static_cast<int>(periods) * period_phases, hi,
+                  periods * period);
+    anchors_.clear();
+    anchor_keys_.clear();
+    return periods * period;
+  }
+
+  const int mark = fabric_->mark();
+  if (mark < 0) return 0;
+  anchors_.push_back(
+      Anchor{hash, anchor_keys_.size(), key_.size(), now, base, mark});
+  anchor_keys_.insert(anchor_keys_.end(), key_.begin(), key_.end());
+  return 0;
+}
+
+void NocLdpcDecoder::replay_phases(int phases, int hi, Cycle cycles) {
+  // Message values never affect timing, so the skipped phases' kernels run
+  // here in ascending phase order: phase p's kernels read only what phase
+  // p - 1's wrote, and every value is read before phase p + 1 overwrites
+  // it, as in the stepped schedule.
+  int lo = hi;
+  for (const ClusterRuntime& rt : runtime_) lo = std::min(lo, rt.phase);
+  for (int p = lo; p < hi + phases; ++p)
+    for (int cl = 0; cl < cluster_count(); ++cl) {
+      const int from = runtime_[static_cast<std::size_t>(cl)].phase;
+      if (p >= from && p < from + phases) run_phase_kernels(cl, p);
+    }
+  for (ClusterRuntime& rt : runtime_) {
+    const auto first =
+        rt.received.begin() + static_cast<std::ptrdiff_t>(rt.phase);
+    const auto last = rt.received.begin() + static_cast<std::ptrdiff_t>(hi + 1);
+    std::copy_backward(first, last, last + phases);
+    std::fill(first, first + phases, 0);
+    rt.phase += phases;
+    if (rt.state == PeState::kComputing) rt.busy_until += cycles;
+  }
 }
 
 NocDecodeResult NocLdpcDecoder::decode_block(
@@ -351,9 +433,17 @@ NocDecodeResult NocLdpcDecoder::decode_block(
 
   const Cycle start = fabric.now();
   Cycle done_at = start;
+  Cycle replayed = 0;
   const Cycle deadline = start + params_.max_cycles_per_block;
   constexpr Cycle kNever = ~Cycle{0};
   const int tiles = fabric.node_count();
+  // Anchors and their fabric marks last one block, however it ends.
+  anchors_.clear();
+  anchor_keys_.clear();
+  struct ReleaseMarks {
+    Fabric& fabric;
+    ~ReleaseMarks() { fabric.release_marks(); }
+  } release_marks{fabric};
 
   // Event-driven, cycle-exact schedule (see the header comment). `sweep`
   // marks a cycle on which a waiting PE may start: the first one, one with
@@ -398,12 +488,18 @@ NocDecodeResult NocLdpcDecoder::decode_block(
     }
 
     // Idle-skip: with nothing in the fabric and no PE able to start, the
-    // next event is the earliest busy_until. Land one cycle short of it
-    // (or of the deadline, so the guard below fires on its own cycle) and
-    // let the step reach it.
+    // next event is the earliest busy_until. First the anchor: when this
+    // state repeats an earlier one, whole periods are replayed and every
+    // busy_until moves with them. Then land one cycle short of the next
+    // event (or of the deadline, so the guard below fires on its own
+    // cycle) and let the step reach it.
     if (!sweep && fabric.idle()) {
+      const Cycle jumped = fast_forward(deadline);
+      replayed += jumped;
+      if (next_due != kNever) next_due += jumped;
+      const Cycle at = fabric.now();
       const Cycle target = std::min(next_due, deadline);
-      if (target > now + 1) fabric.advance_idle(target - 1 - now);
+      if (target > at + 1) fabric.advance_idle(target - 1 - at);
     }
     fabric.step();
     RENOC_CHECK_MSG(fabric.now() < deadline,
@@ -415,6 +511,7 @@ NocDecodeResult NocLdpcDecoder::decode_block(
   result.hard_bits = hard_bits_;
   result.syndrome_ok = code.is_codeword(hard_bits_);
   result.cycles = done_at - start;
+  result.replayed_cycles = replayed;
   return result;
 }
 

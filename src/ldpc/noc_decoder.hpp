@@ -31,6 +31,27 @@
 // start, nothing can happen before the earliest busy_until, so the fabric
 // jumps there with Fabric::advance_idle (clamped to the deadlock guard's
 // cycle).
+//
+// Period replay. Past a short transient the schedule repeats every
+// iteration or two, so at each such idle-skip point — pristine fabric
+// idle, no delivery unread, every NI enabled, no PE done — the decoder
+// takes an anchor: a Fabric::mark() (the round-robin pointers, all that
+// still decides an idle fabric's future) plus a key holding each
+// cluster's state, its phase and busy_until - now, and its received
+// counts from its phase on, taken relative to base, the lowest phase
+// rounded down to even. Anchors start at base 2, past phase 0, which
+// needs no input. When an anchor's key equals an earlier anchor's whose
+// base is 2m lower and the pointers match, the T = now - then cycles
+// between them repeat: phase cost depends on parity alone, and no
+// message value affects timing. Fabric::repeat applies k whole periods at
+// once, k = (2 * iterations - highest phase) / (2m) rounded down so that
+// no cluster finishes the final hard-decision phase inside the jump, and
+// fewer if the jump would reach the deadlock guard's cycle. Every
+// cluster's phase, busy_until and received counts then shift by 2mk, and
+// the skipped phases' min-sum kernels run in ascending phase order, a
+// valid dataflow order: each value is read before it is next written.
+// Results, cycles and every fabric counter equal stepping's;
+// NocDecodeResult reports the cycles replayed.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +65,9 @@ namespace renoc {
 
 struct LdpcNocParams {
   int iterations = 10;
-  int vn_cycles_per_edge = 1;    ///< PE cycles per edge in a VN update
-  int cn_cycles_per_edge = 1;    ///< PE cycles per edge in a CN update
-  int phase_overhead_cycles = 8; ///< fixed sequencing cost per phase
+  /// Fixed sequencing cost per phase; a phase then costs one PE cycle per
+  /// edge of its cluster's variables (VN and final phases) or checks (CN).
+  int phase_overhead_cycles = 8;
   std::uint64_t max_cycles_per_block = 5'000'000;  ///< deadlock guard
 
   void validate() const;
@@ -56,6 +77,8 @@ struct NocDecodeResult {
   std::vector<std::uint8_t> hard_bits;
   bool syndrome_ok = false;
   Cycle cycles = 0;  ///< block latency in fabric cycles
+  /// Cycles of `cycles` covered by period replay instead of step() calls.
+  Cycle replayed_cycles = 0;
 };
 
 class NocLdpcDecoder {
@@ -115,6 +138,14 @@ class NocLdpcDecoder {
   void unpack_message(const Message& msg);
   void start_phase_if_ready(int cluster);
   void finish_compute(int cluster);
+  /// The VN (even) or CN (odd) min-sum update of one non-final phase.
+  void run_phase_kernels(int cluster, int phase);
+  /// Anchors the idle-skip point the block has reached and replays whole
+  /// periods when it repeats an earlier anchor; returns the cycles jumped.
+  Cycle fast_forward(Cycle deadline);
+  /// Moves every cluster on by `phases` (highest phase `hi`) and its
+  /// busy_until by `cycles`, running the skipped phases' kernels.
+  void replay_phases(int phases, int hi, Cycle cycles);
   void send_phase_messages(int cluster, int phase);
   bool inputs_ready(int cluster, int phase) const;
   Cycle phase_cost(int cluster, int phase) const;
@@ -131,6 +162,8 @@ class NocLdpcDecoder {
   std::vector<std::vector<int>> cluster_vns_;
   std::vector<std::vector<int>> cluster_cns_;
   std::vector<std::uint64_t> cluster_ops_;
+  std::vector<std::uint64_t> vn_ops_;  // edge ops of a VN or final phase
+  std::vector<std::uint64_t> cn_ops_;  // edge ops of a CN phase
   // vn_pairs_[s]: traffic sent by cluster s during VN phases (q values,
   // keyed by destination CN cluster). cn_pairs_ symmetric for r values.
   std::vector<std::vector<PairTraffic>> vn_pairs_;
@@ -146,6 +179,20 @@ class NocLdpcDecoder {
   std::vector<std::int16_t> llr_;
   std::vector<std::uint8_t> hard_bits_;
   std::vector<ClusterRuntime> runtime_;
+
+  // The block's anchors (see the header comment): the key's hash, its
+  // place in anchor_keys_, the base phase, the cycle and the fabric mark.
+  struct Anchor {
+    std::uint64_t hash = 0;
+    std::size_t key_begin = 0;
+    std::size_t key_size = 0;
+    Cycle now = 0;
+    int base = 0;
+    int mark = -1;
+  };
+  std::vector<Anchor> anchors_;
+  std::vector<std::uint64_t> anchor_keys_;
+  std::vector<std::uint64_t> key_;  // scratch: the key being taken
 };
 
 }  // namespace renoc

@@ -321,8 +321,12 @@ void Fabric::eject_flit(int node, FlitHandle flit, TileActivity* tiles) {
       // renoc-lint-allow(hot-alloc): one word into a sent or pooled buffer
       msg.payload.push_back(0);
     }
-    stats_.note_packet_delivered(static_cast<int>(msg.payload.size()),
-                                 now_ - p.staged_at);
+    const int flits = static_cast<int>(msg.payload.size());
+    const Cycle latency = now_ - p.staged_at;
+    stats_.note_packet_delivered(flits, latency);
+    if (log_deliveries_)
+      // renoc-lint-allow(hot-alloc): grows to the longest marked stretch
+      delivery_log_.push_back(Delivery{latency, flits});
     ++unread_;
     --partial_count_;
     if (degraded_) {
@@ -578,6 +582,76 @@ void Fabric::set_injection_enabled(int node, bool enabled) {
 bool Fabric::injection_enabled(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   return nis_[static_cast<std::size_t>(node)].enabled;
+}
+
+// --- Period replay ----------------------------------------------------------
+
+bool Fabric::markable() const {
+  if (degraded_ || unread_ != 0 || !idle()) return false;
+  return std::all_of(nis_.begin(), nis_.end(),
+                     [](const NetworkInterface& ni) { return ni.enabled; });
+}
+
+int Fabric::mark() {
+  if (!markable()) return -1;
+  marks_.push_back(MarkRecord{now_, next_packet_id_, delivery_log_.size()});
+  const TileActivity* tiles = &stats_.tile(0);
+  mark_tiles_.insert(mark_tiles_.end(), tiles, tiles + nodes_);
+  for (const NetworkInterface& ni : nis_)
+    mark_msg_seq_.push_back(ni.next_msg_seq);
+  mark_rr_.insert(mark_rr_.end(), rr_pointer_.begin(), rr_pointer_.end());
+  log_deliveries_ = true;
+  return static_cast<int>(marks_.size()) - 1;
+}
+
+bool Fabric::repeat(int m, std::uint64_t times) {
+  RENOC_CHECK(m >= 0 && static_cast<std::size_t>(m) < marks_.size());
+  const std::size_t at = static_cast<std::size_t>(m);
+  if (!markable() ||
+      !std::equal(rr_pointer_.begin(), rr_pointer_.end(),
+                  mark_rr_.begin() + static_cast<std::ptrdiff_t>(
+                                         at * rr_pointer_.size())))
+    return false;
+  const MarkRecord mk = marks_[at];
+  // Each counter moves on by `times` copies of its change since the mark.
+  const auto extend = [times](std::uint64_t& now, std::uint64_t then) {
+    now += times * (now - then);
+  };
+  extend(now_, mk.now);
+  extend(next_packet_id_, mk.next_packet_id);
+  TileActivity* tiles = &stats_.tile(0);
+  for (std::size_t n = 0; n < nodes_; ++n) {
+    // Message sequence numbers wrap at 32 bits, as stepping wraps them.
+    std::uint32_t& seq = nis_[n].next_msg_seq;
+    seq += static_cast<std::uint32_t>(times) *
+           (seq - mark_msg_seq_[at * nodes_ + n]);
+    TileActivity& a = tiles[n];
+    const TileActivity& b = mark_tiles_[at * nodes_ + n];
+    extend(a.buffer_writes, b.buffer_writes);
+    extend(a.buffer_reads, b.buffer_reads);
+    extend(a.crossbar_traversals, b.crossbar_traversals);
+    extend(a.arbitrations, b.arbitrations);
+    extend(a.link_flits, b.link_flits);
+    extend(a.injected_flits, b.injected_flits);
+    extend(a.ejected_flits, b.ejected_flits);
+    extend(a.pe_compute_ops, b.pe_compute_ops);
+    extend(a.pe_state_words, b.pe_state_words);
+  }
+  for (std::uint64_t r = 0; r < times; ++r)
+    for (std::size_t d = mk.deliveries; d < delivery_log_.size(); ++d)
+      stats_.note_packet_delivered(delivery_log_[d].flits,
+                                   delivery_log_[d].latency);
+  release_marks();
+  return true;
+}
+
+void Fabric::release_marks() {
+  marks_.clear();
+  mark_tiles_.clear();
+  mark_msg_seq_.clear();
+  mark_rr_.clear();
+  delivery_log_.clear();
+  log_deliveries_ = false;
 }
 
 // --- Degraded-fabric mode ---------------------------------------------------

@@ -91,6 +91,24 @@
 // zero heap allocations once the workload reaches steady state —
 // tests/alloc_guard_test.cpp pins this, and tests/noc_flat_test.cpp pins
 // the bit-exactness against the reference.
+// --- Period replay ----------------------------------------------------------
+//
+// A workload whose traffic repeats (the LDPC decoder, one iteration after
+// another) can skip the repeats with mark() and repeat(). An idle pristine
+// fabric holds no flit, grant, queued message or borrowed credit: only its
+// round-robin pointers still decide what it does next. (The spare credit
+// counter that absorbs local and edge returns only counts up, and nothing
+// reads it.) mark() records those pointers with the clock, the PacketId
+// and per-NI message counters and every tile's activity counters, and
+// from the first mark on the fabric logs each delivery's flits and
+// latency. If the fabric is back in that idle state later, with the same
+// pointers, and the workload has returned to the state it held at the
+// mark, the stretch since the mark repeats exactly; repeat(mark, k) then
+// applies k more copies of it: now() and both id counters advance by k
+// times their change, each activity counter gains k times its change, and
+// the logged deliveries are replayed k times in order into NetworkStats,
+// so the latency accumulator keeps the bits stepping would give it.
+// repeat() and release_marks() drop every mark and the log.
 // --- Degraded-fabric mode ---------------------------------------------------
 //
 // install_fault_plan() / configure_delivery_guard() switch the fabric into
@@ -222,6 +240,22 @@ class Fabric {
 
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }
+
+  // --- Period replay (see the header comment block) -----------------------
+
+  /// Marks the current state for repeat() and returns the mark's index,
+  /// or -1 unless the fabric is pristine and idle(), with no unread
+  /// delivery and injection enabled at every node.
+  int mark();
+  /// Applies the stretch since mark `m` `times` more times, as the
+  /// times * (now() - mark's now()) step() calls that would repeat it.
+  /// The caller vouches that its workload is back in the state it held at
+  /// the mark; the fabric checks its own side. Returns false, changing
+  /// nothing, unless the fabric could be marked now and its round-robin
+  /// pointers equal the mark's; otherwise it drops every mark.
+  bool repeat(int m, std::uint64_t times);
+  /// Drops every mark and the delivery log.
+  void release_marks();
 
   // --- Degraded-fabric mode (see the header comment block) ---------------
 
@@ -357,6 +391,8 @@ class Fabric {
   bool inject_flit(int node, NetworkInterface& ni, TileActivity* tiles);
   void eject_flit(int node, FlitHandle flit, TileActivity* tiles);
   void recycle_payload(std::vector<std::uint64_t>& payload);
+  /// The fabric state mark() accepts (see its comment).
+  bool markable() const;
 
   // Degraded-mode machinery (all cold paths; nothing here is reached when
   // degraded_ is false).
@@ -405,6 +441,23 @@ class Fabric {
   std::vector<std::vector<std::uint64_t>> payload_pool_;
   NetworkStats stats_;
   std::vector<PlannedMove> planned_;  // scratch, reserved once
+
+  // Period replay state, held from mark() to repeat() or release_marks().
+  struct MarkRecord {
+    Cycle now = 0;
+    PacketId next_packet_id = 0;
+    std::size_t deliveries = 0;  ///< delivery_log_ length at the mark
+  };
+  struct Delivery {
+    Cycle latency = 0;
+    int flits = 0;
+  };
+  std::vector<MarkRecord> marks_;
+  std::vector<TileActivity> mark_tiles_;     ///< node_count() per mark
+  std::vector<std::uint32_t> mark_msg_seq_;  ///< node_count() per mark
+  std::vector<std::int8_t> mark_rr_;         ///< rr_pointer_ per mark
+  std::vector<Delivery> delivery_log_;       ///< kept while marks_ is held
+  bool log_deliveries_ = false;              ///< !marks_.empty()
 
   // Degraded-fabric state (untouched while degraded_ is false).
   bool degraded_ = false;

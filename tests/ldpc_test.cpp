@@ -194,12 +194,6 @@ TEST(QuantizeTest, RoundsAndSaturates) {
   EXPECT_EQ(q[4], -127);
 }
 
-TEST(MinSumTest, SatAddSaturates) {
-  EXPECT_EQ(minsum::sat_add(120, 30), 127);
-  EXPECT_EQ(minsum::sat_add(-120, -30), -127);
-  EXPECT_EQ(minsum::sat_add(5, -3), 2);
-}
-
 TEST(MinSumTest, NormalizeThreeQuarters) {
   EXPECT_EQ(minsum::normalize(8), 6);
   EXPECT_EQ(minsum::normalize(-8), -6);

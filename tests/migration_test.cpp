@@ -267,6 +267,43 @@ TEST(MigrationControllerTest, MirrorTwiceRestoresPlacement) {
   EXPECT_EQ(placement, identity_permutation(25));
 }
 
+TEST(MigrationControllerTest, UnreadDeliveryFailsBeforeAnyStateMoves) {
+  // An application message left unread at tile 5 would meet a state packet
+  // there. The migration fails before any state moves, with the PEs
+  // resumed: every NI injects again, the message is still the one unread
+  // delivery, and nothing is committed.
+  Fabric fabric(mesh(4));
+  Message app;
+  app.src = 0;
+  app.dst = 5;
+  app.tag = 42;
+  app.payload = {7, 8};
+  fabric.send(app);
+  fabric.drain();
+  ASSERT_EQ(fabric.unread_deliveries(), 1);
+
+  MigrationController controller(fabric,
+                                 Transform{TransformKind::kRotation, 0});
+  std::vector<int> placement = identity_permutation(16);
+  EXPECT_THROW(controller.migrate(placement, std::vector<int>(16, 8)),
+               CheckError);
+  int enabled = 0;
+  for (int n = 0; n < fabric.node_count(); ++n)
+    enabled += fabric.injection_enabled(n) ? 1 : 0;
+  EXPECT_EQ(enabled, 16);
+  EXPECT_EQ(fabric.stats().packets_delivered(), 1u);
+  ASSERT_EQ(fabric.unread_deliveries(), 1);
+  const auto got = fabric.try_receive(5);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->src, 0);
+  EXPECT_EQ(got->tag, 42u);
+  EXPECT_EQ(got->payload, app.payload);
+  EXPECT_EQ(placement, identity_permutation(16));
+  EXPECT_EQ(controller.migrations(), 0);
+  for (int i = 0; i < 16; ++i)
+    EXPECT_EQ(controller.translator().logical_to_physical(i), i);
+}
+
 TEST(MigrationControllerTest, CountsConversionActivity) {
   Fabric fabric(mesh(4));
   MigrationController controller(fabric,

@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/transform.hpp"
 #include "ldpc/channel.hpp"
@@ -312,6 +316,86 @@ INSTANTIATE_TEST_SUITE_P(
                       {1050, 1050, 1050, 396, 804, 246, 246, 858, 0},
                       {1002, 1002, 1002, 252, 576, 426, 426, 2496, 0},
                   }}));
+
+/// The fabric's accounting after a run: now(), packets and flits
+/// delivered, the latency count and its mean, min and max as bit patterns,
+/// and every tile's counters.
+struct FabricAccount {
+  Cycle now = 0;
+  std::array<std::uint64_t, 6> delivered{};
+  std::vector<TileCounts> tiles;
+  bool operator==(const FabricAccount&) const = default;
+};
+
+FabricAccount account(const Fabric& fabric) {
+  const NetworkStats& st = fabric.stats();
+  const RunningStats& lat = st.packet_latency();
+  FabricAccount a{fabric.now(),
+                  {st.packets_delivered(), st.flits_delivered(), lat.count(),
+                   std::bit_cast<std::uint64_t>(lat.mean()),
+                   std::bit_cast<std::uint64_t>(lat.min()),
+                   std::bit_cast<std::uint64_t>(lat.max())},
+                  {}};
+  for (int t = 0; t < fabric.node_count(); ++t)
+    a.tiles.push_back(tile_counts(st.tile(t)));
+  return a;
+}
+
+TEST(NocDecoderTest, ReplayedBlocksEqualSteppedTwin) {
+  // Period replay needs injection enabled at every node, so a twin with
+  // injection off at the one tile no cluster uses can never replay: it
+  // steps every cycle of the same schedule. Three blocks must agree with it
+  // in every result field and every counter: two at the identity placement
+  // (the second from the round-robin pointers the first left), which
+  // replay most of their cycles, and one at reversed tiles. So must a
+  // block whose deadlock guard fires where the first block replayed.
+  const TestBench tb = make_bench(1200, 7, 2.0);
+  const Partition partition = make_striped_partition(tb.code, 24);
+  std::vector<int> reversed(24);
+  for (int c = 0; c < 24; ++c)
+    reversed[static_cast<std::size_t>(c)] = 23 - c;
+  LdpcNocParams params;
+  params.iterations = 20;
+
+  Fabric fast(mesh(5));
+  Fabric stepped(mesh(5));
+  stepped.set_injection_enabled(24, false);
+  NocLdpcDecoder fast_decoder(fast, tb.code, partition,
+                              identity_permutation(24), params);
+  NocLdpcDecoder stepped_decoder(stepped, tb.code, partition,
+                                 identity_permutation(24), params);
+  Cycle first_block = 0;
+  for (int block = 0; block < 3; ++block) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    if (block == 2) {
+      fast_decoder.set_placement(reversed);
+      stepped_decoder.set_placement(reversed);
+    }
+    const NocDecodeResult f = fast_decoder.decode_block(tb.llrs);
+    const NocDecodeResult s = stepped_decoder.decode_block(tb.llrs);
+    if (block < 2) {
+      EXPECT_GT(f.replayed_cycles, f.cycles / 2);
+      EXPECT_LT(f.replayed_cycles, f.cycles);
+    }
+    EXPECT_EQ(s.replayed_cycles, 0u);
+    EXPECT_EQ(f.cycles, s.cycles);
+    EXPECT_EQ(f.hard_bits, s.hard_bits);
+    EXPECT_EQ(f.syndrome_ok, s.syndrome_ok);
+    EXPECT_TRUE(account(fast) == account(stepped));
+    if (block == 0) first_block = f.cycles;
+  }
+
+  params.max_cycles_per_block = first_block / 2;
+  NocLdpcDecoder fast_cut(fast, tb.code, partition, identity_permutation(24),
+                          params);
+  NocLdpcDecoder stepped_cut(stepped, tb.code, partition,
+                             identity_permutation(24), params);
+  const Cycle start = fast.now();
+  EXPECT_THROW(fast_cut.decode_block(tb.llrs), CheckError);
+  EXPECT_THROW(stepped_cut.decode_block(tb.llrs), CheckError);
+  EXPECT_EQ(fast.now(), start + params.max_cycles_per_block);
+  EXPECT_TRUE(account(fast) == account(stepped));
+}
 
 TEST(NocDecoderTest, PlacementDoesNotChangeFunction) {
   const TestBench tb = make_bench();

@@ -656,6 +656,44 @@ TEST(StreamTest, PaperScaleStreamsMatchParent) {
   }
 }
 
+TEST(StreamTest, EveryPaperScaleBlockReplaysMostOfItsCycles) {
+  // The streams pinned above, checked for how they were simulated: every
+  // full-scale block settles into a repeating iteration that the decoder
+  // replays instead of stepping, for more than half of its cycles.
+  struct Run {
+    const char* config;
+    MigrationScheme scheme;
+  };
+  const Run runs[] = {
+      {"A", MigrationScheme::kShiftXY},  {"B", MigrationScheme::kShiftXY},
+      {"C", MigrationScheme::kShiftXY},  {"D", MigrationScheme::kShiftXY},
+      {"E", MigrationScheme::kShiftXY},  {"A", MigrationScheme::kRotation},
+      {"B", MigrationScheme::kRotation}};
+  for (const Run& run : runs) {
+    const ChipConfig cfg = config_by_name(run.config);
+    const BuiltChip built = build_chip(cfg);
+    Fabric fabric(cfg.noc);
+    std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+    placement.resize(static_cast<std::size_t>(built.partition.cluster_count));
+    NocLdpcDecoder decoder(fabric, built.code, built.partition, placement,
+                           cfg.ldpc_params);
+    MigrationController controller(fabric, transform_of(run.scheme));
+    std::vector<int> state_words;
+    for (int c = 0; c < decoder.cluster_count(); ++c)
+      state_words.push_back(decoder.migration_state_words(c));
+    const int blocks = orbit_length(transform_of(run.scheme), cfg.dim) + 1;
+    for (int b = 0; b < blocks; ++b) {
+      const NocDecodeResult res = decoder.decode_block(built.channel_llrs);
+      EXPECT_GT(res.replayed_cycles, res.cycles / 2)
+          << run.config << " " << to_string(run.scheme) << " block " << b
+          << " of " << res.cycles << " cycles";
+      if (b + 1 == blocks) break;
+      controller.migrate(placement, state_words);
+      decoder.set_placement(placement);
+    }
+  }
+}
+
 TEST(ChipConfigTest, CfuRowConcentratesCheckWork) {
   // The architectural CFU row (y=0 for configuration A) must do more
   // per-tile edge work than the plain BFU tiles — the paper's "one row
